@@ -45,6 +45,7 @@ from .cones import run_cone_sweep
 from .errors import ConfigError, OscboundError
 from .identities import build_pipeline_data, run_domain_checks
 from .stability import (
+    _DEFAULT_EPS,
     FamilySpec,
     ProfileVerdict,
     StabilityRecord,
@@ -62,8 +63,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INFRA = 3
-
-_DEFAULT_EPS = (0.02, 0.04, 0.07, 0.1, 0.14, 0.2)
 
 _CONFIG_HELP = """\
 config file keys (key=value, one per line, # comments):
@@ -265,8 +264,8 @@ def parse_config(command: str, config_path: str | None = None,
 # --------------------------------------------------------------------------
 
 def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -455,7 +454,8 @@ def _cmd_stability(config: RunConfig, profile: str) -> int:
     for report in bad_monotone:
         print(f"  FAIL {report.name}: worst step {report.lhs:.3e}")
     if config.grid_refinements >= 1:
-        ladder = verify_refinement(spec, jobs=config.effective_jobs)
+        ladder = verify_refinement(spec, records,
+                                   jobs=config.effective_jobs)
         bad_ladder = [l for l in ladder if l.status != "pass"]
         for report in bad_ladder:
             print(f"  FAIL {report.name}: change {report.lhs:.3e} "

@@ -200,13 +200,8 @@ class PipelineData:
     curvature: Array
     area: float
     perimeter: float
-    diam: float
-    r_i: float
-    r_e: float
     rho_i: float
     rho_e: float
-    rho_star: float
-    r_inradius: float
     mean_convex: bool
 
     @property
@@ -217,6 +212,40 @@ class PipelineData:
     @property
     def H0(self) -> float:
         return 1.0 / self.R
+
+    # ---------------- geometry read only by the check battery ----------------
+    #
+    # No stability record column depends on these, so they are computed on
+    # first read instead of once per family member.
+
+    @cached_property
+    def _ball_radii(self) -> tuple[float, float]:
+        return ball_radii(self.domain)
+
+    @property
+    def r_i(self) -> float:
+        """Uniform interior ball radius."""
+        return self._ball_radii[0]
+
+    @property
+    def r_e(self) -> float:
+        """Uniform exterior ball radius, capped at the diameter."""
+        return self._ball_radii[1]
+
+    @cached_property
+    def diam(self) -> float:
+        """Largest boundary-to-boundary distance."""
+        return diameter(self.domain)
+
+    @cached_property
+    def rho_star(self) -> float:
+        """Star-shapedness radius about the origin."""
+        return star_radius(self.domain)
+
+    @cached_property
+    def r_inradius(self) -> float:
+        """Radius of the largest inscribed disk."""
+        return inradius(self.domain)
 
     # ---------------- integration helpers (unnormalized) ----------------
 
@@ -300,15 +329,13 @@ def build_pipeline_data(domain: StarDomain2D, h: float,
                          provenance="derived")
     trace = normal_derivative(u, domain, m=boundary_samples)
     _, gamma, normal, curvature, _ = _boundary_arrays(domain, boundary_samples)
-    r_i, r_e = ball_radii(domain)
     rho_i, rho_e = rho_bounds(domain, z)
     return PipelineData(
         domain=domain, h=h, u=u, report=report, z=z, h_aux=h_aux,
         grad_h=grad_h, hess_u=hess_u, hess_h=hess_h, trace=trace,
         gamma=gamma, normal=normal, curvature=curvature,
         area=area(domain), perimeter=perimeter(domain),
-        diam=diameter(domain), r_i=r_i, r_e=r_e, rho_i=rho_i, rho_e=rho_e,
-        rho_star=star_radius(domain), r_inradius=inradius(domain),
+        rho_i=rho_i, rho_e=rho_e,
         mean_convex=bool(np.min(curvature) >= -_ABS_SLACK),
     )
 

@@ -380,16 +380,22 @@ def verify_monotone_deviations(
     return reports
 
 
-def verify_refinement(spec: FamilySpec, jobs: int = 1) -> list[IdentityReport]:
+def verify_refinement(spec: FamilySpec, coarse: list[StabilityRecord],
+                      jobs: int = 1) -> list[IdentityReport]:
     """Check the family's deviations are grid-converged.
 
-    Reruns the family on ``spec.refinements`` successively halved grids; at
-    each halving, the largest change in any deviation column must stay
-    below 10% of the smallest resolved deviation on the finer grid.
+    ``coarse`` holds the family's records at ``spec.spacing`` (as returned
+    by :func:`run_family`).  The family is rerun on ``spec.refinements``
+    successively halved grids; at each halving, the largest change in any
+    deviation column must stay below 10% of the smallest resolved deviation
+    on the finer grid.
     """
     if spec.refinements < 1:
         raise DomainError("refinement check needs refinements >= 1")
-    coarse = run_family(replace(spec, refinements=0), jobs)
+    if len(coarse) != len(spec.eps):
+        raise DomainError(
+            f"refinement check needs one coarse record per epsilon, got "
+            f"{len(coarse)} for {len(spec.eps)}")
     reports = []
     for level in range(1, spec.refinements + 1):
         finer_spec = replace(spec, spacing=spec.spacing / 2.0**level,

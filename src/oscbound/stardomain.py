@@ -165,15 +165,6 @@ class StarDomain2D:
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         return rho < self.radial(phi) - tol
 
-    def radius_range(self) -> tuple[float, float]:
-        phi = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False)
-        r = self.radial(phi)
-        lo = _refine_extremum(lambda t: self.radial(np.asarray(t)),
-                              phi, r, np.argmin(r))
-        hi = -_refine_extremum(lambda t: -self.radial(np.asarray(t)),
-                               phi, -r, np.argmax(r))
-        return lo, hi
-
 
 def rotated(domain: StarDomain2D, alpha: float) -> StarDomain2D:
     """The same shape rotated by alpha (Fourier coefficients are remixed)."""
@@ -319,6 +310,30 @@ def delta_gamma(domain: StarDomain2D, x) -> float:
         return float(np.linalg.norm(domain.boundary(np.asarray(t)) - x))
 
     return _refine_extremum(dist, phi, d, int(np.argmin(d)))
+
+
+def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
+                        steps: int = 6) -> Array:
+    """Distance of each point to the boundary by seeded Newton projection.
+
+    Newton's method on ``|gamma(phi) - x|^2 / 2`` starts from the parameter
+    ``phi`` of a nearby boundary point (a table vertex), so it converges
+    quadratically to the closest point; each step is capped at a hundredth
+    of a radian and skipped where the objective is not locally convex.
+    """
+    x, y = points[:, 0], points[:, 1]
+    for _ in range(steps):
+        r, r1, r2 = domain.radial_derivatives(phi)
+        c, s = np.cos(phi), np.sin(phi)
+        gx, gy = r * c - x, r * s - y
+        tx, ty = r1 * c - r * s, r1 * s + r * c
+        ax, ay = (r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c
+        slope = tx * gx + ty * gy
+        curve = tx * tx + ty * ty + ax * gx + ay * gy
+        step = np.where(curve > 0.0, -slope / np.where(curve > 0.0, curve, 1.0),
+                        0.0)
+        phi = phi + np.clip(step, -1e-2, 1e-2)
+    return np.linalg.norm(domain.boundary(phi) - points, axis=-1)
 
 
 def _min_boundary_distance(domain: StarDomain2D, centers: Array,

@@ -22,7 +22,12 @@ from scipy.spatial import cKDTree
 
 from .cones import AnalyticField
 from .errors import DomainError, GeometryError
-from .stardomain import StarDomain2D, _boundary_arrays, area
+from .stardomain import (
+    StarDomain2D,
+    _boundary_arrays,
+    _projected_distance,
+    area,
+)
 
 Array = np.ndarray
 
@@ -49,6 +54,7 @@ __all__ = [
 
 _SUBCELL = 12          # subgrid resolution for cut-cell areas
 _BOUNDARY_TABLE = 16384  # boundary points backing distance queries
+_DELTA_BAND = 0.01     # relative to r_max: nodes projected onto the curve
 _T_MIN = 1e-8          # crossing-fraction snap to keep the matrix conditioned
 
 
@@ -64,7 +70,9 @@ class Grid:
     node (i, j) in direction d meets the boundary (1.0 when the neighbor is a
     regular inside node); ``cell_weights`` are node-cell areas that sum to
     the exact domain area; ``delta`` is the distance of each node to the
-    boundary.
+    boundary: the nearest of a dense boundary table, projected onto the
+    closed-form curve for nodes near it, where the table's polygon error
+    would exceed the gap that the depth bounds leave.
     """
 
     domain: StarDomain2D
@@ -115,7 +123,13 @@ class Grid:
         cell_w = _cell_weights(domain, xs, ys, inside)
         tree = cKDTree(domain.boundary(
             np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_TABLE, endpoint=False)))
-        delta = tree.query(pts, workers=-1)[0].reshape(ny, nx)
+        dist, nearest = tree.query(pts, workers=-1)
+        band = dist < _DELTA_BAND * r_max
+        # the table vertex stays an upper bound if a projection misses
+        dist[band] = np.minimum(dist[band], _projected_distance(
+            domain, pts[band],
+            2.0 * math.pi * nearest[band] / _BOUNDARY_TABLE))
+        delta = dist.reshape(ny, nx)
 
         return Grid(domain=domain, h=h, xs=xs, ys=ys, inside=inside,
                     index=index, cuts=cuts, cell_weights=cell_w, delta=delta,

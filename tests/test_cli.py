@@ -183,6 +183,30 @@ class TestConeVerifyCommand:
         assert "violations beyond slack: 0" in capsys.readouterr().out
 
 
+class TestNumericCells:
+    """Every numeric cell is a plain float literal, numpy scalars included."""
+
+    def test_constants_n3(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["constants", "--N", "3", "--out", out]) == 0
+        lines = read_lines(os.path.join(out, "constants.csv"))
+        for line in lines[1:]:
+            float(line.split(",")[1])
+
+    def test_cone_verify_n3(self, tmp_path):
+        cfg = write_cfg(tmp_path, "N = 3\n")
+        out = str(tmp_path / "o")
+        assert main(["cone-verify", "--config", cfg, "--out", out]) == 0
+        lines = read_lines(os.path.join(out, "cone_checks.csv"))
+        assert len(lines) > 1000
+        for line in lines[1:]:
+            cells = line.split(",")
+            for column in (1, 2, 3, 4, 6, 7, 8):
+                if column in (3, 4) and cells[column] == "":
+                    continue  # pointwise rows leave p/q empty
+                float(cells[column])
+
+
 # --------------------------------------------------------------------------
 # domain-verify subcommand
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from oscbound import DomainError, GeometryError
+from oscbound import DomainError, GeometryError, identities
 from oscbound.constants import INF
 from oscbound.identities import (
     FLOOR,
@@ -42,7 +42,14 @@ from oscbound.identities import (
     check_weighted_poincare,
     run_domain_checks,
 )
-from oscbound.stardomain import StarDomain2D
+from oscbound.stability import FamilySpec, build_family_domain, run_family
+from oscbound.stardomain import (
+    StarDomain2D,
+    ball_radii,
+    diameter,
+    inradius,
+    star_radius,
+)
 from oscbound.torsion import lp_norm_domain
 
 ELLIPSE_A, ELLIPSE_B = 2.0, 1.0
@@ -320,6 +327,15 @@ class TestEllipseInequalities:
         assert report.status == "pass"
         assert report.lhs <= 1e-3
 
+    def test_torsion_depth_on_refined_family_member(self):
+        # the ladder's ellipse rung: its near-boundary nodes need the exact
+        # boundary distance, a boundary polygon overestimates it
+        spec = FamilySpec(kind="ellipse")
+        data = build_pipeline_data(build_family_domain(spec, 0.2), 1.0 / 128.0)
+        report = check_torsion_depth(data)
+        assert report.status == "pass"
+        assert report.lhs < 0.0
+
     def test_min_depth(self, ellipse_data):
         report = check_min_depth(ellipse_data)
         assert report.status == "pass"
@@ -423,6 +439,36 @@ class TestConsistency:
             math.sqrt(lam) * base.weighted_hess_norm, rel=1e-10)
         assert big.rho_e - big.rho_i == pytest.approx(
             lam * (base.rho_e - base.rho_i), rel=1e-10)
+
+
+class TestLazyGeometry:
+    """The battery-only geometry is computed when a check reads it."""
+
+    LAZY = ("ball_radii", "diameter", "star_radius", "inradius")
+
+    def test_family_runs_never_compute_it(self, monkeypatch):
+        spec = FamilySpec(eps=(0.1, 0.2), spacing=1.0 / 32.0)
+        expected = run_family(spec)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("battery-only geometry computed")
+
+        for name in self.LAZY:
+            monkeypatch.setattr(identities, name, forbidden)
+        records = run_family(spec)
+        assert all(r.status == "ok" for r in records)
+        assert records == expected
+
+    def test_battery_reads_the_direct_values(self):
+        domain = StarDomain2D.cosine(0.1, 3)
+        data = build_pipeline_data(domain, 1.0 / 32.0)
+        cached = ("_ball_radii", "diam", "rho_star", "r_inradius")
+        assert not set(cached) & set(vars(data))
+        run_domain_checks(data)
+        assert (data.r_i, data.r_e) == ball_radii(domain)
+        assert data.diam == diameter(domain)
+        assert data.rho_star == star_radius(domain)
+        assert data.r_inradius == inradius(domain)
 
 
 # --------------------------------------------------------------------------

@@ -282,14 +282,19 @@ class TestRefinement:
     def test_ladder_converges(self):
         spec = FamilySpec(kind="ellipse", eps=(0.1, 0.2),
                           spacing=1.0 / 32.0, refinements=1)
-        reports = verify_refinement(spec)
+        reports = verify_refinement(spec, run_family(spec))
         assert len(reports) == len(DEVIATION_FIELDS)
         assert all(r.name.startswith("refine1_") for r in reports)
         assert all(r.status == "pass" for r in reports)
 
     def test_requires_refinements(self):
         with pytest.raises(DomainError):
-            verify_refinement(FamilySpec(kind="ellipse", refinements=0))
+            verify_refinement(FamilySpec(kind="ellipse", refinements=0), [])
+
+    def test_requires_one_coarse_record_per_eps(self):
+        spec = FamilySpec(kind="ellipse", eps=(0.1, 0.2), refinements=1)
+        with pytest.raises(DomainError):
+            verify_refinement(spec, [synth_record(0.1)])
 
     def test_monotone_needs_two_records(self):
         with pytest.raises(DomainError):

@@ -108,9 +108,10 @@ def test_boundary_distance_table_matches_disk_distance(disk_solve):
     X, Y = np.meshgrid(grid.xs, grid.ys)
     exact = np.abs(1.0 - np.hypot(X, Y))
     err = np.abs(grid.delta - exact)
-    # the table is a dense boundary polygon: nodes riding the boundary see at
-    # most the half-spacing, and the error decays like (spacing/2)^2 / (2 d)
+    # nodes near the boundary are projected onto the exact curve; farther
+    # out the dense boundary polygon's error decays like (spacing/2)^2 / (2 d)
     assert float(err.max()) < 2e-4
+    assert float(err[grid.inside & (exact < 0.01)].max()) < 1e-8
     assert float(err[exact > 0.05].max()) < 1e-6
 
 
