@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .constants import (
     INF,
@@ -207,10 +206,29 @@ def _rule_for(cone: ConeSpec, rule: QuadratureRule | None,
     return rule
 
 
+_HALTON_BASES = (2, 3, 5)  # cones live in dimension 2 or 3
+
+
+def _halton(count: int, dim: int) -> Array:
+    """First ``count`` points of the unscrambled Halton sequence in [0, 1)^dim.
+
+    Column d is the radical inverse of 0, 1, 2, ... in the d-th prime base.
+    """
+    out = np.zeros((count, dim))
+    for col, base in enumerate(_HALTON_BASES[:dim]):
+        n = np.arange(count)
+        scale = 1.0 / base
+        while n.any():
+            n, digit = np.divmod(n, base)
+            out[:, col] += digit * scale
+            scale /= base
+    return out
+
+
 def cone_samples(cone: ConeSpec, count: int = 10_000) -> Array:
     """Deterministic quasi-random points filling the cone (for sup norms)."""
     dim = cone.dim
-    u = qmc.Halton(d=dim, scramble=False).random(count)
+    u = _halton(count, dim)
     s = cone.height * u[:, 0] ** (1.0 / dim)
     if dim == 2:
         psi0 = math.atan2(cone.axis[1], cone.axis[0])

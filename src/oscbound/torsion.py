@@ -7,7 +7,8 @@ the radial inclusion test) replaces the full spacing, and the Dirichlet zero
 is imposed at the crossing.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
 gradients and Hessians, interior norms with exact-total cell weights and
-optional boundary-distance weights, and boundary traces of the normal
+optional weights by the boundary distance delta (exact at every node, by
+Newton projection onto the curve), and boundary traces of the normal
 derivative.
 """
 from __future__ import annotations
@@ -53,8 +54,7 @@ __all__ = [
 ]
 
 _SUBCELL = 12          # subgrid resolution for cut-cell areas
-_BOUNDARY_TABLE = 16384  # boundary points backing distance queries
-_DELTA_BAND = 0.01     # relative to r_max: nodes projected onto the curve
+_BOUNDARY_TABLE = 1024  # boundary vertices seeding the distance projection
 _T_MIN = 1e-8          # crossing-fraction snap to keep the matrix conditioned
 
 
@@ -69,10 +69,9 @@ class Grid:
     ``cuts[d][i, j]`` is the fraction of the spacing at which the edge from
     node (i, j) in direction d meets the boundary (1.0 when the neighbor is a
     regular inside node); ``cell_weights`` are node-cell areas that sum to
-    the exact domain area; ``delta`` is the distance of each node to the
-    boundary: the nearest of a dense boundary table, projected onto the
-    closed-form curve for nodes near it, where the table's polygon error
-    would exceed the gap that the depth bounds leave.
+    the exact domain area; ``delta`` is the exact distance of each node to
+    the boundary: the nearest vertex of a coarse boundary table seeds a
+    Newton projection onto the closed-form curve.
     """
 
     domain: StarDomain2D
@@ -121,15 +120,14 @@ class Grid:
             cuts[name] = _edge_fractions(domain, xs, ys, inside, di, dj)
 
         cell_w = _cell_weights(domain, xs, ys, inside)
-        tree = cKDTree(domain.boundary(
-            np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_TABLE, endpoint=False)))
+        phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_TABLE, endpoint=False)
+        r, r1, r2 = domain.radial_derivatives(phi)
+        tree = cKDTree(np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1))
         dist, nearest = tree.query(pts, workers=-1)
-        band = dist < _DELTA_BAND * r_max
         # the table vertex stays an upper bound if a projection misses
-        dist[band] = np.minimum(dist[band], _projected_distance(
-            domain, pts[band],
-            2.0 * math.pi * nearest[band] / _BOUNDARY_TABLE))
-        delta = dist.reshape(ny, nx)
+        delta = np.minimum(dist, _projected_distance(
+            domain, pts, phi[nearest],
+            (r[nearest], r1[nearest], r2[nearest]))).reshape(ny, nx)
 
         return Grid(domain=domain, h=h, xs=xs, ys=ys, inside=inside,
                     index=index, cuts=cuts, cell_weights=cell_w, delta=delta,
@@ -286,7 +284,6 @@ class SolveReport:
     h: float
     residual: float
     n_unknowns: int
-    order: float | None = None
 
     def __post_init__(self):
         if not self.residual <= 1e-10:

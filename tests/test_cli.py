@@ -8,9 +8,12 @@ and byte-identical reruns.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import oscbound
 from oscbound.cli import RunConfig, constants_table, main, parse_config
 from oscbound.constants import INF
 from oscbound.errors import ConfigError
@@ -348,3 +351,12 @@ class TestArgparseSurface:
         cfg = write_cfg(tmp_path, "nonsense = 1\n")
         assert main(["constants", "--config", cfg]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_module_run_writes_nothing_to_stderr(self):
+        # the package root must not import cli, or runpy warns on every run
+        src = os.path.dirname(os.path.dirname(oscbound.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "oscbound.cli", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0
+        assert done.stderr == ""

@@ -9,13 +9,18 @@ exponent) instance with slack 1e-9.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.stats import qmc
 
+import oscbound
 from oscbound import (
     INF,
     AnalyticField,
@@ -36,6 +41,7 @@ from oscbound import (
     verify_morrey_cone,
     verify_pointwise_cone,
 )
+from oscbound.cones import _halton
 from oscbound.errors import DomainError, GeometryError
 
 
@@ -169,6 +175,21 @@ def test_halton_samples_fill_cone():
         assert np.all(inner >= math.cos(cone.theta) - 1e-9)
         # deterministic
         assert np.array_equal(pts, cone_samples(cone, 3000))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_halton_matches_scipy_unscrambled(dim):
+    want = qmc.Halton(d=dim, scramble=False).random(10_000)
+    assert np.array_equal(_halton(10_000, dim), want)
+
+
+def test_cli_import_skips_scipy_stats():
+    src = os.path.dirname(os.path.dirname(oscbound.__file__))
+    code = "import sys, oscbound.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oscbound import DomainError, GeometryError
-from oscbound.stardomain import StarDomain2D, area, rotated
+from oscbound.stardomain import StarDomain2D, area, delta_gamma, rotated
 from oscbound.torsion import (
     BoundaryTrace,
     DiscreteField,
@@ -108,11 +108,26 @@ def test_boundary_distance_table_matches_disk_distance(disk_solve):
     X, Y = np.meshgrid(grid.xs, grid.ys)
     exact = np.abs(1.0 - np.hypot(X, Y))
     err = np.abs(grid.delta - exact)
-    # nodes near the boundary are projected onto the exact curve; farther
-    # out the dense boundary polygon's error decays like (spacing/2)^2 / (2 d)
-    assert float(err.max()) < 2e-4
-    assert float(err[grid.inside & (exact < 0.01)].max()) < 1e-8
-    assert float(err[exact > 0.05].max()) < 1e-6
+    # every node is projected onto the exact curve
+    assert float(err.max()) < 1e-12
+
+
+@pytest.mark.parametrize("domain", [
+    # no mirror symmetry: r = 1 + 0.2 (cos 2 phi + sin 3 phi / 2)
+    StarDomain2D(c0=1.0, cos_coeffs=(0.0, 0.2), sin_coeffs=(0.0, 0.0, 0.1)),
+    # eight deep nonconvex petals, off-axis
+    rotated(StarDomain2D(c0=0.5, cos_coeffs=(0, 0, 0, 0, 0, 0, 0, 0.45)),
+            math.pi / 8.0),
+], ids=["mixed", "petals"])
+def test_boundary_distance_matches_delta_gamma(domain):
+    grid = Grid.build(domain, 1.0 / 64.0)
+    rng = np.random.default_rng(7)
+    for mask in (grid.inside, ~grid.inside):
+        ii, jj = np.nonzero(mask)
+        pick = rng.choice(ii.size, 500, replace=False)
+        for i, j in zip(ii[pick], jj[pick]):
+            want = delta_gamma(domain, np.array([grid.xs[j], grid.ys[i]]))
+            assert abs(grid.delta[i, j] - want) < 1e-12
 
 
 def test_grid_rejects_nonpositive_spacing():
