@@ -468,26 +468,40 @@ def _cmd_stability(config: RunConfig, profile: str) -> int:
 
 
 def _read_records_csv(path: str) -> list[StabilityRecord]:
+    """Parse a records CSV; a malformed row raises naming its file and line."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         records = []
         for row in reader:
-            records.append(StabilityRecord(
-                eps=float(row["eps"]),
-                curvature_flatness=float(row["curvature_flatness"]),
-                radius_gap=float(row["radius_gap"]),
-                gauss_deviation=float(row["gauss_deviation"]),
-                trace_flatness=float(row["trace_flatness"]),
-                hess_norm=float(row["hess_norm"]),
-                weighted_hess_norm=float(row["weighted_hess_norm"]),
-                residual_divergence=float(row["residual_divergence"]),
-                residual_fundamental=float(row["residual_fundamental"]),
-                residual_mp=float(row["residual_mp"]),
-                h=float(row["h"]),
-                status=row["status"],
-                detail=row["detail"],
-            ))
+            try:
+                records.append(_parse_record(row))
+            except KeyError as exc:
+                raise OscboundError(
+                    f"{path}, line {reader.line_num}: missing column {exc}"
+                ) from exc
+            except (TypeError, ValueError) as exc:
+                raise OscboundError(
+                    f"{path}, line {reader.line_num}: bad record ({exc})"
+                ) from exc
     return records
+
+
+def _parse_record(row: dict[str, str]) -> StabilityRecord:
+    return StabilityRecord(
+        eps=float(row["eps"]),
+        curvature_flatness=float(row["curvature_flatness"]),
+        radius_gap=float(row["radius_gap"]),
+        gauss_deviation=float(row["gauss_deviation"]),
+        trace_flatness=float(row["trace_flatness"]),
+        hess_norm=float(row["hess_norm"]),
+        weighted_hess_norm=float(row["weighted_hess_norm"]),
+        residual_divergence=float(row["residual_divergence"]),
+        residual_fundamental=float(row["residual_fundamental"]),
+        residual_mp=float(row["residual_mp"]),
+        h=float(row["h"]),
+        status=row["status"],
+        detail=row["detail"],
+    )
 
 
 def _cmd_report(config: RunConfig) -> int:

@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
 
 from .constants import DomainScalars, _golden_min
-from .errors import DomainError, GeometryError
+from .errors import DomainError
 
 Array = np.ndarray
 
@@ -46,6 +47,19 @@ __all__ = [
 
 _VALIDATION_SAMPLES = 4096
 _CONE_APERTURE = math.pi / 4
+_EVAL_BLOCK = 16384  # angles per block of the (angles x modes) tables
+
+
+def _eval_blocks(phi: Array):
+    """``(slice, column)`` pairs covering the flattened angles in blocks.
+
+    Evaluating in blocks caps the (angles x modes) cos/sin tables of a
+    grid-sized call at a few megabytes; ``[()]`` on the reshaped result
+    keeps 0-d inputs returning numpy scalars.
+    """
+    flat = phi.reshape(-1)
+    for lo in range(0, flat.size, _EVAL_BLOCK):
+        yield slice(lo, lo + _EVAL_BLOCK), flat[lo:lo + _EVAL_BLOCK, None]
 
 
 # --------------------------------------------------------------------------
@@ -136,8 +150,11 @@ class StarDomain2D:
         if self.n_modes == 0:
             return np.full(phi.shape, self.c0)
         k, a, b = self._coefficient_arrays()
-        ang = phi[..., None] * k
-        return self.c0 + np.cos(ang) @ a + np.sin(ang) @ b
+        r = np.empty(phi.size)
+        for block, p in _eval_blocks(phi):
+            ang = p * k
+            r[block] = self.c0 + np.cos(ang) @ a + np.sin(ang) @ b
+        return r.reshape(phi.shape)[()]
 
     def radial_derivatives(self, phi: Array | float) -> tuple[Array, Array, Array]:
         """(r, r', r'') at the given angles, all closed-form."""
@@ -146,12 +163,14 @@ class StarDomain2D:
             z = np.zeros(phi.shape)
             return np.full(phi.shape, self.c0), z, z.copy()
         k, a, b = self._coefficient_arrays()
-        ang = phi[..., None] * k
-        c, s = np.cos(ang), np.sin(ang)
-        r = self.c0 + c @ a + s @ b
-        r1 = -s @ (k * a) + c @ (k * b)
-        r2 = -c @ (k * k * a) - s @ (k * k * b)
-        return r, r1, r2
+        r, r1, r2 = np.empty(phi.size), np.empty(phi.size), np.empty(phi.size)
+        for block, p in _eval_blocks(phi):
+            ang = p * k
+            c, s = np.cos(ang), np.sin(ang)
+            r[block] = self.c0 + c @ a + s @ b
+            r1[block] = -s @ (k * a) + c @ (k * b)
+            r2[block] = -c @ (k * k * a) - s @ (k * k * b)
+        return tuple(x.reshape(phi.shape)[()] for x in (r, r1, r2))
 
     def boundary(self, phi: Array | float) -> Array:
         phi = np.asarray(phi, dtype=float)
@@ -193,6 +212,12 @@ class BoundarySample:
     weight: float  # arclength weight sqrt(r^2 + r'^2) * dphi
 
 
+def _curvature(r: Array, r1: Array, r2: Array) -> Array:
+    """Signed curvature of the radial graph from (r, r', r'')."""
+    speed = np.sqrt(r * r + r1 * r1)
+    return (r * r + 2.0 * r1 * r1 - r * r2) / speed**3
+
+
 def _boundary_arrays(domain: StarDomain2D, m: int):
     phi = 2.0 * math.pi * np.arange(m) / m
     r, r1, r2 = domain.radial_derivatives(phi)
@@ -201,7 +226,7 @@ def _boundary_arrays(domain: StarDomain2D, m: int):
     pos = np.stack([r * cphi, r * sphi], axis=-1)
     normal = np.stack([r * cphi + r1 * sphi, r * sphi - r1 * cphi], axis=-1)
     normal /= speed[:, None]
-    kappa = (r * r + 2.0 * r1 * r1 - r * r2) / speed**3
+    kappa = _curvature(r, r1, r2)
     weight = speed * (2.0 * math.pi / m)
     return phi, pos, normal, kappa, weight
 
@@ -247,23 +272,18 @@ def _refine_extremum(fun, grid: Array, values: Array, j: int) -> float:
 
 
 def diameter(domain: StarDomain2D, m: int = 1024) -> float:
-    """Largest boundary-to-boundary distance, coarse grid plus refinement."""
+    """Largest boundary-to-boundary distance, coarse grid plus refinement.
+
+    The farthest pair of the grid seeds ``_critical_pair``, since the
+    farthest pair of the curve is a critical pair of the distance.
+    """
     phi = 2.0 * math.pi * np.arange(m) / m
     pts = domain.boundary(phi)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-
-    def dist(p1: float, p2: float) -> float:
-        g1 = domain.boundary(np.asarray(p1))
-        g2 = domain.boundary(np.asarray(p2))
-        return -float(np.linalg.norm(g1 - g2))
-
-    step = 2.0 * math.pi / m
-    t1, t2 = float(phi[i]), float(phi[j])
-    for _ in range(4):  # alternate golden-section in each parameter
-        t1 = _golden_min(lambda x: dist(x, t2), t1 - step, t1 + step, iters=80)
-        t2 = _golden_min(lambda x: dist(t1, x), t2 - step, t2 + step, iters=80)
-    return max(-dist(t1, t2), math.sqrt(float(d2[i, j])))
+    t1, t2 = _critical_pair(domain, float(phi[i]), float(phi[j]))
+    g1, g2 = domain.boundary(np.array([t1, t2]))
+    return max(float(np.linalg.norm(g1 - g2)), math.sqrt(float(d2[i, j])))
 
 
 def H0_and_R(domain: StarDomain2D) -> tuple[float, float]:
@@ -373,58 +393,114 @@ def _min_boundary_distance(domain: StarDomain2D, centers: Array,
     return np.minimum(np.sqrt(mid), refined)
 
 
-def ball_radii(domain: StarDomain2D, probes: int = 512,
-               dense: int = 8192) -> tuple[float, float]:
-    """Uniform interior and exterior ball radii (r_i, r_e).
+_BALL_SAMPLES = 4096  # boundary samples q of the ball-radius search
+_BALL_STRIDE = 8  # every 8th sample is a tangency point p; also the pair gap
 
-    r_i is the largest r such that at every boundary probe p the ball of
-    radius r centered at p - r nu lies inside the domain; r_e is the analog
-    for the complement and is capped at the diameter (convex shapes admit
-    arbitrarily large exterior balls).  Found by bisection on r with
-    vectorized inclusion tests against the radial function.
+
+def _tangent_ball(r: Array, r1: Array, rq: Array, sin_d: Array,
+                  sin_half: Array) -> tuple[Array, Array]:
+    """``(|p - q|^2, 2 (p - q) . nu)`` for p = gamma(phi), q = gamma(phi + d).
+
+    ``r, r1`` are r and r' at p, ``rq`` is r at q, ``sin_d = sin d`` and
+    ``sin_half = sin(d / 2)``.  The ball tangent at p on the inner side that
+    passes through q has radius the first over the second.  Both come from
+    polar differences (r_p - r_q and the angle d), not Cartesian ones, so no
+    terms of the size of |p| cancel: on a circle the quotient is exact.
     """
-    phi_p, pos, normal, _, _ = _boundary_arrays(domain, probes)
-    dense_pts = domain.boundary(
-        np.linspace(0.0, 2.0 * math.pi, dense, endpoint=False))
-    d = diameter(domain)
-    # near the rolling-ball threshold the inclusion violation grows only
-    # quadratically in (r - r_i), so the slack must be far below the target
-    # accuracy squared
-    slack = 1e-12 * d
+    dr = r - rq
+    chord = 4.0 * r * rq * sin_half * sin_half
+    dot = 2.0 * (r * dr + 0.5 * chord + r1 * rq * sin_d)
+    return dr * dr + chord, dot / np.sqrt(r * r + r1 * r1)
 
-    def feasible(r: float, interior: bool) -> bool:
-        centers = pos - r * normal if interior else pos + r * normal
-        side = domain.contains(centers)
-        if interior and not np.all(side):
-            return False
-        if not interior and np.any(side):
-            return False
-        dist = _min_boundary_distance(domain, centers, dense_pts)
-        return bool(np.all(dist >= r - slack))
+
+def _critical_pair(domain: StarDomain2D, t1: float,
+                   t2: float) -> tuple[float, float]:
+    """Newton's method for a critical pair of ``|gamma(t1) - gamma(t2)|^2 / 2``.
+
+    A pair is critical when the chord is normal to the curve at both ends,
+    as at a bottleneck or at the farthest pair.  Each step is capped at a
+    hundredth of a radian in each parameter; from a seed within a table
+    spacing the iteration converges quadratically well inside its 8 steps.
+    """
+    for _ in range(8):
+        r, r1, r2 = domain.radial_derivatives(np.array([t1, t2]))
+        c, s = np.cos([t1, t2]), np.sin([t1, t2])
+        tx, ty = r1 * c - r * s, r1 * s + r * c
+        ax, ay = (r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c
+        gx, gy = r[0] * c[0] - r[1] * c[1], r[0] * s[0] - r[1] * s[1]
+        grad = np.array([gx * tx[0] + gy * ty[0], -(gx * tx[1] + gy * ty[1])])
+        cross = -(tx[0] * tx[1] + ty[0] * ty[1])
+        hess = np.array(
+            [[tx[0] ** 2 + ty[0] ** 2 + gx * ax[0] + gy * ay[0], cross],
+             [cross, tx[1] ** 2 + ty[1] ** 2 - gx * ax[1] - gy * ay[1]]])
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        step = np.clip(step, -1e-2, 1e-2)
+        t1, t2 = t1 + float(step[0]), t2 + float(step[1])
+    return t1, t2
+
+
+def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
+    """Uniform interior and exterior ball radii (r_i, r_e), in closed form.
+
+    At a boundary point p with outward normal nu, the ball tangent at p on
+    the inner side through another boundary point q has radius
+    ``|p - q|^2 / (2 (p - q) . nu)`` (for (p - q) . nu > 0), and the largest
+    interior ball tangent at p is the smaller of 1/kappa(p) (q -> p) and
+    the infimum of that quotient over q.  r_i is the minimum over p, which
+    is the reach of the boundary: the smaller of 1/max kappa and half the
+    interior bottleneck (Federer 1959; Aamari et al. 2019).  r_e is the same
+    with nu -> -nu and kappa -> -kappa, capped at the diameter (convex
+    shapes admit arbitrarily large exterior balls).
+
+    The local term refines max kappa and max(-kappa) over 4096 samples by
+    golden section.  The pair term tabulates the quotient for 512 tangency
+    points against 4096 samples, leaving out pairs within 8 samples of each
+    other (the local term covers those).  When the table undercuts the local
+    term, a bottleneck binds: the minimizing pair has its chord normal to
+    the curve at both ends, so the best pair of the table seeds
+    ``_critical_pair``.
+    """
+    m, stride = _BALL_SAMPLES, _BALL_STRIDE
+    phi = 2.0 * math.pi * np.arange(m) / m
+    r, r1, r2 = domain.radial_derivatives(phi)
+    kappa = _curvature(r, r1, r2)
+
+    def quotient(tp: float, tq: float, side: float) -> float:
+        rp, rp1, _ = domain.radial_derivatives(np.asarray(tp))
+        rq = domain.radial(np.asarray(tq))
+        d = tq - tp
+        num, den = _tangent_ball(rp, rp1, rq, np.sin(d), np.sin(0.5 * d))
+        den = side * float(den)
+        return float(num) / den if den > 0.0 else math.inf
+
+    # row i holds p = sample stride * i against q = sample stride * i + lag
+    # for every lag more than ``stride`` samples from p on either side
+    lag = np.arange(stride + 1, m - stride)
+    d_phi = 2.0 * math.pi * lag / m
+    rq = sliding_window_view(np.concatenate([r, r[:-1]]), m)[::stride, lag]
+    num, den = _tangent_ball(r[::stride, None], r1[::stride, None], rq,
+                             np.sin(d_phi), np.sin(0.5 * d_phi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
 
     out = []
-    for interior in (True, False):
-        hi = d
-        if feasible(hi, interior):
-            out.append(hi)  # capped at the diameter
-            continue
-        # squared-distance evaluation is cancellation-limited near r = 0, so
-        # bracket from the largest clearly feasible radius first
-        lo = next((r for r in (1e-3 * d, 1e-4 * d, 1e-5 * d)
-                   if feasible(r, interior)), None)
-        if lo is None:
-            raise GeometryError(
-                "could not bracket the uniform ball radius "
-                f"({'interior' if interior else 'exterior'} side)"
-            )
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid, interior):
-                lo = mid
-            else:
-                hi = mid
-        out.append(lo)
-    return out[0], out[1]
+    for side in (1.0, -1.0):  # interior, then exterior
+        j = int(np.argmax(side * kappa))
+        k_max = -_refine_extremum(
+            lambda t: -side * _curvature(*domain.radial_derivatives(t)),
+            phi, -side * kappa, j)
+        best = 1.0 / k_max if k_max > 0.0 else math.inf
+        table = np.where(side * den > 0.0, side * ratio, math.inf)
+        ip, k = np.unravel_index(int(np.argmin(table)), table.shape)
+        if table[ip, k] < best:
+            tp, tq = _critical_pair(domain, phi[stride * ip],
+                                    phi[(stride * ip + lag[k]) % m])
+            best = min(float(table[ip, k]), quotient(tp, tq, side))
+        out.append(best)
+    return out[0], min(out[1], diameter(domain))
 
 
 def cone_params(domain: StarDomain2D) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import ndimage, sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .cones import AnalyticField
@@ -295,6 +295,19 @@ class SolveReport:
 # --------------------------------------------------------------------------
 # the solver
 # --------------------------------------------------------------------------
+
+def spsolve(A: sparse.spmatrix, rhs: Array) -> Array:
+    """Solve the Shortley-Weller system ``A x = rhs`` by SuperLU.
+
+    The matrix is structurally symmetric and a diagonally dominant
+    M-matrix, so elimination needs no pivoting: SuperLU runs in symmetric
+    mode, keeps the diagonal pivots and orders by minimum degree on
+    A^T + A, which halves the fill of the default column ordering.
+    """
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return lu.solve(rhs)
+
 
 def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveReport]:
     """Shortley-Weller discretization of ``lap u = 2``, ``u = 0`` on the boundary."""

@@ -327,6 +327,28 @@ class TestStabilityCommands:
         assert main(["report", "--out", str(out)]) == 1
         assert "[FAIL] sbt:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("header, cell, message", [
+        (RECORD_HEADER.replace(",hess_norm,", ",hess_nrm,"), "0.1",
+         "missing column 'hess_norm'"),
+        (RECORD_HEADER, "0.1x", "could not convert string to float"),
+    ])
+    def test_report_malformed_csv_exits_3(self, tmp_path, capsys, header,
+                                          cell, message):
+        # a renamed column or a corrupted float names the file and line
+        out = tmp_path / "corrupt"
+        out.mkdir()
+        rows = [header]
+        for eps in ("0.05", cell):
+            rows.append(f"ellipse,2,{eps},{eps},{eps},{eps},{eps},{eps},"
+                        f"{eps},0.001,0.0001,1e-05,0.03125,ok,")
+        path = out / "sbt_records.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        line = 2 if "missing" in message else 3
+        assert err.startswith(f"error: {path}, line {line}: ")
+        assert message in err
+
 
 # --------------------------------------------------------------------------
 # argparse surface

@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from oscbound import DomainError, GeometryError, identities
+from oscbound import DomainError, GeometryError, identities, stardomain, torsion
 from oscbound.constants import INF
 from oscbound.identities import (
     FLOOR,
@@ -469,6 +469,13 @@ class TestLazyGeometry:
         assert data.diam == diameter(domain)
         assert data.rho_star == star_radius(domain)
         assert data.r_inradius == inradius(domain)
+
+    def test_traced_bindings_stay_module_names(self):
+        # profilers wrap these module-level names; a local import or a
+        # renamed solver would silently bypass them
+        assert identities.ball_radii is stardomain.ball_radii
+        assert callable(torsion.spsolve)
+        assert "spsolve" in torsion.solve_torsion.__code__.co_names
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from oscbound import DomainError, GeometryError
 from oscbound.stardomain import (
@@ -273,6 +273,130 @@ def test_ball_radii_convex_cosine_matches_curvature():
     r_i, _ = ball_radii(dom)
     assert r_i <= want + 1e-6
     assert abs(r_i - want) < 1e-4
+
+
+def _mixed(eps: float) -> StarDomain2D:
+    """r = 1 + eps (cos 2 phi + sin(3 phi) / 2): no mirror symmetry."""
+    return StarDomain2D(1.0, (0.0, eps), (0.0, 0.0, 0.5 * eps))
+
+
+def _frame(dom: StarDomain2D, t):
+    """(position, outward normal, curvature) at the angles t."""
+    t = np.asarray(t, dtype=float)
+    r, r1, r2 = dom.radial_derivatives(t)
+    speed = np.hypot(r, r1)
+    c, s = np.cos(t), np.sin(t)
+    pos = np.stack([r * c, r * s], axis=-1)
+    nu = np.stack([r * c + r1 * s, r * s - r1 * c], axis=-1) / speed[..., None]
+    return pos, nu, (r * r + 2.0 * r1 * r1 - r * r2) / speed**3
+
+
+def _ball_radii_reference(dom: StarDomain2D, n_p: int = 4096,
+                          n_q: int = 16384) -> tuple[float, float]:
+    """Brute-force (r_i, r_e) of a nonconvex shape (r_e is not capped): the
+    smaller of 1/max kappa on n_q samples and of the tangent-ball
+    quotient |p - q|^2 / (2 (p - q) . nu) over an n_p x n_q table of
+    Cartesian differences, each polished by scipy.
+
+    Pairs closer than 0.02 rad are left out: their quotient tends to
+    1/kappa, and they only add rounding noise.
+    """
+    tq = 2.0 * math.pi * np.arange(n_q) / n_q
+    tp = 2.0 * math.pi * np.arange(n_p) / n_p
+    q, _, kappa = _frame(dom, tq)
+    p, nu, _ = _frame(dom, tp)
+    out = []
+    for side in (1.0, -1.0):
+        j = int(np.argmax(side * kappa))
+        h = 2.0 * math.pi / n_q
+        res = optimize.minimize_scalar(
+            lambda t: -side * _frame(dom, t)[2], bounds=(tq[j] - h, tq[j] + h),
+            method="bounded", options={"xatol": 1e-14})
+        k_max = max(-float(res.fun), side * float(kappa[j]))
+        local = 1.0 / k_max if k_max > 0.0 else math.inf
+        best, arg = math.inf, None
+        for lo in range(0, n_p, 256):
+            dx = p[lo:lo + 256, None, 0] - q[None, :, 0]
+            dy = p[lo:lo + 256, None, 1] - q[None, :, 1]
+            den = 2.0 * side * (dx * nu[lo:lo + 256, None, 0]
+                                + dy * nu[lo:lo + 256, None, 1])
+            gap = np.abs((tq[None, :] - tp[lo:lo + 256, None] + math.pi)
+                         % (2.0 * math.pi) - math.pi)
+            ok = (den > 0.0) & (gap > 0.02)
+            f = np.where(ok, (dx * dx + dy * dy) / np.where(ok, den, 1.0),
+                         math.inf)
+            k = int(np.argmin(f))
+            if f.flat[k] < best:
+                a, b = np.unravel_index(k, f.shape)
+                best, arg = float(f.flat[k]), (tp[lo + a], tq[b])
+
+        def pair(x):
+            (pp, nn, _), (qq, _, _) = _frame(dom, x[0]), _frame(dom, x[1])
+            den = 2.0 * side * float((pp - qq) @ nn)
+            return float((pp - qq) @ (pp - qq)) / den if den > 0.0 else math.inf
+
+        if best < local:
+            w = 2.0 * math.pi / n_p
+            res = optimize.minimize(
+                pair, np.array(arg), method="Nelder-Mead",
+                bounds=[(arg[0] - w, arg[0] + w), (arg[1] - w, arg[1] + w)],
+                options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000})
+            best = min(best, float(res.fun))
+        out.append(min(local, best))
+    return out[0], out[1]
+
+
+def test_ball_radii_closed_forms():
+    r_i, _ = ball_radii(StarDomain2D.circle(1.0))
+    assert abs(r_i - 1.0) < 1e-12
+    a = 1.2
+    r_i, _ = ball_radii(StarDomain2D.ellipse(a, 1.0 / a))
+    assert rel_err(r_i, 1.0 / a**3) < 1e-12  # b^2 / a
+    # peanut: half the neck 2 * 0.4 binds inside, the neck's 1/|kappa| outside
+    r_i, r_e = ball_radii(StarDomain2D.cosine(0.6, 2))
+    assert abs(r_i - 0.4) < 1e-12
+    assert abs(r_e - 0.08) < 1e-12
+
+
+def test_ball_radii_family_member_is_inverse_max_curvature():
+    # the 32-mode ellipse family member at eps = 0.2 is not exactly an
+    # ellipse, so the oracle is the curvature of its own series
+    dom = StarDomain2D.ellipse(1.2, 1.0 / 1.2, n_modes=32)
+    phi = np.linspace(0.0, 2.0 * math.pi, 65536, endpoint=False)
+    kappa = _frame(dom, phi)[2]
+    j = int(np.argmax(kappa))
+    res = optimize.minimize_scalar(
+        lambda t: -_frame(dom, t)[2], bounds=(phi[j] - 1e-4, phi[j] + 1e-4),
+        method="bounded", options={"xatol": 1e-14})
+    want = 1.0 / max(-float(res.fun), float(kappa[j]))
+    r_i, _ = ball_radii(dom)
+    assert rel_err(r_i, want) < 1e-12
+
+
+def test_ball_radii_mixed_shape_matches_brute_force():
+    # at eps = 0.5 a bottleneck binds inside and the curvature outside
+    dom = _mixed(0.5)
+    got = ball_radii(dom)
+    want = _ball_radii_reference(dom)
+    assert rel_err(got[0], want[0]) < 1e-9
+    assert rel_err(got[1], want[1]) < 1e-9
+
+
+@pytest.mark.parametrize("dom", [StarDomain2D.cosine(0.6, 2), _mixed(0.1),
+                                 _mixed(0.5)], ids=["peanut", "mixed0.1",
+                                                    "mixed0.5"])
+def test_ball_radii_rotation_and_dilation(dom):
+    r_i, r_e = ball_radii(dom)
+    for alpha in (0.7, 2.1):
+        got = ball_radii(rotated(dom, alpha))
+        assert rel_err(got[0], r_i) < 1e-12
+        assert rel_err(got[1], r_e) < 1e-12
+    lam = 1.7
+    big = StarDomain2D(lam * dom.c0, tuple(lam * c for c in dom.cos_coeffs),
+                       tuple(lam * c for c in dom.sin_coeffs))
+    got = ball_radii(big)
+    assert rel_err(got[0], lam * r_i) < 1e-12
+    assert rel_err(got[1], lam * r_e) < 1e-12
 
 
 def test_cone_params_aperture_and_height():
