@@ -407,23 +407,14 @@ def _cmd_domain_verify(config: RunConfig) -> int:
     return EXIT_PASS if failed == 0 else EXIT_FAIL
 
 
-_RECORD_HEADER = ["family", "k", "eps", "curvature_flatness", "radius_gap",
-                  "gauss_deviation", "trace_flatness", "hess_norm",
-                  "weighted_hess_norm", "residual_divergence",
-                  "residual_fundamental", "residual_mp", "h", "status",
-                  "detail"]
+_RECORD_FIELDS = fields(StabilityRecord)
+_RECORD_HEADER = ["family", "k"] + [f.name for f in _RECORD_FIELDS]
 
 
 def _record_rows(config: RunConfig,
                  records: list[StabilityRecord]) -> list[list[object]]:
-    rows = []
-    for r in records:
-        rows.append([config.family, config.k, r.eps, r.curvature_flatness,
-                     r.radius_gap, r.gauss_deviation, r.trace_flatness,
-                     r.hess_norm, r.weighted_hess_norm,
-                     r.residual_divergence, r.residual_fundamental,
-                     r.residual_mp, r.h, r.status, r.detail])
-    return rows
+    return [[config.family, config.k]
+            + [getattr(r, f.name) for f in _RECORD_FIELDS] for r in records]
 
 
 def _print_verdict(verdict: ProfileVerdict) -> None:
@@ -487,21 +478,9 @@ def _read_records_csv(path: str) -> list[StabilityRecord]:
 
 
 def _parse_record(row: dict[str, str]) -> StabilityRecord:
-    return StabilityRecord(
-        eps=float(row["eps"]),
-        curvature_flatness=float(row["curvature_flatness"]),
-        radius_gap=float(row["radius_gap"]),
-        gauss_deviation=float(row["gauss_deviation"]),
-        trace_flatness=float(row["trace_flatness"]),
-        hess_norm=float(row["hess_norm"]),
-        weighted_hess_norm=float(row["weighted_hess_norm"]),
-        residual_divergence=float(row["residual_divergence"]),
-        residual_fundamental=float(row["residual_fundamental"]),
-        residual_mp=float(row["residual_mp"]),
-        h=float(row["h"]),
-        status=row["status"],
-        detail=row["detail"],
-    )
+    return StabilityRecord(**{
+        f.name: float(row[f.name]) if f.type == "float" else row[f.name]
+        for f in _RECORD_FIELDS})
 
 
 def _cmd_report(config: RunConfig) -> int:

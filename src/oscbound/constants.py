@@ -30,7 +30,6 @@ __all__ = [
     "INF",
     "ExponentPair",
     "ConeSpec",
-    "DomainScalars",
     "ConstantReport",
     "OscillationEstimate",
     "unit_ball_volume",
@@ -109,47 +108,6 @@ class ConeSpec:
     @property
     def dim(self) -> int:
         return self.vertex.size
-
-
-_SCALAR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DomainScalars:
-    """Scalar geometry of a bounded domain with the standard consistency checks.
-
-    ``r_i`` is the inscribed-ball radius measured from the domain's marked
-    center, ``r_e`` the enclosing-ball radius from the same center, and
-    ``r_Omega`` the unconstrained inradius.
-    """
-
-    N: int
-    volume: float
-    surface: float
-    diameter: float
-    r_i: float
-    r_e: float
-    r_Omega: float
-
-    def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.N}")
-        for name in ("volume", "surface", "diameter", "r_i", "r_e", "r_Omega"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
-        ball = unit_ball_volume(self.N)
-        checks = [
-            ("|B| r_Omega^N <= |Omega|", ball * self.r_Omega**self.N, self.volume),
-            ("|Omega| <= |B| d^N", self.volume, ball * self.diameter**self.N),
-            ("N |B| r_Omega^{N-1} <= |Gamma|",
-             self.N * ball * self.r_Omega ** (self.N - 1), self.surface),
-            ("|Gamma| <= N |Omega| / r_i", self.surface, self.N * self.volume / self.r_i),
-            ("r_i <= r_Omega", self.r_i, self.r_Omega),
-            ("r_Omega <= d/2", self.r_Omega, self.diameter / 2.0),
-        ]
-        for label, lo, hi in checks:
-            if lo > hi * (1.0 + _SCALAR_TOL):
-                raise DomainError(f"domain scalars violate {label}: {lo:.12g} > {hi:.12g}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ derivative tensors, boundary traces, and exact geometry scalars) and produces
 * ``inequality`` — a bound with a fully explicit constant is evaluated and
   the margin must not be negative beyond slack;
 * ``ratio`` — a bound whose constant the source analysis leaves implicit is
-  recorded as a left/right ratio and only monitored (family-level boundedness
-  is asserted separately by :func:`assert_family_boundedness`).
+  recorded as a left/right ratio and only monitored.
 
 The identities integrate with unnormalized measures (plain ``dx`` and
 ``dS``); norms use the volume- and perimeter-normalized measures used
@@ -82,7 +81,6 @@ __all__ = [
     "check_oscillation_chain",
     "check_grad_infty_bound",
     "check_sbt_chain",
-    "assert_family_boundedness",
     "run_domain_checks",
 ]
 
@@ -547,22 +545,6 @@ def check_sbt_chain(data: PipelineData) -> list[IdentityReport]:
         IdentityReport.monitored("sbt_flatness_link", data.trace_flatness,
                                  data.curvature_flatness),
     ]
-
-
-def assert_family_boundedness(name: str, ratios: list[float],
-                              cap: float = 10.0) -> IdentityReport:
-    """Bound the spread of a monitored ratio along a domain family.
-
-    Ratios whose magnitude sits below the noise floor are dropped; the
-    surviving max/min spread must not exceed ``cap``.
-    """
-    finite = [r for r in ratios if math.isfinite(r) and abs(r) > _ABS_SLACK]
-    if len(finite) < 2:
-        raise DomainError(
-            f"family spread for {name!r} needs at least two resolved ratios"
-        )
-    spread = max(finite) / min(finite)
-    return IdentityReport.inequality(f"{name}_spread", spread, cap)
 
 
 def run_domain_checks(data: PipelineData, p: float = 6.0, q: float = INF,

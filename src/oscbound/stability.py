@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -230,15 +231,21 @@ def run_family(spec: FamilySpec, jobs: int = 1) -> list[StabilityRecord]:
     """Run every family member through the pipeline, one record per epsilon.
 
     A pipeline error inside one member produces a failure row instead of
-    aborting the family.  Records come back sorted by epsilon regardless of
-    ``jobs``; the parallel map changes wall time only, never the bytes.
+    aborting the family; a worker process that dies raises
+    :class:`OscboundError`.  Records come back sorted by epsilon regardless
+    of ``jobs``; the parallel map changes wall time only, never the bytes.
     """
     if int(jobs) != jobs or jobs < 1:
         raise DomainError(f"worker count must be a positive integer, got {jobs}")
     if jobs == 1 or len(spec.eps) == 1:
         return [_run_one(spec, eps) for eps in spec.eps]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(spec.eps))) as pool:
-        return list(pool.map(_run_one, [spec] * len(spec.eps), spec.eps))
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(spec.eps))) as pool:
+            return list(pool.map(_run_one, [spec] * len(spec.eps), spec.eps))
+    except BrokenProcessPool as exc:
+        raise OscboundError(
+            f"a worker process died while running the {spec.kind} family "
+            f"(eps {', '.join(f'{e:g}' for e in spec.eps)}): {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,12 @@ shapes (the ellipse) are projected onto a finite Fourier basis, which is
 machine-exact because their coefficients decay geometrically.
 
 All geometric quantities of the estimates live here: area, perimeter,
-diameter, curvature statistics, the two radii measured from a marked center
-(rho_i, rho_e), the uniform interior/exterior ball radii (r_i, r_e), boundary
-distance, and the aperture/height of the interior cones that drive the
-pointwise bounds.
+diameter, curvature statistics, the two radii measured from a marked point
+(rho_i, rho_e), the uniform interior/exterior ball radii (r_i, r_e), the
+inradius and the boundary distance.  Three searches carry every extremum:
+the tangent-ball quotient table (the ball radii and the inradius), the
+seeded Newton projection onto the curve (every nearest-point distance) and
+golden-section refinement of a tabulated extremum.
 """
 from __future__ import annotations
 
@@ -19,17 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import minimize
 
-from .constants import DomainScalars, _golden_min
+from .constants import _golden_min
 from .errors import DomainError
 
 Array = np.ndarray
 
 __all__ = [
     "StarDomain2D",
-    "BoundarySample",
-    "boundary_sample",
     "area",
     "perimeter",
     "diameter",
@@ -37,16 +36,13 @@ __all__ = [
     "rho_bounds",
     "ball_radii",
     "delta_gamma",
-    "cone_params",
     "curvature_deviation",
     "star_radius",
     "inradius",
-    "domain_scalars",
     "rotated",
 ]
 
 _VALIDATION_SAMPLES = 4096
-_CONE_APERTURE = math.pi / 4
 _EVAL_BLOCK = 16384  # angles per block of the (angles x modes) tables
 
 
@@ -201,17 +197,6 @@ def rotated(domain: StarDomain2D, alpha: float) -> StarDomain2D:
 # boundary samples
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundarySample:
-    """One boundary point with its exact differential-geometry data."""
-
-    phi: float
-    position: Array
-    normal: Array
-    curvature: float
-    weight: float  # arclength weight sqrt(r^2 + r'^2) * dphi
-
-
 def _curvature(r: Array, r1: Array, r2: Array) -> Array:
     """Signed curvature of the radial graph from (r, r', r'')."""
     speed = np.sqrt(r * r + r1 * r1)
@@ -219,6 +204,8 @@ def _curvature(r: Array, r1: Array, r2: Array) -> Array:
 
 
 def _boundary_arrays(domain: StarDomain2D, m: int):
+    """(phi, position, outward normal, curvature, arclength weight) at m
+    uniform angles, all from the closed-form (r, r', r'')."""
     phi = 2.0 * math.pi * np.arange(m) / m
     r, r1, r2 = domain.radial_derivatives(phi)
     speed = np.sqrt(r * r + r1 * r1)
@@ -229,18 +216,6 @@ def _boundary_arrays(domain: StarDomain2D, m: int):
     kappa = _curvature(r, r1, r2)
     weight = speed * (2.0 * math.pi / m)
     return phi, pos, normal, kappa, weight
-
-
-def boundary_sample(domain: StarDomain2D, m: int) -> list[BoundarySample]:
-    """Uniform-in-phi boundary samples with exact normal and curvature."""
-    if m < 64:
-        raise DomainError(f"need at least 64 boundary samples, got {m}")
-    phi, pos, normal, kappa, weight = _boundary_arrays(domain, m)
-    return [
-        BoundarySample(phi=float(phi[i]), position=pos[i], normal=normal[i],
-                       curvature=float(kappa[i]), weight=float(weight[i]))
-        for i in range(m)
-    ]
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +280,11 @@ def curvature_deviation(domain: StarDomain2D, m: int = 4096) -> float:
 # --------------------------------------------------------------------------
 
 def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
-    """(min, max) of |gamma(phi) - z| over the boundary, refined locally."""
+    """(min, max) of |gamma(phi) - z| over the boundary.
+
+    The min is the boundary distance :func:`delta_gamma`; the max refines
+    the farthest of 4096 samples by golden section.
+    """
     z = np.asarray(z, dtype=float)
     if not bool(domain.contains(z[None, :])[0]):
         raise DomainError(f"marked point {z.tolist()} is not inside the domain")
@@ -315,9 +294,8 @@ def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
     def dist(t: float) -> float:
         return float(np.linalg.norm(domain.boundary(np.asarray(t)) - z))
 
-    rho_i = _refine_extremum(dist, phi, d, int(np.argmin(d)))
     rho_e = -_refine_extremum(lambda t: -dist(t), phi, -d, int(np.argmax(d)))
-    return rho_i, rho_e
+    return delta_gamma(domain, z), rho_e
 
 
 def delta_gamma(domain: StarDomain2D, x) -> float:
@@ -327,7 +305,7 @@ def delta_gamma(domain: StarDomain2D, x) -> float:
     r, r1, r2 = domain.radial_derivatives(phi)
     d = np.hypot(r * np.cos(phi) - x[0], r * np.sin(phi) - x[1])
     j = int(np.argmin(d))
-    projected = _projected_distance(
+    projected, _ = _projected_distance(
         domain, x[None, :], phi[j:j + 1], (r[j:j + 1], r1[j:j + 1], r2[j:j + 1]))
     # the sample stays an upper bound if a projection misses
     return min(float(projected[0]), float(d[j]))
@@ -337,7 +315,8 @@ _NEWTON_STEPS = 2  # evaluated steps after the tabulated first step
 
 
 def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
-                        derivs: tuple[Array, Array, Array]) -> Array:
+                        derivs: tuple[Array, Array, Array]
+                        ) -> tuple[Array, Array]:
     """Distance of each point to the boundary by seeded Newton projection.
 
     Newton's method on ``|gamma(phi) - x|^2 / 2`` starts from the parameter
@@ -346,7 +325,8 @@ def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
     r''), so it costs no evaluation; the iteration converges quadratically
     to the closest point in ``_NEWTON_STEPS`` more steps.  Each step is
     capped at a hundredth of a radian and skipped where the objective is not
-    locally convex.
+    locally convex.  Returns the distances and the parameters of the
+    closest points.
     """
     x, y = points[:, 0], points[:, 1]
     for k in range(_NEWTON_STEPS + 1):
@@ -360,41 +340,12 @@ def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
         step = np.where(curve > 0.0, -slope / np.where(curve > 0.0, curve, 1.0),
                         0.0)
         phi = phi + np.clip(step, -1e-2, 1e-2)
-    return np.linalg.norm(domain.boundary(phi) - points, axis=-1)
-
-
-def _min_boundary_distance(domain: StarDomain2D, centers: Array,
-                           dense: Array) -> Array:
-    """Distance of each center to the boundary (dense grid + parabolic fix).
-
-    The squared distance is sampled on a uniform phi grid; a three-point
-    parabola through the discrete minimum locates the continuous minimizer to
-    O(dphi^3), and the true distance is re-evaluated there.
-    """
-    m = dense.shape[0]
-    d2 = (np.sum(centers**2, axis=1)[:, None]
-          + np.sum(dense**2, axis=1)[None, :]
-          - 2.0 * centers @ dense.T)
-    np.maximum(d2, 0.0, out=d2)
-    j = np.argmin(d2, axis=1)
-    rows = np.arange(centers.shape[0])
-    left = d2[rows, (j - 1) % m]
-    mid = d2[rows, j]
-    right = d2[rows, (j + 1) % m]
-    denom = left - 2.0 * mid + right
-    shift = np.where(np.abs(denom) > 1e-300,
-                     0.5 * (left - right) / np.maximum(np.abs(denom), 1e-300)
-                     * np.sign(denom),
-                     0.0)
-    shift = np.clip(shift, -1.0, 1.0)
-    dphi = 2.0 * math.pi / m
-    phi_star = j * dphi + shift * dphi
-    refined = np.linalg.norm(domain.boundary(phi_star) - centers, axis=-1)
-    return np.minimum(np.sqrt(mid), refined)
+    return np.linalg.norm(domain.boundary(phi) - points, axis=-1), phi
 
 
 _BALL_SAMPLES = 4096  # boundary samples q of the ball-radius search
 _BALL_STRIDE = 8  # every 8th sample is a tangency point p; also the pair gap
+_TABLE_BLOCK = 16  # tangency points per block of the quotient table
 
 
 def _tangent_ball(r: Array, r1: Array, rq: Array, sin_d: Array,
@@ -442,6 +393,33 @@ def _critical_pair(domain: StarDomain2D, t1: float,
     return t1, t2
 
 
+def _ball_table(domain: StarDomain2D):
+    """The tangent-ball quotient table of :func:`ball_radii` and :func:`inradius`.
+
+    Row i holds the tangency point p = sample ``_BALL_STRIDE * i`` against
+    q = sample ``_BALL_STRIDE * i + lag`` for every lag more than
+    ``_BALL_STRIDE`` samples from p on either side.  Returns the sample
+    angles, (r, r', r'') there, the lags, and the table's denominators
+    ``2 (p - q) . nu`` and quotients.
+    """
+    m, stride = _BALL_SAMPLES, _BALL_STRIDE
+    phi = 2.0 * math.pi * np.arange(m) / m
+    r, r1, r2 = domain.radial_derivatives(phi)
+    lag = np.arange(stride + 1, m - stride)
+    d_phi = 2.0 * math.pi * lag / m
+    sin_d, sin_half = np.sin(d_phi), np.sin(0.5 * d_phi)
+    rp, rp1 = r[::stride, None], r1[::stride, None]
+    window = sliding_window_view(np.concatenate([r, r[:-1]]), m)[::stride]
+    num, den = np.empty((2, rp.size, lag.size))
+    for lo in range(0, rp.size, _TABLE_BLOCK):  # blocks that stay in cache
+        b = slice(lo, lo + _TABLE_BLOCK)
+        num[b], den[b] = _tangent_ball(rp[b], rp1[b], window[b][:, lag],
+                                       sin_d, sin_half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num /= den
+    return phi, (r, r1, r2), lag, den, num
+
+
 def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
     """Uniform interior and exterior ball radii (r_i, r_e), in closed form.
 
@@ -456,16 +434,15 @@ def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
     shapes admit arbitrarily large exterior balls).
 
     The local term refines max kappa and max(-kappa) over 4096 samples by
-    golden section.  The pair term tabulates the quotient for 512 tangency
-    points against 4096 samples, leaving out pairs within 8 samples of each
+    golden section.  The pair term is the quotient table of
+    :func:`_ball_table`, which leaves out pairs within 8 samples of each
     other (the local term covers those).  When the table undercuts the local
     term, a bottleneck binds: the minimizing pair has its chord normal to
     the curve at both ends, so the best pair of the table seeds
     ``_critical_pair``.
     """
     m, stride = _BALL_SAMPLES, _BALL_STRIDE
-    phi = 2.0 * math.pi * np.arange(m) / m
-    r, r1, r2 = domain.radial_derivatives(phi)
+    phi, (r, r1, r2), lag, den, ratio = _ball_table(domain)
     kappa = _curvature(r, r1, r2)
 
     def quotient(tp: float, tq: float, side: float) -> float:
@@ -475,16 +452,6 @@ def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
         num, den = _tangent_ball(rp, rp1, rq, np.sin(d), np.sin(0.5 * d))
         den = side * float(den)
         return float(num) / den if den > 0.0 else math.inf
-
-    # row i holds p = sample stride * i against q = sample stride * i + lag
-    # for every lag more than ``stride`` samples from p on either side
-    lag = np.arange(stride + 1, m - stride)
-    d_phi = 2.0 * math.pi * lag / m
-    rq = sliding_window_view(np.concatenate([r, r[:-1]]), m)[::stride, lag]
-    num, den = _tangent_ball(r[::stride, None], r1[::stride, None], rq,
-                             np.sin(d_phi), np.sin(0.5 * d_phi))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
 
     out = []
     for side in (1.0, -1.0):  # interior, then exterior
@@ -501,17 +468,6 @@ def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
             best = min(float(table[ip, k]), quotient(tp, tq, side))
         out.append(best)
     return out[0], min(out[1], diameter(domain))
-
-
-def cone_params(domain: StarDomain2D) -> tuple[float, float]:
-    """(aperture, height) of interior cones: (pi/4, r_i).
-
-    Every boundary point of a C^2 domain with uniform interior ball radius
-    r_i carries an interior cone of half-aperture pi/4 and height r_i
-    (a cone of height a <= 2 r_i cos(theta) fits inside the touching ball).
-    """
-    r_i, _ = ball_radii(domain)
-    return _CONE_APERTURE, r_i
 
 
 def star_radius(domain: StarDomain2D) -> float:
@@ -532,40 +488,77 @@ def star_radius(domain: StarDomain2D) -> float:
                             int(np.argmin(vals)))
 
 
+_CONTACT_ROUNDS = 2  # projections of the tangent-ball center per rho(p)
+_CONTACT_BRANCHES = 8  # per rho(p), at most: a circle's samples all tie
+
+
 def inradius(domain: StarDomain2D) -> float:
-    """Unconstrained inradius: max over interior centers of delta_Gamma."""
-    dense_pts = domain.boundary(
-        np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False))
-    # coarse polar scan of candidate centers
-    best = (0.0, np.zeros(2))
-    phi = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-    rmax = domain.radial(phi)
-    for frac in (0.0, 0.15, 0.3, 0.45, 0.6, 0.75):
-        centers = (frac * rmax)[:, None] * np.stack(
-            [np.cos(phi), np.sin(phi)], axis=-1)
-        if frac == 0.0:
-            centers = centers[:1]
-        dist = _min_boundary_distance(domain, centers, dense_pts)
-        k = int(np.argmax(dist))
-        if dist[k] > best[0]:
-            best = (float(dist[k]), centers[k])
-    # Nelder-Mead polish on the smooth objective
-    res = minimize(
-        lambda c: -_min_boundary_distance(domain, c[None, :], dense_pts)[0],
-        best[1], method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 400})
-    return max(best[0], -float(res.fun))
+    """Inradius r_Omega: the radius of the largest inscribed disk.
 
+    Let rho(p) be the radius of the largest interior ball tangent at the
+    boundary point p, the smaller of 1/kappa(p) and the infimum over q of
+    the tangent-ball quotient (see :func:`ball_radii`, which minimizes it).
+    The largest inscribed disk is tangent wherever it touches, so r_Omega
+    is the maximum of rho(p).
 
-def domain_scalars(domain: StarDomain2D) -> DomainScalars:
-    """Bundle of validated scalar quantities (marked center = origin)."""
-    rho_i, rho_e = rho_bounds(domain, np.zeros(2))
-    return DomainScalars(
-        N=2,
-        volume=area(domain),
-        surface=perimeter(domain),
-        diameter=diameter(domain),
-        r_i=rho_i,
-        r_e=rho_e,
-        r_Omega=inradius(domain),
-    )
+    The rows of the :func:`_ball_table` give rho at 512 tangency points;
+    the best row is refined over p by golden section on an exact rho(p).
+    Each evaluation takes the quotient of p against the 4096 tabulated
+    samples (only sin(q - p) changes with p).  The sampled quotient is
+    biased high, so for each local minimum that could hold the infimum,
+    the center p - rho nu of the ball it gives is projected onto the curve
+    and the quotient recomputed at that contact, which converges to the
+    minimum of that branch quadratically.
+    """
+    m, stride = _BALL_SAMPLES, _BALL_STRIDE
+    phi, (r, r1, r2), _, den, ratio = _ball_table(domain)
+    ratio[den <= 0.0] = math.inf
+    kappa = _curvature(r[::stride], r1[::stride], r2[::stride])
+    with np.errstate(divide="ignore"):
+        rows = np.minimum(np.min(ratio, axis=1),
+                          np.where(kappa > 0.0, 1.0 / kappa, math.inf))
+    # sin(q - p) and sin((q - p) / 2) by the difference formulas
+    cos_q, sin_q = np.cos(phi), np.sin(phi)
+    cos_h, sin_h = np.cos(0.5 * phi), np.sin(0.5 * phi)
+    near = np.arange(-stride, stride + 1)
+
+    def rho(t: float) -> float:
+        rp, rp1, rp2 = domain.radial_derivatives(np.asarray(t))
+        c, s = math.cos(t), math.sin(t)
+        num, dot = _tangent_ball(
+            rp, rp1, r, sin_q * c - cos_q * s,
+            sin_h * math.cos(0.5 * t) - cos_h * math.sin(0.5 * t))
+        # pairs within ``stride`` samples are left out, as in the table;
+        # every local minimum of the sampled quotient is a contact branch,
+        # and a branch can undercut the sampled best by about an eighth of
+        # its second difference ``dip``, so keep those within a quarter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot = np.where(dot > 0.0, num / dot, math.inf)
+            quot[(round(t * m / (2.0 * math.pi)) + near) % m] = math.inf
+            left, right = np.roll(quot, 1), np.roll(quot, -1)
+            dip = left + right - 2.0 * quot
+        best = float(np.min(quot))
+        low = quot - 0.25 * dip
+        j = np.flatnonzero((quot < left) & (quot <= right) & np.isfinite(dip)
+                           & (low <= best))
+        j = j[np.argsort(low[j])][:_CONTACT_BRANCHES]
+        speed = math.hypot(rp, rp1)
+        p = np.array([rp * c, rp * s])
+        nu = np.array([rp * c + rp1 * s, rp * s - rp1 * c]) / speed
+        est, tq, derivs = quot[j], phi[j], (r[j], r1[j], r2[j])
+        for _ in range(_CONTACT_ROUNDS):
+            _, tq = _projected_distance(domain, p - est[:, None] * nu, tq,
+                                        derivs)
+            derivs = domain.radial_derivatives(tq)
+            dq = tq - t
+            num, dot = _tangent_ball(rp, rp1, derivs[0], np.sin(dq),
+                                     np.sin(0.5 * dq))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                est = np.minimum(est, np.where(dot > 0.0, num / dot, math.inf))
+        best = min(best, float(np.min(est, initial=math.inf)))
+        k = float(_curvature(rp, rp1, rp2))
+        return min(best, 1.0 / k) if k > 0.0 else best
+
+    i = int(np.argmax(rows))
+    rows[i] = rho(phi[stride * i])  # the fallback must be exact, not sampled
+    return -_refine_extremum(lambda t: -rho(t), phi[::stride], -rows, i)

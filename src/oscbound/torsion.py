@@ -125,9 +125,9 @@ class Grid:
         tree = cKDTree(np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1))
         dist, nearest = tree.query(pts, workers=-1)
         # the table vertex stays an upper bound if a projection misses
-        delta = np.minimum(dist, _projected_distance(
-            domain, pts, phi[nearest],
-            (r[nearest], r1[nearest], r2[nearest]))).reshape(ny, nx)
+        projected, _ = _projected_distance(
+            domain, pts, phi[nearest], (r[nearest], r1[nearest], r2[nearest]))
+        delta = np.minimum(dist, projected).reshape(ny, nx)
 
         return Grid(domain=domain, h=h, xs=xs, ys=ys, inside=inside,
                     index=index, cuts=cuts, cell_weights=cell_w, delta=delta,

@@ -39,7 +39,7 @@ from oscbound.identities import (
     check_identity_mp,
 )
 from oscbound.stability import FamilySpec, check_sbt_profile, check_serrin_profile, run_family
-from oscbound.stardomain import StarDomain2D, domain_scalars, star_radius
+from oscbound.stardomain import StarDomain2D, diameter, star_radius
 from oscbound.torsion import (
     DiscreteField,
     estimate_order,
@@ -191,7 +191,7 @@ def test_criterion_04_domain_oscillation_bounds():
     fields = catalog_fields(2)
     n_checks, violations = 0, 0
     for domain in domains:
-        scalars = domain_scalars(domain)
+        diam = diameter(domain)
         rho = star_radius(domain)
         pts, w, ring = polar_nodes(domain)
         volume = float(np.sum(w))
@@ -208,7 +208,7 @@ def test_criterion_04_domain_oscillation_bounds():
 
             for pair in pairs:
                 est = oscillation_bound(norm(pair.p), norm(pair.q), pair,
-                                        diameter=scalars.diameter,
+                                        diameter=diam,
                                         star_radius=rho, volume=volume)
                 n_checks += 1
                 if osc > est.value + 1e-9:

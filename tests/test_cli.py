@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import oscbound
+from oscbound import stability
 from oscbound.cli import RunConfig, constants_table, main, parse_config
 from oscbound.constants import INF
 from oscbound.errors import ConfigError
@@ -35,6 +36,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 def read_lines(path):
     with open(path, encoding="utf-8") as handle:
         return handle.read().splitlines()
+
+
+def _die(spec, eps):
+    """Stands in for a family member whose worker process dies outright."""
+    os._exit(1)
 
 
 # --------------------------------------------------------------------------
@@ -326,6 +332,16 @@ class TestStabilityCommands:
                                              encoding="utf-8")
         assert main(["report", "--out", str(out)]) == 1
         assert "[FAIL] sbt:" in capsys.readouterr().out
+
+    def test_crashed_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(stability, "_run_one", _die)
+        cfg = write_cfg(tmp_path, "family=cosine\neps=0.1,0.2\n")
+        assert main(["serrin-run", "--config", cfg, "--jobs", "2",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: a worker process died while running "
+                                 "the cosine_perturbation family")
 
     @pytest.mark.parametrize("header, cell, message", [
         (RECORD_HEADER.replace(",hess_norm,", ",hess_nrm,"), "0.1",

@@ -183,9 +183,10 @@ def test_halton_matches_scipy_unscrambled(dim):
     assert np.array_equal(_halton(10_000, dim), want)
 
 
-def test_cli_import_skips_scipy_stats():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_skips_scipy_module(module):
     src = os.path.dirname(os.path.dirname(oscbound.__file__))
-    code = "import sys, oscbound.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, oscbound.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)

@@ -18,7 +18,6 @@ from oscbound import (
     INF,
     ConeSpec,
     ConstantReport,
-    DomainScalars,
     DomainError,
     ExponentPair,
     alpha_pq,
@@ -506,20 +505,6 @@ def test_weighted_poincare_range_violations():
 # --------------------------------------------------------------------------
 # record types
 # --------------------------------------------------------------------------
-
-def test_domain_scalars_unit_disk():
-    DomainScalars(N=2, volume=math.pi, surface=2 * math.pi, diameter=2.0,
-                  r_i=1.0, r_e=1.0, r_Omega=1.0)
-
-
-def test_domain_scalars_violations():
-    with pytest.raises(DomainError):
-        DomainScalars(N=2, volume=math.pi, surface=2 * math.pi, diameter=2.0,
-                      r_i=1.2, r_e=1.0, r_Omega=1.0)  # r_i > r_Omega
-    with pytest.raises(DomainError):
-        DomainScalars(N=2, volume=0.1, surface=2 * math.pi, diameter=2.0,
-                      r_i=1.0, r_e=1.0, r_Omega=1.0)  # ball bigger than volume
-
 
 def test_constant_report_validation():
     ConstantReport("cap", math.pi, {"theta": math.pi / 2, "N": 2}, "closed form")

@@ -28,7 +28,6 @@ from oscbound.constants import INF
 from oscbound.identities import (
     FLOOR,
     IdentityReport,
-    assert_family_boundedness,
     build_pipeline_data,
     check_divergence_identity,
     check_fundamental_identity,
@@ -476,34 +475,3 @@ class TestLazyGeometry:
         assert identities.ball_radii is stardomain.ball_radii
         assert callable(torsion.spsolve)
         assert "spsolve" in torsion.solve_torsion.__code__.co_names
-
-
-# --------------------------------------------------------------------------
-# family spread assertions
-# --------------------------------------------------------------------------
-
-class TestFamilySpread:
-    def test_bounded_spread_passes(self):
-        report = assert_family_boundedness("link", [1.0, 2.0, 3.0])
-        assert report.name == "link_spread"
-        assert report.kind == "inequality"
-        assert report.status == "pass"
-        assert report.lhs == pytest.approx(3.0)
-
-    def test_wide_spread_fails(self):
-        report = assert_family_boundedness("link", [1.0, 20.0])
-        assert report.status == "fail"
-
-    def test_noise_and_infinities_filtered(self):
-        report = assert_family_boundedness(
-            "link", [1.0, math.inf, 2.0, 1e-12])
-        assert report.lhs == pytest.approx(2.0)
-        assert report.status == "pass"
-
-    def test_unresolved_families_rejected(self):
-        with pytest.raises(DomainError):
-            assert_family_boundedness("link", [1e-12, 5e-13])
-        with pytest.raises(DomainError):
-            assert_family_boundedness("link", [1.0])
-        with pytest.raises(DomainError):
-            assert_family_boundedness("link", [])

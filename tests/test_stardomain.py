@@ -2,8 +2,8 @@
 
 Oracles: the parametric ellipse (curvature ab/(a^2 sin^2 t + b^2 cos^2 t)^{3/2},
 perimeter 4 a E(e^2) from the complete elliptic integral), closed-form areas
-of trigonometric-polynomial domains, dense-sampling brute force for distances,
-and rolling-ball = 1/max curvature for convex shapes.
+of trigonometric-polynomial domains, dense-sampling brute force for distances
+and for the inradius, and rolling-ball = 1/max curvature for convex shapes.
 """
 from __future__ import annotations
 
@@ -17,17 +17,16 @@ from scipy import integrate, optimize, special
 
 from oscbound import DomainError, GeometryError
 from oscbound.stardomain import (
-    BoundarySample,
     StarDomain2D,
     H0_and_R,
+    _ball_table,
+    _boundary_arrays,
+    _tangent_ball,
     area,
     ball_radii,
-    boundary_sample,
-    cone_params,
     curvature_deviation,
     delta_gamma,
     diameter,
-    domain_scalars,
     inradius,
     perimeter,
     rho_bounds,
@@ -90,29 +89,21 @@ def test_contains_is_the_radial_test():
 # boundary samples
 # --------------------------------------------------------------------------
 
-def test_boundary_sample_requires_64_points():
-    dom = StarDomain2D.circle(1.0)
-    with pytest.raises(DomainError):
-        boundary_sample(dom, 32)
-
-
 def test_boundary_sample_circle_curvature_and_normals():
     R = 1.7
-    samples = boundary_sample(StarDomain2D.circle(R), 128)
-    assert len(samples) == 128
-    assert isinstance(samples[0], BoundarySample)
-    for s in samples[::17]:
-        assert rel_err(s.curvature, 1.0 / R) < 1e-14
-        assert abs(np.linalg.norm(s.normal) - 1.0) < 1e-14
-        # outward normal of a circle is the unit position vector
-        assert np.allclose(s.normal, s.position / R, atol=1e-13)
-    assert rel_err(sum(s.weight for s in samples), 2.0 * math.pi * R) < 1e-14
+    _, pos, normal, kappa, weight = _boundary_arrays(StarDomain2D.circle(R), 128)
+    assert pos.shape == normal.shape == (128, 2)
+    assert float(np.max(np.abs(kappa * R - 1.0))) < 1e-14
+    assert float(np.max(np.abs(np.linalg.norm(normal, axis=1) - 1.0))) < 1e-14
+    # outward normal of a circle is the unit position vector
+    assert np.allclose(normal, pos / R, atol=1e-13)
+    assert rel_err(float(np.sum(weight)), 2.0 * math.pi * R) < 1e-14
 
 
 def test_ellipse_curvature_at_vertex():
     dom = StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)
-    s0 = boundary_sample(dom, 64)[0]  # phi = 0 is the (a, 0) vertex
-    assert rel_err(s0.curvature, ELLIPSE_A / ELLIPSE_B**2) < 1e-10
+    kappa = _boundary_arrays(dom, 64)[3]  # phi = 0 is the (a, 0) vertex
+    assert rel_err(float(kappa[0]), ELLIPSE_A / ELLIPSE_B**2) < 1e-10
 
 
 def test_ellipse_curvature_against_parametric_oracle():
@@ -120,7 +111,7 @@ def test_ellipse_curvature_against_parametric_oracle():
     # only, so compare at matched positions: tan t = (a/b) tan phi
     dom = StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)
     phi = np.array([0.1, 0.7, 1.3, 2.2, 4.0, 5.7])
-    _, pos, _, kappa, _ = __import__("oscbound.stardomain", fromlist=["x"])._boundary_arrays(dom, 4096)
+    _, pos, _, kappa, _ = _boundary_arrays(dom, 4096)
     t = np.arctan2(pos[:, 1] / ELLIPSE_B, pos[:, 0] / ELLIPSE_A)
     want = parametric_ellipse_curvature(t, ELLIPSE_A, ELLIPSE_B)
     assert float(np.max(np.abs(kappa - want))) < 1e-9
@@ -129,9 +120,9 @@ def test_ellipse_curvature_against_parametric_oracle():
 def test_perturbed_disk_curvature_formula():
     eps = 0.07
     dom = StarDomain2D.cosine(eps, 2)
-    s0 = boundary_sample(dom, 64)[0]
+    kappa = _boundary_arrays(dom, 64)[3]
     want = ((1 + eps) ** 2 + 4 * eps * (1 + eps)) / (1 + eps) ** 3
-    assert rel_err(s0.curvature, want) < 1e-13
+    assert rel_err(float(kappa[0]), want) < 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +259,7 @@ def test_ball_radii_ellipse_rolling_ball():
 
 def test_ball_radii_convex_cosine_matches_curvature():
     dom = StarDomain2D.cosine(0.08, 3)
-    _, _, _, kappa, _ = __import__("oscbound.stardomain", fromlist=["x"])._boundary_arrays(dom, 8192)
+    kappa = _boundary_arrays(dom, 8192)[3]
     want = 1.0 / float(np.max(kappa))
     r_i, _ = ball_radii(dom)
     assert r_i <= want + 1e-6
@@ -346,6 +337,19 @@ def _ball_radii_reference(dom: StarDomain2D, n_p: int = 4096,
     return out[0], out[1]
 
 
+def test_ball_table_blocks_match_one_pass():
+    # the table is built in row blocks; the arithmetic is the same as one
+    # pass over the whole (tangency point x lag) array
+    phi, (r, r1, _), lag, den, ratio = _ball_table(_mixed(0.5))
+    m, stride = phi.size, phi.size // den.shape[0]
+    rq = r[(np.arange(0, m, stride)[:, None] + lag[None, :]) % m]
+    d = 2.0 * math.pi * lag / m
+    num, want = _tangent_ball(r[::stride, None], r1[::stride, None], rq,
+                              np.sin(d), np.sin(0.5 * d))
+    assert np.array_equal(den, want)
+    assert np.array_equal(ratio, num / want)
+
+
 def test_ball_radii_closed_forms():
     r_i, _ = ball_radii(StarDomain2D.circle(1.0))
     assert abs(r_i - 1.0) < 1e-12
@@ -399,14 +403,6 @@ def test_ball_radii_rotation_and_dilation(dom):
     assert rel_err(got[1], lam * r_e) < 1e-12
 
 
-def test_cone_params_aperture_and_height():
-    dom = StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)
-    theta, a = cone_params(dom)
-    assert theta == math.pi / 4
-    assert abs(a - ELLIPSE_B**2 / ELLIPSE_A) < 1e-5
-    assert a <= inradius(dom) + 1e-9
-
-
 def test_star_radius_circle_and_ellipse():
     assert rel_err(star_radius(StarDomain2D.circle(1.3)), 1.3) < 1e-12
     # pedal distance of the ellipse attains its min b at the minor axis
@@ -432,13 +428,139 @@ def test_inradius_circle_and_ellipse():
     assert abs(inradius(StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)) - ELLIPSE_B) < 1e-6
 
 
+def _asymmetric() -> StarDomain2D:
+    """Modes 1 to 3 in cosine and sine, rotated: no symmetry at all."""
+    return rotated(StarDomain2D(1.0, (0.05, 0.2, 0.0), (0.1, 0.0, 0.07)), 0.4)
+
+
+_CATALOG = [
+    StarDomain2D.circle(1.0),
+    StarDomain2D.ellipse(1.2, 1 / 1.2),
+    StarDomain2D.cosine(0.1, 3),
+    StarDomain2D.cosine(0.6, 2),  # the peanut
+    _mixed(0.3),
+    _asymmetric(),
+]
+
+
 def test_domain_scalars_validate_for_catalog():
-    for dom in (StarDomain2D.circle(1.0),
-                StarDomain2D.ellipse(1.2, 1 / 1.2),
-                StarDomain2D.cosine(0.1, 3)):
-        scal = domain_scalars(dom)
-        assert scal.N == 2
-        assert scal.volume == pytest.approx(area(dom))
+    # the consistency inequalities between the planar domain scalars, with
+    # rho_i the distance from the origin to the boundary
+    for dom in _CATALOG:
+        vol, surf, d = area(dom), perimeter(dom), diameter(dom)
+        rho_i, _ = rho_bounds(dom, np.zeros(2))
+        r_omega = inradius(dom)
+        for lo, hi in [
+            (math.pi * r_omega**2, vol),  # |B| r_Omega^2 <= |Omega|
+            (vol, math.pi * d**2),  # |Omega| <= |B| d^2
+            (2.0 * math.pi * r_omega, surf),  # 2 |B| r_Omega <= |Gamma|
+            (surf, 2.0 * vol / rho_i),  # |Gamma| <= 2 |Omega| / rho_i
+            (rho_i, r_omega),
+            (r_omega, d / 2.0),
+        ]:
+            assert lo <= hi * (1.0 + 1e-9), dom.label
+
+
+def test_ball_radii_below_inradius():
+    # r_i, the height of the interior cones, is the smallest tangent-ball
+    # radius and r_Omega the largest
+    for dom in _CATALOG:
+        r_i, _ = ball_radii(dom)
+        assert r_i <= inradius(dom) * (1.0 + 1e-12), dom.label
+
+
+def test_inradius_closed_forms():
+    assert abs(inradius(StarDomain2D.circle(1.0)) - 1.0) < 1e-12
+    assert abs(inradius(StarDomain2D.circle(1.3)) - 1.3) < 1e-12
+    for a, b in ((1.2, 1.0 / 1.2), (ELLIPSE_A, ELLIPSE_B)):
+        assert abs(inradius(StarDomain2D.ellipse(a, b)) - b) < 1e-12
+    # the disk of radius 1 - eps about the origin touches every trough
+    for eps, k in ((0.1, 2), (0.1, 3), (0.15, 5)):
+        assert abs(inradius(StarDomain2D.cosine(eps, k)) - (1.0 - eps)) < 1e-12
+
+
+@pytest.mark.parametrize("dom", [StarDomain2D.cosine(0.6, 2), _mixed(0.3),
+                                 _asymmetric()],
+                         ids=["peanut", "mixed", "asymmetric"])
+def test_inradius_rotation_and_dilation(dom):
+    want = inradius(dom)
+    for alpha in (0.7, 2.1):
+        assert rel_err(inradius(rotated(dom, alpha)), want) < 1e-12
+    lam = 1.7
+    big = StarDomain2D(lam * dom.c0, tuple(lam * c for c in dom.cos_coeffs),
+                       tuple(lam * c for c in dom.sin_coeffs))
+    assert rel_err(inradius(big), lam * want) < 1e-12
+
+
+def _nearest_angle(dom: StarDomain2D, c, t):
+    """Newton's method on |gamma(t) - c|^2 / 2 from the angles t."""
+    for _ in range(12):
+        r, r1, r2 = dom.radial_derivatives(t)
+        co, si = np.cos(t), np.sin(t)
+        gx, gy = r * co - c[0], r * si - c[1]
+        tx, ty = r1 * co - r * si, r1 * si + r * co
+        ax, ay = (r2 - r) * co - 2.0 * r1 * si, (r2 - r) * si + 2.0 * r1 * co
+        t = t - (tx * gx + ty * gy) / (tx * tx + ty * ty + ax * gx + ay * gy)
+    return t
+
+
+def _inradius_reference(dom: StarDomain2D, n: int = 65536) -> float:
+    """Brute-force inradius: the deepest center of a coarse and then a fine
+    grid by the distance to n boundary samples, polished by SLSQP on
+    max s subject to |c - q_k(c)| >= s, where q_k(c) are the projections of
+    c onto every branch of the curve that comes near the grid's best center.
+    """
+    t = 2.0 * math.pi * np.arange(n) / n
+    pts = dom.boundary(t)
+    p2 = np.sum(pts * pts, axis=1)
+
+    def sampled(centers, stride):
+        d2 = np.concatenate([
+            np.min(np.sum(c * c, axis=1)[:, None] + p2[None, ::stride]
+                   - 2.0 * c @ pts[::stride].T, axis=1)
+            for c in np.array_split(centers, max(1, len(centers) // 64))])
+        return np.sqrt(np.maximum(d2, 0.0))
+
+    best = np.zeros(2)
+    r_max = float(np.max(np.sqrt(p2)))
+    for h, half, stride in ((0.02, r_max, 16), (0.002, 0.04, 1)):
+        ax = np.arange(-half, half + h / 2, h)
+        X, Y = np.meshgrid(ax, ax)
+        c = np.stack([X.ravel(), Y.ravel()], axis=-1) + best
+        c = c[dom.contains(c)]
+        best = c[int(np.argmax(sampled(c, stride)))]
+    d = np.hypot(pts[:, 0] - best[0], pts[:, 1] - best[1])
+    branch = (d <= np.roll(d, 1)) & (d <= np.roll(d, -1)) & (d < d.min() + 0.05)
+    seeds = t[branch]
+
+    def contacts(x):
+        seeds[:] = _nearest_angle(dom, x[:2], seeds)
+        q = dom.boundary(seeds)
+        return q, np.hypot(q[:, 0] - x[0], q[:, 1] - x[1])
+
+    def jac(x):
+        q, dist = contacts(x)
+        return np.column_stack([(x[0] - q[:, 0]) / dist,
+                                (x[1] - q[:, 1]) / dist, -np.ones(dist.size)])
+
+    x0 = np.r_[best, float(np.min(contacts(np.r_[best, 0.0])[1]))]
+    res = optimize.minimize(
+        lambda x: -x[2], x0, jac=lambda x: np.array([0.0, 0.0, -1.0]),
+        constraints=[{"type": "ineq", "fun": lambda x: contacts(x)[1] - x[2],
+                      "jac": jac}],
+        method="SLSQP", options={"ftol": 1e-16, "maxiter": 200})
+    return float(np.min(contacts(res.x)[1]))
+
+
+@pytest.mark.parametrize("dom", [
+    StarDomain2D.cosine(0.6, 2),
+    _asymmetric(),
+    # the largest disk touches three branches whose sampled quotients
+    # rank differently from their minima
+    StarDomain2D(1.0, (0.1, 0.15, 0.05), (-0.1, 0.05, 0.08)),
+], ids=["peanut", "asymmetric", "three-contact"])
+def test_inradius_matches_brute_force(dom):
+    assert abs(inradius(dom) - _inradius_reference(dom)) < 1e-9
 
 
 # --------------------------------------------------------------------------
