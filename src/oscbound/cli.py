@@ -207,16 +207,10 @@ def _family_spec(config: RunConfig) -> FamilySpec:
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    if any(e <= 0.0 for e in config.eps):
-        raise ConfigError("eps values must be positive")
-    if any(b <= a for a, b in zip(config.eps, config.eps[1:])):
-        raise ConfigError("eps values must be strictly ascending")
+    # eps, grid.h and grid.refinements are checked by FamilySpec below, for
+    # the commands that build a family; FamilySpec checks k only for cosines
     if config.k < 1:
         raise ConfigError(f"k must be >= 1, got {config.k}")
-    if not config.grid_h > 0.0:
-        raise ConfigError(f"grid.h must be positive, got {config.grid_h}")
-    if config.grid_refinements < 0:
-        raise ConfigError("grid.refinements must be >= 0")
     if config.p < 1.0:
         raise ConfigError(f"p must be >= 1, got {config.p}")
     if not config.q > 0.0:
@@ -592,6 +586,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFRA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_INFRA
+    except Exception as exc:  # the exit-code contract covers every failure
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFRA
 
 

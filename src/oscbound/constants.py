@@ -262,20 +262,29 @@ def morrey_domain_constant(p: float, N: int, theta: float) -> float:
 # --------------------------------------------------------------------------
 
 def _golden_min(fun, lo: float, hi: float, iters: int = 220) -> float:
-    """Golden-section minimizer for a scalar convex function on [lo, hi]."""
+    """Golden-section minimizer for a scalar convex function on [lo, hi].
+
+    Stops once the bracket stops shrinking, where a new probe would land on
+    the probe it keeps or outside the bracket, and after ``iters`` steps at
+    the latest (a bracket ending at 0 would shrink through the denormals).
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
     for _ in range(iters):
         if f1 <= f2:
+            probe = x2 - inv_phi * (x2 - lo)
+            if not lo < probe < x1:
+                break
             hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = fun(x1)
+            x1, f1 = probe, fun(probe)
         else:
+            probe = x1 + inv_phi * (hi - x1)
+            if not x2 < probe < hi:
+                break
             lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = fun(x2)
+            x2, f2 = probe, fun(probe)
     return x1 if f1 <= f2 else x2
 
 

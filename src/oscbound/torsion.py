@@ -2,14 +2,15 @@
 
 Solves ``lap u = 2`` with ``u = 0`` on the boundary using the five-point
 Laplacian with Shortley-Weller corrections at irregular nodes: where a grid
-edge crosses the boundary, the exact crossing distance (found by bisection on
-the radial inclusion test) replaces the full spacing, and the Dirichlet zero
-is imposed at the crossing.  The module also produces everything the identity
+edge crosses the boundary, the distance to its first crossing replaces the
+full spacing, and the Dirichlet zero is imposed at the crossing.  One table
+of the boundary's crossings with the grid lines, found by Newton's method on
+the closed-form curve, gives the inside mask, those crossing distances and
+the exact cut-cell areas.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
-gradients and Hessians, interior norms with exact-total cell weights and
-optional weights by the boundary distance delta (exact at every node, by
-Newton projection onto the curve), and boundary traces of the normal
-derivative.
+gradients and Hessians, interior norms with exact cell areas and optional
+weights by the boundary distance delta (exact at every node, by Newton
+projection onto the curve), and boundary traces of the normal derivative.
 """
 from __future__ import annotations
 
@@ -53,9 +54,12 @@ __all__ = [
     "estimate_order",
 ]
 
-_SUBCELL = 12          # subgrid resolution for cut-cell areas
+_CROSSING_SAMPLES = 4096  # periodic angle sample bracketing the crossings
+_ROOT_STEPS = 64        # cap on the safeguarded Newton steps of a root
 _BOUNDARY_TABLE = 1024  # boundary vertices seeding the distance projection
-_T_MIN = 1e-8          # crossing-fraction snap to keep the matrix conditioned
+_T_MIN = 1e-8           # crossing-fraction snap to keep the matrix conditioned
+_ON_BOUNDARY = 1e-13    # a node this many spacings from a crossing is on it
+_AREA_TOL = 1e-12       # relative gap allowed between the areas and |Omega|
 
 
 # --------------------------------------------------------------------------
@@ -66,12 +70,17 @@ _T_MIN = 1e-8          # crossing-fraction snap to keep the matrix conditioned
 class Grid:
     """Square-cell grid over the domain's bounding box.
 
-    ``cuts[d][i, j]`` is the fraction of the spacing at which the edge from
-    node (i, j) in direction d meets the boundary (1.0 when the neighbor is a
-    regular inside node); ``cell_weights`` are node-cell areas that sum to
-    the exact domain area; ``delta`` is the exact distance of each node to
-    the boundary: the nearest vertex of a coarse boundary table seeds a
-    Newton projection onto the closed-form curve.
+    Everything but ``delta`` derives from one table of the boundary's
+    crossings with the node lines and the cell lines (see
+    :func:`_crossings`).  ``cuts[d][i, j]`` is, at an inside node, the
+    fraction of the spacing at which the edge from node (i, j) in direction
+    d first meets the boundary, and 1.0 where the edge stays inside (and at
+    every outside node); ``cell_weights`` are the exact areas of the parts
+    of the node cells inside the domain, by Green's theorem, with the area
+    of an outside node's cell handed to an inside neighbor; ``delta`` is the
+    exact distance of each node to the boundary: the nearest vertex of a
+    coarse boundary table seeds a Newton projection onto the closed-form
+    curve.
     """
 
     domain: StarDomain2D
@@ -97,12 +106,11 @@ class Grid:
         phi_check = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         r_max = float(np.max(domain.radial(phi_check)))
         n_side = int(math.ceil((r_max + 1.5 * h) / h))
-        xs = h * np.arange(-n_side, n_side + 1)
-        ys = xs.copy()
-        nx = ny = xs.size
-        X, Y = np.meshgrid(xs, ys)
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        inside = domain.contains(pts).reshape(ny, nx)
+        # node lines x, y = m h / 2 at odd m, cell lines at even m
+        lines = 0.5 * h * np.arange(-2 * n_side - 1, 2 * n_side + 2)
+        rows, cols = (_crossings(domain, lines, hz) for hz in (True, False))
+        xs = lines[1::2]
+        inside, cuts = _mask_and_cuts(rows, cols, xs)
 
         labels, n_comp = ndimage.label(inside)
         if n_comp != 1 or not inside.any():
@@ -111,15 +119,25 @@ class Grid:
                 f"h={h:g}; the grid is too coarse for this shape"
             )
 
-        index = np.full((ny, nx), -1, dtype=np.int64)
+        index = np.full(inside.shape, -1, dtype=np.int64)
         index[inside] = np.arange(int(inside.sum()))
+        cell_w = _cell_areas(domain, rows, cols, lines)
+        # hand the area in an outside node's cell to its first inside
+        # neighbor; np.roll wraps, but the two outer rings hold no area
+        stranded = ~inside & (cell_w != 0.0)
+        for step in ((0, 1), (0, -1), (1, 0), (-1, 0),
+                     (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            give = stranded & np.roll(inside, (-step[0], -step[1]), (0, 1))
+            cell_w += np.roll(np.where(give, cell_w, 0.0), step, (0, 1))
+            stranded &= ~give
+        cell_w[~inside] = 0.0
+        total, exact = float(cell_w.sum()), area(domain)
+        if not abs(total - exact) <= _AREA_TOL * exact:
+            raise GeometryError(f"cell areas sum to {total!r}, not the "
+                                f"domain area {exact!r}")
 
-        cuts = {}
-        offsets = {"E": (0, 1), "W": (0, -1), "N": (1, 0), "S": (-1, 0)}
-        for name, (di, dj) in offsets.items():
-            cuts[name] = _edge_fractions(domain, xs, ys, inside, di, dj)
-
-        cell_w = _cell_weights(domain, xs, ys, inside)
+        X, Y = np.meshgrid(xs, xs)
+        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
         phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_TABLE, endpoint=False)
         r, r1, r2 = domain.radial_derivatives(phi)
         tree = cKDTree(np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1))
@@ -127,106 +145,124 @@ class Grid:
         # the table vertex stays an upper bound if a projection misses
         projected, _ = _projected_distance(
             domain, pts, phi[nearest], (r[nearest], r1[nearest], r2[nearest]))
-        delta = np.minimum(dist, projected).reshape(ny, nx)
+        delta = np.minimum(dist, projected).reshape(inside.shape)
 
-        return Grid(domain=domain, h=h, xs=xs, ys=ys, inside=inside,
+        return Grid(domain=domain, h=h, xs=xs, ys=xs.copy(), inside=inside,
                     index=index, cuts=cuts, cell_weights=cell_w, delta=delta,
                     n_unknowns=int(inside.sum()))
 
 
-def _edge_fractions(domain: StarDomain2D, xs: Array, ys: Array,
-                    inside: Array, di: int, dj: int) -> Array:
-    """Fraction of each cut edge that lies inside, by vectorized bisection."""
-    ny, nx = inside.shape
-    h = xs[1] - xs[0]
-    frac = np.ones((ny, nx))
-    neighbor = np.zeros_like(inside)
-    src = inside
-    if di == 0:
-        if dj == 1:
-            neighbor[:, :-1] = inside[:, 1:]
-            cut = src & ~neighbor
-            cut[:, -1] = inside[:, -1]
-        else:
-            neighbor[:, 1:] = inside[:, :-1]
-            cut = src & ~neighbor
-            cut[:, 0] = inside[:, 0]
-    else:
-        if di == 1:
-            neighbor[:-1, :] = inside[1:, :]
-            cut = src & ~neighbor
-            cut[-1, :] = inside[-1, :]
-        else:
-            neighbor[1:, :] = inside[:-1, :]
-            cut = src & ~neighbor
-            cut[0, :] = inside[0, :]
-    ii, jj = np.nonzero(cut)
-    if ii.size == 0:
-        return frac
-    base = np.stack([xs[jj], ys[ii]], axis=-1)
-    step = h * np.array([dj, di], dtype=float)
-    lo = np.zeros(ii.size)
-    hi = np.ones(ii.size)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        pts = base + mid[:, None] * step[None, :]
-        is_in = domain.contains(pts)
-        lo = np.where(is_in, mid, lo)
-        hi = np.where(is_in, hi, mid)
-    frac[ii, jj] = np.maximum(0.5 * (lo + hi), _T_MIN)
-    return frac
+def _root(fun, lo: Array, hi: Array, t: Array, up: Array) -> Array:
+    """Roots in [lo, hi] of f, ``fun(t) = (f, f')``, by Newton's method from
+    t safeguarded by bisection; f rises through the roots where ``up``."""
+    for _ in range(_ROOT_STEPS):
+        f, slope = fun(t)
+        right = (f < 0.0) == up  # the root lies beyond t
+        lo, hi = np.where(right, t, lo), np.where(right, hi, t)
+        step = t - np.divide(f, slope, out=np.full_like(f, np.inf),
+                             where=slope != 0.0)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if np.all(np.abs(step - t) <= 1e-14):  # at the rounding noise
+            return step
+        t = step
+    return t
 
 
-def _cell_weights(domain: StarDomain2D, xs: Array, ys: Array,
-                  inside: Array) -> Array:
-    """Node-cell areas: full cells exact, cut cells by subgrid counting.
+def _crossings(domain: StarDomain2D, lines: Array, horizontal: bool):
+    """Crossings of the boundary with the lines y = c (``horizontal``) or
+    x = c, for c in the ascending ``lines``.
 
-    Area captured in cells of outside nodes is handed to an adjacent inside
-    node, and the total is rescaled to the exact closed-form area, so the
-    weights integrate constants exactly.
+    The coordinate g across the lines, sampled periodically and split at its
+    extrema, runs monotonically from a to b on each piece, which crosses the
+    lines with min(a, b) < c <= max(a, b).  Returns each crossing's line
+    index, position along the line, +1 (-1) where the line, walked towards
+    larger positions, enters (leaves) the domain, and angle.
     """
-    ny, nx = inside.shape
-    h = xs[1] - xs[0]
-    cx = np.concatenate([xs - 0.5 * h, [xs[-1] + 0.5 * h]])
-    cy = np.concatenate([ys - 0.5 * h, [ys[-1] + 0.5 * h]])
-    CX, CY = np.meshgrid(cx, cy)
-    corner_in = domain.contains(
-        np.stack([CX.ravel(), CY.ravel()], axis=-1)).reshape(ny + 1, nx + 1)
-    c00 = corner_in[:-1, :-1]
-    c01 = corner_in[:-1, 1:]
-    c10 = corner_in[1:, :-1]
-    c11 = corner_in[1:, 1:]
-    n_corners = (c00.astype(np.int8) + c01 + c10 + c11)
-    full = (n_corners == 4) & inside
-    empty = (n_corners == 0) & ~inside
-    cut = ~(full | empty)
+    def trace(t, level=0.0):  # g - level, g', g'', position along the line
+        r, r1, r2 = domain.radial_derivatives(t)
+        cos, sin = np.cos(t), np.sin(t)
+        u, w = (sin, cos) if horizontal else (cos, -sin)
+        return (r * u - level, r1 * u + r * w, r2 * u + 2.0 * r1 * w - r * u,
+                r * w if horizontal else -r * w)
 
-    w = np.zeros((ny, nx))
-    w[full] = h * h
-    ii, jj = np.nonzero(cut)
-    if ii.size:
-        s = (np.arange(_SUBCELL) + 0.5) / _SUBCELL - 0.5
-        ox, oy = np.meshgrid(s * h, s * h)
-        sub = np.stack([ox.ravel(), oy.ravel()], axis=-1)  # (S^2, 2)
-        pts = (np.stack([xs[jj], ys[ii]], axis=-1)[:, None, :] + sub[None, :, :])
-        frac = domain.contains(pts.reshape(-1, 2)).reshape(ii.size, -1).mean(axis=1)
-        w[ii, jj] = frac * h * h
+    phi = 2.0 * math.pi * np.arange(_CROSSING_SAMPLES + 1) / _CROSSING_SAMPLES
+    g, g1, _, _ = (np.append(v, v[0]) for v in trace(phi[:-1]))
+    k = np.flatnonzero(g1[:-1] * g1[1:] < 0.0)
+    ext = _root(lambda t: trace(t)[1:3], phi[k], phi[k + 1],
+                0.5 * (phi[k] + phi[k + 1]), g1[k] < 0.0)
+    phi, g = np.insert(phi, k + 1, ext), np.insert(g, k + 1, trace(ext)[0])
+    a, b = g[:-1], g[1:]
+    first = np.searchsorted(lines, np.minimum(a, b), side="right")
+    count = np.searchsorted(lines, np.maximum(a, b), side="right") - first
+    piece = np.repeat(np.arange(count.size), count)
+    line = np.arange(piece.size) + np.repeat(first - np.cumsum(count) + count,
+                                             count)
+    c, a, b = lines[line], a[piece], b[piece]
+    lo, hi = phi[piece], phi[piece + 1]
+    t = _root(lambda t: trace(t, c)[:2], lo, hi,
+              lo + (c - a) / (b - a) * (hi - lo), b > a)
+    return line, trace(t)[3], np.where((b > a) != horizontal, 1, -1), t
 
-    # hand stranded outside-node weight to an adjacent inside node
-    oi, oj = np.nonzero((w > 0) & ~inside)
-    for i, j in zip(oi, oj):
-        for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0),
-                       (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            a, b = i + di, j + dj
-            if 0 <= a < ny and 0 <= b < nx and inside[a, b]:
-                w[a, b] += w[i, j]
-                break
-        w[i, j] = 0.0
 
-    total = float(w.sum())
-    if total <= 0:
-        raise GeometryError("cell-weight construction captured no area")
-    w *= area(domain) / total
+def _mask_and_cuts(rows, cols, xs: Array):
+    """Inside mask and Shortley-Weller fractions from the node-line crossings.
+
+    A node is inside when the crossings left of it on its row wind once
+    around it and none lies on it to rounding (the strict radial test).  An
+    edge's fraction is its nearest crossing's offset over h, else 1.0.
+    """
+    n, h = xs.size, xs[1] - xs[0]
+    winding = np.zeros((n, n + 1), dtype=np.int64)
+    fractions = []
+    for k, (line, pos, enter, _) in enumerate((rows, cols)):
+        node = line % 2 == 1
+        i, pos = line[node] // 2, pos[node]
+        j = np.searchsorted(xs, pos)  # xs[j - 1] < pos <= xs[j]
+        lower, upper = np.ones((n, n)), np.ones((n, n))
+        np.minimum.at(upper, (i, j - 1), (pos - xs[j - 1]) / h)
+        np.minimum.at(lower, (i, j), (xs[j] - pos) / h)
+        if k == 0:
+            np.add.at(winding, (i, j), enter[node])
+        fractions += [lower, upper] if k == 0 else [lower.T, upper.T]
+    inside = ((np.cumsum(winding, axis=1)[:, :-1] == 1)
+              & (np.minimum.reduce(fractions) > _ON_BOUNDARY))
+    return inside, {name: np.where(inside, np.maximum(frac, _T_MIN), 1.0)
+                    for name, frac in zip("WESN", fractions)}
+
+
+def _cell_areas(domain: StarDomain2D, rows, cols, lines: Array) -> Array:
+    """Exact areas of the node cells' parts inside the domain, by Green's
+    theorem: an edge piece on the cell line y = c or x = c with inside
+    length L adds -+ c L / 2, an arc between consecutive cell-line crossings
+    (1/2) int r^2 dphi, in closed form as r^2 is a trigonometric polynomial.
+    """
+    q = lines[::2]  # cell lines: the cell of node j spans [q[j], q[j + 1]]
+    n, h = q.size - 1, q[1] - q[0]
+    moments, angles = [], []
+    for line, pos, enter, phi in (rows, cols):
+        cell = line % 2 == 0
+        i, pos, enter = line[cell] // 2, pos[cell], enter[cell]
+        s = np.searchsorted(q, pos, side="right") - 1
+        length, entered = np.zeros((2, n + 1, n))
+        np.add.at(length, (i, s), enter * (q[s + 1] - pos))
+        np.add.at(entered, (i, s), enter)
+        length += h * (np.cumsum(entered, axis=1) - entered)
+        moments.append(np.diff(q[:, None] * length, axis=0))
+        angles.append(phi[cell])
+    w = 0.5 * (moments[0] + moments[1].T)
+
+    t = np.sort(np.concatenate(angles))
+    half = 0.5 * np.diff(np.append(t, t[:1] + 2.0 * math.pi))
+    mid = t + half
+    _, a, b = domain._coefficient_arrays()
+    spec = np.concatenate([(a + 1j * b)[::-1], [2.0 * domain.c0], a - 1j * b])
+    sq = np.convolve(spec, spec)[2 * a.size:] / 4.0  # of e^{ik phi} in r^2
+    k = np.arange(1, sq.size)
+    arc = sq[0].real * half + 2.0 * np.sum(np.sin(half[:, None] * k) / k * (
+        sq[1:] * np.exp(1j * mid[:, None] * k)).real, axis=1)
+    r = domain.radial(mid)
+    np.add.at(w, tuple(np.searchsorted(q, r * f(mid), side="right") - 1
+                       for f in (np.sin, np.cos)), arc)
     return w
 
 
@@ -329,8 +365,9 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
     data = [-2.0 / (tE * tW * h2) - 2.0 / (tN * tS * h2)]
 
     def neighbor_entries(di, dj, t_this, t_opp):
+        # couple across uncut edges only: a cut edge ends at a Dirichlet zero
         a, b = ii + di, jj + dj
-        ok = (a >= 0) & (a < ny) & (b >= 0) & (b < nx)
+        ok = (a >= 0) & (a < ny) & (b >= 0) & (b < nx) & (t_this == 1.0)
         ok[ok] &= inside[a[ok], b[ok]]
         coeff = 2.0 / (t_this * (t_this + t_opp) * h2)
         rows.append(center[ok])
@@ -523,7 +560,7 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
     grid = u.grid
     inside = grid.inside
     h = grid.h
-    vals = np.where(inside, u.values, 0.0)  # cut neighbors carry value 0
+    vals = np.where(inside, u.values, 0.0)
 
     def second(axis: int, t_plus: Array, t_minus: Array) -> Array:
         if axis == 1:
@@ -536,6 +573,9 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
             vp[:-1, :] = vals[1:, :]
             vm = np.full_like(vals, 0.0)
             vm[1:, :] = vals[:-1, :]
+        # across a cut edge the neighbor is the boundary crossing, value 0
+        vp = np.where(t_plus < 1.0, 0.0, vp)
+        vm = np.where(t_minus < 1.0, 0.0, vm)
         hp, hm = t_plus * h, t_minus * h
         return 2.0 * (vp / (hp * (hp + hm)) + vm / (hm * (hp + hm))
                       - vals / (hp * hm))
@@ -565,8 +605,8 @@ def lp_norm_domain(field: DiscreteField | TensorField, p: float,
                    alpha: float = 0.0) -> float:
     """Normalized interior norm ``|| delta^alpha f ||_{p, Omega}``.
 
-    The measure is dx / |Omega| via the exact-total cell weights; masked
-    nodes are excluded (their volume fraction is available on TensorField).
+    The measure is dx / |Omega| via the exact cell areas; masked nodes are
+    excluded (their volume fraction is available on TensorField).
     """
     if isinstance(field, TensorField):
         grid = field.grid

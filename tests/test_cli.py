@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import oscbound
-from oscbound import stability
+from oscbound import cli, stability
 from oscbound.cli import RunConfig, constants_table, main, parse_config
 from oscbound.constants import INF
 from oscbound.errors import ConfigError
@@ -342,6 +342,19 @@ class TestStabilityCommands:
         assert len(err) == 1
         assert err[0].startswith("error: a worker process died while running "
                                  "the cosine_perturbation family")
+
+    def test_unexpected_exception_exits_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        # an exception of no oscbound type still maps to one error line
+        def broken_pipeline(*args, **kwargs):
+            raise ValueError("pipeline broke")
+
+        monkeypatch.setattr(cli, "run_family", broken_pipeline)
+        cfg = write_cfg(tmp_path, "family=cosine\neps=0.1,0.2\n")
+        assert main(["serrin-run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValueError: pipeline broke"]
 
     @pytest.mark.parametrize("header, cell, message", [
         (RECORD_HEADER.replace(",hess_norm,", ",hess_nrm,"), "0.1",

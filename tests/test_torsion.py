@@ -3,8 +3,10 @@
 Oracles: the closed-form torsion function of disks and ellipses (quadratic,
 so the Shortley-Weller scheme reproduces it to rounding), analytic crossing
 points of grid edges with a circle, hand-integrated boundary-distance
-moments on the disk, and Richardson self-comparison on a cosine domain where
-the solution is genuinely non-quadratic.
+moments on the disk, closed-form disk-square intersection areas, polar
+quadrature of cut cells, the strict radial inclusion test, and Richardson
+self-comparison on a cosine domain where the solution is genuinely
+non-quadratic.
 """
 from __future__ import annotations
 
@@ -12,8 +14,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from oscbound import DomainError, GeometryError
+from oscbound.stability import FamilySpec, build_family_domain
 from oscbound.stardomain import StarDomain2D, area, delta_gamma, rotated
 from oscbound.torsion import (
     BoundaryTrace,
@@ -35,8 +40,12 @@ from oscbound.torsion import (
     normal_derivative,
     solve_torsion,
 )
+from oscbound.torsion import _cell_areas, _crossings
 
 ELLIPSE_A, ELLIPSE_B = 2.0, 1.0
+# eight deep nonconvex petals, off-axis
+PETALS = rotated(StarDomain2D(c0=0.5, cos_coeffs=(0, 0, 0, 0, 0, 0, 0, 0.45)),
+                 math.pi / 8.0)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +109,186 @@ def test_edge_cut_fractions_match_analytic_circle_crossings(disk_solve):
     for name in ("E", "W", "N", "S"):
         vals = grid.cuts[name]
         assert np.all((vals > 0.0) & (vals <= 1.0))
+
+
+@pytest.mark.parametrize("domain, h", [
+    (StarDomain2D.circle(1.0), 1.0 / 32.0),  # four nodes lie on the circle
+    # apex and vertex are nodes, on grid lines tangent to the curve
+    (StarDomain2D.ellipse(1.0, 0.75), 1.0 / 32.0),
+    (PETALS, 1.0 / 32.0),
+    (PETALS, 1.0 / 64.0),
+    (StarDomain2D.cosine(0.9, 8), 1.0 / 64.0),
+    (build_family_domain(FamilySpec(kind="ellipse"), 0.2), 1.0 / 256.0),
+    (build_family_domain(FamilySpec(kind="cosine_perturbation"), 0.1),
+     1.0 / 256.0),
+], ids=["circle", "ellipse", "petals32", "petals64", "cosine8",
+        "ladder_ellipse", "ladder_cosine"])
+def test_inside_mask_matches_the_radial_test(domain, h):
+    grid = Grid.build(domain, h)
+    want = domain.contains(grid.points.reshape(-1, 2))
+    assert np.array_equal(grid.inside, want.reshape(grid.inside.shape))
+
+
+def test_grid_build_makes_no_inclusion_test(monkeypatch):
+    def refuse(self, points, tol=0.0):
+        raise AssertionError("Grid.build called contains")
+
+    monkeypatch.setattr(StarDomain2D, "contains", refuse)
+    grid = Grid.build(PETALS, 1.0 / 32.0)
+    assert grid.n_unknowns > 0
+
+
+@pytest.mark.parametrize("h", [1.0 / 64.0, 1.0 / 128.0])
+def test_edges_that_leave_the_domain_between_inside_nodes_are_cut(h):
+    # near the necks of eight deep petals a grid edge can pass through the
+    # exterior although both of its nodes are inside
+    domain = StarDomain2D.cosine(0.9, 8)
+    u, _ = solve_torsion(domain, h)
+    grid = u.grid
+    inside = grid.inside
+    ny, nx = inside.shape
+    s = np.arange(1, 256) / 256.0
+    ends = np.zeros_like(inside)
+    for name, back, di, dj in (("E", "W", 0, 1), ("N", "S", 1, 0)):
+        both = np.zeros_like(inside)
+        both[:ny - di, :nx - dj] = inside[:ny - di, :nx - dj]
+        both[:ny - di, :nx - dj] &= inside[di:, dj:]
+        ii, jj = np.nonzero(both)
+        base = np.stack([grid.xs[jj], grid.ys[ii]], axis=-1)
+        step = h * np.array([dj, di], dtype=float)
+        pts = base[:, None, :] + s[None, :, None] * step
+        outside = ~domain.contains(pts.reshape(-1, 2)).reshape(ii.size, -1)
+        leaves = outside.any(axis=1)
+        t = grid.cuts[name][ii, jj]
+        assert leaves.sum() == 4
+        assert np.array_equal(t < 1.0, leaves)
+        assert np.array_equal(grid.cuts[back][ii + di, jj + dj] < 1.0, leaves)
+        # the cut is the first crossing along the edge
+        first_out = s[np.argmax(outside[leaves], axis=1)]
+        t, base = t[leaves], base[leaves]
+        assert np.all((t < first_out) & (first_out <= t + 1.0 / 256.0))
+        t = t[:, None]
+        assert domain.contains(base + (t - 1e-9) * step).all()
+        assert not domain.contains(base + (t + 1e-9) * step).any()
+        ends[ii[leaves], jj[leaves]] = True
+        ends[ii[leaves] + di, jj[leaves] + dj] = True
+    # solver rows and Hessian diagonal both see the zero at the crossing
+    H = hessian_torsion(u)
+    assert (H.valid & ends).sum() == 16
+    trace = H.components[..., 0] + H.components[..., 2]
+    assert float(np.max(np.abs(trace - 2.0)[ends])) < 1e-9
+
+
+def disk_cell_area(R: float, x0: float, x1: float, y0: float,
+                   y1: float) -> float:
+    """Closed-form area of the disk of radius R with [x0, x1] x [y0, y1].
+
+    The height of the intersection over x is piecewise y1 or sqrt(R^2 - x^2)
+    on top and y0 or -sqrt(R^2 - x^2) below; each piece integrates with the
+    antiderivative (x s + R^2 atan2(x, s)) / 2 of s = sqrt(R^2 - x^2).
+    """
+    def s(x):
+        return math.sqrt(max((R - x) * (R + x), 0.0))
+
+    def S(x):
+        return 0.5 * (x * s(x) + R * R * math.atan2(x, s(x)))
+
+    knots = {x0, x1, -R, R}
+    knots |= {sign * s(y) for y in (y0, y1) if abs(y) < R for sign in (-1, 1)}
+    knots = sorted(x for x in knots if x0 <= x <= x1)
+    total = 0.0
+    for a, b in zip(knots, knots[1:]):
+        top, bottom = min(y1, s(0.5 * (a + b))), max(y0, -s(0.5 * (a + b)))
+        if top > bottom:
+            arc = S(b) - S(a)
+            total += ((y1 * (b - a) if top == y1 else arc)
+                      - (y0 * (b - a) if bottom == y0 else -arc))
+    return total
+
+
+def polar_cell_area(domain: StarDomain2D, x0: float, x1: float, y0: float,
+                    y1: float) -> float:
+    """Area of the domain in a cell away from the origin, by quadrature over
+    the ray angle of (min(r, exit)^2 - entry^2)+ / 2, where the ray from the
+    origin enters and leaves the cell at radii entry and exit; the
+    quadrature splits where the curve passes either radius."""
+    corners = np.arctan2([y0, y0, y1, y1], [x0, x1, x0, x1])
+    if np.ptp(corners) > math.pi:
+        corners = np.mod(corners, 2.0 * math.pi)
+    corners = np.sort(corners)
+
+    def radii(phi):
+        with np.errstate(divide="ignore"):
+            tx = np.sort([x0 / np.cos(phi), x1 / np.cos(phi)], axis=0)
+            ty = np.sort([y0 / np.sin(phi), y1 / np.sin(phi)], axis=0)
+        return np.maximum(tx[0], ty[0]), np.minimum(tx[1], ty[1])
+
+    def integrand(phi):
+        enter, leave = radii(phi)
+        top = min(float(domain.radial(phi)), float(leave))
+        return 0.5 * (top * top - enter * enter) if top > enter else 0.0
+
+    knots = list(corners)
+    phi = np.linspace(corners[0], corners[-1], 4001)
+    for side in (0, 1):
+        def gap(p):
+            return domain.radial(p) - radii(p)[side]
+        g = np.sign(gap(phi))
+        for m in np.flatnonzero(g[:-1] != g[1:]):
+            knots.append(brentq(gap, phi[m], phi[m + 1], xtol=1e-16))
+    knots = sorted(knots)
+    return sum(quad(integrand, a, b, epsabs=1e-17, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(knots, knots[1:]))
+
+
+def raw_cell_areas(domain: StarDomain2D, h: float, n_side: int = 0):
+    """Node coordinates and cell areas before any hand-off, on a grid of
+    2 n_side + 1 nodes a side (by default reaching 1.25 from the origin)."""
+    n_side = n_side or math.ceil(1.25 / h)
+    lines = 0.5 * h * np.arange(-2 * n_side - 1, 2 * n_side + 2)
+    rows, cols = (_crossings(domain, lines, hz) for hz in (True, False))
+    return lines[1::2], _cell_areas(domain, rows, cols, lines)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.8])
+def test_cell_areas_match_disk_square_intersections(radius):
+    domain, h = StarDomain2D.circle(radius), 1.0 / 32.0
+    xs, areas = raw_cell_areas(domain, h)
+    cells = list(zip(*np.nonzero(areas)))
+    exact = [disk_cell_area(radius, xs[j] - h / 2, xs[j] + h / 2,
+                            xs[i] - h / 2, xs[i] + h / 2) for i, j in cells]
+    err = np.abs(areas[tuple(np.transpose(cells))] - exact)
+    assert float(err.max()) < 1e-12 * h * h
+    assert abs(float(areas.sum()) - area(domain)) < 1e-14
+
+
+def test_cell_weights_hand_off_matches_the_neighbor_loop():
+    # the area in an outside node's cell goes to its first inside neighbor,
+    # east, west, north, south, then the diagonals
+    h = 1.0 / 32.0
+    grid = Grid.build(PETALS, h)
+    _, want = raw_cell_areas(PETALS, h, (grid.xs.size - 1) // 2)
+    stranded = list(zip(*np.nonzero((want != 0.0) & ~grid.inside)))
+    assert len(stranded) > 100
+    for i, j in stranded:
+        for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0),
+                       (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            if grid.inside[i + di, j + dj]:
+                want[i + di, j + dj] += want[i, j]
+                break
+        want[i, j] = 0.0
+    assert np.allclose(grid.cell_weights, want, rtol=0.0, atol=1e-15 * h * h)
+
+
+def test_petal_cell_areas_match_polar_quadrature():
+    h = 1.0 / 32.0
+    xs, areas = raw_cell_areas(PETALS, h)
+    cut = np.argwhere((areas > 0.0) & (areas < h * h * (1.0 - 1e-12)))
+    rng = np.random.default_rng(11)
+    for i, j in cut[rng.choice(len(cut), 30, replace=False)]:
+        want = polar_cell_area(PETALS, xs[j] - h / 2, xs[j] + h / 2,
+                               xs[i] - h / 2, xs[i] + h / 2)
+        assert abs(areas[i, j] - want) < 1e-11 * h * h
 
 
 def test_boundary_distance_table_matches_disk_distance(disk_solve):
