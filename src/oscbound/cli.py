@@ -41,7 +41,7 @@ from .constants import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from .cones import run_cone_sweep
+from .cones import _check_dimension, run_cone_sweep
 from .errors import ConfigError, OscboundError
 from .identities import build_pipeline_data, run_domain_checks
 from .stability import (
@@ -176,7 +176,7 @@ def _read_config_file(path: str) -> dict[str, object]:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, object] = {}
     for number, raw in enumerate(lines, start=1):
@@ -208,7 +208,8 @@ def _family_spec(config: RunConfig) -> FamilySpec:
 
 def _validate(config: RunConfig) -> RunConfig:
     # eps, grid.h and grid.refinements are checked by FamilySpec below, for
-    # the commands that build a family; FamilySpec checks k only for cosines
+    # the commands that build a family, and N by the library for the
+    # commands that use it; FamilySpec checks k only for cosines
     if config.k < 1:
         raise ConfigError(f"k must be >= 1, got {config.k}")
     if config.p < 1.0:
@@ -223,13 +224,17 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"jobs must be >= 0, got {config.jobs}")
     if not config.calibration_k > 0.0:
         raise ConfigError("calibration_k must be positive")
-    if config.command in _FAMILY_COMMANDS:
-        try:
+    try:
+        if config.command in _FAMILY_COMMANDS:
             _family_spec(config)
             if config.command == "domain-verify":
                 ExponentPair(p=config.p, q=config.q, N=2)
-        except OscboundError as exc:
-            raise ConfigError(str(exc)) from None
+        elif config.command == "constants":
+            unit_ball_volume(config.N)
+        elif config.command == "cone-verify":
+            _check_dimension(config.N)
+    except OscboundError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 

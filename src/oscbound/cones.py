@@ -119,6 +119,12 @@ def _orthonormal_frame(axis: Array) -> tuple[Array, Array]:
     return u, np.cross(axis, u)
 
 
+def _check_dimension(dim: int) -> None:
+    """Raise DomainError unless the cone quadrature supports ``dim``."""
+    if dim not in (2, 3):
+        raise DomainError(f"cone quadrature supports dimensions 2 and 3, got {dim}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Product rule on a cone: Gauss radially, Gauss/uniform over the cap.
@@ -149,8 +155,7 @@ class QuadratureRule:
     @staticmethod
     def build(cone: ConeSpec, n_radial: int = 48, n_angular: int = 48) -> "QuadratureRule":
         dim = cone.dim
-        if dim not in (2, 3):
-            raise DomainError(f"cone quadrature supports dimensions 2 and 3, got {dim}")
+        _check_dimension(dim)
         s, ws = _gauss_on(0.0, cone.height, n_radial)
 
         if dim == 2:

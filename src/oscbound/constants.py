@@ -139,8 +139,11 @@ class OscillationEstimate:
 # --------------------------------------------------------------------------
 
 def unit_ball_volume(N: int) -> float:
-    """Volume of the unit ball in R^N."""
-    return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
+    """Volume of the unit ball in R^N (in floating point up to N = 341)."""
+    try:
+        return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
+    except OverflowError:
+        raise DomainError(f"Gamma(N/2 + 1) overflows at N = {N}") from None
 
 
 def unit_sphere_area(N: int) -> float:

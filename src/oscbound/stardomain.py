@@ -6,6 +6,11 @@ outward normals and curvature carry no discretization error; smooth analytic
 shapes (the ellipse) are projected onto a finite Fourier basis, which is
 machine-exact because their coefficients decay geometrically.
 
+One kernel, :meth:`StarDomain2D.radial_derivatives`, sums the series for
+(r, r', r'') by Horner's rule in O(angles) memory, and one curve map on top
+of it, :meth:`StarDomain2D.curve`, gives every Cartesian (gamma, gamma',
+gamma'') that a caller needs.
+
 All geometric quantities of the estimates live here: area, perimeter,
 diameter, curvature statistics, the two radii measured from a marked point
 (rho_i, rho_e), the uniform interior/exterior ball radii (r_i, r_e), the
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,19 +49,16 @@ __all__ = [
 ]
 
 _VALIDATION_SAMPLES = 4096
-_EVAL_BLOCK = 16384  # angles per block of the (angles x modes) tables
+_HORNER_BLOCK = 8  # modes per Horner block; blocks are joined in z^8
 
 
-def _eval_blocks(phi: Array):
-    """``(slice, column)`` pairs covering the flattened angles in blocks.
-
-    Evaluating in blocks caps the (angles x modes) cos/sin tables of a
-    grid-sized call at a few megabytes; ``[()]`` on the reshaped result
-    keeps 0-d inputs returning numpy scalars.
-    """
-    flat = phi.reshape(-1)
-    for lo in range(0, flat.size, _EVAL_BLOCK):
-        yield slice(lo, lo + _EVAL_BLOCK), flat[lo:lo + _EVAL_BLOCK, None]
+def _horner(coef: Array, x: Array) -> Array:
+    """``sum_m coef[:, m] x^m`` for each row of ``coef``, by Horner's rule."""
+    acc = np.repeat(coef[:, -1], x.size, axis=1)
+    for m in range(coef.shape[1] - 2, -1, -1):
+        acc *= x
+        acc += coef[:, m]
+    return acc
 
 
 # --------------------------------------------------------------------------
@@ -68,7 +71,9 @@ class StarDomain2D:
 
     ``r(phi) = c0 + sum_k (cos_coeffs[k-1] cos(k phi) + sin_coeffs[k-1]
     sin(k phi))`` must stay positive; this is checked on 4096 samples at
-    construction.  The boundary is C-infinity by construction.
+    construction.  The boundary is C-infinity by construction.  Every
+    evaluation goes through one kernel, :meth:`radial_derivatives`, and the
+    Cartesian boundary and its derivatives through :meth:`curve`.
     """
 
     c0: float
@@ -141,37 +146,69 @@ class StarDomain2D:
         b[: len(self.sin_coeffs)] = self.sin_coeffs
         return np.arange(1, K + 1, dtype=float), a, b
 
+    @cached_property
+    def _series(self) -> Array:
+        """Rows ``k^j c_k`` (j = 0, 1, 2) over the even k, then over the odd
+        k if any c_k there is nonzero, with c_0 = c0 and c_k = a_k - i b_k,
+        so that r = Re sum_k c_k e^{ik phi}."""
+        _, a, b = self._coefficient_arrays()
+        c = np.concatenate([[self.c0], a - 1j * b])
+        c = np.append(c, [0.0] * (c.size % 2))  # as many odd k as even k
+        k = np.arange(c.size)
+        rows = np.stack([c, k * c, k * k * c])[:, :, None]
+        even, odd = rows[:, ::2], rows[:, 1::2]
+        return np.concatenate([even, odd]) if odd.any() else even
+
     def radial(self, phi: Array | float) -> Array:
-        phi = np.asarray(phi, dtype=float)
-        if self.n_modes == 0:
-            return np.full(phi.shape, self.c0)
-        k, a, b = self._coefficient_arrays()
-        r = np.empty(phi.size)
-        for block, p in _eval_blocks(phi):
-            ang = p * k
-            r[block] = self.c0 + np.cos(ang) @ a + np.sin(ang) @ b
-        return r.reshape(phi.shape)[()]
+        return self.radial_derivatives(phi)[0]
 
     def radial_derivatives(self, phi: Array | float) -> tuple[Array, Array, Array]:
-        """(r, r', r'') at the given angles, all closed-form."""
+        """(r, r', r'') at the given angles, all closed-form.
+
+        r = Re S_0, r' = -Im S_1 and r'' = -Re S_2 for S_j = sum_k k^j c_k
+        z^k, z = e^{i phi}.  Each S_j splits into its even and odd modes,
+        E_j(z^2) + z O_j(z^2), and all six sums run together by Horner's
+        rule in z^2 within blocks of 8 modes and in w = z^8 across blocks.
+        z, z^2 and w come from exponentials of the exact arguments phi,
+        2 phi and 8 phi: powers formed as products carry the rounding of z
+        into the higher modes.  Memory is O(angles).
+        """
         phi = np.asarray(phi, dtype=float)
-        if self.n_modes == 0:
-            z = np.zeros(phi.shape)
-            return np.full(phi.shape, self.c0), z, z.copy()
-        k, a, b = self._coefficient_arrays()
-        r, r1, r2 = np.empty(phi.size), np.empty(phi.size), np.empty(phi.size)
-        for block, p in _eval_blocks(phi):
-            ang = p * k
-            c, s = np.cos(ang), np.sin(ang)
-            r[block] = self.c0 + c @ a + s @ b
-            r1[block] = -s @ (k * a) + c @ (k * b)
-            r2[block] = -c @ (k * k * a) - s @ (k * k * b)
-        return tuple(x.reshape(phi.shape)[()] for x in (r, r1, r2))
+        t = phi.reshape(-1)
+        c = self._series
+        half = _HORNER_BLOCK // 2  # powers of z^2 per block and parity
+        blocks = [c[:, lo:lo + half] for lo in range(0, c.shape[1], half)]
+        z2 = np.exp(2j * t)
+        w = np.exp(1j * _HORNER_BLOCK * t) if len(blocks) > 1 else None
+        total = _horner(blocks[-1], z2)
+        for block in blocks[-2::-1]:
+            total *= w
+            total += _horner(block, z2)
+        if len(total) == 6:  # S_j = E_j(z^2) + z O_j(z^2)
+            total[3:] *= np.exp(1j * t)
+            total[:3] += total[3:]
+        s0, s1, s2 = total[:3]
+        # r is copied out, so that it does not keep ``total`` alive
+        return tuple(x.reshape(phi.shape)[()]
+                     for x in (s0.real.copy(), -s1.imag, -s2.real))
+
+    def curve(self, phi: Array | float) -> tuple[Array, Array, Array]:
+        """The boundary gamma = r e^{i phi} and its derivatives gamma',
+        gamma'' at the given angles, each with a trailing (x, y) axis.
+
+        gamma' = (r' + i r) e^{i phi} and gamma'' = (r'' - r + 2 i r')
+        e^{i phi}, from the closed-form (r, r', r'').
+        """
+        phi = np.asarray(phi, dtype=float)
+        t = phi.reshape(-1)  # numpy scalars multiply in another order
+        r, r1, r2 = self.radial_derivatives(t)
+        z = np.exp(1j * t)
+        return tuple(np.stack([g.real, g.imag], axis=-1).reshape(phi.shape + (2,))
+                     for g in (r * z, (r1 + 1j * r) * z,
+                               (r2 - r + 2j * r1) * z))
 
     def boundary(self, phi: Array | float) -> Array:
-        phi = np.asarray(phi, dtype=float)
-        r = self.radial(phi)
-        return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
+        return self.curve(phi)[0]
 
     def contains(self, points: Array, tol: float = 0.0) -> Array:
         """Strict interior test by the radial graph (vectorized)."""
@@ -205,14 +242,13 @@ def _curvature(r: Array, r1: Array, r2: Array) -> Array:
 
 def _boundary_arrays(domain: StarDomain2D, m: int):
     """(phi, position, outward normal, curvature, arclength weight) at m
-    uniform angles, all from the closed-form (r, r', r'')."""
+    uniform angles, all closed-form.  The speed sqrt(r^2 + r'^2) and the
+    curvature come from the polar form, which is exact on a circle."""
     phi = 2.0 * math.pi * np.arange(m) / m
     r, r1, r2 = domain.radial_derivatives(phi)
+    pos, tangent, _ = domain.curve(phi)
     speed = np.sqrt(r * r + r1 * r1)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    pos = np.stack([r * cphi, r * sphi], axis=-1)
-    normal = np.stack([r * cphi + r1 * sphi, r * sphi - r1 * cphi], axis=-1)
-    normal /= speed[:, None]
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / speed[:, None]
     kappa = _curvature(r, r1, r2)
     weight = speed * (2.0 * math.pi / m)
     return phi, pos, normal, kappa, weight
@@ -302,11 +338,11 @@ def delta_gamma(domain: StarDomain2D, x) -> float:
     """Distance of x to the boundary, projected from the nearest of 4096 samples."""
     x = np.asarray(x, dtype=float)
     phi = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False)
-    r, r1, r2 = domain.radial_derivatives(phi)
-    d = np.hypot(r * np.cos(phi) - x[0], r * np.sin(phi) - x[1])
+    table = domain.curve(phi)
+    d = np.linalg.norm(table[0] - x, axis=-1)
     j = int(np.argmin(d))
-    projected, _ = _projected_distance(
-        domain, x[None, :], phi[j:j + 1], (r[j:j + 1], r1[j:j + 1], r2[j:j + 1]))
+    projected, _ = _projected_distance(domain, x[None, :], phi[j:j + 1],
+                                       tuple(g[j:j + 1] for g in table))
     # the sample stays an upper bound if a projection misses
     return min(float(projected[0]), float(d[j]))
 
@@ -315,29 +351,26 @@ _NEWTON_STEPS = 2  # evaluated steps after the tabulated first step
 
 
 def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
-                        derivs: tuple[Array, Array, Array]
+                        seed: tuple[Array, Array, Array]
                         ) -> tuple[Array, Array]:
     """Distance of each point to the boundary by seeded Newton projection.
 
     Newton's method on ``|gamma(phi) - x|^2 / 2`` starts from the parameter
     ``phi`` of a nearby boundary point (the nearest vertex of a table) and
-    takes its first step from that vertex's tabulated ``derivs`` = (r, r',
-    r''), so it costs no evaluation; the iteration converges quadratically
-    to the closest point in ``_NEWTON_STEPS`` more steps.  Each step is
-    capped at a hundredth of a radian and skipped where the objective is not
-    locally convex.  Returns the distances and the parameters of the
-    closest points.
+    takes its first step from that vertex's tabulated ``seed`` = (gamma,
+    gamma', gamma''), so it costs no evaluation; the iteration converges
+    quadratically to the closest point in ``_NEWTON_STEPS`` more steps.
+    Each step is capped at a hundredth of a radian and skipped where the
+    objective is not locally convex.  Returns the distances and the
+    parameters of the closest points.
     """
-    x, y = points[:, 0], points[:, 1]
     for k in range(_NEWTON_STEPS + 1):
-        r, r1, r2 = derivs if k == 0 else domain.radial_derivatives(phi)
-        c, s = np.cos(phi), np.sin(phi)
-        gx, gy = r * c - x, r * s - y
-        tx, ty = r1 * c - r * s, r1 * s + r * c
-        ax, ay = (r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c
-        slope = tx * gx + ty * gy
-        curve = tx * tx + ty * ty + ax * gx + ay * gy
-        step = np.where(curve > 0.0, -slope / np.where(curve > 0.0, curve, 1.0),
+        gamma, tangent, accel = seed if k == 0 else domain.curve(phi)
+        gap = gamma - points
+        slope = np.einsum("ij,ij->i", tangent, gap)
+        bend = (np.einsum("ij,ij->i", tangent, tangent)
+                + np.einsum("ij,ij->i", accel, gap))
+        step = np.where(bend > 0.0, -slope / np.where(bend > 0.0, bend, 1.0),
                         0.0)
         phi = phi + np.clip(step, -1e-2, 1e-2)
     return np.linalg.norm(domain.boundary(phi) - points, axis=-1), phi
@@ -374,16 +407,12 @@ def _critical_pair(domain: StarDomain2D, t1: float,
     spacing the iteration converges quadratically well inside its 8 steps.
     """
     for _ in range(8):
-        r, r1, r2 = domain.radial_derivatives(np.array([t1, t2]))
-        c, s = np.cos([t1, t2]), np.sin([t1, t2])
-        tx, ty = r1 * c - r * s, r1 * s + r * c
-        ax, ay = (r2 - r) * c - 2.0 * r1 * s, (r2 - r) * s + 2.0 * r1 * c
-        gx, gy = r[0] * c[0] - r[1] * c[1], r[0] * s[0] - r[1] * s[1]
-        grad = np.array([gx * tx[0] + gy * ty[0], -(gx * tx[1] + gy * ty[1])])
-        cross = -(tx[0] * tx[1] + ty[0] * ty[1])
-        hess = np.array(
-            [[tx[0] ** 2 + ty[0] ** 2 + gx * ax[0] + gy * ay[0], cross],
-             [cross, tx[1] ** 2 + ty[1] ** 2 - gx * ax[1] - gy * ay[1]]])
+        gamma, tangent, accel = domain.curve(np.array([t1, t2]))
+        chord = gamma[0] - gamma[1]
+        grad = np.array([chord @ tangent[0], -(chord @ tangent[1])])
+        cross = -(tangent[0] @ tangent[1])
+        hess = np.array([[tangent[0] @ tangent[0] + chord @ accel[0], cross],
+                         [cross, tangent[1] @ tangent[1] - chord @ accel[1]]])
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -542,16 +571,14 @@ def inradius(domain: StarDomain2D) -> float:
         j = np.flatnonzero((quot < left) & (quot <= right) & np.isfinite(dip)
                            & (low <= best))
         j = j[np.argsort(low[j])][:_CONTACT_BRANCHES]
-        speed = math.hypot(rp, rp1)
-        p = np.array([rp * c, rp * s])
-        nu = np.array([rp * c + rp1 * s, rp * s - rp1 * c]) / speed
-        est, tq, derivs = quot[j], phi[j], (r[j], r1[j], r2[j])
+        p, (tx, ty), _ = domain.curve(t)
+        nu = np.array([ty, -tx]) / math.hypot(rp, rp1)
+        est, tq = quot[j], phi[j]
         for _ in range(_CONTACT_ROUNDS):
             _, tq = _projected_distance(domain, p - est[:, None] * nu, tq,
-                                        derivs)
-            derivs = domain.radial_derivatives(tq)
+                                        domain.curve(tq))
             dq = tq - t
-            num, dot = _tangent_ball(rp, rp1, derivs[0], np.sin(dq),
+            num, dot = _tangent_ball(rp, rp1, domain.radial(tq), np.sin(dq),
                                      np.sin(0.5 * dq))
             with np.errstate(divide="ignore", invalid="ignore"):
                 est = np.minimum(est, np.where(dot > 0.0, num / dot, math.inf))

@@ -44,7 +44,6 @@ __all__ = [
     "locate_min",
     "h_field",
     "gradient",
-    "hessian",
     "hessian_torsion",
     "lp_norm_domain",
     "bilinear",
@@ -139,12 +138,11 @@ class Grid:
         X, Y = np.meshgrid(xs, xs)
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
         phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_TABLE, endpoint=False)
-        r, r1, r2 = domain.radial_derivatives(phi)
-        tree = cKDTree(np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1))
-        dist, nearest = tree.query(pts, workers=-1)
+        table = domain.curve(phi)
+        dist, nearest = cKDTree(table[0]).query(pts, workers=-1)
         # the table vertex stays an upper bound if a projection misses
-        projected, _ = _projected_distance(
-            domain, pts, phi[nearest], (r[nearest], r1[nearest], r2[nearest]))
+        projected, _ = _projected_distance(domain, pts, phi[nearest],
+                                           tuple(g[nearest] for g in table))
         delta = np.minimum(dist, projected).reshape(inside.shape)
 
         return Grid(domain=domain, h=h, xs=xs, ys=xs.copy(), inside=inside,
@@ -178,12 +176,12 @@ def _crossings(domain: StarDomain2D, lines: Array, horizontal: bool):
     index, position along the line, +1 (-1) where the line, walked towards
     larger positions, enters (leaves) the domain, and angle.
     """
+    across, along = (1, 0) if horizontal else (0, 1)
+
     def trace(t, level=0.0):  # g - level, g', g'', position along the line
-        r, r1, r2 = domain.radial_derivatives(t)
-        cos, sin = np.cos(t), np.sin(t)
-        u, w = (sin, cos) if horizontal else (cos, -sin)
-        return (r * u - level, r1 * u + r * w, r2 * u + 2.0 * r1 * w - r * u,
-                r * w if horizontal else -r * w)
+        gamma, tangent, accel = domain.curve(t)
+        return (gamma[..., across] - level, tangent[..., across],
+                accel[..., across], gamma[..., along])
 
     phi = 2.0 * math.pi * np.arange(_CROSSING_SAMPLES + 1) / _CROSSING_SAMPLES
     g, g1, _, _ = (np.append(v, v[0]) for v in trace(phi[:-1]))
@@ -471,80 +469,41 @@ def h_field(u: DiscreteField, z) -> DiscreteField:
 # derivatives
 # --------------------------------------------------------------------------
 
-def _axis_derivative(values: Array, inside: Array, h: float,
+def _axis_derivative(values: Array, mask: Array, grid: Grid,
                      axis: int) -> tuple[Array, Array]:
-    """Second-order first derivative along one axis with one-sided fallback."""
-    def shift(arr: Array, k: int) -> Array:
-        out = np.full_like(arr, np.nan)
-        if axis == 1:
-            if k > 0:
-                out[:, :-k] = arr[:, k:]
-            elif k < 0:
-                out[:, -k:] = arr[:, :k]
-            else:
-                out = arr.copy()
-        else:
-            if k > 0:
-                out[:-k, :] = arr[k:, :]
-            elif k < 0:
-                out[-k:, :] = arr[:k, :]
-            else:
-                out = arr.copy()
-        return out
+    """Second-order first derivative along one axis with one-sided fallback.
 
-    def shift_mask(k: int) -> Array:
-        m = shift(inside.astype(float), k)
-        return m == 1.0
+    A neighbor counts only where it is in ``mask`` and the edge to it is
+    uncut (cut 1.0), so no stencil reaches across the exterior.  np.roll
+    wraps, but it reads only the two outer node rings, which are outside.
+    """
+    plus, minus = ("E", "W") if axis == 1 else ("N", "S")
 
-    vp1, vm1 = shift(values, 1), shift(values, -1)
-    vp2, vm2 = shift(values, 2), shift(values, -2)
-    mp1, mm1 = shift_mask(1), shift_mask(-1)
-    mp2, mm2 = shift_mask(2), shift_mask(-2)
+    def ahead(arr: Array, k: int) -> Array:  # arr at the node k steps on
+        return np.roll(arr, -k, axis)
 
-    deriv = np.full_like(values, np.nan)
-    valid = np.zeros_like(inside)
-
-    central = inside & mp1 & mm1
-    deriv[central] = (vp1[central] - vm1[central]) / (2.0 * h)
-    valid |= central
-
-    fwd = inside & ~valid & mp1 & mp2
-    deriv[fwd] = (-3.0 * values[fwd] + 4.0 * vp1[fwd] - vp2[fwd]) / (2.0 * h)
-    valid |= fwd
-
-    bwd = inside & ~valid & mm1 & mm2
-    deriv[bwd] = (3.0 * values[bwd] - 4.0 * vm1[bwd] + vm2[bwd]) / (2.0 * h)
-    valid |= bwd
-    return deriv, valid
+    up = ahead(mask, 1) & (grid.cuts[plus] == 1.0)
+    down = ahead(mask, -1) & (grid.cuts[minus] == 1.0)
+    central = mask & up & down
+    fwd = mask & ~central & up & ahead(up, 1)
+    bwd = mask & ~central & ~fwd & down & ahead(down, -1)
+    v0, vp1, vp2 = values, ahead(values, 1), ahead(values, 2)
+    vm1, vm2 = ahead(values, -1), ahead(values, -2)
+    deriv = np.select(
+        [central, fwd, bwd],
+        [vp1 - vm1, -3.0 * v0 + 4.0 * vp1 - vp2, 3.0 * v0 - 4.0 * vm1 + vm2],
+        np.nan) / (2.0 * grid.h)
+    return deriv, central | fwd | bwd
 
 
 def gradient(field: DiscreteField) -> TensorField:
     """Nodal gradient: central differences, one-sided at the boundary ring."""
     grid = field.grid
-    gx, vx = _axis_derivative(field.values, grid.inside, grid.h, axis=1)
-    gy, vy = _axis_derivative(field.values, grid.inside, grid.h, axis=0)
+    gx, vx = _axis_derivative(field.values, grid.inside, grid, axis=1)
+    gy, vy = _axis_derivative(field.values, grid.inside, grid, axis=0)
     valid = vx & vy
     comps = np.stack([np.where(valid, gx, np.nan),
                       np.where(valid, gy, np.nan)], axis=-1)
-    return TensorField(grid=grid, components=comps, valid=valid,
-                       provenance=field.provenance)
-
-
-def hessian(field: DiscreteField) -> TensorField:
-    """Nodal Hessian by derivative composition (generic fields)."""
-    grid = field.grid
-    g = gradient(field)
-    gx = np.where(g.valid, g.components[..., 0], np.nan)
-    gy = np.where(g.valid, g.components[..., 1], np.nan)
-    fxx, vxx = _axis_derivative(gx, g.valid, grid.h, axis=1)
-    fyy, vyy = _axis_derivative(gy, g.valid, grid.h, axis=0)
-    fxy1, vxy1 = _axis_derivative(gx, g.valid, grid.h, axis=0)
-    fxy2, vxy2 = _axis_derivative(gy, g.valid, grid.h, axis=1)
-    valid = vxx & vyy & vxy1 & vxy2 & grid.inside
-    fxy = 0.5 * (fxy1 + fxy2)
-    comps = np.stack([np.where(valid, fxx, np.nan),
-                      np.where(valid, fxy, np.nan),
-                      np.where(valid, fyy, np.nan)], axis=-1)
     return TensorField(grid=grid, components=comps, valid=valid,
                        provenance=field.provenance)
 
@@ -563,19 +522,10 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
     vals = np.where(inside, u.values, 0.0)
 
     def second(axis: int, t_plus: Array, t_minus: Array) -> Array:
-        if axis == 1:
-            vp = np.full_like(vals, 0.0)
-            vp[:, :-1] = vals[:, 1:]
-            vm = np.full_like(vals, 0.0)
-            vm[:, 1:] = vals[:, :-1]
-        else:
-            vp = np.full_like(vals, 0.0)
-            vp[:-1, :] = vals[1:, :]
-            vm = np.full_like(vals, 0.0)
-            vm[1:, :] = vals[:-1, :]
-        # across a cut edge the neighbor is the boundary crossing, value 0
-        vp = np.where(t_plus < 1.0, 0.0, vp)
-        vm = np.where(t_minus < 1.0, 0.0, vm)
+        # across a cut edge the neighbor is the boundary crossing, value 0;
+        # np.roll wraps, but the outer node rings are outside
+        vp = np.where(t_plus < 1.0, 0.0, np.roll(vals, -1, axis))
+        vm = np.where(t_minus < 1.0, 0.0, np.roll(vals, 1, axis))
         hp, hm = t_plus * h, t_minus * h
         return 2.0 * (vp / (hp * (hp + hm)) + vm / (hm * (hp + hm))
                       - vals / (hp * hm))
@@ -586,8 +536,8 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
     g = gradient(u)
     gx = np.where(g.valid, g.components[..., 0], np.nan)
     gy = np.where(g.valid, g.components[..., 1], np.nan)
-    fxy1, vxy1 = _axis_derivative(gx, g.valid, h, axis=0)
-    fxy2, vxy2 = _axis_derivative(gy, g.valid, h, axis=1)
+    fxy1, vxy1 = _axis_derivative(gx, g.valid, grid, axis=0)
+    fxy2, vxy2 = _axis_derivative(gy, g.valid, grid, axis=1)
     valid = inside & vxy1 & vxy2
     uxy = 0.5 * (fxy1 + fxy2)
     comps = np.stack([np.where(valid, uxx, np.nan),
@@ -630,7 +580,8 @@ def lp_norm_domain(field: DiscreteField | TensorField, p: float,
 
 
 def bilinear(field: DiscreteField, pts: Array) -> tuple[Array, Array]:
-    """Bilinear interpolation; a point is valid if its 4 cell nodes are inside."""
+    """Bilinear interpolation; a point is valid if its 4 cell nodes are
+    inside and none of the cell's 4 edges is cut."""
     grid = field.grid
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     fx = (pts[:, 0] - grid.xs[0]) / grid.h
@@ -645,7 +596,11 @@ def bilinear(field: DiscreteField, pts: Array) -> tuple[Array, Array]:
     ty = fy - i0c
     corners_in = (grid.inside[i0c, j0c] & grid.inside[i0c, j0c + 1]
                   & grid.inside[i0c + 1, j0c] & grid.inside[i0c + 1, j0c + 1])
-    ok &= corners_in
+    uncut = ((grid.cuts["E"][i0c, j0c] == 1.0)
+             & (grid.cuts["E"][i0c + 1, j0c] == 1.0)
+             & (grid.cuts["N"][i0c, j0c] == 1.0)
+             & (grid.cuts["N"][i0c, j0c + 1] == 1.0))
+    ok &= corners_in & uncut
     v = (field.values[i0c, j0c] * (1 - tx) * (1 - ty)
          + field.values[i0c, j0c + 1] * tx * (1 - ty)
          + field.values[i0c + 1, j0c] * (1 - tx) * ty

@@ -7,11 +7,16 @@ and byte-identical reruns.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oscbound
 from oscbound import cli, stability
@@ -411,3 +416,107 @@ class TestArgparseSurface:
                               capture_output=True, text=True, env=env)
         assert done.returncode == 0
         assert done.stderr == ""
+
+
+# --------------------------------------------------------------------------
+# exit-code contract under random inputs
+# --------------------------------------------------------------------------
+
+def run_main(argv):
+    """``main(argv)`` with its output captured: (exit code, stderr text)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+CONFIG_VALUES = st.one_of(
+    st.integers(-10, 10**6).map(str),
+    st.integers(10**300, 10**400).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["ellipse", "cosine", "true", "no", "1e400", "-inf",
+                     "0.1, 0.05", "2,", ""]),
+    st.text(max_size=12),
+)
+CONFIG_FILES = st.one_of(
+    st.lists(st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(sorted(cli._KEYS)),
+                  CONFIG_VALUES),
+        st.text(max_size=30)), max_size=6)
+    .map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=60),
+)
+
+
+
+def records_file(header, rows, min_size=0):
+    return st.tuples(header, st.lists(rows, min_size=min_size, max_size=6)).map(
+        lambda f: "\n".join([f[0], *f[1]]).encode("utf-8"))
+
+
+RECORDS_FILES = st.one_of(
+    # plausible measurements, which reach the fits
+    records_file(st.just(RECORD_HEADER),
+                 st.lists(st.floats(1e-4, 1.0).map(repr), min_size=11,
+                          max_size=11).map(
+                     lambda c: ",".join(["ellipse", "2", *c, "ok", ""])),
+                 min_size=4),
+    # the record layout with arbitrary cells, or no layout at all
+    records_file(
+        st.one_of(st.just(RECORD_HEADER), st.text(max_size=40)),
+        st.one_of(
+            st.tuples(st.sampled_from(["ellipse", "cosine", ""]),
+                      st.lists(st.one_of(st.floats().map(repr),
+                                         st.text(max_size=6)),
+                               min_size=12, max_size=12),
+                      st.sampled_from(["ok", "error", "bad"]),
+                      st.text(max_size=6))
+            .map(lambda r: ",".join([r[0], *r[1], r[2], r[3]])),
+            st.lists(st.text(max_size=8), max_size=16).map(",".join))),
+    st.binary(max_size=200),
+)
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("argv, text, message", [
+        (["cone-verify"], "N = 4\n",
+         "cone quadrature supports dimensions 2 and 3, got 4"),
+        (["constants", "--N", "400"], "", "Gamma(N/2 + 1) overflows"),
+    ], ids=["cone-verify-N4", "constants-N400"])
+    def test_unsupported_dimension_is_config_error(self, tmp_path, argv,
+                                                   text, message):
+        cfg = write_cfg(tmp_path, text)
+        code, err = run_main(argv + ["--config", cfg,
+                                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert err.startswith("config error: ") and message in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.just("constants"), text=CONFIG_FILES)
+    @example(command="cone-verify", text=b"N = 4\n")
+    @example(command="constants", text=b"N = 400\n")
+    @example(command="constants", text=b"\xff\n")
+    def test_config_files(self, command, text):
+        # neither command can fail a check, and a config file is never an
+        # infrastructure error: every input runs or is rejected
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "wb") as handle:
+                handle.write(text)
+            code, err = run_main([command, "--config", cfg,
+                                  "--out", os.path.join(tmp, "o")])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(sbt=RECORDS_FILES, serrin=st.none() | RECORDS_FILES)
+    def test_records_csvs(self, sbt, serrin):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in (("sbt", sbt), ("serrin", serrin)):
+                if text is not None:
+                    with open(os.path.join(tmp, f"{name}_records.csv"),
+                              "wb") as handle:
+                        handle.write(text)
+            code, err = run_main(["report", "--out", tmp])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -68,14 +68,89 @@ def test_ellipse_fourier_truncation_is_machine_exact():
 
 
 def test_radial_derivatives_match_finite_differences():
+    # (r, r', r'') and the curve map's (gamma, gamma', gamma'')
     dom = StarDomain2D(c0=1.0, cos_coeffs=(0.1, 0.0, 0.05), sin_coeffs=(0.0, -0.07))
     phi = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
-    r, r1, r2 = dom.radial_derivatives(phi)
     h = 1e-6
-    fd1 = (dom.radial(phi + h) - dom.radial(phi - h)) / (2.0 * h)
-    fd2 = (dom.radial(phi + h) - 2.0 * r + dom.radial(phi - h)) / h**2
-    assert float(np.max(np.abs(r1 - fd1))) < 1e-8
-    assert float(np.max(np.abs(r2 - fd2))) < 1e-3
+    for value, (f, f1, f2) in ((dom.radial, dom.radial_derivatives(phi)),
+                               (dom.boundary, dom.curve(phi))):
+        fd1 = (value(phi + h) - value(phi - h)) / (2.0 * h)
+        fd2 = (value(phi + h) - 2.0 * f + value(phi - h)) / h**2
+        assert float(np.max(np.abs(f1 - fd1))) < 1e-8
+        assert float(np.max(np.abs(f2 - fd2))) < 1e-3
+
+
+def long_double_derivatives(dom: StarDomain2D, phi: np.ndarray):
+    """(r, r', r'') summed term by term in long double."""
+    ld = np.longdouble
+    k, a, b = (x.astype(ld) for x in dom._coefficient_arrays())
+    ang = phi.astype(ld)[:, None] * k
+    c, s = np.cos(ang), np.sin(ang)
+    return (ld(dom.c0) + np.sum(c * a + s * b, axis=1),
+            np.sum(k * (c * b - s * a), axis=1),
+            -np.sum(k * k * (c * a + s * b), axis=1))
+
+
+# Per shape, the largest error per derivative order (r, r', r'') of the
+# (angles x modes) cos/sin tables that the kernel replaced, measured against
+# the long-double sums on the angles of the test below; the kernel must stay
+# within twice that.
+KERNEL_CASES = [
+    pytest.param(StarDomain2D.ellipse(1.2, 1.0 / 1.2),
+                 (2.36e-16, 2.84e-16, 8.72e-16), id="ellipse-64"),
+    pytest.param(StarDomain2D.ellipse(1.2, 1.0 / 1.2, n_modes=32),
+                 (2.00e-16, 2.48e-16, 7.27e-16), id="ellipse-32"),
+    pytest.param(StarDomain2D.cosine(0.6, 2),
+                 (1.90e-16, 1.60e-16, 3.23e-16), id="peanut"),
+    pytest.param(rotated(StarDomain2D(c0=0.5, cos_coeffs=(0.0,) * 7 + (0.45,)),
+                         0.3),
+                 (1.70e-16, 7.54e-16, 5.49e-15), id="petals"),
+    pytest.param(StarDomain2D(c0=1.0, cos_coeffs=(0.0, 0.4),
+                              sin_coeffs=(0.0, 0.0, 0.2)),
+                 (5.48e-16, 1.17e-15, 3.40e-15), id="mixed"),
+    pytest.param(StarDomain2D(c0=1.0, cos_coeffs=(0.0, 0.1) + (0.0,) * 6 + (0.03,),
+                              sin_coeffs=(0.05,) + (0.0,) * 9 + (0.02,)),
+                 (3.40e-16, 2.00e-15, 1.96e-14), id="odd-two-blocks"),
+]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("dom, table_errors", KERNEL_CASES)
+def test_radial_derivatives_match_long_double_reference(dom, table_errors):
+    rng = np.random.default_rng(0)
+    phi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 20000),
+                          [0.0, 1e-9, math.pi, math.pi - 1e-9,
+                           2.0 * math.pi - 1e-12]])
+    got = dom.radial_derivatives(phi)
+    want = long_double_derivatives(dom, phi)
+    for order, table_error in enumerate(table_errors):
+        err = np.abs(got[order].astype(np.longdouble) - want[order])
+        assert float(np.max(err)) < 2.0 * table_error, order
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("dom", [
+    StarDomain2D.circle(1.0),
+    StarDomain2D.ellipse(1.2, 1.0 / 1.2, n_modes=32),
+    StarDomain2D(c0=1.0, cos_coeffs=(0.1, 0.0, 0.05), sin_coeffs=(0.0,) * 9 + (0.01,)),
+], ids=["circle", "ellipse", "odd"])
+def test_evaluations_keep_the_input_shape(dom, shape):
+    phi = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, shape)
+    flat = phi.reshape(-1)
+    for got, want in ((dom.radial(phi), dom.radial(flat)),
+                      *zip(dom.radial_derivatives(phi),
+                           dom.radial_derivatives(flat))):
+        assert np.shape(got) == shape
+        assert np.array_equal(np.reshape(got, -1), want)
+    for got, want in ((dom.boundary(phi), dom.boundary(flat)),
+                      *zip(dom.curve(phi), dom.curve(flat))):
+        assert got.shape == shape + (2,)
+        assert np.array_equal(got.reshape(-1, 2), want)
+    if shape == ():
+        assert isinstance(dom.radial(phi), np.floating)
+        assert all(isinstance(x, np.floating)
+                   for x in dom.radial_derivatives(float(phi)))
 
 
 def test_contains_is_the_radial_test():
