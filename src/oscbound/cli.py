@@ -458,21 +458,25 @@ def _cmd_stability(config: RunConfig, profile: str) -> int:
 
 
 def _read_records_csv(path: str) -> list[StabilityRecord]:
-    """Parse a records CSV; a malformed row raises naming its file and line."""
+    """Parse a records CSV; a malformed row raises naming its file and line,
+    and a file that is not UTF-8 raises naming the file."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         records = []
-        for row in reader:
-            try:
-                records.append(_parse_record(row))
-            except KeyError as exc:
-                raise OscboundError(
-                    f"{path}, line {reader.line_num}: missing column {exc}"
-                ) from exc
-            except (TypeError, ValueError) as exc:
-                raise OscboundError(
-                    f"{path}, line {reader.line_num}: bad record ({exc})"
-                ) from exc
+        try:
+            for row in reader:
+                try:
+                    records.append(_parse_record(row))
+                except KeyError as exc:
+                    raise OscboundError(
+                        f"{path}, line {reader.line_num}: missing column {exc}"
+                    ) from exc
+                except (TypeError, ValueError) as exc:
+                    raise OscboundError(
+                        f"{path}, line {reader.line_num}: bad record ({exc})"
+                    ) from exc
+        except UnicodeDecodeError as exc:
+            raise OscboundError(f"{path}: not UTF-8 text: {exc}") from exc
     return records
 
 

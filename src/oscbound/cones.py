@@ -6,12 +6,20 @@ vertex-polar coordinates cancels the kernel singularity against the
 ``s^{N-1}`` Jacobian exactly, so plain product Gauss quadrature converges at
 spectral rate and the inequalities can be checked to tight slack on a fixed
 catalog of closed-form fields.
+
+One evaluator, :class:`ConeField`, is the only path from a
+:class:`QuadratureRule` and an :class:`AnalyticField` to the quantities the
+checks read: the vertex oscillation, the two kernel integrals and the
+normalized gradient norms, each computed once per instance.  The check
+functions :func:`verify_pointwise_cone`, :func:`verify_morrey_cone` and
+:func:`verify_interpolation_cone` take a ``ConeField``, and the sweep builds
+one per (cone, field) pair.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,17 +32,15 @@ from .constants import (
     morrey_cone_constant,
     two_term_minimize,
 )
-from .errors import DomainError, GeometryError
+from .errors import DomainError
 
 Array = np.ndarray
 
 __all__ = [
     "AnalyticField",
     "QuadratureRule",
+    "ConeField",
     "ConeCheck",
-    "riesz_potential",
-    "cone_average",
-    "lp_norm_cone",
     "cone_samples",
     "verify_pointwise_cone",
     "verify_morrey_cone",
@@ -43,7 +49,6 @@ __all__ = [
     "catalog_cones",
     "default_exponent_grid",
     "run_cone_sweep",
-    "scale_field",
 ]
 
 
@@ -89,17 +94,6 @@ class AnalyticField:
         return worst
 
 
-def scale_field(field: AnalyticField, lam: float) -> AnalyticField:
-    """The field lam * f, used by linearity checks."""
-    return AnalyticField(
-        label=f"{field.label}*{lam:g}",
-        value=lambda pts: lam * field.value(pts),
-        gradient=lambda pts: lam * np.asarray(field.gradient(pts)),
-        hessian=None if field.hessian is None
-        else (lambda pts: lam * np.asarray(field.hessian(pts))),
-    )
-
-
 # --------------------------------------------------------------------------
 # quadrature on cones
 # --------------------------------------------------------------------------
@@ -135,18 +129,16 @@ class QuadratureRule:
     For dimension 3 the polar angle is handled through cos(beta), keeping the
     cap factor polynomially exact, and the azimuth uses uniform points
     (trapezoidal rule, exact for trigonometric degree < n_angular).
+    ``sup_points`` are where sup norms look besides the nodes: the
+    quasi-random fill of :func:`cone_samples`, and the closed-cone extremes
+    the open rule misses, the outer shell at the angular nodes and the vertex.
     """
 
     cone: ConeSpec
-    n_radial: int
-    n_angular: int
-    radial_nodes: Array
-    radial_weights: Array      # weights for ds on (0, a), no Jacobian
-    directions: Array          # (K, dim) unit vectors inside the cap
-    direction_weights: Array   # (K,), sum = |S_theta|
     points: Array              # (n_radial * K, dim)
     radii: Array               # (n_radial * K,)
     weights: Array             # Lebesgue weights, sum = |C|
+    sup_points: Array          # (10_000 + K + 1, dim)
 
     @property
     def count(self) -> int:
@@ -178,37 +170,14 @@ class QuadratureRule:
         pts = (cone.vertex[None, None, :] + s[:, None, None] * dirs[None, :, :])
         radii = np.repeat(s, dirs.shape[0])
         w = (ws * s ** (dim - 1))[:, None] * dw[None, :]
+        shell = cone.vertex[None, :] + cone.height * dirs
         return QuadratureRule(
             cone=cone,
-            n_radial=n_radial,
-            n_angular=n_angular,
-            radial_nodes=s,
-            radial_weights=ws,
-            directions=dirs,
-            direction_weights=dw,
             points=pts.reshape(-1, dim),
             radii=radii,
             weights=w.reshape(-1),
+            sup_points=np.vstack([cone_samples(cone), shell, cone.vertex[None, :]]),
         )
-
-    def refined(self, factor: int = 2) -> "QuadratureRule":
-        return QuadratureRule.build(self.cone, factor * self.n_radial,
-                                    factor * self.n_angular)
-
-
-def _rule_for(cone: ConeSpec, rule: QuadratureRule | None,
-              n_radial: int = 48, n_angular: int = 48) -> QuadratureRule:
-    if rule is None:
-        return QuadratureRule.build(cone, n_radial, n_angular)
-    same = (
-        rule.cone is cone
-        or (rule.cone.theta == cone.theta and rule.cone.height == cone.height
-            and np.array_equal(rule.cone.vertex, cone.vertex)
-            and np.array_equal(rule.cone.axis, cone.axis))
-    )
-    if not same:
-        raise DomainError("quadrature rule was built for a different cone")
-    return rule
 
 
 _HALTON_BASES = (2, 3, 5)  # cones live in dimension 2 or 3
@@ -252,154 +221,83 @@ def cone_samples(cone: ConeSpec, count: int = 10_000) -> Array:
 
 
 # --------------------------------------------------------------------------
-# cached per-(cone, field) evaluations
+# the evaluator: one field on one cone
 # --------------------------------------------------------------------------
 
-class _ConeFieldData:
-    """Lazy cache of the quantities every check re-uses."""
+class ConeField:
+    """Kernel integrals, norms and the cone average of one field on one cone.
 
-    def __init__(self, cone: ConeSpec, field: AnalyticField,
-                 rule: QuadratureRule, samples: Array | None = None):
-        self.cone = cone
-        self.field = field
+    The cone is ``rule.cone``.  Every check reads these quantities, and each
+    is computed on first use and kept on the instance (a cache keyed by the
+    field at module level would keep every field of a sweep alive).
+    Measures are normalized: ``dmu = dy / |C|``.
+    """
+
+    def __init__(self, rule: QuadratureRule, field: AnalyticField):
         self.rule = rule
-        self._samples = samples
+        self.cone = rule.cone
+        self.field = field
         self._grad_rule: Array | None = None
-        self._grad_samples: Array | None = None
+        self._grad_sup: Array | None = None
         self._norms: dict[float, float] = {}
         self._riesz: dict[bool, float] = {}
         self._average: float | None = None
 
-    @property
-    def samples(self) -> Array:
-        if self._samples is None:
-            self._samples = cone_samples(self.cone)
-        return self._samples
-
-    def sup_points(self) -> Array:
-        # quasi-random fill plus the closed-cone extremes the open rule misses:
-        # the vertex and the outer shell at the angular nodes.
-        shell = self.cone.vertex[None, :] + self.cone.height * self.rule.directions
-        return np.vstack([self.samples, shell, self.cone.vertex[None, :]])
-
-    def grad_on_rule(self) -> Array:
+    def _grad_on_rule(self) -> Array:
         if self._grad_rule is None:
             self._grad_rule = self.field.gradient_magnitude(self.rule.points)
         return self._grad_rule
 
-    def grad_on_samples(self) -> Array:
-        if self._grad_samples is None:
-            self._grad_samples = self.field.gradient_magnitude(self.sup_points())
-        return self._grad_samples
-
-    def vertex_value(self) -> float:
-        return float(self.field.value(self.cone.vertex[None, :])[0])
-
     def average(self) -> float:
+        """Mean f_C of the field over the cone."""
         if self._average is None:
             vals = np.asarray(self.field.value(self.rule.points), dtype=float)
             self._average = float(np.sum(self.rule.weights * vals)) / cone_measure(self.cone)
         return self._average
 
     def pointwise_lhs(self) -> float:
-        return abs(self.vertex_value() - self.average())
+        """``|f(x) - f_C|`` at the vertex x."""
+        vertex = float(self.field.value(self.cone.vertex[None, :])[0])
+        return abs(vertex - self.average())
 
     def riesz(self, weighted: bool) -> float:
+        """Kernel integral ``int_C |grad f(y)| |y-x|^{1-N} w(y) dmu_y``.
+
+        ``w = (a^N - |y-x|^N)/N`` in the weighted variant and ``w = 1`` in the
+        plain variant.  Computed in vertex-polar coordinates, where the kernel
+        is cancelled by the Jacobian analytically.
+        """
         if weighted not in self._riesz:
             dim = self.cone.dim
             kernel_w = self.rule.weights / self.rule.radii ** (dim - 1)
             if weighted:
                 kernel_w = kernel_w * (self.cone.height**dim - self.rule.radii**dim) / dim
             self._riesz[weighted] = float(
-                np.sum(kernel_w * self.grad_on_rule())
+                np.sum(kernel_w * self._grad_on_rule())
             ) / cone_measure(self.cone)
         return self._riesz[weighted]
 
     def norm(self, p: float) -> float:
+        """Normalized L^p norm of ``|grad f|`` over the cone, ``p`` in [1, inf].
+
+        ``p = inf`` is an essential sup estimated as the max over the
+        quadrature nodes and the rule's ``sup_points``.
+        """
+        if not (p == INF or p >= 1.0):
+            raise DomainError(f"exponent must be in [1, inf], got {p}")
         if p not in self._norms:
             if p == INF:
-                val = max(float(np.max(self.grad_on_rule())),
-                          float(np.max(self.grad_on_samples())))
+                if self._grad_sup is None:
+                    self._grad_sup = self.field.gradient_magnitude(self.rule.sup_points)
+                val = max(float(np.max(self._grad_on_rule())),
+                          float(np.max(self._grad_sup)))
             else:
-                mags = self.grad_on_rule()
+                mags = self._grad_on_rule()
                 val = float(
                     np.sum(self.rule.weights * mags**p) / cone_measure(self.cone)
                 ) ** (1.0 / p)
             self._norms[p] = val
         return self._norms[p]
-
-
-# --------------------------------------------------------------------------
-# integrals and norms (public API)
-# --------------------------------------------------------------------------
-
-def riesz_potential(
-    cone: ConeSpec,
-    field: AnalyticField,
-    weighted: bool = False,
-    rule: QuadratureRule | None = None,
-    check: bool = False,
-) -> float:
-    """Kernel integral ``int_C |grad f(y)| |y-x|^{1-N} w(y) dmu_y``.
-
-    ``w = (a^N - |y-x|^N)/N`` in the weighted variant and ``w = 1`` in the
-    plain variant; the measure is normalized, ``dmu = dy/|C|``.  Computed in
-    vertex-polar coordinates, where the kernel is cancelled by the Jacobian
-    analytically.  With ``check=True`` the rule orders are doubled and a
-    relative drift above 1e-8 raises :class:`GeometryError`.
-    """
-    rule = _rule_for(cone, rule)
-    value = _ConeFieldData(cone, field, rule).riesz(weighted)
-    if check:
-        refined = _ConeFieldData(cone, field, rule.refined()).riesz(weighted)
-        drift = abs(refined - value) / max(abs(refined), 1e-300)
-        if drift > 1e-8:
-            raise GeometryError(
-                f"riesz potential did not converge for {field.label!r}: drift {drift:.2e}"
-            )
-    return value
-
-
-def cone_average(
-    cone: ConeSpec,
-    field: AnalyticField,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """Mean of the field over the cone w.r.t. the normalized measure."""
-    return _ConeFieldData(cone, field, _rule_for(cone, rule)).average()
-
-
-def lp_norm_cone(
-    cone: ConeSpec,
-    vector_field: Callable[[Array], Array] | AnalyticField,
-    p: float,
-    rule: QuadratureRule | None = None,
-    sup_samples: int = 10_000,
-) -> float:
-    """Normalized L^p norm of a (vector or scalar) field over the cone.
-
-    ``p = inf`` is an essential sup estimated as the max over the quadrature
-    nodes plus a deterministic quasi-random filling of the cone.
-    """
-    if not (p == INF or p >= 1.0):
-        raise DomainError(f"exponent must be in [1, inf], got {p}")
-    field_fn = vector_field.gradient if isinstance(vector_field, AnalyticField) else vector_field
-
-    def magnitude(points: Array) -> Array:
-        out = np.asarray(field_fn(points), dtype=float)
-        return np.abs(out) if out.ndim == 1 else np.linalg.norm(out, axis=-1)
-
-    rule = _rule_for(cone, rule)
-    if p == INF:
-        shell = cone.vertex[None, :] + cone.height * rule.directions
-        best = max(float(np.max(magnitude(rule.points))),
-                   float(np.max(magnitude(shell))),
-                   float(np.max(magnitude(cone.vertex[None, :]))))
-        if sup_samples > 0:
-            best = max(best, float(np.max(magnitude(cone_samples(cone, sup_samples)))))
-        return best
-    mags = magnitude(rule.points)
-    return float(np.sum(rule.weights * mags**p) / cone_measure(cone)) ** (1.0 / p)
 
 
 # --------------------------------------------------------------------------
@@ -428,30 +326,48 @@ class ConeCheck:
         return self.margin >= -slack
 
 
-def _pointwise_checks(data: _ConeFieldData) -> list[ConeCheck]:
-    cone = data.cone
-    lhs = data.pointwise_lhs()
-    rhs_weighted = data.riesz(weighted=True)
-    rhs_plain = (cone.height**cone.dim / cone.dim) * data.riesz(weighted=False)
-    common = dict(field=data.field.label, theta=cone.theta, a=cone.height, lhs=lhs)
+def verify_pointwise_cone(cf: ConeField) -> list[ConeCheck]:
+    """Margins of the two pointwise vertex bounds (weighted and plain kernel).
+
+    The weighted bound is ``|f(x) - f_C| <= int_C |grad f| |y-x|^{1-N}
+    (a^N - |y-x|^N)/N dmu``; the plain variant replaces the weight by its
+    supremum ``a^N/N``.
+    """
+    cone = cf.cone
+    lhs = cf.pointwise_lhs()
+    rhs_weighted = cf.riesz(weighted=True)
+    rhs_plain = (cone.height**cone.dim / cone.dim) * cf.riesz(weighted=False)
+    common = dict(field=cf.field.label, theta=cone.theta, a=cone.height, lhs=lhs)
     return [
         ConeCheck(check="pointwise_weighted", rhs=rhs_weighted, **common),
         ConeCheck(check="pointwise_plain", rhs=rhs_plain, **common),
     ]
 
 
-def _morrey_check(data: _ConeFieldData, p: float) -> ConeCheck:
-    cone = data.cone
+def verify_morrey_cone(cf: ConeField, p: float) -> ConeCheck:
+    """Margin of ``|f(x) - f_C| <= c(p, N, a) ||grad f||_{p,C}`` for p > N."""
+    cone = cf.cone
     N = cone.dim
     if not p > N:
         raise DomainError(f"cone-average bound needs p > N, got p={p}, N={N}")
-    rhs = morrey_cone_constant(p, N, cone.height) * data.norm(p)
-    return ConeCheck(field=data.field.label, theta=cone.theta, a=cone.height,
-                     check="morrey", lhs=data.pointwise_lhs(), rhs=rhs, p=p)
+    rhs = morrey_cone_constant(p, N, cone.height) * cf.norm(p)
+    return ConeCheck(field=cf.field.label, theta=cone.theta, a=cone.height,
+                     check="morrey", lhs=cf.pointwise_lhs(), rhs=rhs, p=p)
 
 
-def _interpolation_check(data: _ConeFieldData, pair: ExponentPair) -> ConeCheck:
-    cone = data.cone
+def verify_interpolation_cone(cf: ConeField, pair: ExponentPair) -> ConeCheck:
+    """Margin of the interpolated kernel bound for ``1 <= p <= N < q``.
+
+    The left side is ``a^{N-1}`` times the plain kernel integral.  For
+    ``p < N`` the right side replays the two-term split: the q-norm controls
+    the cone up to radius sigma, the p-norm the rest, and the split radius is
+    the closed-form minimizer of :func:`two_term_minimize`.  For ``p = N``
+    the right side is the explicit log-interpolation bound ``N (q/(q-N))
+    ||grad f||_N log(e ||grad f||_q / (q' ||grad f||_N))`` (its q -> inf
+    limit when q = inf); the reported sigma is the closed-form minimizing
+    radius.
+    """
+    cone = cf.cone
     N = cone.dim
     p, q = pair.p, pair.q
     if pair.N != N:
@@ -459,20 +375,20 @@ def _interpolation_check(data: _ConeFieldData, pair: ExponentPair) -> ConeCheck:
     if p > N or q <= N:
         raise DomainError(f"interpolation needs 1 <= p <= N < q, got p={p}, q={q}")
     a = cone.height
-    lhs = a ** (N - 1) * data.riesz(weighted=False)
-    norm_q = data.norm(q)
+    lhs = a ** (N - 1) * cf.riesz(weighted=False)
+    norm_q = cf.norm(q)
 
     if p < N:
-        norm_p = data.norm(p)
+        norm_p = cf.norm(p)
         coef_a = N if q == INF else (N * (q - 1.0) / (q - N)) ** (1.0 - 1.0 / q)
         coef_b = 1.0 if p == 1.0 else (N * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
         exp_a = 1.0 if q == INF else 1.0 - N / q
         sigma, rhs = two_term_minimize(coef_a * norm_q, coef_b * norm_p,
                                        exp_a, 1.0 - N / p, a)
-        return ConeCheck(field=data.field.label, theta=cone.theta, a=a,
+        return ConeCheck(field=cf.field.label, theta=cone.theta, a=a,
                          check="interp_power", lhs=lhs, rhs=rhs, p=p, q=q, sigma=sigma)
 
-    norm_n = data.norm(float(N))
+    norm_n = cf.norm(float(N))
     if norm_n == 0.0 or norm_q == 0.0:
         rhs, sigma = 0.0, a
     else:
@@ -480,51 +396,8 @@ def _interpolation_check(data: _ConeFieldData, pair: ExponentPair) -> ConeCheck:
         factor = 1.0 if q == INF else q / (q - N)
         rhs = N * factor * norm_n * math.log(math.e * norm_q / (qq * norm_n))
         sigma = a * min((qq * norm_n / norm_q) ** factor, 1.0)
-    return ConeCheck(field=data.field.label, theta=cone.theta, a=a,
+    return ConeCheck(field=cf.field.label, theta=cone.theta, a=a,
                      check="interp_log", lhs=lhs, rhs=rhs, p=p, q=q, sigma=sigma)
-
-
-def verify_pointwise_cone(
-    cone: ConeSpec,
-    field: AnalyticField,
-    rule: QuadratureRule | None = None,
-) -> list[ConeCheck]:
-    """Margins of the two pointwise vertex bounds (weighted and plain kernel).
-
-    The weighted bound is ``|f(x) - f_C| <= int_C |grad f| |y-x|^{1-N}
-    (a^N - |y-x|^N)/N dmu``; the plain variant replaces the weight by its
-    supremum ``a^N/N``.
-    """
-    return _pointwise_checks(_ConeFieldData(cone, field, _rule_for(cone, rule)))
-
-
-def verify_morrey_cone(
-    cone: ConeSpec,
-    field: AnalyticField,
-    p: float,
-    rule: QuadratureRule | None = None,
-) -> ConeCheck:
-    """Margin of ``|f(x) - f_C| <= c(p, N, a) ||grad f||_{p,C}`` for p > N."""
-    return _morrey_check(_ConeFieldData(cone, field, _rule_for(cone, rule)), p)
-
-
-def verify_interpolation_cone(
-    cone: ConeSpec,
-    field: AnalyticField,
-    pair: ExponentPair,
-    rule: QuadratureRule | None = None,
-) -> ConeCheck:
-    """Margin of the interpolated kernel bound for ``1 <= p <= N < q``.
-
-    The left side is ``a^{N-1}`` times the plain kernel integral.  For
-    ``p < N`` the right side replays the two-term split: the q-norm controls
-    the cone up to radius sigma, the p-norm the rest, and the split radius is
-    optimized numerically.  For ``p = N`` the right side is the explicit
-    log-interpolation bound ``N (q/(q-N)) ||grad f||_N
-    log(e ||grad f||_q / (q' ||grad f||_N))`` (its q -> inf limit when
-    q = inf); the reported sigma is the closed-form minimizing radius.
-    """
-    return _interpolation_check(_ConeFieldData(cone, field, _rule_for(cone, rule)), pair)
 
 
 # --------------------------------------------------------------------------
@@ -664,31 +537,16 @@ def default_exponent_grid(N: int) -> tuple[list[float], list[ExponentPair]]:
     return morrey_ps, pairs
 
 
-def run_cone_sweep(
-    dim: int = 2,
-    fields: Sequence[AnalyticField] | None = None,
-    cones: Sequence[ConeSpec] | None = None,
-    morrey_ps: Iterable[float] | None = None,
-    pairs: Iterable[ExponentPair] | None = None,
-    n_radial: int = 48,
-    n_angular: int = 48,
-) -> list[ConeCheck]:
-    """All cone checks over the catalog; norms are cached per (cone, field)."""
-    fields = catalog_fields(dim) if fields is None else list(fields)
-    cones = catalog_cones(dim) if cones is None else list(cones)
-    default_ps, default_pairs = default_exponent_grid(dim)
-    morrey_ps = default_ps if morrey_ps is None else list(morrey_ps)
-    pairs = default_pairs if pairs is None else list(pairs)
-
+def run_cone_sweep(dim: int = 2) -> list[ConeCheck]:
+    """All cone checks over the catalog, one :class:`ConeField` per (cone, field)."""
+    fields = catalog_fields(dim)
+    morrey_ps, pairs = default_exponent_grid(dim)
     checks: list[ConeCheck] = []
-    for cone in cones:
-        rule = QuadratureRule.build(cone, n_radial, n_angular)
-        samples = cone_samples(cone)
+    for cone in catalog_cones(dim):
+        rule = QuadratureRule.build(cone)
         for field in fields:
-            data = _ConeFieldData(cone, field, rule, samples=samples)
-            checks.extend(_pointwise_checks(data))
-            for p in morrey_ps:
-                checks.append(_morrey_check(data, p))
-            for pair in pairs:
-                checks.append(_interpolation_check(data, pair))
+            cf = ConeField(rule, field)
+            checks.extend(verify_pointwise_cone(cf))
+            checks.extend(verify_morrey_cone(cf, p) for p in morrey_ps)
+            checks.extend(verify_interpolation_cone(cf, pair) for pair in pairs)
     return checks

@@ -264,33 +264,6 @@ def morrey_domain_constant(p: float, N: int, theta: float) -> float:
 # two-term minimization
 # --------------------------------------------------------------------------
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 220) -> float:
-    """Golden-section minimizer for a scalar convex function on [lo, hi].
-
-    Stops once the bracket stops shrinking, where a new probe would land on
-    the probe it keeps or outside the bracket, and after ``iters`` steps at
-    the latest (a bracket ending at 0 would shrink through the denormals).
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            probe = x2 - inv_phi * (x2 - lo)
-            if not lo < probe < x1:
-                break
-            hi, x2, f2 = x2, x1, f1
-            x1, f1 = probe, fun(probe)
-        else:
-            probe = x1 + inv_phi * (hi - x1)
-            if not x2 < probe < hi:
-                break
-            lo, x1, f1 = x1, x2, f2
-            x2, f2 = probe, fun(probe)
-    return x1 if f1 <= f2 else x2
-
-
 def two_term_minimize(
     A: float,
     B: float,
@@ -304,10 +277,10 @@ def two_term_minimize(
     Power mode minimizes ``A (sigma/a)^{expA} + B (sigma/a)^{expB}`` over
     ``sigma in (0, a]`` and needs ``expA > 0 > expB``.  Log mode minimizes
     ``A (sigma/a)^{expA} + B log(a/sigma)`` over ``sigma in (0, a/e]``
-    (``expB`` is ignored).  Minimization runs on the objective itself —
-    golden-section in log(sigma), which is exact-friendly because both
-    objectives are convex there — so boundary exponents such as p = 1 need
-    no special-casing.
+    (``expB`` is ignored).  In ``t = log(sigma/a)`` both objectives are
+    convex with a single critical point ``t_crit``, so the minimizer is
+    ``min(t_crit, t_hi)`` for the right end ``t_hi`` of the range, and
+    boundary exponents such as p = 1 need no special-casing.
 
     Returns ``(sigma_star, bound)``.  Degenerate coefficients follow the
     fixed conventions: both zero -> ``(a, 0)``; ``B = 0`` -> the infimum 0
@@ -327,20 +300,11 @@ def two_term_minimize(
     if log_variant:
         if not expA > 0.0:
             raise DomainError(f"log mode needs expA > 0, got {expA}")
-        t_hi = -1.0  # sigma <= a/e
         if A == 0.0:
             return a / math.e, B  # B log(a/sigma) is decreasing in sigma
-
-        def objective(t: float) -> float:
-            return A * math.exp(expA * t) - B * t
-
-        # interior critical point exp(expA t) = B/(A expA)
-        t_crit = math.log(B / (A * expA)) / expA
-        t_lo = min(t_hi - 40.0, t_crit - 2.0)
-        t_star = min(_golden_min(objective, t_lo, t_hi), t_hi)
-        candidates = [min(t_crit, t_hi), t_hi, t_star]
-        best = min(candidates, key=objective)
-        return a * math.exp(best), objective(best)
+        # critical point exp(expA t) = B/(A expA); sigma <= a/e is t <= -1
+        t = min(math.log(B / (A * expA)) / expA, -1.0)
+        return a * math.exp(t), A * math.exp(expA * t) - B * t
 
     if not (expA > 0.0 and expB < 0.0):
         raise DomainError(
@@ -348,16 +312,8 @@ def two_term_minimize(
         )
     if A == 0.0:
         return a, B  # decreasing objective, boundary minimum at sigma = a
-
-    def objective(t: float) -> float:
-        return A * math.exp(expA * t) + B * math.exp(expB * t)
-
-    t_crit = math.log(B * (-expB) / (A * expA)) / (expA - expB)
-    t_lo = min(-45.0, t_crit - 2.0)
-    t_star = _golden_min(objective, t_lo, 0.0)
-    candidates = [min(t_crit, 0.0), 0.0, t_star]
-    best = min(candidates, key=objective)
-    return a * math.exp(best), objective(best)
+    t = min(math.log(B * (-expB) / (A * expA)) / (expA - expB), 0.0)
+    return a * math.exp(t), A * math.exp(expA * t) + B * math.exp(expB * t)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import _golden_min
 from .errors import DomainError
 
 Array = np.ndarray
@@ -104,7 +103,10 @@ class StarDomain2D:
 
         The radial function ``a b / sqrt(b^2 cos^2 + a^2 sin^2)`` is analytic,
         so its Fourier series converges geometrically; ``n_modes = 64`` already
-        reaches machine precision for the aspect ratios used here.
+        reaches machine precision for the aspect ratios used here.  It is
+        even and pi-periodic, so the sine and odd cosine coefficients are
+        exactly 0 (the FFT leaves rounding noise there), and the kernel skips
+        the odd modes.
         """
         if a <= 0 or b <= 0:
             raise DomainError(f"semi-axes must be positive, got a={a}, b={b}")
@@ -114,11 +116,10 @@ class StarDomain2D:
         spec = np.fft.rfft(r) / n
         k_max = min(n_modes, spec.size - 1)
         cos_c = 2.0 * spec[1:k_max + 1].real
-        sin_c = -2.0 * spec[1:k_max + 1].imag
+        cos_c[::2] = 0.0  # k = 1, 3, 5, ...
         return StarDomain2D(
             c0=float(spec[0].real),
             cos_coeffs=tuple(cos_c),
-            sin_coeffs=tuple(sin_c),
             label=f"ellipse(a={a:g},b={b:g})",
         )
 
@@ -274,11 +275,46 @@ def perimeter(domain: StarDomain2D, m: int = 4096) -> float:
     return float(np.sum(np.sqrt(r * r + r1 * r1))) * (2.0 * math.pi / m)
 
 
+_GOLDEN_CAP = 200  # golden-section steps, a guard: the stopping rules end sooner
+# 4 pi eps: a bracket this narrow holds about three doubles near 2 pi
+_ANGLE_RESOLUTION = 4.0 * math.pi * float(np.finfo(float).eps)
+
+
+def _golden_min(fun, lo: float, hi: float) -> float:
+    """Golden-section minimizer for a scalar unimodal function on [lo, hi].
+
+    Stops once the bracket is no wider than ``_ANGLE_RESOLUTION``, or once
+    it stops shrinking, where a new probe would land on the probe it keeps
+    or outside the bracket.  Without the first rule, a bracket ending at 0
+    would shrink through the denormals.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(_GOLDEN_CAP):
+        if hi - lo <= _ANGLE_RESOLUTION:
+            break
+        if f1 <= f2:
+            probe = x2 - inv_phi * (x2 - lo)
+            if not lo < probe < x1:
+                break
+            hi, x2, f2 = x2, x1, f1
+            x1, f1 = probe, fun(probe)
+        else:
+            probe = x1 + inv_phi * (hi - x1)
+            if not x2 < probe < hi:
+                break
+            lo, x1, f1 = x1, x2, f2
+            x2, f2 = probe, fun(probe)
+    return x1 if f1 <= f2 else x2
+
+
 def _refine_extremum(fun, grid: Array, values: Array, j: int) -> float:
     """Golden-section refinement of a discrete minimum on a periodic grid."""
     step = grid[1] - grid[0] if grid.size > 1 else 2.0 * math.pi
     lo, hi = grid[j] - step, grid[j] + step
-    t = _golden_min(lambda x: float(fun(x)), lo, hi, iters=90)
+    t = _golden_min(lambda x: float(fun(x)), lo, hi)
     return min(float(fun(t)), float(values[j]))
 
 

@@ -17,7 +17,8 @@ import pytest
 from scipy import integrate
 
 from oscbound.cli import main
-from oscbound.cones import catalog_cones, catalog_fields, riesz_potential, run_cone_sweep
+from oscbound.cones import (ConeField, QuadratureRule, catalog_cones,
+                            catalog_fields, run_cone_sweep)
 from oscbound.constants import (
     INF,
     ExponentPair,
@@ -127,9 +128,10 @@ def test_criterion_02_riesz_closed_forms():
         m = float(np.linalg.norm(field.gradient(np.zeros((1, dim)))[0]))
         for cone in catalog_cones(dim):
             a, N = cone.height, dim
-            worst = max(worst, rel(riesz_potential(cone, field, weighted=False),
+            cf = ConeField(QuadratureRule.build(cone), field)
+            worst = max(worst, rel(cf.riesz(weighted=False),
                                    m * N / a ** (N - 1)))
-            worst = max(worst, rel(riesz_potential(cone, field, weighted=True),
+            worst = max(worst, rel(cf.riesz(weighted=True),
                                    m * a * N / (N + 1.0)))
     elapsed = time.perf_counter() - t0
     accept(2, worst <= 1e-8 and elapsed < 1.0,

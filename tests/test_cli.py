@@ -29,6 +29,9 @@ RECORD_HEADER = ("family,k,eps,curvature_flatness,radius_gap,gauss_deviation,"
                  "residual_divergence,residual_fundamental,residual_mp,"
                  "h,status,detail")
 
+# a records CSV whose second line is not UTF-8
+NON_UTF8_RECORDS = b"family,k,eps\n\xff\xfe,2,0.1\n"
+
 TEST_EPS = "0.05,0.1,0.15,0.2"
 
 
@@ -383,6 +386,14 @@ class TestStabilityCommands:
         assert err.startswith(f"error: {path}, line {line}: ")
         assert message in err
 
+    def test_report_non_utf8_csv_names_the_file(self, tmp_path, capsys):
+        # an unreadable input is an infrastructure error, and says which
+        path = tmp_path / "sbt_records.csv"
+        path.write_bytes(NON_UTF8_RECORDS)
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
 
 # --------------------------------------------------------------------------
 # argparse surface
@@ -510,6 +521,7 @@ class TestExitCodeContract:
 
     @settings(max_examples=150, deadline=None)
     @given(sbt=RECORDS_FILES, serrin=st.none() | RECORDS_FILES)
+    @example(sbt=NON_UTF8_RECORDS, serrin=None)
     def test_records_csvs(self, sbt, serrin):
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in (("sbt", sbt), ("serrin", serrin)):

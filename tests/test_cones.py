@@ -24,25 +24,22 @@ import oscbound
 from oscbound import (
     INF,
     AnalyticField,
+    ConeField,
     ConeSpec,
     ExponentPair,
     QuadratureRule,
     catalog_cones,
     catalog_fields,
-    cone_average,
     cone_measure,
     cone_samples,
     default_exponent_grid,
-    lp_norm_cone,
-    riesz_potential,
     run_cone_sweep,
-    scale_field,
     verify_interpolation_cone,
     verify_morrey_cone,
     verify_pointwise_cone,
 )
 from oscbound.cones import _halton
-from oscbound.errors import DomainError, GeometryError
+from oscbound.errors import DomainError
 
 
 def rel_err(got: float, want: float) -> float:
@@ -56,6 +53,10 @@ def make_cone(dim=2, theta=math.pi / 4, a=1.0, vertex=None, axis=None) -> ConeSp
         axis = [1.0, 2.0, -1.0][:dim]
     return ConeSpec(vertex=np.array(vertex, dtype=float),
                     axis=np.array(axis, dtype=float), theta=theta, height=a)
+
+
+def on_cone(cone: ConeSpec, field: AnalyticField) -> ConeField:
+    return ConeField(QuadratureRule.build(cone), field)
 
 
 # --------------------------------------------------------------------------
@@ -154,15 +155,6 @@ def test_rule_angular_moment_exactness_3d():
     assert rel_err(got, want) < 1e-13
 
 
-def test_rule_for_other_cone_rejected():
-    cone = make_cone(2)
-    other = make_cone(2, a=2.0)
-    rule = QuadratureRule.build(other)
-    field = field_by_label("quad_radial")
-    with pytest.raises(DomainError):
-        riesz_potential(cone, field, rule=rule)
-
-
 def test_halton_samples_fill_cone():
     for dim in (2, 3):
         cone = make_cone(dim, theta=0.6, a=1.2)
@@ -227,8 +219,8 @@ def test_riesz_constant_gradient_closed_forms(dim):
     m = float(np.linalg.norm(field.gradient(np.zeros((1, dim)))[0]))
     for cone in catalog_cones(dim):
         a, N = cone.height, dim
-        plain = riesz_potential(cone, field, weighted=False)
-        weighted = riesz_potential(cone, field, weighted=True)
+        cf = on_cone(cone, field)
+        plain, weighted = cf.riesz(weighted=False), cf.riesz(weighted=True)
         assert rel_err(plain, m * N / a ** (N - 1)) < 1e-8
         assert rel_err(weighted, m * a * N / (N + 1)) < 1e-8
 
@@ -240,7 +232,7 @@ def test_riesz_matches_adaptive_quadrature():
     for label in ("exp_inner", "runge"):
         field = field_by_label(label)
         for weighted in (False, True):
-            got = riesz_potential(cone, field, weighted=weighted)
+            got = on_cone(cone, field).riesz(weighted=weighted)
             want = riesz_oracle_2d(cone, field.gradient_magnitude, weighted)
             assert rel_err(got, want) < 1e-9, (label, weighted)
 
@@ -250,20 +242,15 @@ def test_riesz_kinked_magnitude_still_converges_algebraically():
     # still gets ~6 digits, which is ample slack for margin checks
     cone = make_cone(2, theta=0.55, a=1.1)
     field = field_by_label("gauss_shift")
-    got = riesz_potential(cone, field, weighted=False)
+    got = on_cone(cone, field).riesz(weighted=False)
     want = riesz_oracle_2d(cone, field.gradient_magnitude, False)
     assert rel_err(got, want) < 1e-5
 
 
 def test_riesz_doubling_convergence_check():
-    cone = make_cone(2)
-    for label in ("gauss_origin", "exp_inner", "runge"):
-        field = field_by_label(label)
-        riesz_potential(cone, field, weighted=True, check=True)
-        riesz_potential(cone, field, weighted=False, check=True)
-
-
-def test_riesz_convergence_check_flags_rough_field():
+    # the 48 x 48 rule of the sweep agrees with the 96 x 96 rule to 1e-8 on
+    # smooth gradient magnitudes, and the same comparison flags a field whose
+    # gradient jumps inside the cone
     cone = make_cone(2)
     e0 = np.array([1.0, 0.0])
     rough = AnalyticField(
@@ -271,8 +258,18 @@ def test_riesz_convergence_check_flags_rough_field():
         lambda y: np.where(y[:, 0] > 0.55, 2.0, 1.0) * y[:, 0],
         lambda y: np.where(y[:, 0] > 0.55, 2.0, 1.0)[:, None] * e0,
     )
-    with pytest.raises(GeometryError):
-        riesz_potential(cone, rough, check=True)
+    fields = [field_by_label(label) for label in
+              ("gauss_origin", "exp_inner", "runge")] + [rough]
+    coarse_rule = QuadratureRule.build(cone, 48, 48)
+    fine_rule = QuadratureRule.build(cone, 96, 96)
+    for field in fields:
+        coarse, fine = ConeField(coarse_rule, field), ConeField(fine_rule, field)
+        for weighted in (False, True):
+            drift = rel_err(coarse.riesz(weighted), fine.riesz(weighted))
+            if field is rough:
+                assert drift > 1e-8, weighted
+            else:
+                assert drift <= 1e-8, (field.label, weighted)
 
 
 def test_cone_average_linear_field_angular_means():
@@ -290,13 +287,13 @@ def test_cone_average_linear_field_angular_means():
             ang = math.sin(theta) / theta if dim == 2 else (1.0 + math.cos(theta)) / 2.0
             want = float(cone.vertex @ v) + np.linalg.norm(v) * (
                 cone.height * dim / (dim + 1)) * ang
-            assert rel_err(cone_average(cone, field), want) < 1e-12
+            assert rel_err(on_cone(cone, field).average(), want) < 1e-12
 
 
 def test_cone_average_matches_adaptive_quadrature():
     cone = make_cone(2, theta=1.1, a=0.9)
     field = field_by_label("runge")
-    got = cone_average(cone, field)
+    got = on_cone(cone, field).average()
     want = average_oracle_2d(cone, field.value)
     assert rel_err(got, want) < 1e-10
 
@@ -307,45 +304,50 @@ def test_cone_average_matches_adaptive_quadrature():
 
 def test_lp_norm_constant_vector_field():
     cone = make_cone(2, theta=0.7, a=1.3)
-    const = lambda y: np.tile(np.array([0.6, -0.8]), (y.shape[0], 1))
+    v = np.array([0.6, -0.8])
+    const = AnalyticField("unit_slope", lambda y: y @ v,
+                          lambda y: np.tile(v, (y.shape[0], 1)))
+    cf = on_cone(cone, const)
     for p in (1.0, 2.0, 3.5, INF):
-        assert rel_err(lp_norm_cone(cone, const, p), 1.0) < 1e-12
+        assert rel_err(cf.norm(p), 1.0) < 1e-12
+
+
+def radial_field(cone: ConeSpec) -> AnalyticField:
+    """|y - x|^2 / 2, whose gradient y - x has magnitude |y - x|."""
+    return AnalyticField("radial",
+                         lambda y: 0.5 * np.sum((y - cone.vertex) ** 2, axis=1),
+                         lambda y: y - cone.vertex)
 
 
 def test_lp_norm_radial_vector_field():
     # |V(y)| = |y - x| on a cone of height 1: ||V||_p = (N/(N+p))^{1/p}, sup = 1
     for dim in (2, 3):
         cone = make_cone(dim, theta=math.pi / 4, a=1.0)
-        radial = lambda y, c=cone: y - c.vertex
+        cf = on_cone(cone, radial_field(cone))
         for p in (1.0, 2.0, 4.0):
             want = (dim / (dim + p)) ** (1.0 / p)
-            assert rel_err(lp_norm_cone(cone, radial, p), want) < 1e-12
-        assert rel_err(lp_norm_cone(cone, radial, INF), 1.0) < 1e-12
+            assert rel_err(cf.norm(p), want) < 1e-12
+        assert rel_err(cf.norm(INF), 1.0) < 1e-12
 
 
 def test_lp_norm_square_example():
     cone = make_cone(2, theta=math.pi / 4, a=1.0)
-    radial = lambda y: y - cone.vertex
-    assert rel_err(lp_norm_cone(cone, radial, 2.0), math.sqrt(0.5)) < 1e-12
+    assert rel_err(on_cone(cone, radial_field(cone)).norm(2.0),
+                   math.sqrt(0.5)) < 1e-12
 
 
 def test_lp_norm_accepts_analytic_field_gradient():
     cone = make_cone(2)
     field = field_by_label("affine_mix")
     m = float(np.linalg.norm(field.gradient(np.zeros((1, 2)))[0]))
-    assert rel_err(lp_norm_cone(cone, field, 2.0), m) < 1e-12
-
-
-def test_lp_norm_scalar_callable():
-    cone = make_cone(2, a=1.0)
-    scalar = lambda y: np.linalg.norm(y - cone.vertex, axis=1)
-    assert rel_err(lp_norm_cone(cone, scalar, 2.0), math.sqrt(0.5)) < 1e-12
+    assert rel_err(on_cone(cone, field).norm(2.0), m) < 1e-12
 
 
 def test_lp_norm_rejects_bad_exponent():
-    cone = make_cone(2)
-    with pytest.raises(DomainError):
-        lp_norm_cone(cone, lambda y: y, 0.5)
+    cf = on_cone(make_cone(2), field_by_label("affine_mix"))
+    for p in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            cf.norm(p)
 
 
 # --------------------------------------------------------------------------
@@ -358,11 +360,12 @@ def test_equality_witness_distance_field(dim):
     # so the weighted bound and the sup-norm cone bound are both equalities.
     cone = make_cone(dim, theta=0.6, a=1.2, vertex=[0.0] * dim)
     field = field_by_label("dist_origin", dim)
-    weighted, plain = verify_pointwise_cone(cone, field)
+    cf = on_cone(cone, field)
+    weighted, plain = verify_pointwise_cone(cf)
     assert weighted.check == "pointwise_weighted"
     assert abs(weighted.margin) < 1e-10
     assert plain.margin > 0.1  # strictly lossy: a^N/N overestimates the weight
-    sup = verify_morrey_cone(cone, field, INF)
+    sup = verify_morrey_cone(cf, INF)
     assert abs(sup.margin) < 1e-10
     assert rel_err(weighted.lhs, cone.height * dim / (dim + 1)) < 1e-12
 
@@ -374,7 +377,8 @@ def test_equality_witness_affine_log_interpolation():
     for dim in (2, 3):
         cone = make_cone(dim, theta=math.pi / 4, a=1.5)
         field = field_by_label("affine_mix", dim)
-        chk = verify_interpolation_cone(cone, field, ExponentPair(float(dim), INF, dim))
+        chk = verify_interpolation_cone(on_cone(cone, field),
+                                        ExponentPair(float(dim), INF, dim))
         assert chk.check == "interp_log"
         assert abs(chk.margin) < 1e-9 * max(chk.lhs, 1.0)
 
@@ -382,7 +386,7 @@ def test_equality_witness_affine_log_interpolation():
 def test_pointwise_weighted_never_beats_plain():
     cone = make_cone(2, theta=0.5, a=1.0)
     for field in catalog_fields(2)[:8]:
-        weighted, plain = verify_pointwise_cone(cone, field)
+        weighted, plain = verify_pointwise_cone(on_cone(cone, field))
         assert weighted.rhs <= plain.rhs * (1.0 + 1e-12)
         assert weighted.lhs == plain.lhs
 
@@ -391,46 +395,48 @@ def test_margins_scale_linearly_with_field():
     cone = make_cone(2, theta=0.8, a=1.2)
     field = field_by_label("sincos_prod")
     lam = 3.7
-    scaled = scale_field(field, lam)
-    w1, p1 = verify_pointwise_cone(cone, field)
-    w2, p2 = verify_pointwise_cone(cone, scaled)
+    scaled = AnalyticField(f"{field.label}*{lam:g}",
+                           lambda y: lam * field.value(y),
+                           lambda y: lam * field.gradient(y))
+    rule = QuadratureRule.build(cone)
+    cf1, cf2 = ConeField(rule, field), ConeField(rule, scaled)
+    w1, p1 = verify_pointwise_cone(cf1)
+    w2, p2 = verify_pointwise_cone(cf2)
     assert rel_err(w2.margin, lam * w1.margin) < 1e-9
     assert rel_err(p2.margin, lam * p1.margin) < 1e-9
-    m1 = verify_morrey_cone(cone, field, 5.0)
-    m2 = verify_morrey_cone(cone, scaled, 5.0)
+    m1 = verify_morrey_cone(cf1, 5.0)
+    m2 = verify_morrey_cone(cf2, 5.0)
     assert rel_err(m2.margin, lam * m1.margin) < 1e-9
     for pair in (ExponentPair(1.0, 4.0, 2), ExponentPair(2.0, 6.0, 2)):
-        c1 = verify_interpolation_cone(cone, field, pair)
-        c2 = verify_interpolation_cone(cone, scaled, pair)
+        c1 = verify_interpolation_cone(cf1, pair)
+        c2 = verify_interpolation_cone(cf2, pair)
         assert rel_err(c2.margin, lam * c1.margin) < 1e-8
 
 
 def test_interpolation_sigma_in_range():
     cone = make_cone(2, a=1.4)
-    field = field_by_label("gauss_origin")
+    cf = on_cone(cone, field_by_label("gauss_origin"))
     for pair in (ExponentPair(1.0, 3.0, 2), ExponentPair(1.5, INF, 2),
                  ExponentPair(2.0, 4.0, 2), ExponentPair(2.0, INF, 2)):
-        chk = verify_interpolation_cone(cone, field, pair)
+        chk = verify_interpolation_cone(cf, pair)
         assert chk.sigma is not None
         assert 0.0 < chk.sigma <= cone.height + 1e-12
 
 
 def test_interpolation_rejects_bad_exponents():
-    cone = make_cone(2)
-    field = field_by_label("quad_radial")
+    cf = on_cone(make_cone(2), field_by_label("quad_radial"))
     with pytest.raises(DomainError):
-        verify_interpolation_cone(cone, field, ExponentPair(2.5, 3.0, 2))
+        verify_interpolation_cone(cf, ExponentPair(2.5, 3.0, 2))
     with pytest.raises(DomainError):
-        verify_interpolation_cone(cone, field, ExponentPair(1.0, 2.0, 2))
+        verify_interpolation_cone(cf, ExponentPair(1.0, 2.0, 2))
     with pytest.raises(DomainError):
-        verify_interpolation_cone(cone, field, ExponentPair(1.0, 4.0, 3))
+        verify_interpolation_cone(cf, ExponentPair(1.0, 4.0, 3))
 
 
 def test_morrey_rejects_p_not_above_dim():
-    cone = make_cone(2)
-    field = field_by_label("quad_radial")
+    cf = on_cone(make_cone(2), field_by_label("quad_radial"))
     with pytest.raises(DomainError):
-        verify_morrey_cone(cone, field, 2.0)
+        verify_morrey_cone(cf, 2.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -447,11 +453,12 @@ def test_random_quadratic_fields_obey_all_bounds(c0, c1, a00, a01, a11):
         lambda y: y @ c + np.sum((y @ A) * y, axis=1),
         lambda y: c + 2.0 * (y @ A),
     )
-    for chk in verify_pointwise_cone(cone, field):
+    cf = on_cone(cone, field)
+    for chk in verify_pointwise_cone(cf):
         assert chk.ok()
-    assert verify_morrey_cone(cone, field, 3.0).ok()
-    assert verify_interpolation_cone(cone, field, ExponentPair(1.0, INF, 2)).ok()
-    assert verify_interpolation_cone(cone, field, ExponentPair(2.0, 4.0, 2)).ok()
+    assert verify_morrey_cone(cf, 3.0).ok()
+    assert verify_interpolation_cone(cf, ExponentPair(1.0, INF, 2)).ok()
+    assert verify_interpolation_cone(cf, ExponentPair(2.0, 4.0, 2)).ok()
 
 
 # --------------------------------------------------------------------------
@@ -482,7 +489,15 @@ def test_sweep_3d_smoke():
                "dist_origin", "runge")]
     cones = [make_cone(3, theta=math.pi / 8, a=0.5),
              make_cone(3, theta=math.pi / 2, a=2.0)]
-    checks = run_cone_sweep(dim=3, fields=fields, cones=cones,
-                            n_radial=32, n_angular=32)
+    morrey_ps, pairs = default_exponent_grid(3)
+    checks = []
+    for cone in cones:
+        rule = QuadratureRule.build(cone, 32, 32)
+        for field in fields:
+            cf = ConeField(rule, field)
+            checks.extend(verify_pointwise_cone(cf))
+            checks.extend(verify_morrey_cone(cf, p) for p in morrey_ps)
+            checks.extend(verify_interpolation_cone(cf, pair) for pair in pairs)
+    assert len(checks) == len(cones) * len(fields) * (2 + len(morrey_ps) + len(pairs))
     bad = [chk for chk in checks if not chk.ok(1e-9)]
     assert not bad, f"worst margin {min(c.margin for c in checks):.3e}"

@@ -35,11 +35,7 @@ from oscbound import (
     unit_ball_volume,
     weighted_poincare_structural_constant,
 )
-from oscbound.constants import (
-    _golden_min,
-    far_field_coefficient,
-    near_field_coefficient,
-)
+from oscbound.constants import far_field_coefficient, near_field_coefficient
 
 
 def rel_err(got: float, want: float) -> float:
@@ -307,18 +303,6 @@ def test_two_term_rejects_bad_exponents():
         two_term_minimize(1.0, 1.0, 0.5, 0.5, 1.0)
     with pytest.raises(DomainError):
         two_term_minimize(1.0, 1.0, 0.5, -0.5, 0.0)
-
-
-def test_golden_min_stops_when_the_bracket_stops_shrinking():
-    probes = []
-
-    def parabola(x):
-        probes.append(x)
-        return (x - 0.3) ** 2
-
-    assert abs(_golden_min(parabola, 0.0, 1.0) - 0.3) < 1e-15
-    # each probe is new, and the search ends well before its 220-step cap
-    assert len(probes) == len(set(probes)) < 100
 
 
 # --------------------------------------------------------------------------

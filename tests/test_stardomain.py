@@ -21,6 +21,7 @@ from oscbound.stardomain import (
     H0_and_R,
     _ball_table,
     _boundary_arrays,
+    _golden_min,
     _tangent_ball,
     area,
     ball_radii,
@@ -64,6 +65,21 @@ def test_ellipse_fourier_truncation_is_machine_exact():
     phi = np.linspace(0.0, 2.0 * math.pi, 1237, endpoint=False)
     exact = ELLIPSE_A * ELLIPSE_B / np.sqrt(
         (ELLIPSE_B * np.cos(phi)) ** 2 + (ELLIPSE_A * np.sin(phi)) ** 2)
+    assert float(np.max(np.abs(dom.radial(phi) - exact))) < 1e-12
+
+
+@pytest.mark.parametrize("a, b, n_modes", [(ELLIPSE_A, ELLIPSE_B, 64),
+                                           (1.2, 1.0 / 1.2, 32)])
+def test_ellipse_odd_and_sine_coefficients_are_exact_zeros(a, b, n_modes):
+    # r is even and pi-periodic, so only the even cosine modes are nonzero
+    # and the kernel runs on the even rows alone
+    dom = StarDomain2D.ellipse(a, b, n_modes=n_modes)
+    assert dom.cos_coeffs[::2] == (0.0,) * (n_modes // 2)
+    assert not any(dom.sin_coeffs)
+    assert all(c != 0.0 for c in dom.cos_coeffs[1::2])
+    assert dom._series.shape[0] == 3
+    phi = np.linspace(0.0, 2.0 * math.pi, 1237, endpoint=False)
+    exact = a * b / np.sqrt((b * np.cos(phi)) ** 2 + (a * np.sin(phi)) ** 2)
     assert float(np.max(np.abs(dom.radial(phi) - exact))) < 1e-12
 
 
@@ -636,6 +652,69 @@ def _inradius_reference(dom: StarDomain2D, n: int = 65536) -> float:
 ], ids=["peanut", "asymmetric", "three-contact"])
 def test_inradius_matches_brute_force(dom):
     assert abs(inradius(dom) - _inradius_reference(dom)) < 1e-9
+
+
+def test_golden_min_stops_when_the_bracket_stops_shrinking():
+    probes = []
+
+    def parabola(x):
+        probes.append(x)
+        return (x - 0.3) ** 2
+
+    assert abs(_golden_min(parabola, 0.0, 1.0) - 0.3) < 1e-15
+    # each probe is new, and the search ends well before its step cap
+    assert len(probes) == len(set(probes)) < 100
+
+
+def test_golden_min_stops_at_the_angle_resolution():
+    # a minimum at 0 would let the bracket shrink through the denormals
+    probes = []
+
+    def parabola(x):
+        probes.append(x)
+        return x * x
+
+    assert abs(_golden_min(parabola, -1.0, 0.0)) < 1e-14
+    assert len(probes) < 80
+
+
+# star_radius, r_i, r_e, inradius and rho_bounds(dom, 0) from the golden
+# search that ran to a 90-step cap, to which the angle-resolution stop must
+# stay within 1e-15.  The ellipse's r_i is the value after its odd and sine
+# coefficients became exact zeros, which moved it by 6.9e-15 (toward the
+# closed form b^2 / a).
+_GEOMETRY_REFERENCE = [
+    (StarDomain2D.circle(1.0),
+     (1.0, 1.0, 2.0, 1.0, 0.9999999999999999, 1.0)),
+    (StarDomain2D.ellipse(1.2, 1 / 1.2),
+     (0.8333333333333334, 0.5787037037036827, 2.4000000000000004,
+      0.8333333333333335, 0.8333333333333335, 1.2000000000000002)),
+    (StarDomain2D.cosine(0.1, 2),
+     (0.9, 0.8066666666666666, 2.2, 0.9, 0.9, 1.1)),
+    (StarDomain2D.cosine(0.1, 3),
+     (0.8999999999999999, 0.605, 2.0714627957232823, 0.9, 0.9, 1.1)),
+    (rotated(StarDomain2D.cosine(0.15, 5), 0.3),
+     (0.7569996270372054, 0.26989795918367343, 0.24913793103448265,
+      0.8499999999999988, 0.85, 1.15)),
+    (StarDomain2D.cosine(0.6, 2),
+     (0.3001109251069126, 0.4, 0.08000000000000003, 0.7111111111111112,
+      0.4, 1.6)),
+    (_mixed(0.3),
+     (0.45368626146149443, 0.5412256104240895, 0.15125, 0.7000000000000001,
+      0.5499999999999999, 1.3659564810057327)),
+    (_asymmetric(),
+     (0.7655200626502817, 0.6149244706189014, 1.379518578653075,
+      0.8035529061186943, 0.7655200626502818, 1.2973050703205875)),
+]
+
+
+@pytest.mark.parametrize("dom, want", _GEOMETRY_REFERENCE,
+                         ids=[d.label for d, _ in _GEOMETRY_REFERENCE])
+def test_golden_refinements_keep_their_values(dom, want):
+    got = (star_radius(dom), *ball_radii(dom), inradius(dom),
+           *rho_bounds(dom, np.zeros(2)))
+    for g, w in zip(got, want):
+        assert rel_err(g, w) <= 1e-15
 
 
 # --------------------------------------------------------------------------
