@@ -109,7 +109,13 @@ class RunConfig:
 
     @property
     def effective_jobs(self) -> int:
-        return self.jobs if self.jobs >= 1 else (os.cpu_count() or 1)
+        """``jobs``, or for 0 the CPUs this process may run on (its affinity
+        mask under taskset or a cgroup CPU set, not every host CPU)."""
+        if self.jobs >= 1:
+            return self.jobs
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 def _parse_bool(text: str) -> bool:
@@ -142,7 +148,9 @@ def _parse_eps(text: str) -> tuple[float, ...]:
     parts = [part.strip() for part in text.split(",")]
     if not any(parts):
         raise ConfigError("eps list is empty")
-    return tuple(_parse_float(part) for part in parts if part)
+    if not all(parts):
+        raise ConfigError(f"eps list has an empty entry: {text.strip()!r}")
+    return tuple(_parse_float(part) for part in parts)
 
 
 def _parse_family(text: str) -> str:

@@ -385,7 +385,11 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
     sol = spsolve(A, rhs)
     if not np.all(np.isfinite(sol)):
         raise GeometryError("linear solver returned non-finite values")
-    residual = float(np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs))
+    # the relative 2-norm by pairwise np.sum: np.linalg.norm's BLAS ddot wakes
+    # the OpenBLAS thread pool, whose helper then spins on a core that a
+    # sibling pool worker needs
+    r = A @ sol - rhs
+    residual = math.sqrt(float(np.sum(r * r)) / float(np.sum(rhs * rhs)))
 
     values = np.full((ny, nx), np.nan)
     values[ii, jj] = sol

@@ -110,6 +110,19 @@ class TestParseConfig:
         assert parse_config("constants").effective_jobs >= 1
         assert RunConfig(command="x", jobs=3).effective_jobs == 3
 
+    def test_effective_jobs_counts_the_cpus_this_process_may_use(
+            self, monkeypatch):
+        # pinned to one CPU (taskset, cgroup CPU set): one worker, whatever
+        # the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert RunConfig(command="x").effective_jobs == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert RunConfig(command="x").effective_jobs == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert RunConfig(command="x").effective_jobs == 1
+
     @pytest.mark.parametrize("line", [
         "familyy = ellipse",          # unknown key
         "family = square",            # unknown family
@@ -118,6 +131,8 @@ class TestParseConfig:
         "eps = 0.2, 0.1",             # not ascending
         "eps = -0.1, 0.2",            # not positive
         "eps = nan",                  # NaN rejected
+        "eps = 0.1,,0.2",             # empty entry inside
+        "eps = 0.1, 0.2,",            # trailing empty entry
         "k = 0",                      # below 1
         "k = 2.5",                    # not an integer
         "normalize_area = maybe",     # not a boolean

@@ -18,7 +18,11 @@ whole pipeline reproduces exactly in floating point.
 """
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -475,3 +479,50 @@ class TestLazyGeometry:
         assert identities.ball_radii is stardomain.ball_radii
         assert callable(torsion.spsolve)
         assert "spsolve" in torsion.solve_torsion.__code__.co_names
+
+
+# --------------------------------------------------------------------------
+# no BLAS thread pool wakes on the member path
+# --------------------------------------------------------------------------
+
+_HELPER_CPU_SCRIPT = """
+import json, os, threading, time
+from oscbound.identities import build_pipeline_data, run_domain_checks
+from oscbound.stability import FamilySpec, build_family_domain
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                stat = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:
+            continue
+        out[int(tid)] = int(stat[11]) + int(stat[12])   # utime + stime
+    return out
+
+domain = build_family_domain(FamilySpec(kind="ellipse"), 0.1)
+before = ticks()
+run_domain_checks(build_pipeline_data(domain, 1.0 / 64.0))
+time.sleep(0.3)
+after = ticks()
+main = threading.get_native_id()
+print(json.dumps({str(tid): after[tid] - before[tid]
+                  for tid in before if tid in after and tid != main}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread CPU times from /proc")
+def test_member_path_leaves_helper_threads_idle():
+    # a woken OpenBLAS pool spins on the core that a sibling pool worker of
+    # run_family needs; the threads numpy and scipy start at import must
+    # stay idle through one member and its check battery
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _HELPER_CPU_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    gained = json.loads(done.stdout.splitlines()[-1])
+    helper_s = sum(gained.values()) / os.sysconf("SC_CLK_TCK")
+    assert helper_s < 0.030, gained

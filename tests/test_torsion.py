@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from oscbound import DomainError, GeometryError
+from oscbound import DomainError, GeometryError, torsion
 from oscbound.stability import FamilySpec, build_family_domain
 from oscbound.stardomain import StarDomain2D, area, delta_gamma, rotated
 from oscbound.torsion import (
@@ -395,6 +395,28 @@ def test_exact_ellipse_torsion_is_consistent():
     assert abs(float(np.trace(H[0])) - 2.0) < 1e-14
     with pytest.raises(DomainError):
         exact_ellipse_torsion(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("domain", [
+    StarDomain2D.circle(1.0),
+    StarDomain2D.ellipse(1.2, 1.0 / 1.2),
+], ids=["disk", "ellipse"])
+def test_solve_residual_matches_blas_norm(domain, monkeypatch):
+    # the residual is summed pairwise without BLAS; the reference is the
+    # np.linalg.norm expression it replaces, on the same A, rhs and solution
+    seen = []
+    real_spsolve = torsion.spsolve
+
+    def recording_spsolve(A, rhs):
+        sol = real_spsolve(A, rhs)
+        seen.append((A, rhs, sol))
+        return sol
+
+    monkeypatch.setattr(torsion, "spsolve", recording_spsolve)
+    _, report = solve_torsion(domain, 1.0 / 64.0)
+    (A, rhs, sol), = seen
+    reference = float(np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs))
+    assert abs(report.residual - reference) <= 1e-15
 
 
 def test_solve_report_rejects_large_residual():
