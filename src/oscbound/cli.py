@@ -27,7 +27,6 @@ import numpy as np
 from .constants import (
     INF,
     ConstantReport,
-    ExponentPair,
     cap_measure,
     euler_beta,
     far_field_coefficient,
@@ -43,7 +42,11 @@ from .constants import (
 )
 from .cones import _check_dimension, run_cone_sweep
 from .errors import ConfigError, OscboundError
-from .identities import build_pipeline_data, run_domain_checks
+from .identities import (
+    build_pipeline_data,
+    check_battery_exponents,
+    run_domain_checks,
+)
 from .stability import (
     _DEFAULT_EPS,
     FamilySpec,
@@ -236,7 +239,7 @@ def _validate(config: RunConfig) -> RunConfig:
         if config.command in _FAMILY_COMMANDS:
             _family_spec(config)
             if config.command == "domain-verify":
-                ExponentPair(p=config.p, q=config.q, N=2)
+                check_battery_exponents(config.p, config.q, config.alpha)
         elif config.command == "constants":
             unit_ball_volume(config.N)
         elif config.command == "cone-verify":

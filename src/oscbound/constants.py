@@ -41,11 +41,13 @@ __all__ = [
     "morrey_cone_constant",
     "morrey_domain_constant",
     "two_term_minimize",
+    "oscillation_regime",
     "oscillation_bound",
     "psi_profile",
     "serrin_profile_exponent",
     "gradient_bound_M",
     "min_depth_bound",
+    "weighted_poincare_window",
     "weighted_poincare_structural_constant",
     "holder_conjugate",
     "near_field_coefficient",
@@ -349,6 +351,16 @@ def far_field_coefficient(p: float, N: int) -> float:
     return (nb * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
 
 
+def oscillation_regime(pair: ExponentPair) -> str:
+    """The regime of :func:`oscillation_bound`; p <= N needs q > N."""
+    if pair.p > pair.N:
+        return "morrey"
+    if pair.q <= pair.N:
+        raise DomainError(
+            f"regimes with p <= N need q > N, got q={pair.q}, N={pair.N}")
+    return "log" if pair.p == pair.N else "interpolation"
+
+
 def oscillation_bound(
     grad_p: float,
     grad_q: float,
@@ -380,6 +392,7 @@ def oscillation_bound(
         raise DomainError("diameter, star_radius, volume must be positive")
     if star_radius > diameter:
         raise DomainError("star_radius cannot exceed the diameter")
+    regime = oscillation_regime(pair)
     p, q, N = pair.p, pair.q, pair.N
     ball = unit_ball_volume(N)
     d = diameter
@@ -389,18 +402,16 @@ def oscillation_bound(
         # normalized norm -> plain Lebesgue norm over the domain
         return norm if expo == INF else norm * volume ** (1.0 / expo)
 
-    if p > N:
+    if regime == "morrey":
         coeff = near_field_coefficient(p, N)
         exp_p = 0.0 if p == INF else N / p
         value = prefactor * coeff * raw(grad_p, p) * d ** (1.0 - exp_p)
         return OscillationEstimate(value=value, sigma_star=d, regime="morrey")
 
-    if q <= N:
-        raise DomainError(f"regimes with p <= N need q > N, got q={q}, N={N}")
     eA = 1.0 - (0.0 if q == INF else N / q)
     A = near_field_coefficient(q, N) * raw(grad_q, q) * d**eA
 
-    if p == N:
+    if regime == "log":
         # dyadic shells: each shell of ratio 2 contributes at most
         # ||grad f||_N (N |B_1| log 2)^{1 - 1/N}, and there are at most
         # 1 + log2(d/sigma) shells outside B_sigma.
@@ -516,6 +527,23 @@ def min_depth_bound(
     return base / math.sqrt(bracket)
 
 
+def weighted_poincare_window(N: int, r: float, p: float, alpha: float) -> None:
+    """Reject exponents outside the admissible window of the weighted
+    Poincare inequality, ``1 <= p <= r <= Np/(N - p(1-alpha))`` with
+    ``p(1-alpha) < N`` and ``0 <= alpha <= 1``."""
+    if int(N) != N or N < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    if not (0.0 <= alpha <= 1.0):
+        raise DomainError(f"weight exponent must lie in [0, 1], got {alpha}")
+    if not 1.0 <= p <= r:
+        raise DomainError(f"need 1 <= p <= r, got p={p}, r={r}")
+    if not p * (1.0 - alpha) < N:
+        raise DomainError(f"need p(1-alpha) < N, got p={p}, alpha={alpha}, N={N}")
+    r_cap = N * p / (N - p * (1.0 - alpha))
+    if r > r_cap * (1.0 + 1e-12):
+        raise DomainError(f"need r <= Np/(N - p(1-alpha)) = {r_cap:.6g}, got r={r}")
+
+
 def weighted_poincare_structural_constant(
     N: int,
     r: float,
@@ -533,21 +561,10 @@ def weighted_poincare_structural_constant(
     Returns ``k * |Omega|^{(1-alpha)/N} (d/r_i)^N [N + (N^2-1)(d/(2 r_e))
     (1 + d/r_e)]^{N/2}``, dropping the bracket for mean-convex domains.
     ``calibration_k`` stands in for the absolute constant that depends only
-    on (N, r, p, alpha); the admissible exponent window is
-    ``1 <= p <= r <= Np/(N - p(1-alpha))`` with ``p(1-alpha) < N`` and
-    ``0 <= alpha <= 1``.
+    on (N, r, p, alpha); the exponents must lie in the window of
+    :func:`weighted_poincare_window`.
     """
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"weight exponent must lie in [0, 1], got {alpha}")
-    if not 1.0 <= p <= r:
-        raise DomainError(f"need 1 <= p <= r, got p={p}, r={r}")
-    if not p * (1.0 - alpha) < N:
-        raise DomainError(f"need p(1-alpha) < N, got p={p}, alpha={alpha}, N={N}")
-    r_cap = N * p / (N - p * (1.0 - alpha))
-    if r > r_cap * (1.0 + 1e-12):
-        raise DomainError(f"need r <= Np/(N - p(1-alpha)) = {r_cap:.6g}, got r={r}")
+    weighted_poincare_window(N, r, p, alpha)
     if not (volume > 0.0 and d > 0.0 and r_i > 0.0 and r_e > 0.0):
         raise DomainError("volume, diameter and radii must be positive")
     if not calibration_k > 0.0:

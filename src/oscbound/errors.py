@@ -20,7 +20,3 @@ class GeometryError(OscboundError, RuntimeError):
 
 class ConfigError(OscboundError, ValueError):
     """A run configuration is malformed (unknown key, bad type, bad value)."""
-
-
-class VerificationError(OscboundError):
-    """An asserted inequality or identity check failed beyond tolerance."""

@@ -31,17 +31,17 @@ from .constants import (
     min_depth_bound,
     morrey_cone_constant,
     oscillation_bound,
+    oscillation_regime,
     two_term_minimize,
     unit_ball_volume,
-    weighted_poincare_structural_constant,
+    weighted_poincare_window,
 )
 from .errors import DomainError, GeometryError
 from .stardomain import (
     StarDomain2D,
-    _boundary_arrays,
+    _coarse,
     area,
     ball_radii,
-    delta_gamma,
     diameter,
     inradius,
     perimeter,
@@ -71,6 +71,7 @@ __all__ = [
     "IdentityReport",
     "PipelineData",
     "build_pipeline_data",
+    "check_battery_exponents",
     "check_divergence_identity",
     "check_hopf_bound",
     "check_torsion_depth",
@@ -86,6 +87,7 @@ __all__ = [
 
 FLOOR = 1e-12        # scale floor in relative residuals
 _ABS_SLACK = 1e-9    # absolute slack for explicit-constant inequalities
+_POINCARE_R, _POINCARE_P = 4.0, 2.0  # the battery's weighted Poincare ratio
 
 
 # --------------------------------------------------------------------------
@@ -312,8 +314,7 @@ class PipelineData:
         return lp_norm_domain(self.hess_h, 2.0, alpha=0.5)
 
 
-def build_pipeline_data(domain: StarDomain2D, h: float,
-                        boundary_samples: int = 1024) -> PipelineData:
+def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
     """Solve the torsion problem and assemble the full check bundle."""
     u, report = solve_torsion(domain, h)
     z = locate_min(u)
@@ -325,16 +326,17 @@ def build_pipeline_data(domain: StarDomain2D, h: float,
                         1.0 - hess_u.components[..., 2]], axis=-1)
     hess_h = TensorField(grid=u.grid, components=residue, valid=hess_u.valid,
                          provenance="derived")
-    trace = normal_derivative(u, domain, m=boundary_samples)
-    _, gamma, normal, curvature, _ = _boundary_arrays(domain, boundary_samples)
+    boundary = _coarse(domain.boundary_table)
+    trace = normal_derivative(u, boundary)
     rho_i, rho_e = rho_bounds(domain, z)
     return PipelineData(
         domain=domain, h=h, u=u, report=report, z=z, h_aux=h_aux,
         grad_h=grad_h, hess_u=hess_u, hess_h=hess_h, trace=trace,
-        gamma=gamma, normal=normal, curvature=curvature,
+        gamma=boundary.gamma, normal=boundary.normal,
+        curvature=boundary.kappa,
         area=area(domain), perimeter=perimeter(domain),
         rho_i=rho_i, rho_e=rho_e,
-        mean_convex=bool(np.min(curvature) >= -_ABS_SLACK),
+        mean_convex=bool(np.min(boundary.kappa) >= -_ABS_SLACK),
     )
 
 
@@ -342,23 +344,21 @@ def build_pipeline_data(domain: StarDomain2D, h: float,
 # identity checks
 # --------------------------------------------------------------------------
 
-def check_divergence_identity(data: PipelineData,
-                              tolerance: float | None = None) -> IdentityReport:
+def check_divergence_identity(data: PipelineData) -> IdentityReport:
     """``N |Omega| = int_Gamma u_nu dS`` (integrate the equation once)."""
-    tol = max(1.0 * data.h, _ABS_SLACK) if tolerance is None else tolerance
+    tol = max(1.0 * data.h, _ABS_SLACK)
     lhs = 2.0 * data.area
     rhs = data.boundary_integral(data.trace.values)
     return IdentityReport.identity("divergence", lhs, rhs, tol)
 
 
-def check_fundamental_identity(data: PipelineData,
-                               tolerance: float | None = None) -> IdentityReport:
+def check_fundamental_identity(data: PipelineData) -> IdentityReport:
     """Hessian-defect identity behind the soap-bubble estimates.
 
     ``(1/(N-1)) int |hess h|^2 dx + (1/R) int_Gamma (u_nu - R)^2 dS
     = int_Gamma (H_0 - H) u_nu^2 dS`` with unnormalized measures.
     """
-    tol = max(2.0 * data.h, _ABS_SLACK) if tolerance is None else tolerance
+    tol = max(2.0 * data.h, _ABS_SLACK)
     mag2 = data.hess_h.magnitude() ** 2
     interior = data.domain_integral(mag2, data.hess_h.valid)  # 1/(N-1) = 1
     un = data.trace.values
@@ -371,15 +371,14 @@ def check_fundamental_identity(data: PipelineData,
                                    natural_scale=natural)
 
 
-def check_identity_mp(data: PipelineData,
-                      tolerance: float | None = None) -> IdentityReport:
+def check_identity_mp(data: PipelineData) -> IdentityReport:
     """Weighted-Hessian identity behind the Serrin estimates.
 
     ``int (-u) |hess h|^2 dx = (1/2) int_Gamma (u_nu^2 - R^2)
     (u_nu - (x-z).nu) dS``; the boundary weight is the normal derivative of
     ``u - |x-z|^2/2``, written out with the exact geometric term.
     """
-    tol = max(2.0 * data.h, _ABS_SLACK) if tolerance is None else tolerance
+    tol = max(2.0 * data.h, _ABS_SLACK)
     grid = data.u.grid
     mag2 = data.hess_h.magnitude() ** 2
     minus_u = np.where(grid.inside, -data.u.values, 0.0)
@@ -399,10 +398,9 @@ def check_identity_mp(data: PipelineData,
 # pointwise inequality checks
 # --------------------------------------------------------------------------
 
-def check_hopf_bound(data: PipelineData,
-                     tolerance: float | None = None) -> IdentityReport:
+def check_hopf_bound(data: PipelineData) -> IdentityReport:
     """``u_nu >= r_i`` on the boundary (Hopf-type barrier bound)."""
-    tol = 1.0 * data.h if tolerance is None else tolerance
+    tol = 1.0 * data.h
     ok = data.trace.valid
     if not ok.any():
         raise GeometryError("Hopf check needs at least one valid trace sample")
@@ -410,27 +408,25 @@ def check_hopf_bound(data: PipelineData,
     return IdentityReport.inequality("hopf", data.r_i, rhs, tol)
 
 
-def check_torsion_depth(data: PipelineData,
-                        tolerance: float | None = None) -> IdentityReport:
+def check_torsion_depth(data: PipelineData) -> IdentityReport:
     """``delta_Gamma(x) <= -2 u(x) / r_i`` at every inside node."""
-    tol = 1.0 * data.h if tolerance is None else tolerance
+    tol = 1.0 * data.h
     grid = data.u.grid
     gap = grid.delta + 2.0 * data.u.values / data.r_i
     lhs = float(np.max(gap[grid.inside]))
     return IdentityReport.inequality("torsion_depth", lhs, 0.0, tol)
 
 
-def check_min_depth(data: PipelineData,
-                    tolerance: float | None = None) -> IdentityReport:
+def check_min_depth(data: PipelineData) -> IdentityReport:
     """The deepest point keeps its distance from the boundary.
 
     ``delta_Gamma(z) >= r_Omega / sqrt(N)`` for mean-convex domains, with the
     explicit damping bracket otherwise.
     """
-    tol = 1.0 * data.h if tolerance is None else tolerance
+    tol = 1.0 * data.h
     bound = min_depth_bound(2, data.r_inradius, d=data.diam, r_e=data.r_e,
                             mean_convex=data.mean_convex)
-    depth = delta_gamma(data.domain, data.z)
+    depth = data.rho_i  # delta_Gamma(z), the min of rho_bounds
     return IdentityReport.inequality("min_depth", bound, depth, tol)
 
 
@@ -507,23 +503,19 @@ def check_grad_infty_bound(data: PipelineData, p: float = 1.0, q: float = INF,
     return IdentityReport.inequality("grad_infty", sup_grad, value)
 
 
-def check_weighted_poincare(data: PipelineData, r: float = 4.0, p: float = 2.0,
-                            alpha: float = 0.5,
+def check_weighted_poincare(data: PipelineData, r: float = _POINCARE_R,
+                            p: float = _POINCARE_P, alpha: float = 0.5,
                             calibration_k: float = 1.0) -> IdentityReport:
     """Distance-weighted Poincare ratio around the critical point of ``h``.
 
     Records ``||grad h||_{r, Omega}`` against ``calibration_k ||delta^alpha
-    hess h||_{p, Omega}``; the admissible exponent window is validated
-    through the structural-constant routine, but the inequality's absolute
-    constant is a calibration, so the report is monitored (vanishing sides
-    pass).
+    hess h||_{p, Omega}``; the exponents must lie in the admissible window,
+    but the inequality's absolute constant is a calibration, so the report
+    is monitored (vanishing sides pass).
     """
-    # validates (r, p, alpha) ranges; the value itself is calibration-scaled
-    weighted_poincare_structural_constant(
-        2, r, p, alpha, volume=data.area, d=data.diam, r_i=data.r_i,
-        r_e=data.r_e, mean_convex=data.mean_convex,
-        calibration_k=calibration_k,
-    )
+    weighted_poincare_window(2, r, p, alpha)
+    if not calibration_k > 0.0:
+        raise DomainError("calibration constant must be positive")
     lhs = lp_norm_domain(data.grad_h, r)
     rhs = calibration_k * lp_norm_domain(data.hess_h, p, alpha=alpha)
     return IdentityReport.monitored("weighted_poincare", lhs, rhs)
@@ -547,6 +539,17 @@ def check_sbt_chain(data: PipelineData) -> list[IdentityReport]:
     ]
 
 
+def check_battery_exponents(p: float, q: float, alpha: float) -> None:
+    """Reject exponents that :func:`run_domain_checks` cannot use.
+
+    (p, q) must select a regime of the oscillation chain and ``alpha`` must
+    keep the weighted Poincare ratio, at its exponents r = 4 and p = 2, in
+    its window.  Needs no solved domain, so a run can call it first.
+    """
+    oscillation_regime(ExponentPair(p=p, q=q, N=2))
+    weighted_poincare_window(2, _POINCARE_R, _POINCARE_P, alpha)
+
+
 def run_domain_checks(data: PipelineData, p: float = 6.0, q: float = INF,
                       alpha: float = 0.5,
                       calibration_k: float = 1.0) -> list[IdentityReport]:
@@ -554,8 +557,9 @@ def run_domain_checks(data: PipelineData, p: float = 6.0, q: float = INF,
 
     ``p``/``q`` steer the oscillation chain, ``alpha`` and ``calibration_k``
     the weighted Poincare ratio; everything else runs at its contract
-    exponents.
+    exponents, checked first by :func:`check_battery_exponents`.
     """
+    check_battery_exponents(p, q, alpha)
     reports = [
         check_divergence_identity(data),
         check_fundamental_identity(data),

@@ -9,19 +9,22 @@ machine-exact because their coefficients decay geometrically.
 One kernel, :meth:`StarDomain2D.radial_derivatives`, sums the series for
 (r, r', r'') by Horner's rule in O(angles) memory, and one curve map on top
 of it, :meth:`StarDomain2D.curve`, gives every Cartesian (gamma, gamma',
-gamma'') that a caller needs.
+gamma'') that a caller needs.  Each domain samples its boundary once, in
+one table at 4096 uniform angles (:attr:`StarDomain2D.boundary_table`).
 
 All geometric quantities of the estimates live here: area, perimeter,
 diameter, curvature statistics, the two radii measured from a marked point
 (rho_i, rho_e), the uniform interior/exterior ball radii (r_i, r_e), the
-inradius and the boundary distance.  Three searches carry every extremum:
-the tangent-ball quotient table (the ball radii and the inradius), the
-seeded Newton projection onto the curve (every nearest-point distance) and
-golden-section refinement of a tabulated extremum.
+inradius and the boundary distance.  Each starts from the boundary table,
+and three searches carry every extremum: the tangent-ball quotient table
+(the ball radii and the inradius), the seeded Newton projection onto the
+curve (every nearest-point distance) and golden-section refinement of a
+tabulated extremum.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,7 +50,8 @@ __all__ = [
     "rotated",
 ]
 
-_VALIDATION_SAMPLES = 4096
+_TABLE_SAMPLES = 4096  # uniform angles of the boundary table
+_COARSE_STRIDE = 4  # the coarse view keeps every 4th, 1024 angles
 _HORNER_BLOCK = 8  # modes per Horner block; blocks are joined in z^8
 
 
@@ -69,8 +73,8 @@ class StarDomain2D:
     """Star-shaped planar domain, radial graph over the origin.
 
     ``r(phi) = c0 + sum_k (cos_coeffs[k-1] cos(k phi) + sin_coeffs[k-1]
-    sin(k phi))`` must stay positive; this is checked on 4096 samples at
-    construction.  The boundary is C-infinity by construction.  Every
+    sin(k phi))`` must stay positive; this is checked on the boundary table
+    at construction.  The boundary is C-infinity by construction.  Every
     evaluation goes through one kernel, :meth:`radial_derivatives`, and the
     Cartesian boundary and its derivatives through :meth:`curve`.
     """
@@ -84,8 +88,7 @@ class StarDomain2D:
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         object.__setattr__(self, "c0", float(self.c0))
-        phi = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False)
-        rmin = float(np.min(self.radial(phi)))
+        rmin = float(np.min(self.boundary_table.r))
         if not rmin > 0.0:
             raise DomainError(
                 f"radial function must be positive; min r = {rmin:.6g}"
@@ -195,18 +198,16 @@ class StarDomain2D:
 
     def curve(self, phi: Array | float) -> tuple[Array, Array, Array]:
         """The boundary gamma = r e^{i phi} and its derivatives gamma',
-        gamma'' at the given angles, each with a trailing (x, y) axis.
-
-        gamma' = (r' + i r) e^{i phi} and gamma'' = (r'' - r + 2 i r')
-        e^{i phi}, from the closed-form (r, r', r'').
-        """
+        gamma'' at the given angles, each with a trailing (x, y) axis."""
         phi = np.asarray(phi, dtype=float)
         t = phi.reshape(-1)  # numpy scalars multiply in another order
-        r, r1, r2 = self.radial_derivatives(t)
-        z = np.exp(1j * t)
-        return tuple(np.stack([g.real, g.imag], axis=-1).reshape(phi.shape + (2,))
-                     for g in (r * z, (r1 + 1j * r) * z,
-                               (r2 - r + 2j * r1) * z))
+        return tuple(g.reshape(phi.shape + (2,))
+                     for g in _curve_map(t, *self.radial_derivatives(t)))
+
+    @cached_property
+    def boundary_table(self) -> "BoundaryTable":
+        """The boundary at 4096 uniform angles (:func:`_sample_boundary`)."""
+        return _sample_boundary(self, _TABLE_SAMPLES)
 
     def boundary(self, phi: Array | float) -> Array:
         return self.curve(phi)[0]
@@ -241,18 +242,55 @@ def _curvature(r: Array, r1: Array, r2: Array) -> Array:
     return (r * r + 2.0 * r1 * r1 - r * r2) / speed**3
 
 
-def _boundary_arrays(domain: StarDomain2D, m: int):
-    """(phi, position, outward normal, curvature, arclength weight) at m
-    uniform angles, all closed-form.  The speed sqrt(r^2 + r'^2) and the
-    curvature come from the polar form, which is exact on a circle."""
+def _curve_map(t: Array, r: Array, r1: Array,
+               r2: Array) -> tuple[Array, Array, Array]:
+    """(gamma, gamma', gamma'') at the angles t (1-D) from (r, r', r'') there:
+    gamma = r e^{i phi}, gamma' = (r' + i r) e^{i phi} and gamma'' = (r'' - r
+    + 2 i r') e^{i phi}, each with a trailing (x, y) axis."""
+    z = np.exp(1j * t)
+    return tuple(np.stack([g.real, g.imag], axis=-1)
+                 for g in (r * z, (r1 + 1j * r) * z, (r2 - r + 2j * r1) * z))
+
+
+# the first five fields are what a boundary integral reads
+BoundaryTable = namedtuple("BoundaryTable", "phi gamma normal kappa weight "
+                           "speed r r1 r2 tangent accel")
+
+
+def _sample_boundary(domain: StarDomain2D, m: int) -> BoundaryTable:
+    """The boundary at the m angles 2 pi j / m: (r, r', r'') from one kernel
+    call, (gamma, gamma', gamma'') = (gamma, tangent, accel) from the curve
+    map, the speed sqrt(r^2 + r'^2), the outward unit normal, the curvature
+    (both from the polar form, exact on a circle) and the trapezoid weight
+    speed 2 pi / m.  A domain's callers share its table, so it is read-only.
+    """
     phi = 2.0 * math.pi * np.arange(m) / m
     r, r1, r2 = domain.radial_derivatives(phi)
-    pos, tangent, _ = domain.curve(phi)
+    gamma, tangent, accel = _curve_map(phi, r, r1, r2)
     speed = np.sqrt(r * r + r1 * r1)
-    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / speed[:, None]
-    kappa = _curvature(r, r1, r2)
-    weight = speed * (2.0 * math.pi / m)
-    return phi, pos, normal, kappa, weight
+    # the positivity check reads r from here, so r = r' = 0 can occur
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normal = np.stack([tangent[:, 1], -tangent[:, 0]],
+                          axis=-1) / speed[:, None]
+        kappa = _curvature(r, r1, r2)
+    table = BoundaryTable(phi, gamma, normal, kappa,
+                          speed * (2.0 * math.pi / m), speed, r, r1, r2,
+                          tangent, accel)
+    for x in table:
+        x.flags.writeable = False
+    return table
+
+
+def _coarse(table: BoundaryTable) -> BoundaryTable:
+    """Every 4th sample with the weights times 4: bit for bit the table of a
+    quarter as many angles."""
+    view = BoundaryTable(*(x[::_COARSE_STRIDE] for x in table))
+    return view._replace(weight=view.weight * _COARSE_STRIDE)
+
+
+def _boundary_arrays(domain: StarDomain2D, m: int):
+    """(phi, gamma, normal, curvature, arclength weight) at m uniform angles."""
+    return _sample_boundary(domain, m)[:5]
 
 
 # --------------------------------------------------------------------------
@@ -265,14 +303,14 @@ def area(domain: StarDomain2D) -> float:
     return math.pi * (domain.c0**2 + 0.5 * float(np.sum(a * a) + np.sum(b * b)))
 
 
-def perimeter(domain: StarDomain2D, m: int = 4096) -> float:
-    """|Gamma| = int sqrt(r^2 + r'^2) dphi by the periodic trapezoid rule.
+def perimeter(domain: StarDomain2D) -> float:
+    """|Gamma| = int sqrt(r^2 + r'^2) dphi by the periodic trapezoid rule on
+    the boundary table.
 
     The integrand is smooth and periodic, so the rule converges geometrically.
     """
-    phi = 2.0 * math.pi * np.arange(m) / m
-    r, r1, _ = domain.radial_derivatives(phi)
-    return float(np.sum(np.sqrt(r * r + r1 * r1))) * (2.0 * math.pi / m)
+    table = domain.boundary_table
+    return float(np.sum(table.speed)) * (2.0 * math.pi / table.phi.size)
 
 
 _GOLDEN_CAP = 200  # golden-section steps, a guard: the stopping rules end sooner
@@ -318,14 +356,14 @@ def _refine_extremum(fun, grid: Array, values: Array, j: int) -> float:
     return min(float(fun(t)), float(values[j]))
 
 
-def diameter(domain: StarDomain2D, m: int = 1024) -> float:
-    """Largest boundary-to-boundary distance, coarse grid plus refinement.
+def diameter(domain: StarDomain2D) -> float:
+    """Largest boundary-to-boundary distance, coarse table plus refinement.
 
-    The farthest pair of the grid seeds ``_critical_pair``, since the
-    farthest pair of the curve is a critical pair of the distance.
+    The farthest pair of the coarse table seeds ``_critical_pair``, since
+    the farthest pair of the curve is a critical pair of the distance.
     """
-    phi = 2.0 * math.pi * np.arange(m) / m
-    pts = domain.boundary(phi)
+    table = _coarse(domain.boundary_table)
+    phi, pts = table.phi, table.gamma
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
     t1, t2 = _critical_pair(domain, float(phi[i]), float(phi[j]))
@@ -339,9 +377,10 @@ def H0_and_R(domain: StarDomain2D) -> tuple[float, float]:
     return 1.0 / R, R
 
 
-def curvature_deviation(domain: StarDomain2D, m: int = 4096) -> float:
+def curvature_deviation(domain: StarDomain2D) -> float:
     """Normalized boundary L2 norm of kappa - H0 (measure dS / |Gamma|)."""
-    _, _, _, kappa, weight = _boundary_arrays(domain, m)
+    table = domain.boundary_table
+    kappa, weight = table.kappa, table.weight
     length = float(np.sum(weight))
     h0 = length / (2.0 * area(domain))
     return math.sqrt(float(np.sum(weight * (kappa - h0) ** 2)) / length)
@@ -355,30 +394,32 @@ def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
     """(min, max) of |gamma(phi) - z| over the boundary.
 
     The min is the boundary distance :func:`delta_gamma`; the max refines
-    the farthest of 4096 samples by golden section.
+    the farthest sample of the boundary table by golden section.
     """
     z = np.asarray(z, dtype=float)
     if not bool(domain.contains(z[None, :])[0]):
         raise DomainError(f"marked point {z.tolist()} is not inside the domain")
-    phi = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False)
-    d = np.linalg.norm(domain.boundary(phi) - z, axis=-1)
+    table = domain.boundary_table
+    d = np.linalg.norm(table.gamma - z, axis=-1)
 
     def dist(t: float) -> float:
         return float(np.linalg.norm(domain.boundary(np.asarray(t)) - z))
 
-    rho_e = -_refine_extremum(lambda t: -dist(t), phi, -d, int(np.argmax(d)))
+    rho_e = -_refine_extremum(lambda t: -dist(t), table.phi, -d,
+                              int(np.argmax(d)))
     return delta_gamma(domain, z), rho_e
 
 
 def delta_gamma(domain: StarDomain2D, x) -> float:
-    """Distance of x to the boundary, projected from the nearest of 4096 samples."""
+    """Distance of x to the boundary, projected from the nearest sample of
+    the boundary table."""
     x = np.asarray(x, dtype=float)
-    phi = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False)
-    table = domain.curve(phi)
-    d = np.linalg.norm(table[0] - x, axis=-1)
+    table = domain.boundary_table
+    d = np.linalg.norm(table.gamma - x, axis=-1)
     j = int(np.argmin(d))
-    projected, _ = _projected_distance(domain, x[None, :], phi[j:j + 1],
-                                       tuple(g[j:j + 1] for g in table))
+    seed = (table.gamma[j:j + 1], table.tangent[j:j + 1], table.accel[j:j + 1])
+    projected, _ = _projected_distance(domain, x[None, :], table.phi[j:j + 1],
+                                       seed)
     # the sample stays an upper bound if a projection misses
     return min(float(projected[0]), float(d[j]))
 
@@ -412,7 +453,6 @@ def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
     return np.linalg.norm(domain.boundary(phi) - points, axis=-1), phi
 
 
-_BALL_SAMPLES = 4096  # boundary samples q of the ball-radius search
 _BALL_STRIDE = 8  # every 8th sample is a tangency point p; also the pair gap
 _TABLE_BLOCK = 16  # tangency points per block of the quotient table
 
@@ -461,15 +501,15 @@ def _critical_pair(domain: StarDomain2D, t1: float,
 def _ball_table(domain: StarDomain2D):
     """The tangent-ball quotient table of :func:`ball_radii` and :func:`inradius`.
 
-    Row i holds the tangency point p = sample ``_BALL_STRIDE * i`` against
-    q = sample ``_BALL_STRIDE * i + lag`` for every lag more than
-    ``_BALL_STRIDE`` samples from p on either side.  Returns the sample
-    angles, (r, r', r'') there, the lags, and the table's denominators
-    ``2 (p - q) . nu`` and quotients.
+    Row i holds the tangency point p = boundary-table sample
+    ``_BALL_STRIDE * i`` against q = sample ``_BALL_STRIDE * i + lag`` for
+    every lag more than ``_BALL_STRIDE`` samples from p on either side.
+    Returns the sample angles, (r, r', r'') there, the lags, and the
+    table's denominators ``2 (p - q) . nu`` and quotients.
     """
-    m, stride = _BALL_SAMPLES, _BALL_STRIDE
-    phi = 2.0 * math.pi * np.arange(m) / m
-    r, r1, r2 = domain.radial_derivatives(phi)
+    table = domain.boundary_table
+    phi, r, r1, r2 = table.phi, table.r, table.r1, table.r2
+    m, stride = phi.size, _BALL_STRIDE
     lag = np.arange(stride + 1, m - stride)
     d_phi = 2.0 * math.pi * lag / m
     sin_d, sin_half = np.sin(d_phi), np.sin(0.5 * d_phi)
@@ -498,17 +538,17 @@ def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
     with nu -> -nu and kappa -> -kappa, capped at the diameter (convex
     shapes admit arbitrarily large exterior balls).
 
-    The local term refines max kappa and max(-kappa) over 4096 samples by
-    golden section.  The pair term is the quotient table of
+    The local term refines max kappa and max(-kappa) over the boundary
+    table by golden section.  The pair term is the quotient table of
     :func:`_ball_table`, which leaves out pairs within 8 samples of each
     other (the local term covers those).  When the table undercuts the local
     term, a bottleneck binds: the minimizing pair has its chord normal to
     the curve at both ends, so the best pair of the table seeds
     ``_critical_pair``.
     """
-    m, stride = _BALL_SAMPLES, _BALL_STRIDE
-    phi, (r, r1, r2), lag, den, ratio = _ball_table(domain)
-    kappa = _curvature(r, r1, r2)
+    phi, _, lag, den, ratio = _ball_table(domain)
+    m, stride = phi.size, _BALL_STRIDE
+    kappa = domain.boundary_table.kappa
 
     def quotient(tp: float, tq: float, side: float) -> float:
         rp, rp1, _ = domain.radial_derivatives(np.asarray(tp))
@@ -542,15 +582,14 @@ def star_radius(domain: StarDomain2D) -> float:
     gamma . nu = r^2 / sqrt(r^2 + r'^2) (distance from the origin to the
     tangent line).
     """
-    phi = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_SAMPLES, endpoint=False)
-
-    def pedal(t) -> Array:
-        r, r1, _ = domain.radial_derivatives(np.asarray(t))
+    def pedal(r: Array, r1: Array) -> Array:
         return r * r / np.sqrt(r * r + r1 * r1)
 
-    vals = pedal(phi)
-    return _refine_extremum(lambda t: float(pedal(t)), phi, vals,
-                            int(np.argmin(vals)))
+    table = domain.boundary_table
+    vals = pedal(table.r, table.r1)
+    return _refine_extremum(
+        lambda t: float(pedal(*domain.radial_derivatives(np.asarray(t))[:2])),
+        table.phi, vals, int(np.argmin(vals)))
 
 
 _CONTACT_ROUNDS = 2  # projections of the tangent-ball center per rho(p)
@@ -568,17 +607,17 @@ def inradius(domain: StarDomain2D) -> float:
 
     The rows of the :func:`_ball_table` give rho at 512 tangency points;
     the best row is refined over p by golden section on an exact rho(p).
-    Each evaluation takes the quotient of p against the 4096 tabulated
+    Each evaluation takes the quotient of p against the boundary-table
     samples (only sin(q - p) changes with p).  The sampled quotient is
     biased high, so for each local minimum that could hold the infimum,
     the center p - rho nu of the ball it gives is projected onto the curve
     and the quotient recomputed at that contact, which converges to the
     minimum of that branch quadratically.
     """
-    m, stride = _BALL_SAMPLES, _BALL_STRIDE
-    phi, (r, r1, r2), _, den, ratio = _ball_table(domain)
+    phi, (r, _, _), _, den, ratio = _ball_table(domain)
+    m, stride = phi.size, _BALL_STRIDE
     ratio[den <= 0.0] = math.inf
-    kappa = _curvature(r[::stride], r1[::stride], r2[::stride])
+    kappa = domain.boundary_table.kappa[::stride]
     with np.errstate(divide="ignore"):
         rows = np.minimum(np.min(ratio, axis=1),
                           np.where(kappa > 0.0, 1.0 / kappa, math.inf))

@@ -24,12 +24,7 @@ from scipy.spatial import cKDTree
 
 from .cones import AnalyticField
 from .errors import DomainError, GeometryError
-from .stardomain import (
-    StarDomain2D,
-    _boundary_arrays,
-    _projected_distance,
-    area,
-)
+from .stardomain import StarDomain2D, _coarse, _projected_distance, area
 
 Array = np.ndarray
 
@@ -53,9 +48,7 @@ __all__ = [
     "estimate_order",
 ]
 
-_CROSSING_SAMPLES = 4096  # periodic angle sample bracketing the crossings
 _ROOT_STEPS = 64        # cap on the safeguarded Newton steps of a root
-_BOUNDARY_TABLE = 1024  # boundary vertices seeding the distance projection
 _T_MIN = 1e-8           # crossing-fraction snap to keep the matrix conditioned
 _ON_BOUNDARY = 1e-13    # a node this many spacings from a crossing is on it
 _AREA_TOL = 1e-12       # relative gap allowed between the areas and |Omega|
@@ -69,17 +62,18 @@ _AREA_TOL = 1e-12       # relative gap allowed between the areas and |Omega|
 class Grid:
     """Square-cell grid over the domain's bounding box.
 
-    Everything but ``delta`` derives from one table of the boundary's
-    crossings with the node lines and the cell lines (see
-    :func:`_crossings`).  ``cuts[d][i, j]`` is, at an inside node, the
-    fraction of the spacing at which the edge from node (i, j) in direction
-    d first meets the boundary, and 1.0 where the edge stays inside (and at
-    every outside node); ``cell_weights`` are the exact areas of the parts
-    of the node cells inside the domain, by Green's theorem, with the area
-    of an outside node's cell handed to an inside neighbor; ``delta`` is the
-    exact distance of each node to the boundary: the nearest vertex of a
-    coarse boundary table seeds a Newton projection onto the closed-form
-    curve.
+    The domain's boundary table sizes the box and brackets one table of the
+    boundary's crossings with the node lines and the cell lines (see
+    :func:`_crossings`), from which everything but ``delta`` derives.
+    ``cuts[d][i, j]`` is, at an inside node, the fraction of the spacing at
+    which the edge from node (i, j) in direction d first meets the
+    boundary, and 1.0 where the edge stays inside (and at every outside
+    node); ``cell_weights`` are the exact areas of the parts of the node
+    cells inside the domain, by Green's theorem, with the area of an
+    outside node's cell handed to an inside neighbor; ``delta`` is the exact
+    distance of each node to the boundary: the nearest vertex of the coarse
+    view of the boundary table (1024 angles) seeds a Newton projection onto
+    the closed-form curve.
     """
 
     domain: StarDomain2D
@@ -102,8 +96,7 @@ class Grid:
     def build(domain: StarDomain2D, h: float) -> "Grid":
         if h <= 0:
             raise DomainError(f"grid spacing must be positive, got {h}")
-        phi_check = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        r_max = float(np.max(domain.radial(phi_check)))
+        r_max = float(np.max(domain.boundary_table.r))
         n_side = int(math.ceil((r_max + 1.5 * h) / h))
         # node lines x, y = m h / 2 at odd m, cell lines at even m
         lines = 0.5 * h * np.arange(-2 * n_side - 1, 2 * n_side + 2)
@@ -137,12 +130,13 @@ class Grid:
 
         X, Y = np.meshgrid(xs, xs)
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        phi = np.linspace(0.0, 2.0 * math.pi, _BOUNDARY_TABLE, endpoint=False)
-        table = domain.curve(phi)
-        dist, nearest = cKDTree(table[0]).query(pts, workers=-1)
+        table = _coarse(domain.boundary_table)
+        dist, nearest = cKDTree(table.gamma).query(pts, workers=-1)
         # the table vertex stays an upper bound if a projection misses
-        projected, _ = _projected_distance(domain, pts, phi[nearest],
-                                           tuple(g[nearest] for g in table))
+        seed = tuple(g[nearest] for g in (table.gamma, table.tangent,
+                                           table.accel))
+        projected, _ = _projected_distance(domain, pts, table.phi[nearest],
+                                           seed)
         delta = np.minimum(dist, projected).reshape(inside.shape)
 
         return Grid(domain=domain, h=h, xs=xs, ys=xs.copy(), inside=inside,
@@ -170,11 +164,11 @@ def _crossings(domain: StarDomain2D, lines: Array, horizontal: bool):
     """Crossings of the boundary with the lines y = c (``horizontal``) or
     x = c, for c in the ascending ``lines``.
 
-    The coordinate g across the lines, sampled periodically and split at its
-    extrema, runs monotonically from a to b on each piece, which crosses the
-    lines with min(a, b) < c <= max(a, b).  Returns each crossing's line
-    index, position along the line, +1 (-1) where the line, walked towards
-    larger positions, enters (leaves) the domain, and angle.
+    The coordinate g across the lines, read from the boundary table and
+    split at its extrema, runs monotonically from a to b on each piece,
+    which crosses the lines with min(a, b) < c <= max(a, b).  Returns each
+    crossing's line index, position along the line, +1 (-1) where the line,
+    walked towards larger positions, enters (leaves) the domain, and angle.
     """
     across, along = (1, 0) if horizontal else (0, 1)
 
@@ -183,8 +177,10 @@ def _crossings(domain: StarDomain2D, lines: Array, horizontal: bool):
         return (gamma[..., across] - level, tangent[..., across],
                 accel[..., across], gamma[..., along])
 
-    phi = 2.0 * math.pi * np.arange(_CROSSING_SAMPLES + 1) / _CROSSING_SAMPLES
-    g, g1, _, _ = (np.append(v, v[0]) for v in trace(phi[:-1]))
+    table = domain.boundary_table
+    phi = np.append(table.phi, 2.0 * math.pi)
+    g, g1 = (np.append(v[:, across], v[0, across])
+             for v in (table.gamma, table.tangent))
     k = np.flatnonzero(g1[:-1] * g1[1:] < 0.0)
     ext = _root(lambda t: trace(t)[1:3], phi[k], phi[k + 1],
                 0.5 * (phi[k] + phi[k + 1]), g1[k] < 0.0)
@@ -630,17 +626,21 @@ class BoundaryTrace:
         return float(np.sum(self.weights[~self.valid]) / np.sum(self.weights))
 
 
-def normal_derivative(u: DiscreteField, domain: StarDomain2D,
-                      m: int = 1024, step_factor: float = 3.0) -> BoundaryTrace:
+def normal_derivative(u: DiscreteField, samples: tuple[Array, ...],
+                      step_factor: float = 3.0) -> BoundaryTrace:
     """Outward normal derivative on the boundary by one-sided differences.
 
-    Uses ``u = 0`` on the boundary and bilinear samples at distances delta
-    and 2 delta inward along the normal (delta = step_factor * h), which is
+    ``samples`` are the boundary samples to differentiate at: a
+    boundary table or its first five fields
+    (phi, position, outward normal, curvature, arclength weight); the
+    pipeline passes the coarse view of the domain's boundary table.  Uses
+    ``u = 0`` on the boundary and bilinear samples at distances delta and 2
+    delta inward along the normal (delta = step_factor * h), which is
     second-order accurate; samples whose stencil leaves the interior are
     flagged and excluded.
     """
     grid = u.grid
-    phi, pos, normal, _, weight = _boundary_arrays(domain, m)
+    phi, pos, normal, _, weight = samples[:5]
     delta = step_factor * grid.h
     p1 = pos - delta * normal
     p2 = pos - 2.0 * delta * normal
@@ -665,14 +665,15 @@ def boundary_lp_norm(trace: BoundaryTrace, p: float) -> float:
     return float(np.sum(w * vals**p) / np.sum(w)) ** (1.0 / p)
 
 
-def gauss_map_deviation(domain: StarDomain2D, z, R: float,
-                        m: int = 4096) -> float:
-    """``R || nu - (x - z)/R ||_{2, Gamma}`` with the normalized measure."""
+def gauss_map_deviation(domain: StarDomain2D, z, R: float) -> float:
+    """``R || nu - (x - z)/R ||_{2, Gamma}`` with the normalized measure, by
+    the trapezoid rule on the domain's boundary table."""
     z = np.asarray(z, dtype=float)
-    _, pos, normal, _, weight = _boundary_arrays(domain, m)
-    dev = normal - (pos - z) / R
+    table = domain.boundary_table
+    dev = table.normal - (table.gamma - z) / R
     val = np.sum(dev * dev, axis=-1)
-    return R * math.sqrt(float(np.sum(weight * val) / np.sum(weight)))
+    return R * math.sqrt(float(np.sum(table.weight * val)
+                               / np.sum(table.weight)))
 
 
 def estimate_order(err_coarse: float, err_fine: float,

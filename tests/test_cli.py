@@ -265,6 +265,25 @@ class TestDomainVerifyCommand:
         assert len(values) > 100
         assert max(values) < 0.0 and min(values) > -1.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("alpha = 0.6\n", "need r <= Np/(N - p(1-alpha))"),
+        ("alpha = 0\n", "need p(1-alpha) < N"),
+        ("p = 2\nq = 2\n", "regimes with p <= N need q > N"),
+        ("p = 1.5\nq = 1.8\n", "regimes with p <= N need q > N"),
+    ], ids=["alpha-0.6", "alpha-0", "p2-q2", "p1.5-q1.8"])
+    def test_exponents_the_battery_cannot_use_exit_2_before_solving(
+            self, tmp_path, capsys, monkeypatch, text, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a member was solved")
+
+        monkeypatch.setattr(cli, "build_pipeline_data", forbidden)
+        cfg = write_cfg(tmp_path, "family=cosine\neps=0.1\n" + text)
+        out = tmp_path / "o"
+        assert main(["domain-verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (out / "domain_checks.csv").exists()
+
     def test_grid_too_coarse_is_infrastructure_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "family=ellipse\neps=0.1\ngrid.h=1.5\n")
         assert main(["domain-verify", "--config", cfg,

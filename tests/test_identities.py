@@ -45,7 +45,12 @@ from oscbound.identities import (
     check_weighted_poincare,
     run_domain_checks,
 )
-from oscbound.stability import FamilySpec, build_family_domain, run_family
+from oscbound.stability import (
+    FamilySpec,
+    build_family_domain,
+    record_from_data,
+    run_family,
+)
 from oscbound.stardomain import (
     StarDomain2D,
     ball_radii,
@@ -477,8 +482,37 @@ class TestLazyGeometry:
         # profilers wrap these module-level names; a local import or a
         # renamed solver would silently bypass them
         assert identities.ball_radii is stardomain.ball_radii
+        for name in ("rho_bounds", "diameter", "star_radius", "inradius",
+                     "perimeter", "area"):
+            assert getattr(identities, name) is getattr(stardomain, name)
+        for name in ("locate_min", "h_field", "gradient", "hessian_torsion",
+                     "normal_derivative"):
+            assert getattr(identities, name) is getattr(torsion, name)
         assert callable(torsion.spsolve)
         assert "spsolve" in torsion.solve_torsion.__code__.co_names
+        assert "cKDTree" in torsion.Grid.build.__code__.co_names
+
+
+def test_one_uniform_boundary_sampling_per_domain(monkeypatch):
+    # construction, the pipeline bundle, the record and the battery all read
+    # the domain's one boundary table: one kernel call on uniform angles
+    kernel = StarDomain2D.radial_derivatives
+    grids = []
+
+    def counted(self, phi):
+        t = np.asarray(phi, dtype=float).reshape(-1)
+        for m in (1024, 4096):
+            if t.size == m and np.array_equal(
+                    t, 2.0 * math.pi * np.arange(m) / m):
+                grids.append(m)
+        return kernel(self, phi)
+
+    monkeypatch.setattr(StarDomain2D, "radial_derivatives", counted)
+    domain = build_family_domain(FamilySpec(kind="ellipse"), 0.2)
+    data = build_pipeline_data(domain, 1.0 / 64.0)
+    record_from_data(0.2, data)
+    run_domain_checks(data)
+    assert grids == [4096]
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from oscbound.stardomain import (
     H0_and_R,
     _ball_table,
     _boundary_arrays,
+    _coarse,
     _golden_min,
     _tangent_ball,
     area,
@@ -191,6 +192,24 @@ def test_boundary_sample_circle_curvature_and_normals():
     assert rel_err(float(np.sum(weight)), 2.0 * math.pi * R) < 1e-14
 
 
+@pytest.mark.parametrize("dom", [
+    StarDomain2D.ellipse(1.2, 1.0 / 1.2, n_modes=32),
+    StarDomain2D.cosine(0.1, 2),
+    rotated(StarDomain2D(c0=1.0, cos_coeffs=(0.12, 0.0, 0.06),
+                         sin_coeffs=(0.0, 0.08)), 0.37),
+], ids=["ellipse-32", "cosine-k2", "rotated-asymmetric"])
+def test_coarse_table_is_sampling_a_quarter_of_the_angles(dom):
+    # the 1024-angle users read every 4th row of the one 4096-angle table,
+    # with the weights times 4; bit for bit, so no output moves
+    coarse = _coarse(dom.boundary_table)
+    want = _boundary_arrays(dom, 1024)
+    for got, expected in zip(coarse[:5], want):
+        assert np.array_equal(got, expected)
+    table = dom.boundary_table
+    assert np.array_equal(coarse.weight, table.weight[::4] * 4)
+    assert not table.gamma.flags.writeable
+
+
 def test_ellipse_curvature_at_vertex():
     dom = StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)
     kappa = _boundary_arrays(dom, 64)[3]  # phi = 0 is the (a, 0) vertex
@@ -254,11 +273,17 @@ def test_perimeter_against_adaptive_quadrature():
     assert rel_err(perimeter(dom), want) < 1e-11
 
 
+def _perimeter_at(dom: StarDomain2D, m: int) -> float:
+    """The trapezoid sum of :func:`perimeter` at m angles."""
+    return float(np.sum(_boundary_arrays(dom, m)[4]))
+
+
 def test_perimeter_converges_spectrally_under_doubling():
     dom = StarDomain2D.cosine(0.15, 5)
-    ref = perimeter(dom, m=8192)
-    err64 = abs(perimeter(dom, m=64) - ref)
-    err128 = abs(perimeter(dom, m=128) - ref)
+    assert rel_err(_perimeter_at(dom, 4096), perimeter(dom)) < 1e-15
+    ref = _perimeter_at(dom, 8192)
+    err64 = abs(_perimeter_at(dom, 64) - ref)
+    err128 = abs(_perimeter_at(dom, 128) - ref)
     assert err128 < 1e-12 or err64 > 4.0 * err128
 
 
@@ -762,9 +787,18 @@ def test_small_perturbations_keep_invariants(eps, k):
     assert 0.0 < rho <= ri + 1e-12
 
 
+def _curvature_deviation_at(dom: StarDomain2D, m: int) -> float:
+    """The sums of :func:`curvature_deviation` at m angles."""
+    _, _, _, kappa, weight = _boundary_arrays(dom, m)
+    length = float(np.sum(weight))
+    h0 = length / (2.0 * area(dom))
+    return math.sqrt(float(np.sum(weight * (kappa - h0) ** 2)) / length)
+
+
 def test_quantities_converge_under_sample_doubling():
     dom = StarDomain2D.cosine(0.15, 5)
-    ref = curvature_deviation(dom, m=2**15)
-    e1 = abs(curvature_deviation(dom, m=128) - ref)
-    e2 = abs(curvature_deviation(dom, m=256) - ref)
+    assert _curvature_deviation_at(dom, 4096) == curvature_deviation(dom)
+    ref = _curvature_deviation_at(dom, 2**15)
+    e1 = abs(_curvature_deviation_at(dom, 128) - ref)
+    e2 = abs(_curvature_deviation_at(dom, 256) - ref)
     assert e2 < 1e-12 or e1 > 4.0 * e2

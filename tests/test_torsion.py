@@ -19,7 +19,13 @@ from scipy.optimize import brentq
 
 from oscbound import DomainError, GeometryError, torsion
 from oscbound.stability import FamilySpec, build_family_domain
-from oscbound.stardomain import StarDomain2D, area, delta_gamma, rotated
+from oscbound.stardomain import (
+    StarDomain2D,
+    _boundary_arrays,
+    area,
+    delta_gamma,
+    rotated,
+)
 from oscbound.torsion import (
     BoundaryTrace,
     DiscreteField,
@@ -627,14 +633,14 @@ def test_bilinear_flags_points_without_full_cells(disk_solve):
 
 def test_normal_derivative_on_the_disk_is_the_radius(disk_solve):
     domain, u, _ = disk_solve
-    trace = normal_derivative(u, domain, m=256)
+    trace = normal_derivative(u, _boundary_arrays(domain, 256))
     assert trace.excluded_fraction == 0.0
     assert float(np.max(np.abs(trace.values[trace.valid] - 1.0))) < 8e-3
 
 
 def test_normal_derivative_on_the_ellipse(ellipse_solve):
     domain, u, _ = ellipse_solve
-    trace = normal_derivative(u, domain, m=512)
+    trace = normal_derivative(u, _boundary_arrays(domain, 512))
     gamma = domain.boundary(trace.phi)
     want = 0.8 * np.sqrt(gamma[:, 0] ** 2 / 4.0 + 4.0 * gamma[:, 1] ** 2)
     ok = trace.valid
@@ -650,7 +656,8 @@ def test_normal_derivative_flags_stencils_that_leave_the_domain(disk_solve):
     # delta = 40 h = 1.25 sends the two-step sample through the disk and out
     # the far side (an inward point at depth t has radius |1 - t|)
     domain, u, _ = disk_solve
-    trace = normal_derivative(u, domain, m=64, step_factor=40.0)
+    trace = normal_derivative(u, _boundary_arrays(domain, 64),
+                              step_factor=40.0)
     assert trace.excluded_fraction == 1.0
     with pytest.raises(GeometryError):
         boundary_lp_norm(trace, 2.0)
@@ -658,7 +665,7 @@ def test_normal_derivative_flags_stencils_that_leave_the_domain(disk_solve):
 
 def test_boundary_lp_norm_of_constants(disk_solve):
     domain, u, _ = disk_solve
-    trace = normal_derivative(u, domain, m=256)
+    trace = normal_derivative(u, _boundary_arrays(domain, 256))
     flat = BoundaryTrace(phi=trace.phi, values=np.full_like(trace.values, 2.5),
                          weights=trace.weights, valid=trace.valid)
     for p in (1.0, 2.0, math.inf):
