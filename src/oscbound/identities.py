@@ -39,6 +39,7 @@ from .constants import (
 from .errors import DomainError, GeometryError
 from .stardomain import (
     StarDomain2D,
+    _ball_table,
     _coarse,
     area,
     ball_radii,
@@ -219,18 +220,30 @@ class PipelineData:
     # first read instead of once per family member.
 
     @cached_property
-    def _ball_radii(self) -> tuple[float, float]:
-        return ball_radii(self.domain)
+    def _tangent_balls(self) -> tuple[float, float, float]:
+        """(r_i, r_e, inradius) from one tangent-ball table.
+
+        The table is local to this call, so it is freed before the next
+        check runs instead of living as long as the domain.
+        """
+        table = _ball_table(self.domain)
+        r_i, r_e = ball_radii(self.domain, table=table, diam=self.diam)
+        return r_i, r_e, inradius(self.domain, table=table)
 
     @property
     def r_i(self) -> float:
         """Uniform interior ball radius."""
-        return self._ball_radii[0]
+        return self._tangent_balls[0]
 
     @property
     def r_e(self) -> float:
         """Uniform exterior ball radius, capped at the diameter."""
-        return self._ball_radii[1]
+        return self._tangent_balls[1]
+
+    @property
+    def r_inradius(self) -> float:
+        """Radius of the largest inscribed disk."""
+        return self._tangent_balls[2]
 
     @cached_property
     def diam(self) -> float:
@@ -241,11 +254,6 @@ class PipelineData:
     def rho_star(self) -> float:
         """Star-shapedness radius about the origin."""
         return star_radius(self.domain)
-
-    @cached_property
-    def r_inradius(self) -> float:
-        """Radius of the largest inscribed disk."""
-        return inradius(self.domain)
 
     # ---------------- integration helpers (unnormalized) ----------------
 

@@ -42,7 +42,6 @@ __all__ = [
     "FitResult",
     "ProfileVerdict",
     "build_family_domain",
-    "ellipse_hessian_oracle",
     "run_family",
     "record_from_data",
     "fit_exponent",
@@ -135,18 +134,6 @@ def build_family_domain(spec: FamilySpec, eps: float) -> StarDomain2D:
         base = 1.0 / math.sqrt(1.0 + eps * eps / 2.0)
         return StarDomain2D.cosine(base * eps, spec.k, base=base)
     return StarDomain2D.cosine(eps, spec.k)
-
-
-def ellipse_hessian_oracle(eps: float) -> float:
-    """Closed-form ``||hess h||_{2,Omega}`` on the ellipse family member.
-
-    The torsion function of an ellipse is quadratic, so the Hessian residue
-    is the constant matrix ``diag(1, -1) (a^2 - b^2) / (a^2 + b^2)`` and its
-    Frobenius norm is uniform over the domain.
-    """
-    a2 = (1.0 + eps) ** 2
-    b2 = 1.0 / a2
-    return math.sqrt(2.0) * (a2 - b2) / (a2 + b2)
 
 
 # --------------------------------------------------------------------------

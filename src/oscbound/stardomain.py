@@ -505,7 +505,8 @@ def _ball_table(domain: StarDomain2D):
     ``_BALL_STRIDE * i`` against q = sample ``_BALL_STRIDE * i + lag`` for
     every lag more than ``_BALL_STRIDE`` samples from p on either side.
     Returns the sample angles, (r, r', r'') there, the lags, and the
-    table's denominators ``2 (p - q) . nu`` and quotients.
+    table's denominators ``2 (p - q) . nu`` and quotients.  One table can
+    serve both searches, so its arrays are read-only.
     """
     table = domain.boundary_table
     phi, r, r1, r2 = table.phi, table.r, table.r1, table.r2
@@ -522,10 +523,13 @@ def _ball_table(domain: StarDomain2D):
                                        sin_d, sin_half)
     with np.errstate(divide="ignore", invalid="ignore"):
         num /= den
+    for x in (lag, den, num):
+        x.flags.writeable = False
     return phi, (r, r1, r2), lag, den, num
 
 
-def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
+def ball_radii(domain: StarDomain2D, *, table=None,
+               diam: float | None = None) -> tuple[float, float]:
     """Uniform interior and exterior ball radii (r_i, r_e), in closed form.
 
     At a boundary point p with outward normal nu, the ball tangent at p on
@@ -545,8 +549,15 @@ def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
     term, a bottleneck binds: the minimizing pair has its chord normal to
     the curve at both ends, so the best pair of the table seeds
     ``_critical_pair``.
+
+    One table serves this and :func:`inradius`: a caller that needs both
+    builds it once with ``_ball_table(domain)`` and passes it as ``table``,
+    and passes the domain's :func:`diameter` as ``diam`` if it holds it.
+    Both are computed here when left out; the radii are the same either way.
     """
-    phi, _, lag, den, ratio = _ball_table(domain)
+    if table is None:
+        table = _ball_table(domain)
+    phi, _, lag, den, ratio = table
     m, stride = phi.size, _BALL_STRIDE
     kappa = domain.boundary_table.kappa
 
@@ -565,14 +576,14 @@ def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
             lambda t: -side * _curvature(*domain.radial_derivatives(t)),
             phi, -side * kappa, j)
         best = 1.0 / k_max if k_max > 0.0 else math.inf
-        table = np.where(side * den > 0.0, side * ratio, math.inf)
-        ip, k = np.unravel_index(int(np.argmin(table)), table.shape)
-        if table[ip, k] < best:
+        pairs = np.where(side * den > 0.0, side * ratio, math.inf)
+        ip, k = np.unravel_index(int(np.argmin(pairs)), pairs.shape)
+        if pairs[ip, k] < best:
             tp, tq = _critical_pair(domain, phi[stride * ip],
                                     phi[(stride * ip + lag[k]) % m])
-            best = min(float(table[ip, k]), quotient(tp, tq, side))
+            best = min(float(pairs[ip, k]), quotient(tp, tq, side))
         out.append(best)
-    return out[0], min(out[1], diameter(domain))
+    return out[0], min(out[1], diameter(domain) if diam is None else diam)
 
 
 def star_radius(domain: StarDomain2D) -> float:
@@ -596,7 +607,7 @@ _CONTACT_ROUNDS = 2  # projections of the tangent-ball center per rho(p)
 _CONTACT_BRANCHES = 8  # per rho(p), at most: a circle's samples all tie
 
 
-def inradius(domain: StarDomain2D) -> float:
+def inradius(domain: StarDomain2D, *, table=None) -> float:
     """Inradius r_Omega: the radius of the largest inscribed disk.
 
     Let rho(p) be the radius of the largest interior ball tangent at the
@@ -613,13 +624,18 @@ def inradius(domain: StarDomain2D) -> float:
     the center p - rho nu of the ball it gives is projected onto the curve
     and the quotient recomputed at that contact, which converges to the
     minimum of that branch quadratically.
+
+    ``table`` is the domain's ``_ball_table``, built here when left out;
+    one table serves this and :func:`ball_radii`, and neither writes to it.
     """
-    phi, (r, _, _), _, den, ratio = _ball_table(domain)
+    if table is None:
+        table = _ball_table(domain)
+    phi, (r, _, _), _, den, ratio = table
     m, stride = phi.size, _BALL_STRIDE
-    ratio[den <= 0.0] = math.inf
     kappa = domain.boundary_table.kappa[::stride]
     with np.errstate(divide="ignore"):
-        rows = np.minimum(np.min(ratio, axis=1),
+        rows = np.minimum(np.min(ratio, axis=1, initial=math.inf,
+                                 where=den > 0.0),
                           np.where(kappa > 0.0, 1.0 / kappa, math.inf))
     # sin(q - p) and sin((q - p) / 2) by the difference formulas
     cos_q, sin_q = np.cos(phi), np.sin(phi)

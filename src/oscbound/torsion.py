@@ -9,8 +9,9 @@ the closed-form curve, gives the inside mask, those crossing distances and
 the exact cut-cell areas.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
 gradients and Hessians, interior norms with exact cell areas and optional
-weights by the boundary distance delta (exact at every node, by Newton
-projection onto the curve), and boundary traces of the normal derivative.
+weights by the boundary distance delta (exact at every inside node, by
+Newton projection onto the curve, and NaN outside), and boundary traces of
+the normal derivative.
 """
 from __future__ import annotations
 
@@ -70,10 +71,11 @@ class Grid:
     boundary, and 1.0 where the edge stays inside (and at every outside
     node); ``cell_weights`` are the exact areas of the parts of the node
     cells inside the domain, by Green's theorem, with the area of an
-    outside node's cell handed to an inside neighbor; ``delta`` is the exact
-    distance of each node to the boundary: the nearest vertex of the coarse
-    view of the boundary table (1024 angles) seeds a Newton projection onto
-    the closed-form curve.
+    outside node's cell handed to an inside neighbor; ``delta`` is exact at
+    every inside node and NaN outside, as the values of a
+    :class:`DiscreteField`: the nearest vertex of the coarse view of the
+    boundary table (1024 angles) seeds a Newton projection onto the
+    closed-form curve.
     """
 
     domain: StarDomain2D
@@ -84,7 +86,7 @@ class Grid:
     index: Array                  # (ny, nx) int, -1 outside
     cuts: dict[str, Array]        # E, W, N, S fractions in (0, 1]
     cell_weights: Array           # (ny, nx), sums to |Omega|
-    delta: Array                  # (ny, nx) distance to the boundary
+    delta: Array                  # (ny, nx) boundary distance, NaN outside
     n_unknowns: int = 0
 
     @property
@@ -128,8 +130,9 @@ class Grid:
             raise GeometryError(f"cell areas sum to {total!r}, not the "
                                 f"domain area {exact!r}")
 
-        X, Y = np.meshgrid(xs, xs)
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+        # only the inside nodes: every reader of delta masks by inside
+        ii, jj = np.nonzero(inside)
+        pts = np.stack([xs[jj], xs[ii]], axis=-1)
         table = _coarse(domain.boundary_table)
         dist, nearest = cKDTree(table.gamma).query(pts, workers=-1)
         # the table vertex stays an upper bound if a projection misses
@@ -137,11 +140,12 @@ class Grid:
                                            table.accel))
         projected, _ = _projected_distance(domain, pts, table.phi[nearest],
                                            seed)
-        delta = np.minimum(dist, projected).reshape(inside.shape)
+        delta = np.full(inside.shape, np.nan)
+        delta[ii, jj] = np.minimum(dist, projected)
 
         return Grid(domain=domain, h=h, xs=xs, ys=xs.copy(), inside=inside,
                     index=index, cuts=cuts, cell_weights=cell_w, delta=delta,
-                    n_unknowns=int(inside.sum()))
+                    n_unknowns=ii.size)
 
 
 def _root(fun, lo: Array, hi: Array, t: Array, up: Array) -> Array:
@@ -635,8 +639,10 @@ def normal_derivative(u: DiscreteField, samples: tuple[Array, ...],
     (phi, position, outward normal, curvature, arclength weight); the
     pipeline passes the coarse view of the domain's boundary table.  Uses
     ``u = 0`` on the boundary and bilinear samples at distances delta and 2
-    delta inward along the normal (delta = step_factor * h), which is
-    second-order accurate; samples whose stencil leaves the interior are
+    delta inward along the normal (delta = step_factor * h).  The trace is
+    first-order accurate as measured: against a spectral reference its max
+    error on the ellipse eps = 0.2 is 2.37e-3, 1.19e-3 and 5.93e-4 at h =
+    1/64, 1/128 and 1/256.  Samples whose stencil leaves the interior are
     flagged and excluded.
     """
     grid = u.grid

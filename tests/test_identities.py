@@ -470,13 +470,38 @@ class TestLazyGeometry:
     def test_battery_reads_the_direct_values(self):
         domain = StarDomain2D.cosine(0.1, 3)
         data = build_pipeline_data(domain, 1.0 / 32.0)
-        cached = ("_ball_radii", "diam", "rho_star", "r_inradius")
+        cached = ("_tangent_balls", "diam", "rho_star")
         assert not set(cached) & set(vars(data))
         run_domain_checks(data)
         assert (data.r_i, data.r_e) == ball_radii(domain)
         assert data.diam == diameter(domain)
         assert data.rho_star == star_radius(domain)
         assert data.r_inradius == inradius(domain)
+
+    def test_rung_does_each_piece_of_work_once(self, monkeypatch):
+        # delta is projected at the inside nodes only, and the battery
+        # derives r_i, r_e and the inradius from one tangent-ball table and
+        # caps r_e with the bundle's own diameter
+        counts = {"projected": 0, "_ball_table": 0, "diameter": 0}
+
+        def counting(name, fn, size=lambda *args: 1):
+            def shim(*args, **kwargs):
+                counts[name] += size(*args)
+                return fn(*args, **kwargs)
+            return shim
+
+        monkeypatch.setattr(torsion, "_projected_distance", counting(
+            "projected", torsion._projected_distance,
+            lambda domain, points, *rest: len(points)))
+        for name in ("_ball_table", "diameter"):
+            shim = counting(name, getattr(stardomain, name))
+            monkeypatch.setattr(stardomain, name, shim)
+            monkeypatch.setattr(identities, name, shim)
+        data = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
+        assert counts["projected"] == data.u.grid.n_unknowns
+        run_domain_checks(data)
+        assert counts == {"projected": data.u.grid.n_unknowns,
+                          "_ball_table": 1, "diameter": 1}
 
     def test_traced_bindings_stay_module_names(self):
         # profilers wrap these module-level names; a local import or a

@@ -466,6 +466,24 @@ def test_ball_table_blocks_match_one_pass():
     assert np.array_equal(ratio, num / want)
 
 
+@pytest.mark.parametrize("dom", [
+    _mixed(0.5),
+    rotated(StarDomain2D(c0=0.5, cos_coeffs=(0.0,) * 7 + (0.45,)),
+            math.pi / 8.0),
+], ids=["mixed", "petals"])
+def test_shared_ball_table_gives_the_separate_values(dom):
+    # one table for r_i, r_e and the inradius gives, bit for bit, what two
+    # calls with a table each give, and neither search writes to it
+    table = _ball_table(dom)
+    arrays = (table[0], *table[1], *table[2:])
+    before = [x.tobytes() for x in arrays]
+    shared = (*ball_radii(dom, table=table, diam=diameter(dom)),
+              inradius(dom, table=table))
+    separate = (*ball_radii(dom), inradius(dom))
+    assert [x.hex() for x in shared] == [x.hex() for x in separate]
+    assert [x.tobytes() for x in arrays] == before
+
+
 def test_ball_radii_closed_forms():
     r_i, _ = ball_radii(StarDomain2D.circle(1.0))
     assert abs(r_i - 1.0) < 1e-12

@@ -320,13 +320,20 @@ def test_petal_cell_areas_match_polar_quadrature():
 
 
 def test_boundary_distance_table_matches_disk_distance(disk_solve):
-    _, u, _ = disk_solve
+    domain, u, _ = disk_solve
     grid = u.grid
     X, Y = np.meshgrid(grid.xs, grid.ys)
     exact = np.abs(1.0 - np.hypot(X, Y))
-    err = np.abs(grid.delta - exact)
-    # every node is projected onto the exact curve
+    inside = grid.inside
+    # every inside node is projected onto the exact curve; outside nodes
+    # hold NaN, as the values of a DiscreteField
+    err = np.abs(grid.delta[inside] - exact[inside])
     assert float(err.max()) < 1e-12
+    assert np.isnan(grid.delta[~inside]).all()
+    # the projection is exact outside the curve too
+    for i, j in np.argwhere(~inside):
+        x = np.array([grid.xs[j], grid.ys[i]])
+        assert abs(delta_gamma(domain, x) - exact[i, j]) < 1e-12
 
 
 @pytest.mark.parametrize("domain", [
@@ -339,12 +346,13 @@ def test_boundary_distance_table_matches_disk_distance(disk_solve):
 def test_boundary_distance_matches_delta_gamma(domain):
     grid = Grid.build(domain, 1.0 / 64.0)
     rng = np.random.default_rng(7)
-    for mask in (grid.inside, ~grid.inside):
-        ii, jj = np.nonzero(mask)
-        pick = rng.choice(ii.size, 500, replace=False)
-        for i, j in zip(ii[pick], jj[pick]):
-            want = delta_gamma(domain, np.array([grid.xs[j], grid.ys[i]]))
-            assert abs(grid.delta[i, j] - want) < 1e-12
+    ii, jj = np.nonzero(grid.inside)
+    pick = rng.choice(ii.size, 500, replace=False)
+    for i, j in zip(ii[pick], jj[pick]):
+        want = delta_gamma(domain, np.array([grid.xs[j], grid.ys[i]]))
+        assert abs(grid.delta[i, j] - want) < 1e-12
+    # delta is computed at the inside nodes only
+    assert np.isnan(grid.delta[~grid.inside]).all()
 
 
 def test_grid_rejects_nonpositive_spacing():
