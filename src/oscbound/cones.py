@@ -14,11 +14,20 @@ normalized gradient norms, each computed once per instance.  The check
 functions :func:`verify_pointwise_cone`, :func:`verify_morrey_cone` and
 :func:`verify_interpolation_cone` take a ``ConeField``, and the sweep builds
 one per (cone, field) pair.
+
+Work that does not depend on the field is done once per rule: the rule
+carries the cone measure and both kernel weight vectors, and the Halton fill
+and the Gauss-Legendre nodes are computed once per size.  All of these
+arrays are read-only because rules, their fields and the caches share them.
+Row norms and row sums of squares go through :func:`_row_sum_sq`, which adds
+columns in order; that gives numpy's short-axis reduction bit for bit at a
+fifth of its cost.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +65,25 @@ __all__ = [
 # analytic fields
 # --------------------------------------------------------------------------
 
+def _row_sum_sq(x: Array, scale: Array | None = None) -> Array:
+    """Row sums of ``x * x`` (of ``scale * x * x`` with per-column ``scale``).
+
+    The columns of the (M, dim) array are added in order, which is the order
+    numpy's ``np.sum(..., axis=1)`` uses on a short last axis, so the result
+    is the same bit for bit; it is about 5x faster, because each column pass
+    is one elementwise operation where the reduction steps row by row.
+    ``np.sqrt`` of it is ``np.linalg.norm(x, axis=-1)``.
+    """
+    def term(j: int) -> Array:
+        col = x[:, j]
+        return col * col if scale is None else scale[j] * col * col
+
+    total = term(0)
+    for j in range(1, x.shape[1]):
+        total += term(j)
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class AnalyticField:
     """A closed-form scalar field with its exact gradient (hessian optional).
@@ -71,7 +99,7 @@ class AnalyticField:
     hessian: Callable[[Array], Array] | None = None
 
     def gradient_magnitude(self, points: Array) -> Array:
-        return np.linalg.norm(np.asarray(self.gradient(points), dtype=float), axis=-1)
+        return np.sqrt(_row_sum_sq(np.asarray(self.gradient(points), dtype=float)))
 
     def self_check(self, dim: int, n: int = 100, seed: int = 7, tol: float = 1e-6) -> float:
         """Max relative deviation of the gradient from central differences."""
@@ -98,8 +126,21 @@ class AnalyticField:
 # quadrature on cones
 # --------------------------------------------------------------------------
 
-def _gauss_on(a: float, b: float, n: int) -> tuple[Array, Array]:
+def _read_only(*arrays: Array) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+@lru_cache(maxsize=16)
+def _leggauss(n: int) -> tuple[Array, Array]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
     xi, w = np.polynomial.legendre.leggauss(n)
+    _read_only(xi, w)
+    return xi, w
+
+
+def _gauss_on(a: float, b: float, n: int) -> tuple[Array, Array]:
+    xi, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * xi, half * w
 
@@ -132,6 +173,13 @@ class QuadratureRule:
     ``sup_points`` are where sup norms look besides the nodes: the
     quasi-random fill of :func:`cone_samples`, and the closed-cone extremes
     the open rule misses, the outer shell at the angular nodes and the vertex.
+
+    The field-independent factors of every :class:`ConeField` on this rule
+    are computed once here: ``measure`` is ``cone_measure(cone)``,
+    ``kernel_weights`` are ``weights / radii**(N-1)`` (the Jacobian cancelled
+    against the Riesz kernel) and ``weighted_kernel_weights`` are those times
+    ``(a^N - radii^N)/N``.  :meth:`build` returns every array read-only,
+    since the rule's fields share them.
     """
 
     cone: ConeSpec
@@ -139,6 +187,9 @@ class QuadratureRule:
     radii: Array               # (n_radial * K,)
     weights: Array             # Lebesgue weights, sum = |C|
     sup_points: Array          # (10_000 + K + 1, dim)
+    measure: float             # |C|
+    kernel_weights: Array      # weights / radii**(N-1)
+    weighted_kernel_weights: Array   # kernel_weights * (a^N - radii^N) / N
 
     @property
     def count(self) -> int:
@@ -169,24 +220,33 @@ class QuadratureRule:
 
         pts = (cone.vertex[None, None, :] + s[:, None, None] * dirs[None, :, :])
         radii = np.repeat(s, dirs.shape[0])
-        w = (ws * s ** (dim - 1))[:, None] * dw[None, :]
+        w = ((ws * s ** (dim - 1))[:, None] * dw[None, :]).reshape(-1)
+        kernel_w = w / radii ** (dim - 1)
         shell = cone.vertex[None, :] + cone.height * dirs
-        return QuadratureRule(
+        rule = QuadratureRule(
             cone=cone,
             points=pts.reshape(-1, dim),
             radii=radii,
-            weights=w.reshape(-1),
+            weights=w,
             sup_points=np.vstack([cone_samples(cone), shell, cone.vertex[None, :]]),
+            measure=cone_measure(cone),
+            kernel_weights=kernel_w,
+            weighted_kernel_weights=kernel_w * (cone.height**dim - radii**dim) / dim,
         )
+        _read_only(rule.points, rule.radii, rule.weights, rule.sup_points,
+                   rule.kernel_weights, rule.weighted_kernel_weights)
+        return rule
 
 
 _HALTON_BASES = (2, 3, 5)  # cones live in dimension 2 or 3
 
 
+@lru_cache(maxsize=16)
 def _halton(count: int, dim: int) -> Array:
     """First ``count`` points of the unscrambled Halton sequence in [0, 1)^dim.
 
     Column d is the radical inverse of 0, 1, 2, ... in the d-th prime base.
+    Computed once per ``(count, dim)``; the shared result is read-only.
     """
     out = np.zeros((count, dim))
     for col, base in enumerate(_HALTON_BASES[:dim]):
@@ -196,6 +256,7 @@ def _halton(count: int, dim: int) -> Array:
             n, digit = np.divmod(n, base)
             out[:, col] += digit * scale
             scale /= base
+    _read_only(out)
     return out
 
 
@@ -252,7 +313,7 @@ class ConeField:
         """Mean f_C of the field over the cone."""
         if self._average is None:
             vals = np.asarray(self.field.value(self.rule.points), dtype=float)
-            self._average = float(np.sum(self.rule.weights * vals)) / cone_measure(self.cone)
+            self._average = float(np.sum(self.rule.weights * vals)) / self.rule.measure
         return self._average
 
     def pointwise_lhs(self) -> float:
@@ -268,13 +329,11 @@ class ConeField:
         is cancelled by the Jacobian analytically.
         """
         if weighted not in self._riesz:
-            dim = self.cone.dim
-            kernel_w = self.rule.weights / self.rule.radii ** (dim - 1)
-            if weighted:
-                kernel_w = kernel_w * (self.cone.height**dim - self.rule.radii**dim) / dim
+            rule = self.rule
+            kernel_w = rule.weighted_kernel_weights if weighted else rule.kernel_weights
             self._riesz[weighted] = float(
                 np.sum(kernel_w * self._grad_on_rule())
-            ) / cone_measure(self.cone)
+            ) / rule.measure
         return self._riesz[weighted]
 
     def norm(self, p: float) -> float:
@@ -294,7 +353,7 @@ class ConeField:
             else:
                 mags = self._grad_on_rule()
                 val = float(
-                    np.sum(self.rule.weights * mags**p) / cone_measure(self.cone)
+                    np.sum(self.rule.weights * mags**p) / self.rule.measure
                 ) ** (1.0 / p)
             self._norms[p] = val
         return self._norms[p]
@@ -423,7 +482,7 @@ def catalog_fields(dim: int = 2) -> list[AnalyticField]:
     scales = 1.0 + np.arange(dim)
 
     def radial2(pts):
-        return np.sum(pts * pts, axis=1)
+        return _row_sum_sq(pts)
 
     def pad(cols: list[Array], m: int) -> Array:
         out = np.zeros((m, dim))
@@ -445,7 +504,7 @@ def catalog_fields(dim: int = 2) -> list[AnalyticField]:
                       radial2,
                       lambda y: 2.0 * y),
         AnalyticField("quad_aniso",
-                      lambda y: np.sum(scales * y * y, axis=1),
+                      lambda y: _row_sum_sq(y, scales),
                       lambda y: 2.0 * scales * y),
         AnalyticField("cross_xy",
                       lambda y: y[:, 0] * y[:, 1],
@@ -464,9 +523,9 @@ def catalog_fields(dim: int = 2) -> list[AnalyticField]:
                       lambda y: np.exp(-4.0 * radial2(y)),
                       lambda y: -8.0 * np.exp(-4.0 * radial2(y))[:, None] * y),
         AnalyticField("gauss_shift",
-                      lambda y: np.exp(-np.sum((y - c_shift) ** 2, axis=1) / 2.25),
+                      lambda y: np.exp(-_row_sum_sq(y - c_shift) / 2.25),
                       lambda y: (-2.0 / 2.25) * np.exp(
-                          -np.sum((y - c_shift) ** 2, axis=1) / 2.25)[:, None] * (y - c_shift)),
+                          -_row_sum_sq(y - c_shift) / 2.25)[:, None] * (y - c_shift)),
         AnalyticField("exp_axis",
                       lambda y: np.exp(0.5 * y[:, 0]),
                       lambda y: 0.5 * np.exp(0.5 * y[:, 0])[:, None] * e0),
@@ -499,9 +558,9 @@ def catalog_fields(dim: int = 2) -> list[AnalyticField]:
                       lambda y: np.arctan(y @ e01),
                       lambda y: (1.0 / (1.0 + (y @ e01) ** 2))[:, None] * e01),
         AnalyticField("dist_origin",
-                      lambda y: np.linalg.norm(y, axis=1),
+                      lambda y: np.sqrt(_row_sum_sq(y)),
                       lambda y: y / np.maximum(
-                          np.linalg.norm(y, axis=1), 1e-300)[:, None]),
+                          np.sqrt(_row_sum_sq(y)), 1e-300)[:, None]),
         AnalyticField("cos_sq",
                       lambda y: np.cos(y[:, 0]) ** 2,
                       lambda y: (-2.0 * np.cos(y[:, 0]) * np.sin(y[:, 0]))[:, None] * e0),

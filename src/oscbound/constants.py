@@ -79,9 +79,11 @@ class ConeSpec:
     """A finite circular cone: vertex, unit axis, half-opening angle, height.
 
     The cone is ``{y : 0 < |y - vertex| <= height,
-    <(y - vertex)/|y - vertex|, axis> > cos(theta)}``.  The axis is
-    normalized on construction; ``theta`` must lie in (0, pi/2] and the
-    height must be positive.
+    <(y - vertex)/|y - vertex|, axis> > cos(theta)}``.  The vertex and axis
+    are copied into read-only arrays on construction, so the caller's arrays
+    stay writable and later changes to them do not reach the cone; the axis
+    is normalized.  Vertex and axis must be finite, ``theta`` must lie in
+    (0, pi/2] and the height must be positive and finite.
     """
 
     vertex: np.ndarray
@@ -90,17 +92,20 @@ class ConeSpec:
     height: float
 
     def __post_init__(self) -> None:
-        vertex = np.asarray(self.vertex, dtype=float)
-        axis = np.asarray(self.axis, dtype=float)
+        vertex = np.array(self.vertex, dtype=float)
+        axis = np.array(self.axis, dtype=float)
         if vertex.shape != axis.shape or vertex.ndim != 1:
             raise DomainError("vertex and axis must be 1-D arrays of equal length")
-        norm = float(np.linalg.norm(axis))
-        if not norm > 0.0:
-            raise DomainError("cone axis must be nonzero")
+        if not (np.all(np.isfinite(vertex)) and np.all(np.isfinite(axis))):
+            raise DomainError(f"vertex and axis must be finite, got {vertex} and {axis}")
+        with np.errstate(over="ignore"):    # an overflowing norm is rejected next
+            norm = float(np.linalg.norm(axis))
+        if not 0.0 < norm < math.inf:
+            raise DomainError(f"cone axis must be nonzero with a finite norm, got {axis}")
         if not (0.0 < self.theta <= math.pi / 2.0):
             raise DomainError(f"half-opening angle must lie in (0, pi/2], got {self.theta}")
-        if not self.height > 0.0:
-            raise DomainError(f"cone height must be positive, got {self.height}")
+        if not (0.0 < self.height < math.inf):
+            raise DomainError(f"cone height must be positive and finite, got {self.height}")
         axis = axis / norm
         vertex.setflags(write=False)
         axis.setflags(write=False)

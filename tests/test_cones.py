@@ -8,6 +8,7 @@ exponent) instance with slack 1e-9.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -38,7 +39,7 @@ from oscbound import (
     verify_morrey_cone,
     verify_pointwise_cone,
 )
-from oscbound.cones import _halton
+from oscbound.cones import _halton, _leggauss, _row_sum_sq
 from oscbound.errors import DomainError
 
 
@@ -175,6 +176,37 @@ def test_halton_matches_scipy_unscrambled(dim):
     assert np.array_equal(_halton(10_000, dim), want)
 
 
+RULE_ARRAYS = ("points", "radii", "weights", "sup_points", "kernel_weights",
+               "weighted_kernel_weights")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rule_arrays_are_read_only(dim):
+    rule = QuadratureRule.build(make_cone(dim))
+    cf = ConeField(rule, field_by_label("runge", dim))
+    cf.riesz(weighted=True)
+    for name in RULE_ARRAYS:
+        arr = getattr(rule, name)
+        assert getattr(cf.rule, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert rule.measure == cone_measure(rule.cone)
+    for arr in (*_leggauss(48), _halton(10_000, dim)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_cached_halton_keeps_cone_samples_deterministic():
+    for dim in (2, 3):
+        cone = make_cone(dim, theta=0.6, a=1.2)
+        first = cone_samples(cone, 3000)          # warms the cache
+        assert np.array_equal(_halton(3000, dim), _halton.__wrapped__(3000, dim))
+        first[:] = 0.0                            # the caller owns its copy
+        again = cone_samples(cone, 3000)
+        assert np.array_equal(again, cone_samples(cone, 3000))
+        assert not np.array_equal(again, first)
+
+
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
 def test_cli_import_skips_scipy_module(module):
     src = os.path.dirname(os.path.dirname(oscbound.__file__))
@@ -197,6 +229,80 @@ def test_catalog_fields_pass_gradient_self_check(dim):
     for f in fields:
         worst = f.self_check(dim)
         assert worst <= 1e-6
+
+
+def _inline_values(dim: int) -> dict:
+    """The catalog values and gradients that reduce rows, as numpy reductions."""
+    scales = 1.0 + np.arange(dim)
+    c_shift = np.array([0.5, 0.4, -0.3][:dim])
+
+    def radial2(y):
+        return np.sum(y * y, axis=1)
+
+    def shift2(y):
+        return np.sum((y - c_shift) ** 2, axis=1)
+
+    return {
+        "quad_radial": (radial2, None),
+        "quad_aniso": (lambda y: np.sum(scales * y * y, axis=1), None),
+        "quartic_radial": (lambda y: radial2(y) ** 2,
+                           lambda y: 4.0 * radial2(y)[:, None] * y),
+        "gauss_origin": (lambda y: np.exp(-radial2(y)),
+                         lambda y: -2.0 * np.exp(-radial2(y))[:, None] * y),
+        "gauss_shift": (lambda y: np.exp(-shift2(y) / 2.25),
+                        lambda y: (-2.0 / 2.25) * np.exp(-shift2(y) / 2.25)[:, None]
+                        * (y - c_shift)),
+        "runge": (lambda y: 1.0 / (1.0 + radial2(y)),
+                  lambda y: -2.0 * y / (1.0 + radial2(y))[:, None] ** 2),
+        "dist_origin": (lambda y: np.linalg.norm(y, axis=1),
+                        lambda y: y / np.maximum(
+                            np.linalg.norm(y, axis=1), 1e-300)[:, None]),
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_helper_is_bit_identical_on_the_catalog(dim):
+    inline = _inline_values(dim)
+    scales = 1.0 + np.arange(dim)
+    for cone in catalog_cones(dim)[::4]:
+        rule = QuadratureRule.build(cone)
+        for pts in (rule.points, rule.sup_points):
+            assert np.array_equal(_row_sum_sq(pts), np.sum(pts * pts, axis=1))
+            assert np.array_equal(_row_sum_sq(pts, scales),
+                                  np.sum(scales * pts * pts, axis=1))
+            for field in catalog_fields(dim):
+                want = np.linalg.norm(field.gradient(pts), axis=-1)
+                assert np.array_equal(field.gradient_magnitude(pts), want), field.label
+                value, gradient = inline.get(field.label, (None, None))
+                if value is not None:
+                    assert np.array_equal(field.value(pts), value(pts)), field.label
+                if gradient is not None:
+                    assert np.array_equal(field.gradient(pts), gradient(pts)), field.label
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cone_field_matches_inline_expressions(dim):
+    morrey_ps, pairs = default_exponent_grid(dim)
+    exponents = set(morrey_ps) | {x for pair in pairs for x in (pair.p, pair.q)}
+    for cone in catalog_cones(dim)[::4]:
+        rule = QuadratureRule.build(cone)
+        measure = cone_measure(cone)
+        kernel_w = rule.weights / rule.radii ** (dim - 1)
+        weighted_w = kernel_w * (cone.height**dim - rule.radii**dim) / dim
+        for field in catalog_fields(dim):
+            cf = ConeField(rule, field)
+            mags = np.linalg.norm(field.gradient(rule.points), axis=-1)
+            sup = np.linalg.norm(field.gradient(rule.sup_points), axis=-1)
+            vals = field.value(rule.points)
+            assert cf.riesz(weighted=False) == float(np.sum(kernel_w * mags)) / measure
+            assert cf.riesz(weighted=True) == float(np.sum(weighted_w * mags)) / measure
+            assert cf.average() == float(np.sum(rule.weights * vals)) / measure
+            for p in exponents:
+                if p == INF:
+                    want = max(float(np.max(mags)), float(np.max(sup)))
+                else:
+                    want = float(np.sum(rule.weights * mags**p) / measure) ** (1.0 / p)
+                assert cf.norm(p) == want, (field.label, p)
 
 
 def test_self_check_catches_wrong_gradient():
@@ -506,3 +612,45 @@ def test_sweep_3d_smoke():
     assert len(checks) == len(cones) * len(fields) * (2 + len(morrey_ps) + len(pairs))
     bad = [chk for chk in checks if not chk.ok(1e-9)]
     assert not bad, f"worst margin {min(c.margin for c in checks):.3e}"
+
+
+_SWEEP_HELPER_CPU_SCRIPT = """
+import json, os, threading, time
+from oscbound.cones import run_cone_sweep
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                stat = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:
+            continue
+        out[int(tid)] = int(stat[11]) + int(stat[12])   # utime + stime
+    return out
+
+before = ticks()
+run_cone_sweep(2)
+run_cone_sweep(3)
+time.sleep(0.3)
+after = ticks()
+main = threading.get_native_id()
+print(json.dumps({str(tid): after[tid] - before[tid]
+                  for tid in before if tid in after and tid != main}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread CPU times from /proc")
+def test_sweep_leaves_helper_threads_idle():
+    # a kernel sum rewritten as ``kernel_weights @ mags`` is one BLAS ddot over
+    # 27,648 nodes; it wakes the OpenBLAS pool, whose helper thread then spins
+    # for about 0.9 s of the sweep.  The sweep must leave the pool asleep.
+    src = os.path.dirname(os.path.dirname(oscbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _SWEEP_HELPER_CPU_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    gained = json.loads(done.stdout.splitlines()[-1])
+    helper_s = sum(gained.values()) / os.sysconf("SC_CLK_TCK")
+    assert helper_s < 0.030, gained

@@ -135,6 +135,36 @@ def test_cone_spec_validation():
     assert np.allclose(spec.axis, [0.6, 0.8])
 
 
+def test_cone_spec_copies_caller_arrays():
+    # float64 unit vectors are exactly what np.asarray would alias
+    vertex = np.array([0.3, -0.2])
+    axis = np.array([1.0, 0.0])
+    spec = ConeSpec(vertex=vertex, axis=axis, theta=0.5, height=1.0)
+    assert vertex.flags.writeable and axis.flags.writeable
+    vertex[0] = 9.0
+    axis[:] = [0.0, 1.0]
+    assert spec.vertex.tolist() == [0.3, -0.2]
+    assert spec.axis.tolist() == [1.0, 0.0]
+    for arr in (spec.vertex, spec.axis):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("vertex, axis, height", [
+    ([0.0, math.nan], [1.0, 0.0], 1.0),
+    ([-math.inf, 0.0], [1.0, 0.0], 1.0),
+    ([0.0, 0.0], [math.inf, 0.0], 1.0),
+    ([0.0, 0.0], [math.nan, 1.0], 1.0),
+    ([0.0, 0.0], [1e308, 1e308], 1.0),     # the norm overflows
+    ([0.0, 0.0], [1.0, 0.0], math.inf),
+    ([0.0, 0.0], [1.0, 0.0], math.nan),
+])
+def test_cone_spec_rejects_non_finite(vertex, axis, height):
+    with pytest.raises(DomainError):
+        ConeSpec(vertex=np.array(vertex), axis=np.array(axis), theta=0.5,
+                 height=height)
+
+
 # --------------------------------------------------------------------------
 # interpolation exponent
 # --------------------------------------------------------------------------
