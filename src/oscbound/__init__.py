@@ -6,191 +6,9 @@ pointwise cone inequalities they come from by high-order quadrature.  The
 numerical layer (:mod:`oscbound.stardomain`, :mod:`oscbound.torsion`,
 :mod:`oscbound.identities`, :mod:`oscbound.stability`) solves the torsion
 problem on star-shaped planar domains and measures how boundary-shape
-deviations control the quantities the analytic layer bounds.
+deviations control the quantities the analytic layer bounds.  Each name is
+imported from the module that defines it; ``oscbound.cli`` is the command
+line.
 """
-from .constants import (
-    INF,
-    ConeSpec,
-    ConstantReport,
-    ExponentPair,
-    OscillationEstimate,
-    alpha_pq,
-    cap_measure,
-    cone_measure,
-    euler_beta,
-    gradient_bound_M,
-    min_depth_bound,
-    morrey_cone_constant,
-    morrey_domain_constant,
-    oscillation_bound,
-    psi_profile,
-    serrin_profile_exponent,
-    two_term_minimize,
-    unit_ball_volume,
-    unit_sphere_area,
-    weighted_poincare_structural_constant,
-)
-from .cones import (
-    AnalyticField,
-    ConeCheck,
-    ConeField,
-    QuadratureRule,
-    catalog_cones,
-    catalog_fields,
-    cone_samples,
-    default_exponent_grid,
-    run_cone_sweep,
-    verify_interpolation_cone,
-    verify_morrey_cone,
-    verify_pointwise_cone,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    GeometryError,
-    OscboundError,
-)
-from .identities import (
-    IdentityReport,
-    PipelineData,
-    build_pipeline_data,
-    check_divergence_identity,
-    check_fundamental_identity,
-    check_grad_infty_bound,
-    check_hopf_bound,
-    check_identity_mp,
-    check_min_depth,
-    check_oscillation_chain,
-    check_sbt_chain,
-    check_torsion_depth,
-    check_weighted_poincare,
-    run_domain_checks,
-)
-from .stability import (
-    DEVIATION_FIELDS,
-    FamilySpec,
-    FitResult,
-    ProfileVerdict,
-    StabilityRecord,
-    build_family_domain,
-    check_sbt_profile,
-    check_serrin_profile,
-    fit_exponent,
-    record_from_data,
-    run_family,
-    verify_monotone_deviations,
-    verify_refinement,
-)
-from .stardomain import (
-    StarDomain2D,
-    ball_radii,
-    curvature_deviation,
-    rotated,
-    star_radius,
-)
-from .torsion import (
-    BoundaryTrace,
-    DiscreteField,
-    Grid,
-    SolveReport,
-    TensorField,
-    boundary_lp_norm,
-    estimate_order,
-    exact_ellipse_torsion,
-    gauss_map_deviation,
-    h_field,
-    hessian_torsion,
-    locate_min,
-    lp_norm_domain,
-    normal_derivative,
-    solve_torsion,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "INF",
-    "ConeSpec",
-    "ConstantReport",
-    "ExponentPair",
-    "OscillationEstimate",
-    "alpha_pq",
-    "cap_measure",
-    "cone_measure",
-    "euler_beta",
-    "gradient_bound_M",
-    "min_depth_bound",
-    "morrey_cone_constant",
-    "morrey_domain_constant",
-    "oscillation_bound",
-    "psi_profile",
-    "serrin_profile_exponent",
-    "two_term_minimize",
-    "unit_ball_volume",
-    "unit_sphere_area",
-    "weighted_poincare_structural_constant",
-    "AnalyticField",
-    "ConeCheck",
-    "ConeField",
-    "QuadratureRule",
-    "catalog_cones",
-    "catalog_fields",
-    "cone_samples",
-    "default_exponent_grid",
-    "run_cone_sweep",
-    "verify_interpolation_cone",
-    "verify_morrey_cone",
-    "verify_pointwise_cone",
-    "ConfigError",
-    "DomainError",
-    "GeometryError",
-    "OscboundError",
-    "IdentityReport",
-    "PipelineData",
-    "build_pipeline_data",
-    "check_divergence_identity",
-    "check_fundamental_identity",
-    "check_grad_infty_bound",
-    "check_hopf_bound",
-    "check_identity_mp",
-    "check_min_depth",
-    "check_oscillation_chain",
-    "check_sbt_chain",
-    "check_torsion_depth",
-    "check_weighted_poincare",
-    "run_domain_checks",
-    "DEVIATION_FIELDS",
-    "FamilySpec",
-    "FitResult",
-    "ProfileVerdict",
-    "StabilityRecord",
-    "build_family_domain",
-    "check_sbt_profile",
-    "check_serrin_profile",
-    "fit_exponent",
-    "record_from_data",
-    "run_family",
-    "verify_monotone_deviations",
-    "verify_refinement",
-    "StarDomain2D",
-    "ball_radii",
-    "curvature_deviation",
-    "rotated",
-    "star_radius",
-    "BoundaryTrace",
-    "DiscreteField",
-    "Grid",
-    "SolveReport",
-    "TensorField",
-    "boundary_lp_norm",
-    "estimate_order",
-    "exact_ellipse_torsion",
-    "gauss_map_deviation",
-    "h_field",
-    "hessian_torsion",
-    "locate_min",
-    "lp_norm_domain",
-    "normal_derivative",
-    "solve_torsion",
-    "__version__",
-]

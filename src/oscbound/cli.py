@@ -233,8 +233,8 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"N must be >= 2, got {config.N}")
     if config.jobs < 0:
         raise ConfigError(f"jobs must be >= 0, got {config.jobs}")
-    if not config.calibration_k > 0.0:
-        raise ConfigError("calibration_k must be positive")
+    if not 0.0 < config.calibration_k < math.inf:
+        raise ConfigError("calibration_k must be positive and finite")
     try:
         if config.command in _FAMILY_COMMANDS:
             _family_spec(config)

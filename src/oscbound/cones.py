@@ -89,8 +89,7 @@ class AnalyticField:
     """A closed-form scalar field with its exact gradient (hessian optional).
 
     ``value`` maps an (M, dim) array of points to (M,) values; ``gradient``
-    maps it to (M, dim).  The gradient is validated against central finite
-    differences by :meth:`self_check`.
+    maps it to (M, dim).
     """
 
     label: str
@@ -100,26 +99,6 @@ class AnalyticField:
 
     def gradient_magnitude(self, points: Array) -> Array:
         return np.sqrt(_row_sum_sq(np.asarray(self.gradient(points), dtype=float)))
-
-    def self_check(self, dim: int, n: int = 100, seed: int = 7, tol: float = 1e-6) -> float:
-        """Max relative deviation of the gradient from central differences."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(0.3, 1.5, size=(n, dim))
-        grad = np.asarray(self.gradient(pts), dtype=float)
-        fd = np.empty_like(grad)
-        h = 1e-6
-        for j in range(dim):
-            step = np.zeros(dim)
-            step[j] = h
-            fd[:, j] = (self.value(pts + step) - self.value(pts - step)) / (2.0 * h)
-        scale = np.maximum(np.linalg.norm(grad, axis=1), 1.0)
-        worst = float(np.max(np.linalg.norm(grad - fd, axis=1) / scale))
-        if worst > tol:
-            raise DomainError(
-                f"field {self.label!r}: gradient disagrees with finite differences "
-                f"(max relative deviation {worst:.3e} > {tol:.1e})"
-            )
-        return worst
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +165,7 @@ class QuadratureRule:
     points: Array              # (n_radial * K, dim)
     radii: Array               # (n_radial * K,)
     weights: Array             # Lebesgue weights, sum = |C|
-    sup_points: Array          # (10_000 + K + 1, dim)
+    sup_points: Array          # (_SUP_SAMPLES + K + 1, dim)
     measure: float             # |C|
     kernel_weights: Array      # weights / radii**(N-1)
     weighted_kernel_weights: Array   # kernel_weights * (a^N - radii^N) / N
@@ -239,6 +218,7 @@ class QuadratureRule:
 
 
 _HALTON_BASES = (2, 3, 5)  # cones live in dimension 2 or 3
+_SUP_SAMPLES = 10_000  # quasi-random points of a rule's sup_points
 
 
 @lru_cache(maxsize=16)
@@ -260,10 +240,11 @@ def _halton(count: int, dim: int) -> Array:
     return out
 
 
-def cone_samples(cone: ConeSpec, count: int = 10_000) -> Array:
-    """Deterministic quasi-random points filling the cone (for sup norms)."""
+def cone_samples(cone: ConeSpec) -> Array:
+    """``_SUP_SAMPLES`` deterministic quasi-random points filling the cone
+    (for sup norms)."""
     dim = cone.dim
-    u = _halton(count, dim)
+    u = _halton(_SUP_SAMPLES, dim)
     s = cone.height * u[:, 0] ** (1.0 / dim)
     if dim == 2:
         psi0 = math.atan2(cone.axis[1], cone.axis[0])
@@ -363,6 +344,9 @@ class ConeField:
 # margin checks
 # --------------------------------------------------------------------------
 
+_SLACK = 1e-9  # quadrature rounding a margin may show
+
+
 @dataclass(frozen=True)
 class ConeCheck:
     """One verified inequality instance: lhs <= rhs with margin = rhs - lhs."""
@@ -375,14 +359,14 @@ class ConeCheck:
     rhs: float
     p: float | None = None
     q: float | None = None
-    sigma: float | None = None
 
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
 
-    def ok(self, slack: float = 1e-9) -> bool:
-        return self.margin >= -slack
+    def ok(self) -> bool:
+        """Whether the margin stays above ``-_SLACK``."""
+        return self.margin >= -_SLACK
 
 
 def verify_pointwise_cone(cf: ConeField) -> list[ConeCheck]:
@@ -423,8 +407,7 @@ def verify_interpolation_cone(cf: ConeField, pair: ExponentPair) -> ConeCheck:
     the closed-form minimizer of :func:`two_term_minimize`.  For ``p = N``
     the right side is the explicit log-interpolation bound ``N (q/(q-N))
     ||grad f||_N log(e ||grad f||_q / (q' ||grad f||_N))`` (its q -> inf
-    limit when q = inf); the reported sigma is the closed-form minimizing
-    radius.
+    limit when q = inf).
     """
     cone = cf.cone
     N = cone.dim
@@ -442,21 +425,20 @@ def verify_interpolation_cone(cf: ConeField, pair: ExponentPair) -> ConeCheck:
         coef_a = N if q == INF else (N * (q - 1.0) / (q - N)) ** (1.0 - 1.0 / q)
         coef_b = 1.0 if p == 1.0 else (N * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
         exp_a = 1.0 if q == INF else 1.0 - N / q
-        sigma, rhs = two_term_minimize(coef_a * norm_q, coef_b * norm_p,
-                                       exp_a, 1.0 - N / p, a)
+        _, rhs = two_term_minimize(coef_a * norm_q, coef_b * norm_p,
+                                   exp_a, 1.0 - N / p, a)
         return ConeCheck(field=cf.field.label, theta=cone.theta, a=a,
-                         check="interp_power", lhs=lhs, rhs=rhs, p=p, q=q, sigma=sigma)
+                         check="interp_power", lhs=lhs, rhs=rhs, p=p, q=q)
 
     norm_n = cf.norm(float(N))
     if norm_n == 0.0 or norm_q == 0.0:
-        rhs, sigma = 0.0, a
+        rhs = 0.0
     else:
         qq = holder_conjugate(q)
         factor = 1.0 if q == INF else q / (q - N)
         rhs = N * factor * norm_n * math.log(math.e * norm_q / (qq * norm_n))
-        sigma = a * min((qq * norm_n / norm_q) ** factor, 1.0)
     return ConeCheck(field=cf.field.label, theta=cone.theta, a=a,
-                     check="interp_log", lhs=lhs, rhs=rhs, p=p, q=q, sigma=sigma)
+                     check="interp_log", lhs=lhs, rhs=rhs, p=p, q=q)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ functions: measures of spherical caps and cones, sharp cone-average (Morrey)
 constants, interpolation exponents, the two-term Hoelder-split minimization
 that all oscillation estimates reduce to, and the explicit structural
 constants used by the torsion stability pipeline (gradient bound, minimum
-depth, weighted Poincare).  No discretization happens here.
+depth) and the exponent window of its weighted Poincare ratio.  No
+discretization happens here.
 
 Conventions
 -----------
@@ -48,11 +49,16 @@ __all__ = [
     "gradient_bound_M",
     "min_depth_bound",
     "weighted_poincare_window",
-    "weighted_poincare_structural_constant",
     "holder_conjugate",
     "near_field_coefficient",
     "far_field_coefficient",
 ]
+
+
+def _check_dim(N: int) -> None:
+    """Raise DomainError unless N is an integer >= 2."""
+    if int(N) != N or N < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {N}")
 
 
 # --------------------------------------------------------------------------
@@ -68,8 +74,7 @@ class ExponentPair:
     N: int
 
     def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.N}")
+        _check_dim(self.N)
         if not (1.0 <= self.p <= self.q):
             raise DomainError(f"need 1 <= p <= q, got p={self.p}, q={self.q}")
 
@@ -173,8 +178,7 @@ def cap_measure(theta: float, N: int) -> float:
     from the regularized incomplete beta function, which reduces to arc
     length ``2 theta`` for N = 2 and to ``2 pi (1 - cos theta)`` for N = 3.
     """
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     if not (0.0 < theta <= math.pi / 2.0):
         raise DomainError(f"cap half-angle must lie in (0, pi/2], got {theta}")
     if N == 2:
@@ -231,8 +235,7 @@ def morrey_cone_constant(p: float, N: int, a: float) -> float:
     At p = inf the constant degenerates to ``a N / (N + 1)``, the exact
     average distance to the vertex.
     """
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     if not a > 0.0:
         raise DomainError(f"cone height must be positive, got {a}")
     if not p > N:
@@ -253,8 +256,7 @@ def morrey_domain_constant(p: float, N: int, theta: float) -> float:
     ``|f(x) - f_{C_x}| <= k a^{1 - N/p} V^{1/p} ||grad f||_{p}`` with the
     norm normalized over the whole domain.
     """
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     if not p > N:
         raise DomainError(f"domain constant needs p > N, got p={p}, N={N}")
     cap = cap_measure(theta, N)
@@ -461,8 +463,7 @@ def psi_profile(sigma: float, N: int, regularity: str = "C2gamma", q: float = IN
     """
     if sigma < 0.0:
         raise DomainError(f"deviation must be >= 0, got {sigma}")
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     _check_regularity(regularity)
     if N in (2, 3):
         return float(sigma)
@@ -486,8 +487,7 @@ def serrin_profile_exponent(N: int, q: float = INF, regularity: str = "C2") -> f
     with finite q > N, with the C^{2,gamma} / q -> inf limit ``4/(N+1)``.
     Dimensions N <= 3 do not use this exponent and raise a domain error.
     """
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     if N <= 3:
         raise DomainError(f"profile exponent is only used for N >= 4, got N={N}")
     _check_regularity(regularity)
@@ -500,8 +500,7 @@ def serrin_profile_exponent(N: int, q: float = INF, regularity: str = "C2") -> f
 
 def gradient_bound_M(N: int, d: float, r_e: float) -> float:
     """Explicit global gradient bound M = (N+1) d (d + r_e) / (2 r_e)."""
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     if not (d > 0.0 and r_e > 0.0):
         raise DomainError("diameter and exterior radius must be positive")
     return (N + 1.0) * d * (d + r_e) / (2.0 * r_e)
@@ -519,8 +518,7 @@ def min_depth_bound(
     ``r_Omega / sqrt(N)`` for mean-convex domains; in general the same value
     damped by ``[1 + ((N^2-1)/(2N)) (d/r_e)(1 + d/r_e)]^{-1/2}``.
     """
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     if not r_Omega > 0.0:
         raise DomainError("inradius must be positive")
     base = r_Omega / math.sqrt(N)
@@ -536,8 +534,7 @@ def weighted_poincare_window(N: int, r: float, p: float, alpha: float) -> None:
     """Reject exponents outside the admissible window of the weighted
     Poincare inequality, ``1 <= p <= r <= Np/(N - p(1-alpha))`` with
     ``p(1-alpha) < N`` and ``0 <= alpha <= 1``."""
-    if int(N) != N or N < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {N}")
+    _check_dim(N)
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"weight exponent must lie in [0, 1], got {alpha}")
     if not 1.0 <= p <= r:
@@ -548,33 +545,3 @@ def weighted_poincare_window(N: int, r: float, p: float, alpha: float) -> None:
     if r > r_cap * (1.0 + 1e-12):
         raise DomainError(f"need r <= Np/(N - p(1-alpha)) = {r_cap:.6g}, got r={r}")
 
-
-def weighted_poincare_structural_constant(
-    N: int,
-    r: float,
-    p: float,
-    alpha: float,
-    volume: float,
-    d: float,
-    r_i: float,
-    r_e: float,
-    mean_convex: bool = False,
-    calibration_k: float = 1.0,
-) -> float:
-    """Structural constant of the distance-weighted Poincare inequality.
-
-    Returns ``k * |Omega|^{(1-alpha)/N} (d/r_i)^N [N + (N^2-1)(d/(2 r_e))
-    (1 + d/r_e)]^{N/2}``, dropping the bracket for mean-convex domains.
-    ``calibration_k`` stands in for the absolute constant that depends only
-    on (N, r, p, alpha); the exponents must lie in the window of
-    :func:`weighted_poincare_window`.
-    """
-    weighted_poincare_window(N, r, p, alpha)
-    if not (volume > 0.0 and d > 0.0 and r_i > 0.0 and r_e > 0.0):
-        raise DomainError("volume, diameter and radii must be positive")
-    if not calibration_k > 0.0:
-        raise DomainError("calibration constant must be positive")
-    value = calibration_k * volume ** ((1.0 - alpha) / N) * (d / r_i) ** N
-    if not mean_convex:
-        value *= (N + (N * N - 1.0) * (d / (2.0 * r_e)) * (1.0 + d / r_e)) ** (N / 2.0)
-    return value

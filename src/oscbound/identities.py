@@ -19,7 +19,7 @@ throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -99,12 +99,14 @@ _POINCARE_R, _POINCARE_P = 4.0, 2.0  # the battery's weighted Poincare ratio
 class IdentityReport:
     """One checked statement: name, both sides, residual, and a verdict.
 
-    ``kind`` selects the verdict semantics.  For ``identity`` the residual is
-    ``|lhs - rhs| / max(|lhs|, |rhs|, FLOOR)`` and passing means it does not
-    exceed the tolerance.  For ``inequality`` the statement is ``lhs <= rhs``;
-    the residual keeps only the violation, and slack is
-    ``max(tolerance * scale, 1e-9)``.  ``ratio`` records are informational
-    (status ``monitored``) unless both sides vanish, which counts as a pass.
+    ``kind`` selects the verdict semantics, and ``status`` is derived from
+    it on construction.  For ``identity`` the residual is ``|lhs - rhs| /
+    max(|lhs|, |rhs|, FLOOR)`` and passing means it does not exceed the
+    tolerance.  For ``inequality`` the statement is ``lhs <= rhs``; the
+    residual keeps only the violation, and slack is ``max(tolerance * scale,
+    1e-9)``.  ``ratio`` records are informational (status ``monitored``)
+    unless both sides vanish, which counts as a pass.  A report with a
+    non-finite side fails, whatever its kind.
     """
 
     name: str
@@ -112,34 +114,24 @@ class IdentityReport:
     rhs: float
     residual: float
     tolerance: float
-    status: str
     kind: str = "identity"
+    status: str = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("identity", "inequality", "ratio"):
             raise DomainError(f"unknown report kind {self.kind!r}")
-        if self.status not in ("pass", "fail", "monitored"):
-            raise DomainError(f"unknown report status {self.status!r}")
         if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
-            if self.status != "fail":
-                raise DomainError(
-                    f"report {self.name!r} has non-finite sides and must fail"
-                )
-            return
-        if self.kind == "identity":
-            expect = "pass" if self.residual <= self.tolerance else "fail"
+            status = "fail"
+        elif self.kind == "identity":
+            status = "pass" if self.residual <= self.tolerance else "fail"
         elif self.kind == "inequality":
             scale = max(abs(self.lhs), abs(self.rhs), FLOOR)
             slack = max(self.tolerance * scale, _ABS_SLACK)
-            expect = "pass" if self.lhs - self.rhs <= slack else "fail"
+            status = "pass" if self.lhs - self.rhs <= slack else "fail"
         else:
-            expect = "pass" if max(abs(self.lhs), abs(self.rhs)) < _ABS_SLACK \
+            status = "pass" if max(abs(self.lhs), abs(self.rhs)) < _ABS_SLACK \
                 else "monitored"
-        if self.status != expect:
-            raise DomainError(
-                f"report {self.name!r}: status {self.status!r} contradicts "
-                f"its own kind/tolerance (expected {expect!r})"
-            )
+        object.__setattr__(self, "status", status)
 
     @property
     def ratio(self) -> float:
@@ -159,23 +151,18 @@ class IdentityReport:
         are pure discretization noise) from dividing noise by noise.
         """
         scale = max(abs(lhs), abs(rhs), abs(natural_scale), FLOOR)
-        residual = abs(lhs - rhs) / scale
-        status = "pass" if residual <= tolerance else "fail"
-        return IdentityReport(name, lhs, rhs, residual, tolerance, status)
+        return IdentityReport(name, lhs, rhs, abs(lhs - rhs) / scale, tolerance)
 
     @staticmethod
     def inequality(name: str, lhs: float, rhs: float,
                    tolerance: float = 0.0) -> "IdentityReport":
         scale = max(abs(lhs), abs(rhs), FLOOR)
-        residual = max(0.0, lhs - rhs) / scale
-        ok = lhs - rhs <= max(tolerance * scale, _ABS_SLACK)
-        return IdentityReport(name, lhs, rhs, residual, tolerance,
-                              "pass" if ok else "fail", kind="inequality")
+        return IdentityReport(name, lhs, rhs, max(0.0, lhs - rhs) / scale,
+                              tolerance, kind="inequality")
 
     @staticmethod
     def monitored(name: str, lhs: float, rhs: float) -> "IdentityReport":
-        status = "pass" if max(abs(lhs), abs(rhs)) < _ABS_SLACK else "monitored"
-        return IdentityReport(name, lhs, rhs, 0.0, 0.0, status, kind="ratio")
+        return IdentityReport(name, lhs, rhs, 0.0, 0.0, kind="ratio")
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +180,6 @@ class PipelineData:
     z: Array
     h_aux: DiscreteField
     grad_h: TensorField
-    hess_u: TensorField
     hess_h: TensorField
     trace: BoundaryTrace          # u_nu at uniform boundary angles
     gamma: Array                  # boundary points behind the trace
@@ -332,14 +318,13 @@ def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
     residue = np.stack([1.0 - hess_u.components[..., 0],
                         -hess_u.components[..., 1],
                         1.0 - hess_u.components[..., 2]], axis=-1)
-    hess_h = TensorField(grid=u.grid, components=residue, valid=hess_u.valid,
-                         provenance="derived")
+    hess_h = TensorField(grid=u.grid, components=residue, valid=hess_u.valid)
     boundary = _coarse(domain.boundary_table)
     trace = normal_derivative(u, boundary)
     rho_i, rho_e = rho_bounds(domain, z)
     return PipelineData(
         domain=domain, h=h, u=u, report=report, z=z, h_aux=h_aux,
-        grad_h=grad_h, hess_u=hess_u, hess_h=hess_h, trace=trace,
+        grad_h=grad_h, hess_h=hess_h, trace=trace,
         gamma=boundary.gamma, normal=boundary.normal,
         curvature=boundary.kappa,
         area=area(domain), perimeter=perimeter(domain),
@@ -522,8 +507,8 @@ def check_weighted_poincare(data: PipelineData, r: float = _POINCARE_R,
     is monitored (vanishing sides pass).
     """
     weighted_poincare_window(2, r, p, alpha)
-    if not calibration_k > 0.0:
-        raise DomainError("calibration constant must be positive")
+    if not 0.0 < calibration_k < math.inf:
+        raise DomainError("calibration constant must be positive and finite")
     lhs = lp_norm_domain(data.grad_h, r)
     rhs = calibration_k * lp_norm_domain(data.hess_h, p, alpha=alpha)
     return IdentityReport.monitored("weighted_poincare", lhs, rhs)

@@ -64,6 +64,11 @@ DEVIATION_FIELDS = (
 _DEFAULT_EPS = (0.02, 0.04, 0.07, 0.1, 0.14, 0.2)
 _FLOOR = 1e-12          # below this a deviation is unresolved noise
 _MONOTONE_FLOOR = 1e-8  # discretization floor for monotonicity checks
+# planar profiles are linear: the fitted slope window, the least R^2 of that
+# fit, and the least slope of the Gauss-map deviation
+_SLOPE_WINDOW = (0.9, 1.1)
+_MIN_R2 = 0.98
+_MIN_GAUSS_SLOPE = 0.9
 
 
 # --------------------------------------------------------------------------
@@ -80,14 +85,14 @@ class FamilySpec:
         ``"ellipse"`` for the area-preserving ellipses or
         ``"cosine_perturbation"`` for ``r = 1 + eps cos(k phi)``.
     eps : tuple of float
-        Positive, strictly ascending; for cosine families the largest value
-        must stay below 1 so the radial profile stays positive.
+        Positive, finite, strictly ascending; for cosine families the
+        largest value must stay below 1 so the radial profile stays positive.
     k : int
         Mode number of the cosine perturbation (ignored for ellipses).
     normalize_area : bool
         Rescale cosine members to area pi (ellipse members have it already).
     spacing : float
-        Grid spacing handed to the torsion solver.
+        Grid spacing handed to the torsion solver, positive and finite.
     refinements : int
         Number of grid halvings :func:`verify_refinement` should check.
     """
@@ -106,8 +111,8 @@ class FamilySpec:
         object.__setattr__(self, "eps", eps)
         if not eps:
             raise DomainError("family needs at least one epsilon")
-        if any(e <= 0.0 for e in eps):
-            raise DomainError("epsilon values must be positive")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise DomainError("epsilon values must be positive and finite")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise DomainError("epsilon values must be strictly ascending")
         if self.kind == "cosine_perturbation":
@@ -116,8 +121,9 @@ class FamilySpec:
             if eps[-1] >= 1.0:
                 raise DomainError(
                     "cosine amplitude must stay below 1 to keep r > 0")
-        if not self.spacing > 0.0:
-            raise DomainError(f"grid spacing must be positive, got {self.spacing}")
+        if not 0.0 < self.spacing < math.inf:
+            raise DomainError(
+                f"grid spacing must be positive and finite, got {self.spacing}")
         if int(self.refinements) != self.refinements or self.refinements < 0:
             raise DomainError(
                 f"refinement count must be a nonnegative integer, got "
@@ -309,9 +315,8 @@ class ProfileVerdict:
     passed: bool
 
 
-def _profile(records: list[StabilityRecord], name: str, deviation: str,
-             window: tuple[float, float],
-             min_r2: float, min_gauss_slope: float) -> ProfileVerdict:
+def _profile(records: list[StabilityRecord], name: str,
+             deviation: str) -> ProfileVerdict:
     primary = fit_exponent(records, deviation, "radius_gap")
     gauss = fit_exponent(records, deviation, "gauss_deviation")
     ratios = [record.radius_gap / getattr(record, deviation)
@@ -319,35 +324,27 @@ def _profile(records: list[StabilityRecord], name: str, deviation: str,
               if record.status == "ok" and getattr(record, deviation) > _FLOOR]
     if not ratios:
         raise DomainError(f"{name} profile has no resolved deviation ratios")
-    lo, hi = window
-    passed = (lo <= primary.slope <= hi and primary.r_squared >= min_r2
-              and gauss.slope >= min_gauss_slope)
+    lo, hi = _SLOPE_WINDOW
+    passed = (lo <= primary.slope <= hi and primary.r_squared >= _MIN_R2
+              and gauss.slope >= _MIN_GAUSS_SLOPE)
     return ProfileVerdict(name=name, primary=primary, gauss=gauss,
                           c_emp=max(ratios), passed=passed)
 
 
-def check_sbt_profile(records: list[StabilityRecord],
-                      window: tuple[float, float] = (0.9, 1.1),
-                      min_r2: float = 0.98,
-                      min_gauss_slope: float = 0.9) -> ProfileVerdict:
+def check_sbt_profile(records: list[StabilityRecord]) -> ProfileVerdict:
     """Planar soap-bubble stability profile: linear in ``||H - H0||_2``.
 
     Asserts the fitted exponent of the radius gap against the curvature
-    flatness sits in ``window`` with coefficient of determination at least
-    ``min_r2``, and that the Gauss-map deviation responds at least linearly.
+    flatness sits in [0.9, 1.1] with coefficient of determination at least
+    0.98, and that the Gauss-map deviation grows with slope at least 0.9.
     """
-    return _profile(records, "sbt", "curvature_flatness", window, min_r2,
-                    min_gauss_slope)
+    return _profile(records, "sbt", "curvature_flatness")
 
 
-def check_serrin_profile(records: list[StabilityRecord],
-                         window: tuple[float, float] = (0.9, 1.1),
-                         min_r2: float = 0.98,
-                         min_gauss_slope: float = 0.9) -> ProfileVerdict:
+def check_serrin_profile(records: list[StabilityRecord]) -> ProfileVerdict:
     """Planar overdetermined-torsion stability profile: linear in
-    ``||u_nu - R||_2``."""
-    return _profile(records, "serrin", "trace_flatness", window, min_r2,
-                    min_gauss_slope)
+    ``||u_nu - R||_2``, with the thresholds of :func:`check_sbt_profile`."""
+    return _profile(records, "serrin", "trace_flatness")
 
 
 # --------------------------------------------------------------------------
@@ -355,12 +352,11 @@ def check_serrin_profile(records: list[StabilityRecord],
 # --------------------------------------------------------------------------
 
 def verify_monotone_deviations(
-        records: list[StabilityRecord],
-        floor: float = _MONOTONE_FLOOR) -> list[IdentityReport]:
+        records: list[StabilityRecord]) -> list[IdentityReport]:
     """Every deviation column must grow strictly with epsilon.
 
     One inequality report per column; the largest non-monotone step must
-    stay below the discretization floor.
+    stay below the discretization floor, 1e-8.
     """
     rows = [r for r in records if r.status == "ok"]
     if len(rows) < 2:
@@ -370,7 +366,8 @@ def verify_monotone_deviations(
         values = [getattr(r, column) for r in rows]
         worst = max(a - b for a, b in zip(values, values[1:]))
         reports.append(
-            IdentityReport.inequality(f"monotone_{column}", worst, floor))
+            IdentityReport.inequality(f"monotone_{column}", worst,
+                                      _MONOTONE_FLOOR))
     return reports
 
 

@@ -13,9 +13,9 @@ gamma'') that a caller needs.  Each domain samples its boundary once, in
 one table at 4096 uniform angles (:attr:`StarDomain2D.boundary_table`).
 
 All geometric quantities of the estimates live here: area, perimeter,
-diameter, curvature statistics, the two radii measured from a marked point
-(rho_i, rho_e), the uniform interior/exterior ball radii (r_i, r_e), the
-inradius and the boundary distance.  Each starts from the boundary table,
+diameter, the two radii measured from a marked point (rho_i, rho_e), the
+uniform interior/exterior ball radii (r_i, r_e), the inradius and the
+boundary distance.  Each starts from the boundary table,
 and three searches carry every extremum: the tangent-ball quotient table
 (the ball radii and the inradius), the seeded Newton projection onto the
 curve (every nearest-point distance) and golden-section refinement of a
@@ -40,11 +40,9 @@ __all__ = [
     "area",
     "perimeter",
     "diameter",
-    "H0_and_R",
     "rho_bounds",
     "ball_radii",
     "delta_gamma",
-    "curvature_deviation",
     "star_radius",
     "inradius",
     "rotated",
@@ -288,11 +286,6 @@ def _coarse(table: BoundaryTable) -> BoundaryTable:
     return view._replace(weight=view.weight * _COARSE_STRIDE)
 
 
-def _boundary_arrays(domain: StarDomain2D, m: int):
-    """(phi, gamma, normal, curvature, arclength weight) at m uniform angles."""
-    return _sample_boundary(domain, m)[:5]
-
-
 # --------------------------------------------------------------------------
 # bulk quantities
 # --------------------------------------------------------------------------
@@ -369,21 +362,6 @@ def diameter(domain: StarDomain2D) -> float:
     t1, t2 = _critical_pair(domain, float(phi[i]), float(phi[j]))
     g1, g2 = domain.boundary(np.array([t1, t2]))
     return max(float(np.linalg.norm(g1 - g2)), math.sqrt(float(d2[i, j])))
-
-
-def H0_and_R(domain: StarDomain2D) -> tuple[float, float]:
-    """Reference curvature H0 = 1/R with R = 2 |Omega| / |Gamma|."""
-    R = 2.0 * area(domain) / perimeter(domain)
-    return 1.0 / R, R
-
-
-def curvature_deviation(domain: StarDomain2D) -> float:
-    """Normalized boundary L2 norm of kappa - H0 (measure dS / |Gamma|)."""
-    table = domain.boundary_table
-    kappa, weight = table.kappa, table.weight
-    length = float(np.sum(weight))
-    h0 = length / (2.0 * area(domain))
-    return math.sqrt(float(np.sum(weight * (kappa - h0) ** 2)) / length)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ the normal derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -53,6 +53,7 @@ _ROOT_STEPS = 64        # cap on the safeguarded Newton steps of a root
 _T_MIN = 1e-8           # crossing-fraction snap to keep the matrix conditioned
 _ON_BOUNDARY = 1e-13    # a node this many spacings from a crossing is on it
 _AREA_TOL = 1e-12       # relative gap allowed between the areas and |Omega|
+_TRACE_STEP = 3.0       # normal-derivative stencil step, in grid spacings
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +275,6 @@ class DiscreteField:
 
     grid: Grid
     values: Array
-    provenance: str = "derived"
 
     def __post_init__(self):
         vals = self.values[self.grid.inside]
@@ -294,7 +294,6 @@ class TensorField:
     grid: Grid
     components: Array
     valid: Array
-    provenance: str = "derived"
 
     @property
     def excluded_fraction(self) -> float:
@@ -315,7 +314,6 @@ class TensorField:
 class SolveReport:
     """Outcome of one linear solve."""
 
-    h: float
     residual: float
     n_unknowns: int
 
@@ -393,8 +391,8 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
 
     values = np.full((ny, nx), np.nan)
     values[ii, jj] = sol
-    u = DiscreteField(grid=grid, values=values, provenance="solved")
-    return u, SolveReport(h=h, residual=residual, n_unknowns=grid.n_unknowns)
+    u = DiscreteField(grid=grid, values=values)
+    return u, SolveReport(residual=residual, n_unknowns=grid.n_unknowns)
 
 
 def exact_ellipse_torsion(a: float, b: float) -> AnalyticField:
@@ -466,7 +464,7 @@ def h_field(u: DiscreteField, z) -> DiscreteField:
     X, Y = np.meshgrid(grid.xs, grid.ys)
     q = 0.5 * ((X - z[0]) ** 2 + (Y - z[1]) ** 2)
     values = np.where(grid.inside, q - u.values, np.nan)
-    return DiscreteField(grid=grid, values=values, provenance="derived")
+    return DiscreteField(grid=grid, values=values)
 
 
 # --------------------------------------------------------------------------
@@ -508,8 +506,7 @@ def gradient(field: DiscreteField) -> TensorField:
     valid = vx & vy
     comps = np.stack([np.where(valid, gx, np.nan),
                       np.where(valid, gy, np.nan)], axis=-1)
-    return TensorField(grid=grid, components=comps, valid=valid,
-                       provenance=field.provenance)
+    return TensorField(grid=grid, components=comps, valid=valid)
 
 
 def hessian_torsion(u: DiscreteField) -> TensorField:
@@ -547,8 +544,7 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
     comps = np.stack([np.where(valid, uxx, np.nan),
                       np.where(valid, uxy, np.nan),
                       np.where(valid, uyy, np.nan)], axis=-1)
-    return TensorField(grid=grid, components=comps, valid=valid,
-                       provenance=u.provenance)
+    return TensorField(grid=grid, components=comps, valid=valid)
 
 
 # --------------------------------------------------------------------------
@@ -630,8 +626,7 @@ class BoundaryTrace:
         return float(np.sum(self.weights[~self.valid]) / np.sum(self.weights))
 
 
-def normal_derivative(u: DiscreteField, samples: tuple[Array, ...],
-                      step_factor: float = 3.0) -> BoundaryTrace:
+def normal_derivative(u: DiscreteField, samples: tuple[Array, ...]) -> BoundaryTrace:
     """Outward normal derivative on the boundary by one-sided differences.
 
     ``samples`` are the boundary samples to differentiate at: a
@@ -639,15 +634,15 @@ def normal_derivative(u: DiscreteField, samples: tuple[Array, ...],
     (phi, position, outward normal, curvature, arclength weight); the
     pipeline passes the coarse view of the domain's boundary table.  Uses
     ``u = 0`` on the boundary and bilinear samples at distances delta and 2
-    delta inward along the normal (delta = step_factor * h).  The trace is
-    first-order accurate as measured: against a spectral reference its max
-    error on the ellipse eps = 0.2 is 2.37e-3, 1.19e-3 and 5.93e-4 at h =
-    1/64, 1/128 and 1/256.  Samples whose stencil leaves the interior are
-    flagged and excluded.
+    delta inward along the normal (delta = ``_TRACE_STEP`` h = 3 h).  The
+    trace is first-order accurate as measured: against a spectral reference
+    its max error on the ellipse eps = 0.2 is 2.37e-3, 1.19e-3 and 5.93e-4
+    at h = 1/64, 1/128 and 1/256.  Samples whose stencil leaves the interior
+    are flagged and excluded.
     """
     grid = u.grid
     phi, pos, normal, _, weight = samples[:5]
-    delta = step_factor * grid.h
+    delta = _TRACE_STEP * grid.h
     p1 = pos - delta * normal
     p2 = pos - 2.0 * delta * normal
     v1, ok1 = bilinear(u, p1)

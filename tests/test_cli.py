@@ -8,6 +8,7 @@ and byte-identical reruns.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -145,6 +146,10 @@ class TestParseConfig:
         "jobs = -2",                  # negative
         "calibration_k = 0",          # not positive
         "just a line",                # no key=value shape
+        "grid.h = inf",               # not finite
+        "eps = inf",                  # not finite
+        "eps = 0.1, inf",             # not finite
+        "calibration_k = inf",        # not finite
     ])
     def test_rejects_bad_lines(self, tmp_path, line):
         cfg_path = write_cfg(tmp_path, line + "\n")
@@ -461,6 +466,29 @@ class TestArgparseSurface:
                               capture_output=True, text=True, env=env)
         assert done.returncode == 0
         assert done.stderr == ""
+
+
+# --------------------------------------------------------------------------
+# the library surface
+# --------------------------------------------------------------------------
+
+def test_package_import_loads_no_submodule_and_no_scipy():
+    # names are imported from their modules, so the package root imports
+    # nothing of its own
+    src = os.path.dirname(os.path.dirname(oscbound.__file__))
+    code = ("import sys, oscbound; print(sorted(m for m in sys.modules "
+            "if m.startswith('oscbound.') or m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["cli", "cones", "constants", "identities",
+                                    "stability", "stardomain", "torsion"])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(f"oscbound.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 # --------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oscbound import (
+from oscbound.constants import (
     INF,
     ConeSpec,
     ConstantReport,
-    DomainError,
     ExponentPair,
     alpha_pq,
     cap_measure,
@@ -33,9 +32,10 @@ from oscbound import (
     serrin_profile_exponent,
     two_term_minimize,
     unit_ball_volume,
-    weighted_poincare_structural_constant,
+    weighted_poincare_window,
 )
 from oscbound.constants import far_field_coefficient, near_field_coefficient
+from oscbound.errors import DomainError
 
 
 def rel_err(got: float, want: float) -> float:
@@ -502,34 +502,13 @@ def test_min_depth_bound():
         assert general <= convex
 
 
-def test_weighted_poincare_structural_constant():
-    # unit disk scalars, r = 2, p = 2, alpha = 1/2, k = 1:
-    # pi^{1/4} * (2/1)^2 * [2 + 3 * 1 * 3]^{1}  (bracket exponent N/2 = 1)
-    want = math.pi**0.25 * 4.0 * (2.0 + 3.0 * 1.0 * 3.0)
-    got = weighted_poincare_structural_constant(
-        2, 2.0, 2.0, 0.5, volume=math.pi, d=2.0, r_i=1.0, r_e=1.0
-    )
-    assert got == pytest.approx(want, rel=1e-12)
-    convex = weighted_poincare_structural_constant(
-        2, 2.0, 2.0, 0.5, volume=math.pi, d=2.0, r_i=1.0, r_e=1.0, mean_convex=True
-    )
-    assert convex < got
-    assert convex == pytest.approx(math.pi**0.25 * 4.0, rel=1e-12)
-
-
 def test_weighted_poincare_range_violations():
     with pytest.raises(DomainError):
-        weighted_poincare_structural_constant(
-            2, 10.0, 2.0, 0.5, volume=math.pi, d=2.0, r_i=1.0, r_e=1.0
-        )  # r above the embedding cap 4
+        weighted_poincare_window(2, 10.0, 2.0, 0.5)  # r above the embedding cap 4
     with pytest.raises(DomainError):
-        weighted_poincare_structural_constant(
-            2, 2.0, 2.0, 0.0, volume=math.pi, d=2.0, r_i=1.0, r_e=1.0
-        )  # p(1-alpha) = N
+        weighted_poincare_window(2, 2.0, 2.0, 0.0)  # p(1-alpha) = N
     with pytest.raises(DomainError):
-        weighted_poincare_structural_constant(
-            2, 1.0, 2.0, 0.5, volume=math.pi, d=2.0, r_i=1.0, r_e=1.0
-        )  # r < p
+        weighted_poincare_window(2, 1.0, 2.0, 0.5)  # r < p
 
 
 # --------------------------------------------------------------------------

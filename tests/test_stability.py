@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from oscbound import DomainError
+from oscbound.errors import DomainError
 from oscbound.stability import (
     DEVIATION_FIELDS,
     FamilySpec,
@@ -91,6 +91,9 @@ class TestFamilySpec:
         {"spacing": 0.0},
         {"refinements": -1},
         {"refinements": 0.5},
+        {"eps": (0.1, math.inf)},
+        {"eps": (0.1, math.nan)},
+        {"spacing": math.inf},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(DomainError):
@@ -267,12 +270,18 @@ class TestProfiles:
         assert check_sbt_profile(cosine_family).passed
         assert check_serrin_profile(cosine_family).passed
 
-    def test_narrow_window_fails_without_raising(self, ellipse_family):
-        verdict = check_sbt_profile(ellipse_family, window=(1.5, 2.0))
+    def test_narrow_window_fails_without_raising(self):
+        # radius gap quadratic in the deviation: slope 2, outside the window
+        records = [synth_record(e, radius_gap=e * e)
+                   for e in (0.02, 0.05, 0.1, 0.2)]
+        verdict = check_sbt_profile(records)
         assert not verdict.passed
 
-    def test_gauss_threshold_fails(self, ellipse_family):
-        verdict = check_serrin_profile(ellipse_family, min_gauss_slope=1.5)
+    def test_gauss_threshold_fails(self):
+        # Gauss deviation growing like the square root: slope 0.5 < 0.9
+        records = [synth_record(e, gauss_deviation=math.sqrt(e))
+                   for e in (0.02, 0.05, 0.1, 0.2)]
+        verdict = check_serrin_profile(records)
         assert not verdict.passed
 
     def test_degenerate_family_is_a_fit_error(self):

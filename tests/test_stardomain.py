@@ -15,18 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
-from oscbound import DomainError, GeometryError
+from oscbound.errors import DomainError, GeometryError
 from oscbound.stardomain import (
     StarDomain2D,
-    H0_and_R,
     _ball_table,
-    _boundary_arrays,
     _coarse,
     _golden_min,
+    _sample_boundary,
     _tangent_ball,
     area,
     ball_radii,
-    curvature_deviation,
     delta_gamma,
     diameter,
     inradius,
@@ -39,6 +37,12 @@ from oscbound.stardomain import (
 
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def h0_and_r(dom: StarDomain2D) -> tuple[float, float]:
+    """H0 = 1/R with R = 2 |Omega| / |Gamma|, as PipelineData.H0 and .R."""
+    R = 2.0 * area(dom) / perimeter(dom)
+    return 1.0 / R, R
 
 
 ELLIPSE_A, ELLIPSE_B = 2.0, 1.0
@@ -183,7 +187,7 @@ def test_contains_is_the_radial_test():
 
 def test_boundary_sample_circle_curvature_and_normals():
     R = 1.7
-    _, pos, normal, kappa, weight = _boundary_arrays(StarDomain2D.circle(R), 128)
+    _, pos, normal, kappa, weight = _sample_boundary(StarDomain2D.circle(R), 128)[:5]
     assert pos.shape == normal.shape == (128, 2)
     assert float(np.max(np.abs(kappa * R - 1.0))) < 1e-14
     assert float(np.max(np.abs(np.linalg.norm(normal, axis=1) - 1.0))) < 1e-14
@@ -202,7 +206,7 @@ def test_coarse_table_is_sampling_a_quarter_of_the_angles(dom):
     # the 1024-angle users read every 4th row of the one 4096-angle table,
     # with the weights times 4; bit for bit, so no output moves
     coarse = _coarse(dom.boundary_table)
-    want = _boundary_arrays(dom, 1024)
+    want = _sample_boundary(dom, 1024)
     for got, expected in zip(coarse[:5], want):
         assert np.array_equal(got, expected)
     table = dom.boundary_table
@@ -212,7 +216,7 @@ def test_coarse_table_is_sampling_a_quarter_of_the_angles(dom):
 
 def test_ellipse_curvature_at_vertex():
     dom = StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)
-    kappa = _boundary_arrays(dom, 64)[3]  # phi = 0 is the (a, 0) vertex
+    kappa = _sample_boundary(dom, 64)[3]  # phi = 0 is the (a, 0) vertex
     assert rel_err(float(kappa[0]), ELLIPSE_A / ELLIPSE_B**2) < 1e-10
 
 
@@ -221,7 +225,7 @@ def test_ellipse_curvature_against_parametric_oracle():
     # only, so compare at matched positions: tan t = (a/b) tan phi
     dom = StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)
     phi = np.array([0.1, 0.7, 1.3, 2.2, 4.0, 5.7])
-    _, pos, _, kappa, _ = _boundary_arrays(dom, 4096)
+    _, pos, _, kappa, _ = _sample_boundary(dom, 4096)[:5]
     t = np.arctan2(pos[:, 1] / ELLIPSE_B, pos[:, 0] / ELLIPSE_A)
     want = parametric_ellipse_curvature(t, ELLIPSE_A, ELLIPSE_B)
     assert float(np.max(np.abs(kappa - want))) < 1e-9
@@ -230,7 +234,7 @@ def test_ellipse_curvature_against_parametric_oracle():
 def test_perturbed_disk_curvature_formula():
     eps = 0.07
     dom = StarDomain2D.cosine(eps, 2)
-    kappa = _boundary_arrays(dom, 64)[3]
+    kappa = _sample_boundary(dom, 64)[3]
     want = ((1 + eps) ** 2 + 4 * eps * (1 + eps)) / (1 + eps) ** 3
     assert rel_err(float(kappa[0]), want) < 1e-13
 
@@ -244,7 +248,7 @@ def test_circle_bulk_quantities():
     assert rel_err(area(dom), math.pi) < 1e-14
     assert rel_err(perimeter(dom), 2.0 * math.pi) < 1e-14
     assert rel_err(diameter(dom), 2.0) < 1e-12
-    h0, R = H0_and_R(dom)
+    h0, R = h0_and_r(dom)
     assert rel_err(h0, 1.0) < 1e-13 and rel_err(R, 1.0) < 1e-13
 
 
@@ -253,7 +257,7 @@ def test_ellipse_area_perimeter_diameter():
     assert rel_err(area(dom), math.pi * ELLIPSE_A * ELLIPSE_B) < 1e-12
     assert rel_err(perimeter(dom), ELLIPSE_PERIMETER) < 1e-12
     assert rel_err(diameter(dom), 2.0 * ELLIPSE_A) < 1e-10
-    h0, R = H0_and_R(dom)
+    h0, R = h0_and_r(dom)
     assert rel_err(R, 2.0 * math.pi * ELLIPSE_A * ELLIPSE_B / ELLIPSE_PERIMETER) < 1e-11
 
 
@@ -275,7 +279,7 @@ def test_perimeter_against_adaptive_quadrature():
 
 def _perimeter_at(dom: StarDomain2D, m: int) -> float:
     """The trapezoid sum of :func:`perimeter` at m angles."""
-    return float(np.sum(_boundary_arrays(dom, m)[4]))
+    return float(np.sum(_sample_boundary(dom, m)[4]))
 
 
 def test_perimeter_converges_spectrally_under_doubling():
@@ -294,8 +298,8 @@ def test_scaling_homogeneity():
                           cos_coeffs=tuple(lam * c for c in base.cos_coeffs))
     assert rel_err(area(scaled), lam**2 * area(base)) < 1e-12
     assert rel_err(perimeter(scaled), lam * perimeter(base)) < 1e-12
-    h0, R = H0_and_R(base)
-    h0s, Rs = H0_and_R(scaled)
+    h0, R = h0_and_r(base)
+    h0s, Rs = h0_and_r(scaled)
     assert rel_err(Rs, lam * R) < 1e-12
     assert rel_err(h0s, h0 / lam) < 1e-12
 
@@ -375,7 +379,7 @@ def test_ball_radii_ellipse_rolling_ball():
 
 def test_ball_radii_convex_cosine_matches_curvature():
     dom = StarDomain2D.cosine(0.08, 3)
-    kappa = _boundary_arrays(dom, 8192)[3]
+    kappa = _sample_boundary(dom, 8192)[3]
     want = 1.0 / float(np.max(kappa))
     r_i, _ = ball_radii(dom)
     assert r_i <= want + 1e-6
@@ -765,7 +769,7 @@ def test_golden_refinements_keep_their_values(dom, want):
 # --------------------------------------------------------------------------
 
 def test_curvature_deviation_zero_for_circle():
-    assert curvature_deviation(StarDomain2D.circle(2.2)) < 1e-13
+    assert _curvature_deviation_at(StarDomain2D.circle(2.2), 4096) < 1e-13
 
 
 def test_curvature_deviation_ellipse_oracle():
@@ -781,15 +785,16 @@ def test_curvature_deviation_ellipse_oracle():
     h0 = length / (2.0 * math.pi * a * b)
     want = math.sqrt(
         float(np.sum(speed * (kappa - h0) ** 2)) * (2.0 * math.pi / m) / length)
-    got = curvature_deviation(dom)
+    got = _curvature_deviation_at(dom, 4096)
     assert rel_err(got, want) < 1e-9
 
 
 def test_curvature_deviation_rotation_invariant():
     dom = StarDomain2D.cosine(0.15, 3)
-    base = curvature_deviation(dom)
+    base = _curvature_deviation_at(dom, 4096)
     for alpha in (0.3, 1.1, 2.0):
-        assert rel_err(curvature_deviation(rotated(dom, alpha)), base) < 1e-12
+        assert rel_err(_curvature_deviation_at(rotated(dom, alpha), 4096),
+                       base) < 1e-12
 
 
 @settings(max_examples=15, deadline=None)
@@ -806,8 +811,9 @@ def test_small_perturbations_keep_invariants(eps, k):
 
 
 def _curvature_deviation_at(dom: StarDomain2D, m: int) -> float:
-    """The sums of :func:`curvature_deviation` at m angles."""
-    _, _, _, kappa, weight = _boundary_arrays(dom, m)
+    """Normalized boundary L2 norm of kappa - H0 from the m-angle samples
+    (measure dS / |Gamma|)."""
+    _, _, _, kappa, weight = _sample_boundary(dom, m)[:5]
     length = float(np.sum(weight))
     h0 = length / (2.0 * area(dom))
     return math.sqrt(float(np.sum(weight * (kappa - h0) ** 2)) / length)
@@ -815,7 +821,6 @@ def _curvature_deviation_at(dom: StarDomain2D, m: int) -> float:
 
 def test_quantities_converge_under_sample_doubling():
     dom = StarDomain2D.cosine(0.15, 5)
-    assert _curvature_deviation_at(dom, 4096) == curvature_deviation(dom)
     ref = _curvature_deviation_at(dom, 2**15)
     e1 = abs(_curvature_deviation_at(dom, 128) - ref)
     e2 = abs(_curvature_deviation_at(dom, 256) - ref)

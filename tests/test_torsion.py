@@ -17,11 +17,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from oscbound import DomainError, GeometryError, torsion
+from oscbound import torsion
+from oscbound.errors import DomainError, GeometryError
 from oscbound.stability import FamilySpec, build_family_domain
 from oscbound.stardomain import (
     StarDomain2D,
-    _boundary_arrays,
+    _sample_boundary,
     area,
     delta_gamma,
     rotated,
@@ -399,9 +400,9 @@ def test_solution_is_negative_inside(cosine_solves):
     assert float(np.max(u.values[u.grid.inside])) < 0.0
 
 
-def test_exact_ellipse_torsion_is_consistent():
+def test_exact_ellipse_torsion_is_consistent(gradient_self_check):
     fld = exact_ellipse_torsion(ELLIPSE_A, ELLIPSE_B)
-    fld.self_check(dim=2, seed=3)
+    gradient_self_check(fld, dim=2, seed=3)
     phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     boundary = np.stack([ELLIPSE_A * np.cos(phi), ELLIPSE_B * np.sin(phi)], axis=-1)
     assert float(np.max(np.abs(fld.value(boundary)))) < 1e-14
@@ -435,7 +436,7 @@ def test_solve_residual_matches_blas_norm(domain, monkeypatch):
 
 def test_solve_report_rejects_large_residual():
     with pytest.raises(GeometryError):
-        SolveReport(h=0.1, residual=1e-6, n_unknowns=10)
+        SolveReport(residual=1e-6, n_unknowns=10)
 
 
 def test_discrete_field_rejects_nonfinite_inside_values(disk_solve):
@@ -641,14 +642,14 @@ def test_bilinear_flags_points_without_full_cells(disk_solve):
 
 def test_normal_derivative_on_the_disk_is_the_radius(disk_solve):
     domain, u, _ = disk_solve
-    trace = normal_derivative(u, _boundary_arrays(domain, 256))
+    trace = normal_derivative(u, _sample_boundary(domain, 256))
     assert trace.excluded_fraction == 0.0
     assert float(np.max(np.abs(trace.values[trace.valid] - 1.0))) < 8e-3
 
 
 def test_normal_derivative_on_the_ellipse(ellipse_solve):
     domain, u, _ = ellipse_solve
-    trace = normal_derivative(u, _boundary_arrays(domain, 512))
+    trace = normal_derivative(u, _sample_boundary(domain, 512))
     gamma = domain.boundary(trace.phi)
     want = 0.8 * np.sqrt(gamma[:, 0] ** 2 / 4.0 + 4.0 * gamma[:, 1] ** 2)
     ok = trace.valid
@@ -661,11 +662,10 @@ def test_normal_derivative_on_the_ellipse(ellipse_solve):
 
 
 def test_normal_derivative_flags_stencils_that_leave_the_domain(disk_solve):
-    # delta = 40 h = 1.25 sends the two-step sample through the disk and out
-    # the far side (an inward point at depth t has radius |1 - t|)
+    # with the normals flipped, both stencil samples lie outside the disk
     domain, u, _ = disk_solve
-    trace = normal_derivative(u, _boundary_arrays(domain, 64),
-                              step_factor=40.0)
+    phi, pos, normal, kappa, weight = _sample_boundary(domain, 64)[:5]
+    trace = normal_derivative(u, (phi, pos, -normal, kappa, weight))
     assert trace.excluded_fraction == 1.0
     with pytest.raises(GeometryError):
         boundary_lp_norm(trace, 2.0)
@@ -673,7 +673,7 @@ def test_normal_derivative_flags_stencils_that_leave_the_domain(disk_solve):
 
 def test_boundary_lp_norm_of_constants(disk_solve):
     domain, u, _ = disk_solve
-    trace = normal_derivative(u, _boundary_arrays(domain, 256))
+    trace = normal_derivative(u, _sample_boundary(domain, 256))
     flat = BoundaryTrace(phi=trace.phi, values=np.full_like(trace.values, 2.5),
                          weights=trace.weights, valid=trace.valid)
     for p in (1.0, 2.0, math.inf):
