@@ -81,7 +81,8 @@ config file keys (key=value, one per line, # comments):
   N                 dimension for the constants table / cone sweep >= 2
   jobs              worker processes; 0 = available parallelism
   out               output directory            (default .)
-  dump_fields       true | false: dump solved u as x,y,value CSV
+  dump_fields       true | false: dump solved u as x,y,value CSV (read
+                    by domain-verify only)
   calibration_k     positive multiplier for the monitored weighted ratio
 """
 
@@ -334,9 +335,8 @@ def constants_table(N: int) -> list[ConstantReport]:
         ConstantReport("gradient_bound_M", gradient_bound_M(N, 2.0, 1.0),
                        {"N": N, "d": 2.0, "r_e": 1.0}, "closed-form"),
         ConstantReport("min_depth_bound",
-                       min_depth_bound(N, 1.0, d=2.0, r_e=1.0, mean_convex=True),
-                       {"N": N, "r_i": 1.0, "d": 2.0, "r_e": 1.0},
-                       "mean-convex branch"),
+                       min_depth_bound(N, 1.0, mean_convex=True),
+                       {"N": N, "r_Omega": 1.0}, "mean-convex branch"),
     ]
     if N >= 4:  # the decay profiles are defined only in high dimensions
         rows.extend([
@@ -575,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--jobs", type=int, metavar="K",
                          help="worker processes; 0 = available parallelism")
         cmd.add_argument("--dump-fields", action="store_true", default=None,
-                         help="dump solved fields as x,y,value CSV")
+                         help="dump solved u as x,y,value CSV (domain-verify only)")
         if name == "constants":
             cmd.add_argument("--N", type=int, dest="N", metavar="DIM",
                              help="dimension of the constant table")

@@ -86,7 +86,7 @@ def _row_sum_sq(x: Array, scale: Array | None = None) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class AnalyticField:
-    """A closed-form scalar field with its exact gradient (hessian optional).
+    """A closed-form scalar field with its exact gradient.
 
     ``value`` maps an (M, dim) array of points to (M,) values; ``gradient``
     maps it to (M, dim).
@@ -95,7 +95,6 @@ class AnalyticField:
     label: str
     value: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
-    hessian: Callable[[Array], Array] | None = None
 
     def gradient_magnitude(self, points: Array) -> Array:
         return np.sqrt(_row_sum_sq(np.asarray(self.gradient(points), dtype=float)))

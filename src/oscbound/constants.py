@@ -191,11 +191,9 @@ def cap_measure(theta: float, N: int) -> float:
     return unit_sphere_area(N - 1) * partial
 
 
-def cone_measure(spec: ConeSpec, N: int | None = None) -> float:
+def cone_measure(spec: ConeSpec) -> float:
     """Lebesgue measure of a finite cone: cap measure times a^N / N."""
-    dim = spec.dim if N is None else N
-    if dim != spec.dim:
-        raise DomainError(f"cone lives in dimension {spec.dim}, asked for {dim}")
+    dim = spec.dim
     return cap_measure(spec.theta, dim) * spec.height**dim / dim
 
 

@@ -2,7 +2,8 @@
 
 Everything here consumes a :class:`PipelineData` bundle (one solved domain:
 torsion solution, deepest point, auxiliary field ``h = |x-z|^2/2 - u``,
-derivative tensors, boundary traces, and exact geometry scalars) and produces
+derivative tensors, boundary traces, and exact geometry scalars, the parts
+only the battery reads built on first read) and produces
 :class:`IdentityReport` records.  Three kinds of check coexist:
 
 * ``identity`` — both sides of an exact integral identity are computed
@@ -82,6 +83,7 @@ __all__ = [
     "check_weighted_poincare",
     "check_oscillation_chain",
     "check_grad_infty_bound",
+    "check_grad_infty_weighted",
     "check_sbt_chain",
     "run_domain_checks",
 ]
@@ -171,25 +173,27 @@ class IdentityReport:
 
 @dataclass(eq=False)
 class PipelineData:
-    """Everything the identity checks need about one solved domain."""
+    """Everything the identity checks need about one solved domain.
+
+    ``boundary`` is the coarse boundary table view that ``trace`` samples.
+    """
 
     domain: StarDomain2D
-    h: float
     u: DiscreteField
     report: SolveReport
     z: Array
-    h_aux: DiscreteField
-    grad_h: TensorField
     hess_h: TensorField
-    trace: BoundaryTrace          # u_nu at uniform boundary angles
-    gamma: Array                  # boundary points behind the trace
-    normal: Array
-    curvature: Array
+    trace: BoundaryTrace          # u_nu at the boundary view's angles
+    boundary: tuple[Array, ...]   # the coarse BoundaryTable view
     area: float
     perimeter: float
     rho_i: float
     rho_e: float
-    mean_convex: bool
+
+    @property
+    def h(self) -> float:
+        """Grid spacing of the solve."""
+        return self.u.grid.h
 
     @property
     def R(self) -> float:
@@ -200,10 +204,25 @@ class PipelineData:
     def H0(self) -> float:
         return 1.0 / self.R
 
-    # ---------------- geometry read only by the check battery ----------------
+    # ---------------- fields read only by the check battery ----------------
     #
     # No stability record column depends on these, so they are computed on
     # first read instead of once per family member.
+
+    @cached_property
+    def h_aux(self) -> DiscreteField:
+        """The auxiliary field ``|x - z|^2 / 2 - u``."""
+        return h_field(self.u, self.z)
+
+    @cached_property
+    def grad_h(self) -> TensorField:
+        """Gradient of :attr:`h_aux`."""
+        return gradient(self.h_aux)
+
+    @cached_property
+    def mean_convex(self) -> bool:
+        """Whether the boundary curvature is nowhere negative (up to slack)."""
+        return bool(np.min(self.boundary.kappa) >= -_ABS_SLACK)
 
     @cached_property
     def _tangent_balls(self) -> tuple[float, float, float]:
@@ -278,14 +297,15 @@ class PipelineData:
         auxiliary field of this package is its negative, which no check
         depends on since each use is either squared or explicitly signed.
         """
-        return self.trace.values - np.sum((self.gamma - self.z) * self.normal, axis=-1)
+        b = self.boundary
+        return self.trace.values - np.sum((b.gamma - self.z) * b.normal, axis=-1)
 
     # ---------------- the stability deviations ----------------
 
     @cached_property
     def curvature_flatness(self) -> float:
         """``|| H - H_0 ||_{2, Gamma}`` (normalized)."""
-        return self.boundary_norm(self.curvature - self.H0, 2.0)
+        return self.boundary_norm(self.boundary.kappa - self.H0, 2.0)
 
     @cached_property
     def trace_flatness(self) -> float:
@@ -309,11 +329,9 @@ class PipelineData:
 
 
 def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
-    """Solve the torsion problem and assemble the full check bundle."""
+    """Solve the torsion problem and assemble the check bundle."""
     u, report = solve_torsion(domain, h)
     z = locate_min(u)
-    h_aux = h_field(u, z)
-    grad_h = gradient(h_aux)
     hess_u = hessian_torsion(u)
     residue = np.stack([1.0 - hess_u.components[..., 0],
                         -hess_u.components[..., 1],
@@ -323,13 +341,9 @@ def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
     trace = normal_derivative(u, boundary)
     rho_i, rho_e = rho_bounds(domain, z)
     return PipelineData(
-        domain=domain, h=h, u=u, report=report, z=z, h_aux=h_aux,
-        grad_h=grad_h, hess_h=hess_h, trace=trace,
-        gamma=boundary.gamma, normal=boundary.normal,
-        curvature=boundary.kappa,
-        area=area(domain), perimeter=perimeter(domain),
+        domain=domain, u=u, report=report, z=z, hess_h=hess_h, trace=trace,
+        boundary=boundary, area=area(domain), perimeter=perimeter(domain),
         rho_i=rho_i, rho_e=rho_e,
-        mean_convex=bool(np.min(boundary.kappa) >= -_ABS_SLACK),
     )
 
 
@@ -356,7 +370,7 @@ def check_fundamental_identity(data: PipelineData) -> IdentityReport:
     interior = data.domain_integral(mag2, data.hess_h.valid)  # 1/(N-1) = 1
     un = data.trace.values
     defect = data.boundary_integral((un - data.R) ** 2) / data.R
-    rhs = data.boundary_integral((data.H0 - data.curvature) * un**2)
+    rhs = data.boundary_integral((data.H0 - data.boundary.kappa) * un**2)
     # on a ball every term vanishes; the discretization error still scales
     # with the uncancelled curvature-side magnitude
     natural = data.H0 * data.boundary_integral(un**2)
@@ -380,7 +394,8 @@ def check_identity_mp(data: PipelineData) -> IdentityReport:
     rhs = 0.5 * data.boundary_integral((un**2 - data.R**2) * data.h_nu)
     # triangle majorant of the boundary side: the yardstick the noise scales
     # with when both sides vanish on a ball
-    geom = np.abs(np.sum((data.gamma - data.z) * data.normal, axis=-1))
+    b = data.boundary
+    geom = np.abs(np.sum((b.gamma - data.z) * b.normal, axis=-1))
     natural = 0.5 * data.boundary_integral(
         (un**2 + data.R**2) * (np.abs(un) + geom))
     return IdentityReport.identity("identity_mp", lhs, rhs, tol,
@@ -450,38 +465,24 @@ def check_oscillation_chain(data: PipelineData, p: float = 6.0,
     return IdentityReport.monitored("oscillation_chain", lhs, rhs)
 
 
-def check_grad_infty_bound(data: PipelineData, p: float = 1.0, q: float = INF,
-                           weighted: bool = False) -> IdentityReport:
-    """Sup of ``|grad h|`` against interior-cone interpolation bounds.
+def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport:
+    """Sup of ``|grad h|`` against the interior-cone interpolation bound.
 
-    The asserted form replays the cone argument with explicit constants: at
-    the maximizing point an interior cone of opening pi/4 and height r_i
-    fits, the directional derivative is split as cone average plus kernel
-    remainder at radius sigma, and the sigma minimization runs over (0, r_i]:
+    Replays the cone argument with explicit constants: at the maximizing
+    point an interior cone of opening pi/4 and height r_i fits, the
+    directional derivative is split as cone average plus kernel remainder at
+    radius sigma, and the sigma minimization runs over (0, r_i]:
 
-    ``|grad h|(x) <= (N |Omega| / |S| sigma^N)^{1/p} ||grad h||_p
-    + c_q sigma^{1 - N/q} (N |Omega| / |S|)^{1/q} ||hess h||_q``.
+    ``|grad h|(x) <= (N |Omega| / |S| sigma^N) ||grad h||_1
+    + c_q sigma^{1 - N/q} (N |Omega| / |S|)^{1/q} ||hess h||_q``
 
-    With ``weighted=True`` the distance-weighted variant
-    ``||grad h||_inf^{2N - p + 2p(1 - N/q)} <= c ||hess h||_q^{2N - p}
-    ||delta^{1/2} hess h||_p^{2p(1 - N/q)}`` is recorded as a monitored
-    ratio (its constant routes through an implicit calibration).
+    with the cone average taken in L^1 (p = 1) and ``q > N``.
     """
-    N = 2
-    if not (1.0 <= p < 2 * N):
-        raise DomainError(f"exponent p must lie in [1, {2 * N}), got {p}")
+    N, p = 2, 1.0
     if not q > N:
         raise DomainError(f"exponent q must exceed {N}, got {q}")
     sup_grad = lp_norm_domain(data.grad_h, INF)
     hess_q = lp_norm_domain(data.hess_h, q)
-
-    if weighted:
-        e = 1.0 if q == INF else 1.0 - N / q
-        weighted_p = lp_norm_domain(data.hess_h, p, alpha=0.5)
-        lhs = sup_grad ** (2 * N - p + 2 * p * e)
-        rhs = hess_q ** (2 * N - p) * weighted_p ** (2 * p * e)
-        return IdentityReport.monitored("grad_infty_weighted", lhs, rhs)
-
     grad_p = lp_norm_domain(data.grad_h, p)
     cap = cap_measure(math.pi / 4.0, N)
     vol_ratio = N * data.area / cap
@@ -496,21 +497,36 @@ def check_grad_infty_bound(data: PipelineData, p: float = 1.0, q: float = INF,
     return IdentityReport.inequality("grad_infty", sup_grad, value)
 
 
-def check_weighted_poincare(data: PipelineData, r: float = _POINCARE_R,
-                            p: float = _POINCARE_P, alpha: float = 0.5,
+def check_grad_infty_weighted(data: PipelineData) -> IdentityReport:
+    """Sup of ``|grad h|`` against its distance-weighted interpolation.
+
+    ``||grad h||_inf^{2N - p + 2p(1 - N/q)} <= c ||hess h||_q^{2N - p}
+    ||delta^{1/2} hess h||_p^{2p(1 - N/q)}`` at p = 1, q = inf, monitored:
+    its constant routes through an implicit calibration.
+    """
+    N, p, e = 2, 1.0, 1.0  # e = 1 - N/q at q = inf
+    sup_grad = lp_norm_domain(data.grad_h, INF)
+    hess_q = lp_norm_domain(data.hess_h, INF)
+    weighted_p = lp_norm_domain(data.hess_h, p, alpha=0.5)
+    lhs = sup_grad ** (2 * N - p + 2 * p * e)
+    rhs = hess_q ** (2 * N - p) * weighted_p ** (2 * p * e)
+    return IdentityReport.monitored("grad_infty_weighted", lhs, rhs)
+
+
+def check_weighted_poincare(data: PipelineData, alpha: float = 0.5,
                             calibration_k: float = 1.0) -> IdentityReport:
     """Distance-weighted Poincare ratio around the critical point of ``h``.
 
-    Records ``||grad h||_{r, Omega}`` against ``calibration_k ||delta^alpha
-    hess h||_{p, Omega}``; the exponents must lie in the admissible window,
-    but the inequality's absolute constant is a calibration, so the report
-    is monitored (vanishing sides pass).
+    Records ``||grad h||_{4, Omega}`` against ``calibration_k ||delta^alpha
+    hess h||_{2, Omega}``; ``alpha`` must keep these exponents in the
+    admissible window, but the inequality's absolute constant is a
+    calibration, so the report is monitored (vanishing sides pass).
     """
-    weighted_poincare_window(2, r, p, alpha)
+    weighted_poincare_window(2, _POINCARE_R, _POINCARE_P, alpha)
     if not 0.0 < calibration_k < math.inf:
         raise DomainError("calibration constant must be positive and finite")
-    lhs = lp_norm_domain(data.grad_h, r)
-    rhs = calibration_k * lp_norm_domain(data.hess_h, p, alpha=alpha)
+    lhs = lp_norm_domain(data.grad_h, _POINCARE_R)
+    rhs = calibration_k * lp_norm_domain(data.hess_h, _POINCARE_P, alpha=alpha)
     return IdentityReport.monitored("weighted_poincare", lhs, rhs)
 
 
@@ -562,8 +578,8 @@ def run_domain_checks(data: PipelineData, p: float = 6.0, q: float = INF,
         check_min_depth(data),
         check_oscillation_chain(data, p=p, q=q),
         check_grad_infty_bound(data),
-        check_grad_infty_bound(data, p=1.0, q=8.0),
-        check_grad_infty_bound(data, weighted=True),
+        check_grad_infty_bound(data, q=8.0),
+        check_grad_infty_weighted(data),
         check_weighted_poincare(data, alpha=alpha,
                                 calibration_k=calibration_k),
     ]

@@ -95,10 +95,6 @@ class StarDomain2D:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def circle(radius: float = 1.0) -> "StarDomain2D":
-        return StarDomain2D(c0=radius, label=f"circle(R={radius:g})")
-
-    @staticmethod
     def ellipse(a: float, b: float, n_modes: int = 64) -> "StarDomain2D":
         """Ellipse with semi-axes a, b as a star domain.
 
@@ -210,12 +206,12 @@ class StarDomain2D:
     def boundary(self, phi: Array | float) -> Array:
         return self.curve(phi)[0]
 
-    def contains(self, points: Array, tol: float = 0.0) -> Array:
+    def contains(self, points: Array) -> Array:
         """Strict interior test by the radial graph (vectorized)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         rho = np.hypot(pts[:, 0], pts[:, 1])
         phi = np.arctan2(pts[:, 1], pts[:, 0])
-        return rho < self.radial(phi) - tol
+        return rho < self.radial(phi)
 
 
 def rotated(domain: StarDomain2D, alpha: float) -> StarDomain2D:

@@ -90,11 +90,6 @@ class Grid:
     delta: Array                  # (ny, nx) boundary distance, NaN outside
     n_unknowns: int = 0
 
-    @property
-    def points(self) -> Array:
-        X, Y = np.meshgrid(self.xs, self.ys)
-        return np.stack([X, Y], axis=-1)
-
     @staticmethod
     def build(domain: StarDomain2D, h: float) -> "Grid":
         if h <= 0:
@@ -413,14 +408,8 @@ def exact_ellipse_torsion(a: float, b: float) -> AnalyticField:
     def grad(pts: Array) -> Array:
         return np.stack([hxx * pts[:, 0], hyy * pts[:, 1]], axis=-1)
 
-    def hess(pts: Array) -> Array:
-        out = np.zeros(pts.shape[:-1] + (2, 2))
-        out[..., 0, 0] = hxx
-        out[..., 1, 1] = hyy
-        return out
-
     return AnalyticField(label=f"torsion_ellipse(a={a:g},b={b:g})",
-                         value=value, gradient=grad, hessian=hess)
+                         value=value, gradient=grad)
 
 
 # --------------------------------------------------------------------------

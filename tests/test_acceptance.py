@@ -179,7 +179,7 @@ def polar_nodes(domain: StarDomain2D, n_t: int = 48, n_phi: int = 256):
 def test_criterion_04_domain_oscillation_bounds():
     t0 = time.perf_counter()
     domains = [
-        StarDomain2D.circle(1.0),
+        StarDomain2D(c0=1.0),
         StarDomain2D.ellipse(2.0, 1.0),
         StarDomain2D.ellipse(1.2, 1.0 / 1.2),
         StarDomain2D.cosine(0.1, 3),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import subprocess
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oscbound
-from oscbound import cli, stability
+from oscbound import cli, constants, stability
 from oscbound.cli import RunConfig, constants_table, main, parse_config
 from oscbound.constants import INF
 from oscbound.errors import ConfigError
@@ -199,6 +200,12 @@ class TestConstantsCommand:
         assert "psi_profile" not in names2
         assert names5.count("serrin_profile_exponent") == 2
         assert "psi_profile" in names5
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_row_inputs_are_parameters_of_the_named_function(self, N):
+        for report in constants_table(N):
+            params = inspect.signature(getattr(constants, report.name)).parameters
+            assert set(report.inputs) <= set(params), report.name
 
 
 # --------------------------------------------------------------------------

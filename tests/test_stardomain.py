@@ -152,7 +152,7 @@ def test_radial_derivatives_match_long_double_reference(dom, table_errors):
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
 @pytest.mark.parametrize("dom", [
-    StarDomain2D.circle(1.0),
+    StarDomain2D(c0=1.0),
     StarDomain2D.ellipse(1.2, 1.0 / 1.2, n_modes=32),
     StarDomain2D(c0=1.0, cos_coeffs=(0.1, 0.0, 0.05), sin_coeffs=(0.0,) * 9 + (0.01,)),
 ], ids=["circle", "ellipse", "odd"])
@@ -187,7 +187,7 @@ def test_contains_is_the_radial_test():
 
 def test_boundary_sample_circle_curvature_and_normals():
     R = 1.7
-    _, pos, normal, kappa, weight = _sample_boundary(StarDomain2D.circle(R), 128)[:5]
+    _, pos, normal, kappa, weight = _sample_boundary(StarDomain2D(c0=R), 128)[:5]
     assert pos.shape == normal.shape == (128, 2)
     assert float(np.max(np.abs(kappa * R - 1.0))) < 1e-14
     assert float(np.max(np.abs(np.linalg.norm(normal, axis=1) - 1.0))) < 1e-14
@@ -244,7 +244,7 @@ def test_perturbed_disk_curvature_formula():
 # --------------------------------------------------------------------------
 
 def test_circle_bulk_quantities():
-    dom = StarDomain2D.circle(1.0)
+    dom = StarDomain2D(c0=1.0)
     assert rel_err(area(dom), math.pi) < 1e-14
     assert rel_err(perimeter(dom), 2.0 * math.pi) < 1e-14
     assert rel_err(diameter(dom), 2.0) < 1e-12
@@ -306,7 +306,7 @@ def test_scaling_homogeneity():
 
 def test_isoperimetric_inequality_on_catalog():
     domains = [
-        StarDomain2D.circle(0.8),
+        StarDomain2D(c0=0.8, label="circle"),
         StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B),
         StarDomain2D.ellipse(1.1, 1 / 1.1),
         StarDomain2D.cosine(0.1, 3),
@@ -327,7 +327,7 @@ def test_isoperimetric_inequality_on_catalog():
 # --------------------------------------------------------------------------
 
 def test_rho_bounds_circle_and_offcenter():
-    dom = StarDomain2D.circle(1.0)
+    dom = StarDomain2D(c0=1.0)
     ri, re = rho_bounds(dom, np.zeros(2))
     assert rel_err(ri, 1.0) < 1e-12 and rel_err(re, 1.0) < 1e-12
     delta = 0.3
@@ -344,13 +344,13 @@ def test_rho_bounds_ellipse_axes():
 
 
 def test_rho_bounds_rejects_outside_point():
-    dom = StarDomain2D.circle(1.0)
+    dom = StarDomain2D(c0=1.0)
     with pytest.raises(DomainError):
         rho_bounds(dom, np.array([2.0, 0.0]))
 
 
 def test_delta_gamma_circle_and_boundary_point():
-    dom = StarDomain2D.circle(1.5)
+    dom = StarDomain2D(c0=1.5)
     assert rel_err(delta_gamma(dom, np.zeros(2)), 1.5) < 1e-10
     assert delta_gamma(dom, np.array([1.5, 0.0])) < 1e-8
 
@@ -364,7 +364,7 @@ def test_delta_gamma_against_brute_force():
 
 
 def test_ball_radii_circle_capped_exterior():
-    dom = StarDomain2D.circle(1.0)
+    dom = StarDomain2D(c0=1.0)
     r_i, r_e = ball_radii(dom)
     assert abs(r_i - 1.0) < 1e-6
     assert rel_err(r_e, 2.0) < 1e-10  # capped at the diameter
@@ -489,7 +489,7 @@ def test_shared_ball_table_gives_the_separate_values(dom):
 
 
 def test_ball_radii_closed_forms():
-    r_i, _ = ball_radii(StarDomain2D.circle(1.0))
+    r_i, _ = ball_radii(StarDomain2D(c0=1.0))
     assert abs(r_i - 1.0) < 1e-12
     a = 1.2
     r_i, _ = ball_radii(StarDomain2D.ellipse(a, 1.0 / a))
@@ -542,7 +542,7 @@ def test_ball_radii_rotation_and_dilation(dom):
 
 
 def test_star_radius_circle_and_ellipse():
-    assert rel_err(star_radius(StarDomain2D.circle(1.3)), 1.3) < 1e-12
+    assert rel_err(star_radius(StarDomain2D(c0=1.3)), 1.3) < 1e-12
     # pedal distance of the ellipse attains its min b at the minor axis
     dom = StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)
     assert rel_err(star_radius(dom), ELLIPSE_B) < 1e-10
@@ -558,11 +558,13 @@ def test_star_radius_certifies_segment_containment():
     for x in inner:
         for g in gamma:
             seg = x[None, :] + np.linspace(0, 1, 50)[:, None] * (g - x)[None, :]
-            assert np.all(dom.contains(seg, tol=-1e-9))
+            dist = np.hypot(seg[:, 0], seg[:, 1])
+            phi = np.arctan2(seg[:, 1], seg[:, 0])
+            assert np.all(dist < dom.radial(phi) + 1e-9)
 
 
 def test_inradius_circle_and_ellipse():
-    assert abs(inradius(StarDomain2D.circle(1.0)) - 1.0) < 1e-8
+    assert abs(inradius(StarDomain2D(c0=1.0)) - 1.0) < 1e-8
     assert abs(inradius(StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B)) - ELLIPSE_B) < 1e-6
 
 
@@ -572,7 +574,7 @@ def _asymmetric() -> StarDomain2D:
 
 
 _CATALOG = [
-    StarDomain2D.circle(1.0),
+    StarDomain2D(c0=1.0),
     StarDomain2D.ellipse(1.2, 1 / 1.2),
     StarDomain2D.cosine(0.1, 3),
     StarDomain2D.cosine(0.6, 2),  # the peanut
@@ -608,8 +610,8 @@ def test_ball_radii_below_inradius():
 
 
 def test_inradius_closed_forms():
-    assert abs(inradius(StarDomain2D.circle(1.0)) - 1.0) < 1e-12
-    assert abs(inradius(StarDomain2D.circle(1.3)) - 1.3) < 1e-12
+    assert abs(inradius(StarDomain2D(c0=1.0)) - 1.0) < 1e-12
+    assert abs(inradius(StarDomain2D(c0=1.3)) - 1.3) < 1e-12
     for a, b in ((1.2, 1.0 / 1.2), (ELLIPSE_A, ELLIPSE_B)):
         assert abs(inradius(StarDomain2D.ellipse(a, b)) - b) < 1e-12
     # the disk of radius 1 - eps about the origin touches every trough
@@ -731,7 +733,7 @@ def test_golden_min_stops_at_the_angle_resolution():
 # coefficients became exact zeros, which moved it by 6.9e-15 (toward the
 # closed form b^2 / a).
 _GEOMETRY_REFERENCE = [
-    (StarDomain2D.circle(1.0),
+    (StarDomain2D(c0=1.0, label="circle(R=1)"),
      (1.0, 1.0, 2.0, 1.0, 0.9999999999999999, 1.0)),
     (StarDomain2D.ellipse(1.2, 1 / 1.2),
      (0.8333333333333334, 0.5787037037036827, 2.4000000000000004,
@@ -769,7 +771,7 @@ def test_golden_refinements_keep_their_values(dom, want):
 # --------------------------------------------------------------------------
 
 def test_curvature_deviation_zero_for_circle():
-    assert _curvature_deviation_at(StarDomain2D.circle(2.2), 4096) < 1e-13
+    assert _curvature_deviation_at(StarDomain2D(c0=2.2), 4096) < 1e-13
 
 
 def test_curvature_deviation_ellipse_oracle():
