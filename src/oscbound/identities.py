@@ -366,7 +366,7 @@ def check_fundamental_identity(data: PipelineData) -> IdentityReport:
     = int_Gamma (H_0 - H) u_nu^2 dS`` with unnormalized measures.
     """
     tol = max(2.0 * data.h, _ABS_SLACK)
-    mag2 = data.hess_h.magnitude() ** 2
+    mag2 = data.hess_h.magnitude ** 2
     interior = data.domain_integral(mag2, data.hess_h.valid)  # 1/(N-1) = 1
     un = data.trace.values
     defect = data.boundary_integral((un - data.R) ** 2) / data.R
@@ -387,7 +387,7 @@ def check_identity_mp(data: PipelineData) -> IdentityReport:
     """
     tol = max(2.0 * data.h, _ABS_SLACK)
     grid = data.u.grid
-    mag2 = data.hess_h.magnitude() ** 2
+    mag2 = data.hess_h.magnitude ** 2
     minus_u = np.where(grid.inside, -data.u.values, 0.0)
     lhs = data.domain_integral(minus_u * mag2, data.hess_h.valid)
     un = data.trace.values

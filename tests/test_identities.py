@@ -24,6 +24,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ class TestBallBattery:
 
 class TestEllipseOracles:
     def test_interior_hessian_integral(self, ellipse_data):
-        mag2 = ellipse_data.hess_h.magnitude() ** 2
+        mag2 = ellipse_data.hess_h.magnitude ** 2
         value = ellipse_data.domain_integral(mag2, ellipse_data.hess_h.valid)
         assert value == pytest.approx(HESS_INTEGRAL, rel=1e-10)
 
@@ -513,6 +514,24 @@ class TestLazyGeometry:
         assert counts == {"projected": data.u.grid.n_unknowns,
                           "_ball_table": 1, "diameter": 1}
 
+    def test_battery_takes_each_tensor_magnitude_once(self, monkeypatch):
+        computed = []
+        original = vars(torsion.TensorField)["magnitude"].func
+
+        def counting(self):
+            computed.append(self)
+            return original(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(torsion.TensorField, "magnitude")
+        monkeypatch.setattr(torsion.TensorField, "magnitude", prop)
+        data = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
+        record_from_data(0.1, data)
+        run_domain_checks(data)
+        assert sorted(map(id, computed)) == sorted(
+            {id(data.hess_h), id(data.grad_h)})
+        assert not data.hess_h.magnitude.flags.writeable
+
     def test_traced_bindings_stay_module_names(self):
         # profilers wrap these module-level names; a local import or a
         # renamed solver would silently bypass them
@@ -525,7 +544,7 @@ class TestLazyGeometry:
             assert getattr(identities, name) is getattr(torsion, name)
         assert callable(torsion.spsolve)
         assert "spsolve" in torsion.solve_torsion.__code__.co_names
-        assert "cKDTree" in torsion.Grid.build.__code__.co_names
+        assert "cKDTree" in torsion.Grid.delta.func.__code__.co_names
         for name in ("build_pipeline_data", "run_domain_checks"):
             assert getattr(cli, name) is getattr(identities, name)
         for name in ("run_family", "check_sbt_profile", "check_serrin_profile",

@@ -11,11 +11,13 @@ non-quadratic.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.sparse.linalg import splu
 
 from oscbound import torsion
 from oscbound.errors import DomainError, GeometryError
@@ -422,8 +424,8 @@ def test_solve_residual_matches_blas_norm(domain, monkeypatch):
     seen = []
     real_spsolve = torsion.spsolve
 
-    def recording_spsolve(A, rhs):
-        sol = real_spsolve(A, rhs)
+    def recording_spsolve(A, rhs, red):
+        sol = real_spsolve(A, rhs, red)
         seen.append((A, rhs, sol))
         return sol
 
@@ -432,6 +434,59 @@ def test_solve_residual_matches_blas_norm(domain, monkeypatch):
     (A, rhs, sol), = seen
     reference = float(np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs))
     assert abs(report.residual - reference) <= 1e-15
+
+
+@pytest.mark.parametrize("domain, h, snapped", [
+    # no mirror symmetry: r = 1 + 0.2 (cos 2 phi + sin 3 phi / 2 + cos 5 phi / 3)
+    (StarDomain2D(1.0, (0.0, 0.2, 0.0, 0.0, 0.2 / 3.0), (0.0, 0.0, 0.1)),
+     1.0 / 64.0, False),
+    (PETALS, 1.0 / 64.0, False),
+    # the node (1, 0) lies 1e-10 h inside the circle: its cuts snap to _T_MIN
+    (StarDomain2D(c0=1.0 + 1e-10 / 32.0), 1.0 / 32.0, True),
+], ids=["mixed", "petals", "t_min"])
+def test_red_black_solve_matches_full_factorization(domain, h, snapped,
+                                                     monkeypatch):
+    seen = []
+    real_spsolve = torsion.spsolve
+
+    def recording_spsolve(A, rhs, red):
+        sol = real_spsolve(A, rhs, red)
+        seen.append((A, rhs, red, sol))
+        return sol
+
+    monkeypatch.setattr(torsion, "spsolve", recording_spsolve)
+    u, _ = solve_torsion(domain, h)
+    (A, rhs, red, sol), = seen
+    grid = u.grid
+    ii, jj = np.nonzero(grid.inside)
+    assert np.array_equal(red, (ii + jj) % 2 == 0)
+    # the stencil couples only nodes of opposite colour
+    coo = A.tocoo()
+    off = coo.row != coo.col
+    assert off.any()
+    assert not np.any(red[coo.row[off]] == red[coo.col[off]])
+    cuts = np.concatenate([c[grid.inside] for c in grid.cuts.values()])
+    assert np.any(cuts == torsion._T_MIN) == snapped
+    reference = splu(A.tocsc()).solve(rhs)
+    assert float(np.max(np.abs(sol - reference))) <= 1e-12
+
+
+def test_solve_torsion_joins_its_worker_thread(monkeypatch):
+    domain = StarDomain2D.ellipse(1.2, 1.0 / 1.2)
+    before = threading.active_count()
+    u, _ = solve_torsion(domain, 1.0 / 32.0)
+    assert threading.active_count() == before
+    # delta read on the worker matches delta read on this thread
+    fresh = Grid.build(domain, 1.0 / 32.0)
+    assert np.array_equal(u.grid.delta, fresh.delta, equal_nan=True)
+
+    def failing(A, rhs, red):
+        raise GeometryError("factorization failed")
+
+    monkeypatch.setattr(torsion, "spsolve", failing)
+    with pytest.raises(GeometryError, match="factorization failed"):
+        solve_torsion(domain, 1.0 / 32.0)
+    assert threading.active_count() == before
 
 
 def test_solve_report_rejects_large_residual():
@@ -575,7 +630,7 @@ def test_tensor_field_magnitude_rejects_unknown_shape(disk_solve):
     comps = np.zeros(grid.inside.shape + (4,))
     bad = TensorField(grid=grid, components=comps, valid=grid.inside.copy())
     with pytest.raises(DomainError):
-        bad.magnitude()
+        bad.magnitude
 
 
 # --------------------------------------------------------------------------
