@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -79,11 +80,11 @@ config file keys (key=value, one per line, # comments):
   p, q, alpha       exponents for the oscillation chain and the weighted
                     Poincare ratio (defaults 6, inf, 0.5)
   N                 dimension for the constants table / cone sweep >= 2
-  jobs              worker processes; 0 = available parallelism
+  jobs              worker processes; 0 = available parallelism (read
+                    by sbt-run and serrin-run only)
   out               output directory            (default .)
   dump_fields       true | false: dump solved u as x,y,value CSV (read
                     by domain-verify only)
-  calibration_k     positive multiplier for the monitored weighted ratio
 """
 
 
@@ -109,7 +110,6 @@ class RunConfig:
     jobs: int = 0
     out: str = "."
     dump_fields: bool = False
-    calibration_k: float = 1.0
 
     @property
     def effective_jobs(self) -> int:
@@ -178,7 +178,6 @@ _KEYS = {
     "jobs": ("jobs", _parse_int),
     "out": ("out", str),
     "dump_fields": ("dump_fields", _parse_bool),
-    "calibration_k": ("calibration_k", _parse_float),
 }
 
 _FAMILY_COMMANDS = ("domain-verify", "sbt-run", "serrin-run")
@@ -234,8 +233,6 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"N must be >= 2, got {config.N}")
     if config.jobs < 0:
         raise ConfigError(f"jobs must be >= 0, got {config.jobs}")
-    if not 0.0 < config.calibration_k < math.inf:
-        raise ConfigError("calibration_k must be positive and finite")
     try:
         if config.command in _FAMILY_COMMANDS:
             _family_spec(config)
@@ -274,18 +271,52 @@ def parse_config(command: str, config_path: str | None = None,
 # output helpers
 # --------------------------------------------------------------------------
 
+def _same(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
+
+
+# one schema per CSV: the context columns that lead each row, then the columns
+# read off the row's object, as CSV header -> attribute path
+_CONSTANTS = ((), _same(*(f.name for f in fields(ConstantReport))))
+_CONES = ((), _same("field", "theta", "a", "p", "q", "check", "lhs", "rhs",
+                    "margin"))
+_DOMAIN_CHECKS = (("domain", "eps"), {
+    "check": "name", **_same("lhs", "rhs", "ratio", "residual", "status")})
+_RECORDS = (("family", "k"),
+            _same(*(f.name for f in fields(StabilityRecord))))
+_REPORT = (("source",), {
+    "profile": "name", "primary_slope": "primary.slope",
+    "primary_intercept": "primary.intercept",
+    "primary_r2": "primary.r_squared", "gauss_slope": "gauss.slope",
+    "gauss_r2": "gauss.r_squared", "n_points": "primary.n_points",
+    "c_emp": "c_emp", "passed": "passed"})
+_FIELD_DUMP = (("x", "y", "value"), {})  # grid nodes: no object
+
+
 def _fmt(value: object) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, dict):  # the inputs of a constant
+        return ";".join(f"{key}={cell:g}" for key, cell in sorted(value.items()))
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[object]]) -> None:
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(cell) for cell in row) + "\n"
+def _write_csv(path: str, schema: tuple[tuple[str, ...], dict[str, str]],
+               rows: list[tuple[tuple, object]]) -> str:
+    """Write ``(context cells, object)`` rows under ``schema``; returns the
+    text written."""
+    context_columns, columns = schema
+    getters = [attrgetter(attr) for attr in columns.values()]
+    lines = [",".join([*context_columns, *columns])]
+    lines.extend(",".join([*map(_fmt, context),
+                           *[_fmt(get(obj)) for get in getters]])
+                 for context, obj in rows)
+    text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+    return text
 
 
 def _out_path(config: RunConfig, name: str) -> str:
@@ -296,10 +327,10 @@ def _out_path(config: RunConfig, name: str) -> str:
 def _dump_field(config: RunConfig, tag: str, data) -> str:
     grid = data.u.grid
     ii, jj = np.nonzero(grid.inside)
-    rows = [[float(grid.xs[j]), float(grid.ys[i]), float(data.u.values[i, j])]
-            for i, j in zip(ii.tolist(), jj.tolist())]
+    nodes = zip(grid.xs[jj].tolist(), grid.ys[ii].tolist(),
+                data.u.values[ii, jj].tolist())
     path = _out_path(config, f"u_{tag}.csv")
-    _write_csv(path, ["x", "y", "value"], rows)
+    _write_csv(path, _FIELD_DUMP, [(node, None) for node in nodes])
     return path
 
 
@@ -352,34 +383,20 @@ def constants_table(N: int) -> list[ConstantReport]:
     return rows
 
 
-def _inputs_cell(inputs: dict[str, float]) -> str:
-    return ";".join(f"{key}={value:g}" for key, value in sorted(inputs.items()))
-
-
 def _cmd_constants(config: RunConfig) -> int:
     reports = constants_table(config.N)
-    header = ["name", "value", "inputs", "provenance"]
-    rows = [[r.name, r.value, _inputs_cell(r.inputs), r.provenance]
-            for r in reports]
     path = _out_path(config, "constants.csv")
-    _write_csv(path, header, rows)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(cell) for cell in row))
-    print(f"wrote {len(rows)} rows -> {path}")
+    print(_write_csv(path, _CONSTANTS, [((), r) for r in reports]), end="")
+    print(f"wrote {len(reports)} rows -> {path}")
     return EXIT_PASS
 
 
 def _cmd_cone_verify(config: RunConfig) -> int:
     checks = run_cone_sweep(dim=config.N)
-    header = ["field", "theta", "a", "p", "q", "check", "lhs", "rhs", "margin"]
-    rows = [[c.field, c.theta, c.a,
-             "" if c.p is None else c.p, "" if c.q is None else c.q,
-             c.check, c.lhs, c.rhs, c.margin] for c in checks]
     path = _out_path(config, "cone_checks.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, _CONES, [((), c) for c in checks])
     violations = [c for c in checks if not c.ok()]
-    print(f"wrote {len(rows)} rows -> {path}")
+    print(f"wrote {len(checks)} rows -> {path}")
     print(f"violations beyond slack: {len(violations)}")
     for check in violations[:10]:
         print(f"  FAIL {check.field} theta={check.theta:g} a={check.a:g} "
@@ -389,20 +406,15 @@ def _cmd_cone_verify(config: RunConfig) -> int:
 
 def _cmd_domain_verify(config: RunConfig) -> int:
     spec = _family_spec(config)
-    header = ["domain", "eps", "check", "lhs", "rhs", "ratio", "residual",
-              "status"]
-    rows: list[list[object]] = []
+    rows: list[tuple[tuple, object]] = []
     failed = 0
     for eps in config.eps:
         domain = build_family_domain(spec, eps)
         data = build_pipeline_data(domain, config.grid_h)
         reports = run_domain_checks(data, p=config.p, q=config.q,
-                                    alpha=config.alpha,
-                                    calibration_k=config.calibration_k)
+                                    alpha=config.alpha)
         for report in reports:
-            rows.append([config.family, eps, report.name, report.lhs,
-                         report.rhs, report.ratio, report.residual,
-                         report.status])
+            rows.append(((config.family, eps), report))
             if report.status == "fail":
                 failed += 1
                 print(f"  FAIL {config.family} eps={eps:g} {report.name}: "
@@ -411,20 +423,10 @@ def _cmd_domain_verify(config: RunConfig) -> int:
             dump = _dump_field(config, f"{config.family}_eps{eps:g}", data)
             print(f"dumped field -> {dump}")
     path = _out_path(config, "domain_checks.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, _DOMAIN_CHECKS, rows)
     print(f"wrote {len(rows)} rows -> {path}")
     print(f"failed checks: {failed}")
     return EXIT_PASS if failed == 0 else EXIT_FAIL
-
-
-_RECORD_FIELDS = fields(StabilityRecord)
-_RECORD_HEADER = ["family", "k"] + [f.name for f in _RECORD_FIELDS]
-
-
-def _record_rows(config: RunConfig,
-                 records: list[StabilityRecord]) -> list[list[object]]:
-    return [[config.family, config.k]
-            + [getattr(r, f.name) for f in _RECORD_FIELDS] for r in records]
 
 
 def _print_verdict(verdict: ProfileVerdict) -> None:
@@ -439,7 +441,8 @@ def _cmd_stability(config: RunConfig, profile: str) -> int:
     spec = _family_spec(config)
     records = run_family(spec, jobs=config.effective_jobs)
     path = _out_path(config, f"{profile}_records.csv")
-    _write_csv(path, _RECORD_HEADER, _record_rows(config, records))
+    _write_csv(path, _RECORDS,
+               [((config.family, config.k), r) for r in records])
     print(f"wrote {len(records)} rows -> {path}")
     broken = [r for r in records if r.status != "ok"]
     if broken:
@@ -491,30 +494,27 @@ def _read_records_csv(path: str) -> list[StabilityRecord]:
     return records
 
 
+_FLOAT_FIELDS = {f.name for f in fields(StabilityRecord) if f.type == "float"}
+
+
 def _parse_record(row: dict[str, str]) -> StabilityRecord:
+    _, columns = _RECORDS
     return StabilityRecord(**{
-        f.name: float(row[f.name]) if f.type == "float" else row[f.name]
-        for f in _RECORD_FIELDS})
+        attr: float(row[column]) if attr in _FLOAT_FIELDS else row[column]
+        for column, attr in columns.items()})
 
 
 def _cmd_report(config: RunConfig) -> int:
-    sources = [("sbt", "sbt_records.csv", check_sbt_profile),
-               ("serrin", "serrin_records.csv", check_serrin_profile)]
-    header = ["source", "profile", "primary_slope", "primary_intercept",
-              "primary_r2", "gauss_slope", "gauss_r2", "n_points", "c_emp",
-              "passed"]
-    rows: list[list[object]] = []
+    sources = [("sbt_records.csv", check_sbt_profile),
+               ("serrin_records.csv", check_serrin_profile)]
+    rows: list[tuple[tuple, object]] = []
     all_passed = True
-    for profile, filename, checker in sources:
+    for filename, checker in sources:
         path = os.path.join(config.out, filename)
         if not os.path.exists(path):
             continue
         verdict = checker(_read_records_csv(path))
-        rows.append([filename, profile, verdict.primary.slope,
-                     verdict.primary.intercept, verdict.primary.r_squared,
-                     verdict.gauss.slope, verdict.gauss.r_squared,
-                     verdict.primary.n_points, verdict.c_emp,
-                     verdict.passed])
+        rows.append(((filename,), verdict))
         _print_verdict(verdict)
         all_passed = all_passed and verdict.passed
     if not rows:
@@ -522,7 +522,7 @@ def _cmd_report(config: RunConfig) -> int:
             f"no record CSVs found under {config.out!r}; run sbt-run or "
             f"serrin-run first")
     path = _out_path(config, "report.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, _REPORT, rows)
     print(f"wrote {len(rows)} rows -> {path}")
     return EXIT_PASS if all_passed else EXIT_FAIL
 
@@ -572,27 +572,26 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="key=value config file")
         cmd.add_argument("--out", metavar="DIR",
                          help="output directory (default .)")
-        cmd.add_argument("--jobs", type=int, metavar="K",
-                         help="worker processes; 0 = available parallelism")
-        cmd.add_argument("--dump-fields", action="store_true", default=None,
-                         help="dump solved u as x,y,value CSV (domain-verify only)")
+        # each flag only where it is read; the config keys stay shared
         if name == "constants":
             cmd.add_argument("--N", type=int, dest="N", metavar="DIM",
                              help="dimension of the constant table")
+        elif name == "domain-verify":
+            cmd.add_argument("--dump-fields", action="store_true",
+                             default=None,
+                             help="dump solved u as x,y,value CSV")
+        elif name in ("sbt-run", "serrin-run"):
+            cmd.add_argument("--jobs", type=int, metavar="K",
+                             help="worker processes; 0 = available "
+                                  "parallelism")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    command, config_path = flags.pop("command"), flags.pop("config")
     try:
-        config = parse_config(
-            args.command,
-            config_path=args.config,
-            out=args.out,
-            jobs=args.jobs,
-            dump_fields=args.dump_fields,
-            N=getattr(args, "N", None),
-        )
+        config = parse_config(command, config_path=config_path, **flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -513,20 +513,18 @@ def check_grad_infty_weighted(data: PipelineData) -> IdentityReport:
     return IdentityReport.monitored("grad_infty_weighted", lhs, rhs)
 
 
-def check_weighted_poincare(data: PipelineData, alpha: float = 0.5,
-                            calibration_k: float = 1.0) -> IdentityReport:
+def check_weighted_poincare(data: PipelineData,
+                            alpha: float = 0.5) -> IdentityReport:
     """Distance-weighted Poincare ratio around the critical point of ``h``.
 
-    Records ``||grad h||_{4, Omega}`` against ``calibration_k ||delta^alpha
-    hess h||_{2, Omega}``; ``alpha`` must keep these exponents in the
-    admissible window, but the inequality's absolute constant is a
-    calibration, so the report is monitored (vanishing sides pass).
+    Records ``||grad h||_{4, Omega}`` against ``||delta^alpha hess h||_{2,
+    Omega}``; ``alpha`` must keep these exponents in the admissible window,
+    but the inequality's absolute constant is not known, so the report is
+    monitored (vanishing sides pass).
     """
     weighted_poincare_window(2, _POINCARE_R, _POINCARE_P, alpha)
-    if not 0.0 < calibration_k < math.inf:
-        raise DomainError("calibration constant must be positive and finite")
     lhs = lp_norm_domain(data.grad_h, _POINCARE_R)
-    rhs = calibration_k * lp_norm_domain(data.hess_h, _POINCARE_P, alpha=alpha)
+    rhs = lp_norm_domain(data.hess_h, _POINCARE_P, alpha=alpha)
     return IdentityReport.monitored("weighted_poincare", lhs, rhs)
 
 
@@ -560,13 +558,12 @@ def check_battery_exponents(p: float, q: float, alpha: float) -> None:
 
 
 def run_domain_checks(data: PipelineData, p: float = 6.0, q: float = INF,
-                      alpha: float = 0.5,
-                      calibration_k: float = 1.0) -> list[IdentityReport]:
+                      alpha: float = 0.5) -> list[IdentityReport]:
     """Run the full per-domain check battery in a fixed order.
 
-    ``p``/``q`` steer the oscillation chain, ``alpha`` and ``calibration_k``
-    the weighted Poincare ratio; everything else runs at its contract
-    exponents, checked first by :func:`check_battery_exponents`.
+    ``p``/``q`` steer the oscillation chain and ``alpha`` the weighted
+    Poincare ratio; everything else runs at its contract exponents, checked
+    first by :func:`check_battery_exponents`.
     """
     check_battery_exponents(p, q, alpha)
     reports = [
@@ -580,8 +577,7 @@ def run_domain_checks(data: PipelineData, p: float = 6.0, q: float = INF,
         check_grad_infty_bound(data),
         check_grad_infty_bound(data, q=8.0),
         check_grad_infty_weighted(data),
-        check_weighted_poincare(data, alpha=alpha,
-                                calibration_k=calibration_k),
+        check_weighted_poincare(data, alpha=alpha),
     ]
     reports.extend(check_sbt_chain(data))
     return reports

@@ -288,7 +288,7 @@ def _coarse(table: BoundaryTable) -> BoundaryTable:
 
 def area(domain: StarDomain2D) -> float:
     """|Omega| = (1/2) int r^2 dphi, closed form by Parseval."""
-    _, a, b = domain._coefficient_arrays() if domain.n_modes else (None, np.zeros(0), np.zeros(0))
+    _, a, b = domain._coefficient_arrays()
     return math.pi * (domain.c0**2 + 0.5 * float(np.sum(a * a) + np.sum(b * b)))
 
 

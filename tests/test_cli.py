@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,10 @@ from hypothesis import strategies as st
 import oscbound
 from oscbound import cli, constants, stability
 from oscbound.cli import RunConfig, constants_table, main, parse_config
-from oscbound.constants import INF
+from oscbound.cones import ConeCheck
+from oscbound.constants import INF, ConstantReport
+from oscbound.identities import IdentityReport
+from oscbound.stability import FitResult, ProfileVerdict, StabilityRecord
 from oscbound.errors import ConfigError
 
 RECORD_HEADER = ("family,k,eps,curvature_flatness,radius_gap,gauss_deviation,"
@@ -70,7 +74,6 @@ class TestParseConfig:
         assert cfg.p == 6.0 and cfg.q == INF and cfg.alpha == 0.5
         assert cfg.N == 2 and cfg.jobs == 0 and cfg.out == "."
         assert cfg.dump_fields is False
-        assert cfg.calibration_k == 1.0
 
     def test_every_key_round_trips(self, tmp_path):
         cfg_path = write_cfg(tmp_path, """
@@ -88,7 +91,6 @@ class TestParseConfig:
             jobs = 2
             out = somewhere
             dump_fields = yes
-            calibration_k = 2.5
         """)
         cfg = parse_config("sbt-run", cfg_path)
         assert cfg.family == "cosine"
@@ -100,7 +102,6 @@ class TestParseConfig:
         assert cfg.p == 4.0 and cfg.q == INF and cfg.alpha == 0.25
         assert cfg.N == 3 and cfg.jobs == 2
         assert cfg.out == "somewhere" and cfg.dump_fields is True
-        assert cfg.calibration_k == 2.5
 
     def test_flags_override_file(self, tmp_path):
         cfg_path = write_cfg(tmp_path, "out = from_file\njobs = 7\n")
@@ -145,12 +146,11 @@ class TestParseConfig:
         "alpha = 1.5",                # outside [0, 1]
         "N = 1",                      # below 2
         "jobs = -2",                  # negative
-        "calibration_k = 0",          # not positive
+        "calibration_k = 1",          # removed key
         "just a line",                # no key=value shape
         "grid.h = inf",               # not finite
         "eps = inf",                  # not finite
         "eps = 0.1, inf",             # not finite
-        "calibration_k = inf",        # not finite
     ])
     def test_rejects_bad_lines(self, tmp_path, line):
         cfg_path = write_cfg(tmp_path, line + "\n")
@@ -249,6 +249,36 @@ class TestNumericCells:
                 if column in (3, 4) and cells[column] == "":
                     continue  # pointwise rows leave p/q empty
                 float(cells[column])
+
+
+# --------------------------------------------------------------------------
+# CSV schemas
+# --------------------------------------------------------------------------
+
+FIT = FitResult(slope=1.0, intercept=0.5, r_squared=0.99, n_points=6)
+
+
+@pytest.mark.parametrize("schema, context, obj", [
+    (cli._CONSTANTS, (), ConstantReport("euler_beta", 1.5, {"x": 1.0},
+                                        "gamma-ratio")),
+    (cli._CONES, (), ConeCheck("f", 0.5, 1.0, "pointwise", 0.1, 0.2)),
+    (cli._DOMAIN_CHECKS, ("ellipse", 0.2),
+     IdentityReport.monitored("hopf", 1.0, 2.0)),
+    (cli._RECORDS, ("ellipse", 2),
+     StabilityRecord(0.1, *[0.5] * 9, h=0.03125)),
+    (cli._REPORT, ("sbt_records.csv",),
+     ProfileVerdict("sbt", FIT, FIT, c_emp=2.0, passed=True)),
+], ids=["constants", "cones", "domain_checks", "records", "report"])
+def test_writer_header_is_its_schema(tmp_path, schema, context, obj):
+    # a renamed field fails here, not in a run
+    context_columns, columns = schema
+    assert len(context) == len(context_columns)
+    cells = [cli._fmt(attrgetter(attr)(obj)) for attr in columns.values()]
+    text = cli._write_csv(str(tmp_path / "t.csv"), schema, [(context, obj)])
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == text
+    header, row = text.splitlines()
+    assert header == ",".join([*context_columns, *columns])
+    assert row == ",".join([*map(cli._fmt, context), *cells])
 
 
 # --------------------------------------------------------------------------
@@ -456,9 +486,45 @@ class TestArgparseSurface:
             main(["constants", "--help"])
         assert err.value.code == 0
         text = capsys.readouterr().out
-        for key in ("family", "eps", "grid.h", "grid.refinements", "jobs",
-                    "out", "dump_fields", "calibration_k"):
+        for key in cli._KEYS:
             assert key in text
+
+    def test_help_and_readme_name_only_known_keys(self):
+        # a removed key must not linger in --help or the README example
+        named = [part for line in cli._CONFIG_HELP.splitlines()
+                 if line.startswith("  ") and not line.startswith("   ")
+                 for part in line.split("  ")[1].split(", ")]
+        assert "family" in named and "alpha" in named
+        assert set(named) <= set(cli._KEYS)
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            example = handle.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [line.split("=")[0].strip() for line in example.splitlines()]
+        assert "family" in keys and set(keys) <= set(cli._KEYS)
+
+    @pytest.mark.parametrize("argv", [
+        [command, "--dump-fields"]
+        for command in ("sbt-run", "serrin-run", "constants", "cone-verify",
+                        "report")] + [
+        [command, "--jobs", "2"]
+        for command in ("constants", "cone-verify", "domain-verify",
+                        "report")], ids=" ".join)
+    def test_flags_only_on_the_commands_that_read_them(self, tmp_path,
+                                                       capsys, argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_config_key_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "calibration_k = 1\n")
+        out = tmp_path / "o"
+        assert main(["domain-verify", "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert "unknown config key 'calibration_k'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "nonsense = 1\n")
