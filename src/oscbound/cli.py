@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -309,11 +310,12 @@ def _write_csv(path: str, schema: tuple[tuple[str, ...], dict[str, str]],
     text written."""
     context_columns, columns = schema
     getters = [attrgetter(attr) for attr in columns.values()]
-    lines = [",".join([*context_columns, *columns])]
-    lines.extend(",".join([*map(_fmt, context),
-                           *[_fmt(get(obj)) for get in getters]])
-                 for context, obj in rows)
-    text = "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([*context_columns, *columns])
+    writer.writerows([*map(_fmt, context), *[_fmt(get(obj)) for get in getters]]
+                     for context, obj in rows)
+    text = buffer.getvalue()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
     return text

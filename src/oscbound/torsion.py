@@ -6,11 +6,10 @@ edge crosses the boundary, the distance to its first crossing replaces the
 full spacing, and the Dirichlet zero is imposed at the crossing.  One table
 of the boundary's crossings with the grid lines, found by Newton's method on
 the closed-form curve, gives the inside mask, those crossing distances and
-the exact cut-cell areas.  The stencil couples each node only to nodes of
-the other red-black colour, so the solve eliminates the red unknowns exactly
-and factors the black half, while a worker thread computes the boundary
-distance delta.  The module also produces everything the identity checks
-consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
+the exact cut-cell areas.  GMRES preconditioned by a geometric multigrid
+V-cycle solves the linear system, while a worker thread computes the
+boundary distance delta.  The module also produces everything the identity
+checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
 gradients and Hessians, interior norms with exact cell areas and optional
 weights by the boundary distance delta (exact at every inside node, by
 Newton projection onto the curve, and NaN outside), and boundary traces of
@@ -60,6 +59,11 @@ _ON_BOUNDARY = 1e-13    # a node this many spacings from a crossing is on it
 _AREA_TOL = 1e-12       # relative gap allowed between the areas and |Omega|
 _TRACE_STEP = 3.0       # normal-derivative stencil step, in grid spacings
 _DELTA_CHUNK = 8192     # nodes per kd-tree query and projection of delta
+_COARSEST = 3000        # unknowns of the coarsest multigrid level, factored
+_JACOBI = 0.8           # damping of the coarse levels' Jacobi sweeps
+_RTOL = 1e-11           # relative residual at which GMRES stops
+_KRYLOV = 50            # GMRES steps between restarts
+_GMRES_STEPS = 200      # GMRES steps in all before the solve fails
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +88,7 @@ class Grid:
     boundary table (1024 angles) seeds a Newton projection onto the
     closed-form curve.  ``delta`` is computed on first read, in chunks of
     nodes so that its temporaries stay small; :func:`solve_torsion` makes
-    that read on a worker thread while SuperLU factors.
+    that read on a worker thread while the linear solve runs.
     """
 
     domain: StarDomain2D
@@ -344,32 +348,183 @@ class SolveReport:
 # the solver
 # --------------------------------------------------------------------------
 
-def spsolve(A: sparse.spmatrix, rhs: Array, red: Array) -> Array:
-    """Solve the Shortley-Weller system ``A x = rhs`` by red-black reduction.
+def _restriction(number: Array) -> tuple[sparse.csr_matrix, Array]:
+    """The transpose R = P^T of bilinear interpolation P from the nodes with
+    even (i, j) to every node, and the numbering of the coarse level.
 
-    The five-point stencil couples a node only to its grid neighbours, which
-    have the other colour, so the block of A on the ``red`` unknowns is its
-    diagonal D.  The red unknowns are eliminated exactly, and SuperLU
-    factors the Schur complement S = A_bb - A_br D^-1 A_rb on the black
-    half; then x_r = D^-1 (rhs_r - A_rb x_b).  S is structurally symmetric
-    and, like A, a diagonally dominant M-matrix, so elimination needs no
-    pivoting: SuperLU runs in symmetric mode, keeps the diagonal pivots and
-    orders by minimum degree on S^T + S.  S has half the unknowns of A and
-    about as many entries, and its factors hold a tenth fewer: 1.20e7
-    against 1.34e7 for the 206k unknowns of the ellipse eps = 0.2 at
-    h = 1/256.
+    ``number`` maps each node of the level to its unknown, -1 outside.  The
+    coarse level is the grid ``number[::2, ::2]`` and numbers its nodes in
+    row-major order.  A coarse node gives weight 1 to the fine node on it,
+    1/2 to the fine nodes beside it on a grid line and 1/4 to those on its
+    diagonals, so a fine node that misses a coarse neighbour outside the
+    domain takes the Dirichlet zero there.
     """
-    A = A.tocsr()
-    black = ~red
-    d = A.diagonal()[red]
-    rows_black = A[black]
-    A_br, A_rb = rows_black[:, red], A[red][:, black]
-    S = rows_black[:, black] - A_br @ sparse.diags(1.0 / d) @ A_rb
-    lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
+    nx = number.shape[1]
+    even = number[::2, ::2] >= 0
+    ci, cj = np.nonzero(even)
+    coarse = np.full(even.shape, -1, dtype=np.int64)
+    coarse[even] = np.arange(ci.size)
+    # a ring of -1 around the level keeps every neighbour's index in range
+    padded = np.pad(number, 1, constant_values=-1).ravel()
+    step = np.array([-1, 0, 1])
+    offsets = (step[:, None] * (nx + 2) + step).ravel()
+    weights = (0.5 ** (np.abs(step)[:, None] + np.abs(step))).ravel()
+    fine = padded[((2 * ci + 1) * (nx + 2) + 2 * cj + 1)[:, None] + offsets]
+    hit = fine >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(hit, axis=1))])
+    R = sparse.csr_matrix(
+        (np.broadcast_to(weights, hit.shape)[hit], fine[hit], indptr),
+        shape=(ci.size, int(np.count_nonzero(number >= 0))))
+    return R, coarse
+
+
+class _VCycle:
+    """One multigrid V-cycle for the Shortley-Weller matrix, as the linear
+    map M of a right-preconditioned GMRES.
+
+    ``A`` numbers its unknowns red (i + j even) first, ``n_red`` of them, as
+    ``number`` maps the grid nodes to them (see :func:`_restriction`).
+    Each coarser level is the Galerkin product A_c = P^T A P with the
+    bilinear P, down to at most ``_COARSEST`` unknowns, which SuperLU
+    factors.  The fine level is smoothed by one red-black Gauss-Seidel
+    sweep before and after the coarse correction: the five-point stencil
+    couples a node only to nodes of the other colour, so each half-sweep
+    solves its colour exactly, and the presmoothing sweep leaves no black
+    residual.  The nine-point coarse levels are smoothed by two damped
+    Jacobi sweeps before and after.  A system of at most ``_COARSEST``
+    unknowns is factored whole.
+    """
+
+    def __init__(self, A: sparse.csr_matrix, number: Array, n_red: int):
+        self.levels, self.P = [], None
+        if A.shape[0] <= _COARSEST:
+            self.lu = splu(A.tocsc())
+            return
+        d = A.diagonal()
+        self.n_red, self.d_red, self.d_black = n_red, d[:n_red], d[n_red:]
+        self.A_rb, self.A_br = A[:n_red, n_red:], A[n_red:, :n_red]
+        R, number = _restriction(number)
+        self.P, self.R_red = R.T.tocsr(), R[:, :n_red]
+        A = R @ A @ self.P
+        while A.shape[0] > _COARSEST:
+            R, number = _restriction(number)
+            P = R.T.tocsr()
+            self.levels.append((A, _JACOBI / A.diagonal(), P, R))
+            A = R @ A @ P
+        self.lu = splu(A.tocsc())
+
+    def __call__(self, b: Array) -> Array:
+        if self.P is None:
+            return self.lu.solve(b)
+        n = self.n_red
+        x = np.empty_like(b)
+        x_red, x_black = x[:n], x[n:]
+        b_red, b_black = b[:n], b[n:]
+        np.divide(b_red, self.d_red, out=x_red)
+        np.divide(b_black - self.A_br @ x_red, self.d_black, out=x_black)
+        # the residual is -A_rb x_black on red and zero on black
+        x -= self.P @ self._coarse(self.R_red @ (self.A_rb @ x_black), 0)
+        np.divide(b_red - self.A_rb @ x_black, self.d_red, out=x_red)
+        np.divide(b_black - self.A_br @ x_red, self.d_black, out=x_black)
+        return x
+
+    def _coarse(self, b: Array, level: int) -> Array:
+        if level == len(self.levels):
+            return self.lu.solve(b)
+        A, scale, P, R = self.levels[level]
+        x = scale * b
+        x += scale * (b - A @ x)
+        x += P @ self._coarse(R @ (b - A @ x), level + 1)
+        for _ in range(2):
+            x += scale * (b - A @ x)
+        return x
+
+
+def _norm(v: Array) -> float:
+    """Euclidean norm by pairwise ``np.sum``: np.linalg.norm's BLAS ddot
+    wakes the OpenBLAS thread pool, whose helper then spins on a core that a
+    sibling pool worker needs."""
+    return math.sqrt(float(np.sum(v * v)))
+
+
+def _gmres(A: sparse.csr_matrix, b: Array, precondition) -> Array:
+    """Solve ``A x = b`` to the relative residual ``_RTOL`` by restarted,
+    right-preconditioned GMRES (Saad & Schultz 1986): x = M y, where
+    ``precondition`` applies M.
+
+    Each Arnoldi step orthogonalizes by modified Gram-Schmidt, and Givens
+    rotations in Python floats keep the small least-squares problem
+    triangular, so its residual is known at every step.  A restart begins
+    from the true residual b - A x.  Raises :class:`GeometryError` after
+    ``_GMRES_STEPS`` steps in all.
+    """
+    target = _RTOL * _norm(b)
+    x = np.zeros_like(b)
+    r, steps = b, 0
+    while (beta := _norm(r)) > target:
+        if steps >= _GMRES_STEPS:
+            raise GeometryError(
+                f"GMRES stopped after {steps} iterations at relative "
+                f"residual {beta / _norm(b):.3e}, above {_RTOL:g}")
+        basis, columns, rotations, g = [r / beta], [], [], [beta]
+        while len(columns) < _KRYLOV and steps < _GMRES_STEPS:
+            steps += 1
+            w = A @ precondition(basis[-1])
+            col = []
+            for v in basis:
+                c = float(np.sum(w * v))
+                w -= c * v
+                col.append(c)
+            below = _norm(w)
+            for j, (cs, sn) in enumerate(rotations):
+                col[j], col[j + 1] = (cs * col[j] + sn * col[j + 1],
+                                      cs * col[j + 1] - sn * col[j])
+            k = len(columns)
+            diag = math.hypot(col[k], below)
+            cs, sn = col[k] / diag, below / diag
+            col[k] = diag
+            rotations.append((cs, sn))
+            columns.append(col)
+            g.append(-sn * g[k])
+            g[k] *= cs
+            # at a breakdown (below == 0) the Krylov space holds the solution:
+            # then sn = 0 and g[-1] = 0, so the step ends before dividing
+            if abs(g[-1]) <= target:
+                break
+            basis.append(w / below)
+        y = [0.0] * len(columns)
+        for i in reversed(range(len(columns))):
+            y[i] = (g[i] - sum(columns[j][i] * y[j]
+                               for j in range(i + 1, len(columns)))
+                    ) / columns[i][i]
+        step = y[0] * basis[0]
+        for coeff, v in zip(y[1:], basis[1:]):
+            step += coeff * v
+        x += precondition(step)
+        r = b - A @ x
+    return x
+
+
+def spsolve(A: sparse.spmatrix, rhs: Array, inside: Array) -> Array:
+    """Solve the Shortley-Weller system ``A x = rhs`` on the nodes of the
+    mask ``inside``, numbered in row-major order, by GMRES preconditioned
+    with a geometric multigrid V-cycle (see :class:`_VCycle`).
+
+    The unknowns are renumbered red (i + j even) first, so that the fine
+    level's colour blocks are contiguous.  The iteration count barely grows
+    with the grid: 13 GMRES steps at h = 1/64 and 20 at h = 1/512 on the
+    ladder members, where the solution is within 1e-12 of a direct
+    factorization's.  No step calls BLAS (see :func:`_norm`).
+    """
+    ii, jj = np.nonzero(inside)
+    red = (ii + jj) % 2 == 0
+    order = np.concatenate([np.flatnonzero(red), np.flatnonzero(~red)])
+    number = np.full(inside.shape, -1, dtype=np.int64)
+    number[ii[order], jj[order]] = np.arange(order.size)
+    A = A.tocsr()[order][:, order]
+    cycle = _VCycle(A, number, int(np.count_nonzero(red)))
     x = np.empty_like(rhs)
-    x[black] = lu.solve(rhs[black] - A_br @ (rhs[red] / d))
-    x[red] = (rhs[red] - A_rb @ x[black]) / d
+    x[order] = _gmres(A, rhs[order], cycle)
     return x
 
 
@@ -412,19 +567,16 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
         shape=(grid.n_unknowns, grid.n_unknowns)).tocsr()
     rhs = np.full(grid.n_unknowns, 2.0)
 
-    # the first read of delta overlaps the factorization, which releases
-    # the interpreter lock
+    # the first read of delta overlaps the solve where either side releases
+    # the interpreter lock: the kd-tree query and large numpy operations do,
+    # scipy's sparse products do not
     with ThreadPoolExecutor(max_workers=1) as worker:
         reading = worker.submit(getattr, grid, "delta")
-        sol = spsolve(A, rhs, (ii + jj) % 2 == 0)
+        sol = spsolve(A, rhs, inside)
         reading.result()
     if not np.all(np.isfinite(sol)):
         raise GeometryError("linear solver returned non-finite values")
-    # the relative 2-norm by pairwise np.sum: np.linalg.norm's BLAS ddot wakes
-    # the OpenBLAS thread pool, whose helper then spins on a core that a
-    # sibling pool worker needs
-    r = A @ sol - rhs
-    residual = math.sqrt(float(np.sum(r * r)) / float(np.sum(rhs * rhs)))
+    residual = _norm(A @ sol - rhs) / _norm(rhs)
 
     values = np.full((ny, nx), np.nan)
     values[ii, jj] = sol

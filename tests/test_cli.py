@@ -281,6 +281,20 @@ def test_writer_header_is_its_schema(tmp_path, schema, context, obj):
     assert row == ",".join([*map(cli._fmt, context), *cells])
 
 
+def test_record_detail_with_comma_and_quote_round_trips(tmp_path):
+    # the writer quotes such a cell, so report reads the whole message back
+    nan = float("nan")
+    record = StabilityRecord(0.1, *[nan] * 9, h=1.5, status="error",
+                             detail='grid too coarse: h=1.5, need "h < 0.2"')
+    path = str(tmp_path / "sbt_records.csv")
+    text = cli._write_csv(path, cli._RECORDS, [(("ellipse", 2), record)])
+    assert text.splitlines()[1].endswith(
+        ',error,"grid too coarse: h=1.5, need ""h < 0.2"""')
+    back, = cli._read_records_csv(path)
+    assert back.detail == record.detail
+    assert (back.eps, back.h, back.status) == (0.1, 1.5, "error")
+
+
 # --------------------------------------------------------------------------
 # domain-verify subcommand
 # --------------------------------------------------------------------------

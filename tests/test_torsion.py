@@ -4,18 +4,21 @@ Oracles: the closed-form torsion function of disks and ellipses (quadratic,
 so the Shortley-Weller scheme reproduces it to rounding), analytic crossing
 points of grid edges with a circle, hand-integrated boundary-distance
 moments on the disk, closed-form disk-square intersection areas, polar
-quadrature of cut cells, the strict radial inclusion test, and Richardson
-self-comparison on a cosine domain where the solution is genuinely
-non-quadratic.
+quadrature of cut cells, the strict radial inclusion test, a direct LU
+factorization of the whole system for the multigrid-preconditioned solve,
+and Richardson self-comparison on a cosine domain where the solution is
+genuinely non-quadratic.
 """
 from __future__ import annotations
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy import sparse
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
@@ -424,8 +427,8 @@ def test_solve_residual_matches_blas_norm(domain, monkeypatch):
     seen = []
     real_spsolve = torsion.spsolve
 
-    def recording_spsolve(A, rhs, red):
-        sol = real_spsolve(A, rhs, red)
+    def recording_spsolve(A, rhs, inside):
+        sol = real_spsolve(A, rhs, inside)
         seen.append((A, rhs, sol))
         return sol
 
@@ -436,31 +439,38 @@ def test_solve_residual_matches_blas_norm(domain, monkeypatch):
     assert abs(report.residual - reference) <= 1e-15
 
 
+MIXED = StarDomain2D(1.0, (0.0, 0.2, 0.0, 0.0, 0.2 / 3.0), (0.0, 0.0, 0.1))
+
+
 @pytest.mark.parametrize("domain, h, snapped", [
     # no mirror symmetry: r = 1 + 0.2 (cos 2 phi + sin 3 phi / 2 + cos 5 phi / 3)
-    (StarDomain2D(1.0, (0.0, 0.2, 0.0, 0.0, 0.2 / 3.0), (0.0, 0.0, 0.1)),
-     1.0 / 64.0, False),
+    (MIXED, 1.0 / 64.0, False),
     (PETALS, 1.0 / 64.0, False),
     # the node (1, 0) lies 1e-10 h inside the circle: its cuts snap to _T_MIN
     (StarDomain2D(c0=1.0 + 1e-10 / 32.0), 1.0 / 32.0, True),
-], ids=["mixed", "petals", "t_min"])
+    # five multigrid levels
+    (MIXED, 1.0 / 256.0, False),
+], ids=["mixed", "petals", "t_min", "mixed_256"])
 def test_red_black_solve_matches_full_factorization(domain, h, snapped,
                                                      monkeypatch):
+    # the multigrid solve agrees with a direct factorization of all of A
     seen = []
     real_spsolve = torsion.spsolve
 
-    def recording_spsolve(A, rhs, red):
-        sol = real_spsolve(A, rhs, red)
-        seen.append((A, rhs, red, sol))
+    def recording_spsolve(A, rhs, inside):
+        sol = real_spsolve(A, rhs, inside)
+        seen.append((A, rhs, inside, sol))
         return sol
 
     monkeypatch.setattr(torsion, "spsolve", recording_spsolve)
     u, _ = solve_torsion(domain, h)
-    (A, rhs, red, sol), = seen
+    (A, rhs, inside, sol), = seen
     grid = u.grid
-    ii, jj = np.nonzero(grid.inside)
-    assert np.array_equal(red, (ii + jj) % 2 == 0)
-    # the stencil couples only nodes of opposite colour
+    assert inside is grid.inside
+    ii, jj = np.nonzero(inside)
+    red = (ii + jj) % 2 == 0
+    # the stencil couples only nodes of opposite colour, which makes each
+    # half-sweep of the fine-level smoother exact
     coo = A.tocoo()
     off = coo.row != coo.col
     assert off.any()
@@ -480,13 +490,55 @@ def test_solve_torsion_joins_its_worker_thread(monkeypatch):
     fresh = Grid.build(domain, 1.0 / 32.0)
     assert np.array_equal(u.grid.delta, fresh.delta, equal_nan=True)
 
-    def failing(A, rhs, red):
-        raise GeometryError("factorization failed")
+    def failing(A, rhs, inside):
+        raise GeometryError("solve failed")
 
     monkeypatch.setattr(torsion, "spsolve", failing)
-    with pytest.raises(GeometryError, match="factorization failed"):
+    with pytest.raises(GeometryError, match="solve failed"):
         solve_torsion(domain, 1.0 / 32.0)
     assert threading.active_count() == before
+
+
+def test_gmres_that_runs_out_of_steps_is_a_geometry_error(monkeypatch):
+    domain = StarDomain2D.ellipse(1.2, 1.0 / 1.2)
+    before = threading.active_count()
+    monkeypatch.setattr(torsion, "_GMRES_STEPS", 1)
+    with pytest.raises(GeometryError,
+                       match=r"after 1 iterations at relative residual \d"):
+        solve_torsion(domain, 1.0 / 32.0)
+    assert threading.active_count() == before
+
+
+def test_restarted_gmres_reaches_the_same_solution(monkeypatch):
+    domain = StarDomain2D.ellipse(1.2, 1.0 / 1.2)
+    whole, _ = solve_torsion(domain, 1.0 / 64.0)
+    monkeypatch.setattr(torsion, "_KRYLOV", 3)
+    restarted, report = solve_torsion(domain, 1.0 / 64.0)
+    assert report.residual <= torsion._RTOL
+    inside = whole.grid.inside
+    gap = np.abs(restarted.values - whole.values)[inside]
+    assert float(gap.max()) <= 1e-12
+
+
+def test_gmres_breakdown_returns_the_solution():
+    # A M = I and b along a unit vector: the first Arnoldi step leaves
+    # exactly zero below the diagonal, which must end the solve, not divide
+    A = sparse.diags(np.full(50, 2.0), format="csr")
+    b = np.zeros(50)
+    b[7] = 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = torsion._gmres(A, b, lambda v: 0.5 * v)
+    assert np.array_equal(x, 0.5 * b)
+
+
+@pytest.mark.parametrize("h", [1.0 / 64.0, 1.0 / 128.0], ids=["64", "128"])
+def test_solve_torsion_is_deterministic(h):
+    domain = StarDomain2D.cosine(0.1, 2)
+    first, _ = solve_torsion(domain, h)
+    solve_torsion(PETALS, 1.0 / 64.0)   # other allocations in between
+    again, _ = solve_torsion(domain, h)
+    assert first.values.tobytes() == again.values.tobytes()
 
 
 def test_solve_report_rejects_large_residual():
