@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -341,48 +342,42 @@ def _dump_field(config: RunConfig, tag: str, data) -> str:
 # --------------------------------------------------------------------------
 
 def constants_table(N: int) -> list[ConstantReport]:
-    """The closed-form constants at dimension ``N``, one report per row."""
+    """The closed-form constants at dimension ``N``, one report per row
+    (name, function, inputs, provenance) valued ``function(**inputs)``."""
     theta = math.pi / 4.0
     rows = [
-        ConstantReport("unit_ball_volume", unit_ball_volume(N),
-                       {"N": N}, "closed-form"),
-        ConstantReport("unit_sphere_area", unit_sphere_area(N),
-                       {"N": N}, "closed-form"),
-        ConstantReport("euler_beta", euler_beta(N / 2.0, 0.5),
-                       {"x": N / 2.0, "y": 0.5}, "gamma-ratio"),
-        ConstantReport("cap_measure", cap_measure(theta, N),
-                       {"theta": theta, "N": N}, "closed-form"),
-        ConstantReport("morrey_cone_constant", morrey_cone_constant(N + 1.0, N, 1.0),
-                       {"p": N + 1.0, "N": N, "a": 1.0}, "closed-form"),
-        ConstantReport("morrey_cone_constant", morrey_cone_constant(2.0 * N, N, 1.0),
-                       {"p": 2.0 * N, "N": N, "a": 1.0}, "closed-form"),
-        ConstantReport("morrey_cone_constant", morrey_cone_constant(INF, N, 1.0),
-                       {"p": INF, "N": N, "a": 1.0}, "p->inf limit"),
-        ConstantReport("morrey_domain_constant", morrey_domain_constant(INF, N, theta),
-                       {"p": INF, "N": N, "theta": theta}, "p->inf limit"),
-        ConstantReport("near_field_coefficient", near_field_coefficient(2.0 * N, N),
-                       {"q": 2.0 * N, "N": N}, "closed-form"),
-        ConstantReport("far_field_coefficient",
-                       far_field_coefficient(0.5 * (N + 1.0), N),
-                       {"p": 0.5 * (N + 1.0), "N": N}, "closed-form"),
-        ConstantReport("gradient_bound_M", gradient_bound_M(N, 2.0, 1.0),
-                       {"N": N, "d": 2.0, "r_e": 1.0}, "closed-form"),
-        ConstantReport("min_depth_bound",
-                       min_depth_bound(N, 1.0, mean_convex=True),
-                       {"N": N, "r_Omega": 1.0}, "mean-convex branch"),
+        ("unit_ball_volume", unit_ball_volume, {"N": N}, "closed-form"),
+        ("unit_sphere_area", unit_sphere_area, {"N": N}, "closed-form"),
+        ("euler_beta", euler_beta, {"x": N / 2.0, "y": 0.5}, "gamma-ratio"),
+        ("cap_measure", cap_measure, {"theta": theta, "N": N}, "closed-form"),
+        ("morrey_cone_constant", morrey_cone_constant,
+         {"p": N + 1.0, "N": N, "a": 1.0}, "closed-form"),
+        ("morrey_cone_constant", morrey_cone_constant,
+         {"p": 2.0 * N, "N": N, "a": 1.0}, "closed-form"),
+        ("morrey_cone_constant", morrey_cone_constant,
+         {"p": INF, "N": N, "a": 1.0}, "p->inf limit"),
+        ("morrey_domain_constant", morrey_domain_constant,
+         {"p": INF, "N": N, "theta": theta}, "p->inf limit"),
+        ("near_field_coefficient", near_field_coefficient,
+         {"q": 2.0 * N, "N": N}, "closed-form"),
+        ("far_field_coefficient", far_field_coefficient,
+         {"p": 0.5 * (N + 1.0), "N": N}, "closed-form"),
+        ("gradient_bound_M", gradient_bound_M,
+         {"N": N, "d": 2.0, "r_e": 1.0}, "closed-form"),
+        ("min_depth_bound", partial(min_depth_bound, mean_convex=True),
+         {"N": N, "r_Omega": 1.0}, "mean-convex branch"),
     ]
     if N >= 4:  # the decay profiles are defined only in high dimensions
-        rows.extend([
-            ConstantReport("serrin_profile_exponent",
-                           serrin_profile_exponent(N, INF),
-                           {"N": N, "q": INF}, "q->inf limit"),
-            ConstantReport("serrin_profile_exponent",
-                           serrin_profile_exponent(N, 2.0 * N),
-                           {"N": N, "q": 2.0 * N}, "closed-form"),
-            ConstantReport("psi_profile", psi_profile(0.5, N),
-                           {"sigma": 0.5, "N": N, "q": INF}, "profile value"),
-        ])
-    return rows
+        rows += [
+            ("serrin_profile_exponent", serrin_profile_exponent,
+             {"N": N, "q": INF}, "q->inf limit"),
+            ("serrin_profile_exponent", serrin_profile_exponent,
+             {"N": N, "q": 2.0 * N}, "closed-form"),
+            ("psi_profile", psi_profile,
+             {"sigma": 0.5, "N": N, "q": INF}, "profile value"),
+        ]
+    return [ConstantReport(name, function(**inputs), inputs, provenance)
+            for name, function, inputs, provenance in rows]
 
 
 def _cmd_constants(config: RunConfig) -> int:

@@ -6,9 +6,9 @@ edge crosses the boundary, the distance to its first crossing replaces the
 full spacing, and the Dirichlet zero is imposed at the crossing.  One table
 of the boundary's crossings with the grid lines, found by Newton's method on
 the closed-form curve, gives the inside mask, those crossing distances and
-the exact cut-cell areas.  GMRES preconditioned by a geometric multigrid
-V-cycle solves the linear system, while a worker thread computes the
-boundary distance delta.  The module also produces everything the identity
+the exact cut-cell areas.  BiCGSTAB preconditioned by a geometric
+multigrid V-cycle solves the linear system, while a worker thread computes
+the boundary distance delta.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
 gradients and Hessians, interior norms with exact cell areas and optional
 weights by the boundary distance delta (exact at every inside node, by
@@ -61,9 +61,8 @@ _TRACE_STEP = 3.0       # normal-derivative stencil step, in grid spacings
 _DELTA_CHUNK = 8192     # nodes per kd-tree query and projection of delta
 _COARSEST = 3000        # unknowns of the coarsest multigrid level, factored
 _JACOBI = 0.8           # damping of the coarse levels' Jacobi sweeps
-_RTOL = 1e-11           # relative residual at which GMRES stops
-_KRYLOV = 50            # GMRES steps between restarts
-_GMRES_STEPS = 200      # GMRES steps in all before the solve fails
+_RTOL = 1e-11           # true relative residual at which BiCGSTAB stops
+_STEPS = 100            # BiCGSTAB steps in all before the solve fails
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +87,9 @@ class Grid:
     boundary table (1024 angles) seeds a Newton projection onto the
     closed-form curve.  ``delta`` is computed on first read, in chunks of
     nodes so that its temporaries stay small; :func:`solve_torsion` makes
-    that read on a worker thread while the linear solve runs.
+    that read on a worker thread while the linear solve runs.  ``index``
+    numbers the inside nodes red (i + j even) first, then black, each colour
+    in row-major order.
     """
 
     domain: StarDomain2D
@@ -96,7 +97,7 @@ class Grid:
     xs: Array
     ys: Array
     inside: Array                 # (ny, nx) bool
-    index: Array                  # (ny, nx) int, -1 outside
+    index: Array                  # (ny, nx) int, red first, -1 outside
     cuts: dict[str, Array]        # E, W, N, S fractions in (0, 1]
     cell_weights: Array           # (ny, nx), sums to |Omega|
     n_unknowns: int = 0
@@ -120,9 +121,13 @@ class Grid:
                 f"h={h:g}; the grid is too coarse for this shape"
             )
 
-        n_unknowns = int(inside.sum())
+        # red nodes (i + j even) first, each colour in row-major order, so
+        # the multigrid smoother reads each colour as one block of unknowns
+        red = inside & (np.indices(inside.shape).sum(axis=0) % 2 == 0)
+        n_red, n_unknowns = int(red.sum()), int(inside.sum())
         index = np.full(inside.shape, -1, dtype=np.int64)
-        index[inside] = np.arange(n_unknowns)
+        index[red] = np.arange(n_red)
+        index[inside & ~red] = np.arange(n_red, n_unknowns)
         cell_w = _cell_areas(domain, rows, cols, lines)
         # hand the area in an outside node's cell to its first inside
         # neighbor; np.roll wraps, but the two outer rings hold no area
@@ -380,10 +385,11 @@ def _restriction(number: Array) -> tuple[sparse.csr_matrix, Array]:
 
 class _VCycle:
     """One multigrid V-cycle for the Shortley-Weller matrix, as the linear
-    map M of a right-preconditioned GMRES.
+    map M of a right-preconditioned BiCGSTAB, which applies it twice a step.
 
     ``A`` numbers its unknowns red (i + j even) first, ``n_red`` of them, as
-    ``number`` maps the grid nodes to them (see :func:`_restriction`).
+    ``number`` maps the grid nodes to them: :meth:`Grid.build` numbers them
+    so (see :func:`_restriction`).
     Each coarser level is the Galerkin product A_c = P^T A P with the
     bilinear P, down to at most ``_COARSEST`` unknowns, which SuperLU
     factors.  The fine level is smoothed by one red-black Gauss-Seidel
@@ -441,91 +447,87 @@ class _VCycle:
 
 
 def _norm(v: Array) -> float:
-    """Euclidean norm by pairwise ``np.sum``: np.linalg.norm's BLAS ddot
-    wakes the OpenBLAS thread pool, whose helper then spins on a core that a
-    sibling pool worker needs."""
+    """Euclidean norm by pairwise ``np.sum``, as every reduction of
+    :func:`_bicgstab` is taken: np.linalg.norm's BLAS ddot wakes the
+    OpenBLAS thread pool, whose helper then spins on a core that a sibling
+    pool worker needs."""
     return math.sqrt(float(np.sum(v * v)))
 
 
-def _gmres(A: sparse.csr_matrix, b: Array, precondition) -> Array:
-    """Solve ``A x = b`` to the relative residual ``_RTOL`` by restarted,
-    right-preconditioned GMRES (Saad & Schultz 1986): x = M y, where
+def _bicgstab(A: sparse.csr_matrix, b: Array, precondition) -> Array:
+    """Solve ``A x = b`` to the true relative residual ``_RTOL`` by
+    right-preconditioned BiCGSTAB (van der Vorst 1992): x = M y, where
     ``precondition`` applies M.
 
-    Each Arnoldi step orthogonalizes by modified Gram-Schmidt, and Givens
-    rotations in Python floats keep the small least-squares problem
-    triangular, so its residual is known at every step.  A restart begins
-    from the true residual b - A x.  Raises :class:`GeometryError` after
-    ``_GMRES_STEPS`` steps in all.
+    The recursive residual drifts from b - A x, so a round that brings it
+    under the target is followed by a round from the true residual, until
+    that is under the target too.  The true residual is summed as
+    b_i - sum_j a_ij (x_j - x_i) - s_i x_i with the row sums s_i of A, zero
+    away from cut nodes; the products a_ij x_j of b - A x are near
+    4 |x| / h^2 and at h = 1/512 round to an error near ``_RTOL``.  Raises
+    :class:`GeometryError` after ``_STEPS`` steps or on a zero denominator.
     """
+    def quotient(num: float, den: float) -> float:
+        # Python floats would raise ZeroDivisionError, not a solver failure
+        if den == 0.0:
+            raise GeometryError(f"BiCGSTAB broke down after {steps} "
+                                "iterations on a zero denominator")
+        return num / den
+
+    def dot(u: Array, v: Array) -> float:
+        return float(np.sum(u * v))
+
+    rows = np.repeat(np.arange(b.size, dtype=A.indices.dtype),
+                     np.diff(A.indptr))
+    row_sums = np.bincount(rows, A.data, b.size)
     target = _RTOL * _norm(b)
-    x = np.zeros_like(b)
-    r, steps = b, 0
-    while (beta := _norm(r)) > target:
-        if steps >= _GMRES_STEPS:
-            raise GeometryError(
-                f"GMRES stopped after {steps} iterations at relative "
-                f"residual {beta / _norm(b):.3e}, above {_RTOL:g}")
-        basis, columns, rotations, g = [r / beta], [], [], [beta]
-        while len(columns) < _KRYLOV and steps < _GMRES_STEPS:
+    x, r, steps = np.zeros_like(b), b, 0
+    while (res := _norm(r)) > target:
+        shadow, rho, alpha, omega, p, v = r, 1.0, 1.0, 1.0, 0.0, 0.0
+        while res > target:
+            if steps >= _STEPS:
+                raise GeometryError(
+                    f"BiCGSTAB stopped after {steps} iterations at relative "
+                    f"residual {res / _norm(b):.3e}, above {_RTOL:g}")
             steps += 1
-            w = A @ precondition(basis[-1])
-            col = []
-            for v in basis:
-                c = float(np.sum(w * v))
-                w -= c * v
-                col.append(c)
-            below = _norm(w)
-            for j, (cs, sn) in enumerate(rotations):
-                col[j], col[j + 1] = (cs * col[j] + sn * col[j + 1],
-                                      cs * col[j + 1] - sn * col[j])
-            k = len(columns)
-            diag = math.hypot(col[k], below)
-            cs, sn = col[k] / diag, below / diag
-            col[k] = diag
-            rotations.append((cs, sn))
-            columns.append(col)
-            g.append(-sn * g[k])
-            g[k] *= cs
-            # at a breakdown (below == 0) the Krylov space holds the solution:
-            # then sn = 0 and g[-1] = 0, so the step ends before dividing
-            if abs(g[-1]) <= target:
+            rho, last = dot(shadow, r), rho
+            p = r + quotient(rho, last) * quotient(alpha, omega) * (
+                p - omega * v)
+            p_hat = precondition(p)
+            v = A @ p_hat
+            alpha = quotient(rho, dot(shadow, v))
+            x += alpha * p_hat
+            r = r - alpha * v
+            # a solution in the Krylov space leaves r = 0 here, and then
+            # t = A M r = 0 below
+            if (res := _norm(r)) <= target:
                 break
-            basis.append(w / below)
-        y = [0.0] * len(columns)
-        for i in reversed(range(len(columns))):
-            y[i] = (g[i] - sum(columns[j][i] * y[j]
-                               for j in range(i + 1, len(columns)))
-                    ) / columns[i][i]
-        step = y[0] * basis[0]
-        for coeff, v in zip(y[1:], basis[1:]):
-            step += coeff * v
-        x += precondition(step)
-        r = b - A @ x
+            s_hat = precondition(r)
+            t = A @ s_hat
+            omega = quotient(dot(t, r), dot(t, t))
+            x += omega * s_hat
+            r = r - omega * t
+            res = _norm(r)
+        # in place: one more temporary of nnz entries adds 30 MB to the
+        # peak RSS of a 1/512 rung
+        terms = x[A.indices]
+        terms -= x[rows]
+        terms *= A.data
+        r = b - (np.bincount(rows, terms, b.size) + row_sums * x)
     return x
 
 
-def spsolve(A: sparse.spmatrix, rhs: Array, inside: Array) -> Array:
-    """Solve the Shortley-Weller system ``A x = rhs`` on the nodes of the
-    mask ``inside``, numbered in row-major order, by GMRES preconditioned
-    with a geometric multigrid V-cycle (see :class:`_VCycle`).
-
-    The unknowns are renumbered red (i + j even) first, so that the fine
-    level's colour blocks are contiguous.  The iteration count barely grows
-    with the grid: 13 GMRES steps at h = 1/64 and 20 at h = 1/512 on the
-    ladder members, where the solution is within 1e-12 of a direct
+def spsolve(A: sparse.csr_matrix, rhs: Array, index: Array) -> Array:
+    """Solve the Shortley-Weller system ``A x = rhs``, whose unknowns the
+    grid map ``index`` numbers red (i + j even) first, by BiCGSTAB
+    preconditioned with a geometric multigrid V-cycle (see
+    :class:`_VCycle`).  It takes 7-11 steps from h = 1/64 to 1/512 on the
+    ladder members, whose solution it gives within 1e-12 of a direct
     factorization's.  No step calls BLAS (see :func:`_norm`).
     """
-    ii, jj = np.nonzero(inside)
-    red = (ii + jj) % 2 == 0
-    order = np.concatenate([np.flatnonzero(red), np.flatnonzero(~red)])
-    number = np.full(inside.shape, -1, dtype=np.int64)
-    number[ii[order], jj[order]] = np.arange(order.size)
-    A = A.tocsr()[order][:, order]
-    cycle = _VCycle(A, number, int(np.count_nonzero(red)))
-    x = np.empty_like(rhs)
-    x[order] = _gmres(A, rhs[order], cycle)
-    return x
+    ii, jj = np.nonzero(index >= 0)
+    n_red = int(np.count_nonzero((ii + jj) % 2 == 0))
+    return _bicgstab(A, rhs, _VCycle(A, index, n_red))
 
 
 def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveReport]:
@@ -572,14 +574,14 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
     # scipy's sparse products do not
     with ThreadPoolExecutor(max_workers=1) as worker:
         reading = worker.submit(getattr, grid, "delta")
-        sol = spsolve(A, rhs, inside)
+        sol = spsolve(A, rhs, idx)
         reading.result()
     if not np.all(np.isfinite(sol)):
         raise GeometryError("linear solver returned non-finite values")
     residual = _norm(A @ sol - rhs) / _norm(rhs)
 
     values = np.full((ny, nx), np.nan)
-    values[ii, jj] = sol
+    values[ii, jj] = sol[center]
     u = DiscreteField(grid=grid, values=values)
     return u, SolveReport(residual=residual, n_unknowns=grid.n_unknowns)
 

@@ -427,8 +427,8 @@ def test_solve_residual_matches_blas_norm(domain, monkeypatch):
     seen = []
     real_spsolve = torsion.spsolve
 
-    def recording_spsolve(A, rhs, inside):
-        sol = real_spsolve(A, rhs, inside)
+    def recording_spsolve(A, rhs, index):
+        sol = real_spsolve(A, rhs, index)
         seen.append((A, rhs, sol))
         return sol
 
@@ -457,18 +457,24 @@ def test_red_black_solve_matches_full_factorization(domain, h, snapped,
     seen = []
     real_spsolve = torsion.spsolve
 
-    def recording_spsolve(A, rhs, inside):
-        sol = real_spsolve(A, rhs, inside)
-        seen.append((A, rhs, inside, sol))
+    def recording_spsolve(A, rhs, index):
+        sol = real_spsolve(A, rhs, index)
+        seen.append((A, rhs, index, sol))
         return sol
 
     monkeypatch.setattr(torsion, "spsolve", recording_spsolve)
-    u, _ = solve_torsion(domain, h)
-    (A, rhs, inside, sol), = seen
+    u, report = solve_torsion(domain, h)
+    (A, rhs, index, sol), = seen
     grid = u.grid
-    assert inside is grid.inside
-    ii, jj = np.nonzero(inside)
-    red = (ii + jj) % 2 == 0
+    assert index is grid.index
+    assert report.residual <= torsion._RTOL
+    # the grid numbers every red (i + j even) inside node before every black
+    ii, jj = np.nonzero(grid.inside)
+    red = np.empty(grid.n_unknowns, dtype=bool)
+    red[index[ii, jj]] = (ii + jj) % 2 == 0
+    n_red = int(np.count_nonzero(red))
+    assert 0 < n_red < grid.n_unknowns
+    assert red[:n_red].all() and not red[n_red:].any()
     # the stencil couples only nodes of opposite colour, which makes each
     # half-sweep of the fine-level smoother exact
     coo = A.tocoo()
@@ -490,7 +496,7 @@ def test_solve_torsion_joins_its_worker_thread(monkeypatch):
     fresh = Grid.build(domain, 1.0 / 32.0)
     assert np.array_equal(u.grid.delta, fresh.delta, equal_nan=True)
 
-    def failing(A, rhs, inside):
+    def failing(A, rhs, index):
         raise GeometryError("solve failed")
 
     monkeypatch.setattr(torsion, "spsolve", failing)
@@ -499,37 +505,34 @@ def test_solve_torsion_joins_its_worker_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_gmres_that_runs_out_of_steps_is_a_geometry_error(monkeypatch):
+def test_bicgstab_that_runs_out_of_steps_is_a_geometry_error(monkeypatch):
     domain = StarDomain2D.ellipse(1.2, 1.0 / 1.2)
     before = threading.active_count()
-    monkeypatch.setattr(torsion, "_GMRES_STEPS", 1)
+    monkeypatch.setattr(torsion, "_STEPS", 1)
     with pytest.raises(GeometryError,
                        match=r"after 1 iterations at relative residual \d"):
         solve_torsion(domain, 1.0 / 32.0)
     assert threading.active_count() == before
 
 
-def test_restarted_gmres_reaches_the_same_solution(monkeypatch):
-    domain = StarDomain2D.ellipse(1.2, 1.0 / 1.2)
-    whole, _ = solve_torsion(domain, 1.0 / 64.0)
-    monkeypatch.setattr(torsion, "_KRYLOV", 3)
-    restarted, report = solve_torsion(domain, 1.0 / 64.0)
-    assert report.residual <= torsion._RTOL
-    inside = whole.grid.inside
-    gap = np.abs(restarted.values - whole.values)[inside]
-    assert float(gap.max()) <= 1e-12
-
-
-def test_gmres_breakdown_returns_the_solution():
-    # A M = I and b along a unit vector: the first Arnoldi step leaves
-    # exactly zero below the diagonal, which must end the solve, not divide
+def test_bicgstab_breakdown_returns_the_solution():
+    # A M = I and b along a unit vector: the first step leaves the residual
+    # exactly zero, which must end the solve before t = A M r = 0 divides
     A = sparse.diags(np.full(50, 2.0), format="csr")
     b = np.zeros(50)
     b[7] = 3.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = torsion._gmres(A, b, lambda v: 0.5 * v)
+        x = torsion._bicgstab(A, b, lambda v: 0.5 * v)
     assert np.array_equal(x, 0.5 * b)
+
+
+def test_bicgstab_zero_denominator_is_a_geometry_error():
+    # the rotation A = [[0, 1], [-1, 0]] from b = e1 gives r^ . v = 0 at the
+    # first step; a family member must fail with an error row, not end the run
+    A = sparse.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(GeometryError, match="broke down after 1 iterations"):
+        torsion._bicgstab(A, np.array([1.0, 0.0]), lambda v: v)
 
 
 @pytest.mark.parametrize("h", [1.0 / 64.0, 1.0 / 128.0], ids=["64", "128"])
