@@ -16,10 +16,11 @@ All geometric quantities of the estimates live here: area, perimeter,
 diameter, the two radii measured from a marked point (rho_i, rho_e), the
 uniform interior/exterior ball radii (r_i, r_e), the inradius and the
 boundary distance.  Each starts from the boundary table,
-and three searches carry every extremum: the tangent-ball quotient table
-(the ball radii and the inradius), the seeded Newton projection onto the
-curve (every nearest-point distance) and golden-section refinement of a
-tabulated extremum.
+and three searches carry every extremum: the tangent-ball quotient table,
+reduced to row minima as it is built (the ball radii and the inradius), the
+seeded Newton projection onto the curve (every nearest-point distance) and
+one bracket search that refines a tabulated extremum, evaluating each
+round's probes in one vectorized call.
 """
 from __future__ import annotations
 
@@ -146,34 +147,41 @@ class StarDomain2D:
 
     @cached_property
     def _series(self) -> Array:
-        """Rows ``k^j c_k`` (j = 0, 1, 2) over the even k, then over the odd
-        k if any c_k there is nonzero, with c_0 = c0 and c_k = a_k - i b_k,
-        so that r = Re sum_k c_k e^{ik phi}."""
+        """Rows ``k^j c_k`` (j = 0, 1, 2) over the even k, each followed by
+        its row over the odd k if any c_k there is nonzero, with c_0 = c0
+        and c_k = a_k - i b_k, so that r = Re sum_k c_k e^{ik phi}."""
         _, a, b = self._coefficient_arrays()
         c = np.concatenate([[self.c0], a - 1j * b])
         c = np.append(c, [0.0] * (c.size % 2))  # as many odd k as even k
         k = np.arange(c.size)
         rows = np.stack([c, k * c, k * k * c])[:, :, None]
         even, odd = rows[:, ::2], rows[:, 1::2]
-        return np.concatenate([even, odd]) if odd.any() else even
+        if not odd.any():
+            return even
+        return np.stack([even, odd], axis=1).reshape(6, -1, 1)
 
     def radial(self, phi: Array | float) -> Array:
-        return self.radial_derivatives(phi)[0]
+        return self.radial_derivatives(phi, 0)[0]
 
-    def radial_derivatives(self, phi: Array | float) -> tuple[Array, Array, Array]:
-        """(r, r', r'') at the given angles, all closed-form.
+    def radial_derivatives(self, phi: Array | float,
+                           order: int = 2) -> tuple[Array, ...]:
+        """(r, r', r'') at the given angles, all closed-form; the first
+        ``order + 1`` of them.
 
         r = Re S_0, r' = -Im S_1 and r'' = -Re S_2 for S_j = sum_k k^j c_k
         z^k, z = e^{i phi}.  Each S_j splits into its even and odd modes,
-        E_j(z^2) + z O_j(z^2), and all six sums run together by Horner's
-        rule in z^2 within blocks of 8 modes and in w = z^8 across blocks.
-        z, z^2 and w come from exponentials of the exact arguments phi,
-        2 phi and 8 phi: powers formed as products carry the rounding of z
-        into the higher modes.  Memory is O(angles).
+        E_j(z^2) + z O_j(z^2), and the sums up to S_order run together by
+        Horner's rule in z^2 within blocks of 8 modes and in w = z^8 across
+        blocks.  The rows never mix, so a lower ``order`` gives the same
+        bits for what it returns.  z, z^2 and w come from exponentials of
+        the exact arguments phi, 2 phi and 8 phi: powers formed as products
+        carry the rounding of z into the higher modes.  Memory is
+        O(angles).
         """
         phi = np.asarray(phi, dtype=float)
         t = phi.reshape(-1)
-        c = self._series
+        parts = self._series.shape[0] // 3  # 2 when the odd modes are kept
+        c = self._series[:parts * (order + 1)]
         half = _HORNER_BLOCK // 2  # powers of z^2 per block and parity
         blocks = [c[:, lo:lo + half] for lo in range(0, c.shape[1], half)]
         z2 = np.exp(2j * t)
@@ -182,13 +190,13 @@ class StarDomain2D:
         for block in blocks[-2::-1]:
             total *= w
             total += _horner(block, z2)
-        if len(total) == 6:  # S_j = E_j(z^2) + z O_j(z^2)
-            total[3:] *= np.exp(1j * t)
-            total[:3] += total[3:]
-        s0, s1, s2 = total[:3]
+        if parts == 2:  # S_j = E_j(z^2) + z O_j(z^2)
+            odd = total[1::2]
+            odd *= np.exp(1j * t)
+            total = total[::2] + odd
         # r is copied out, so that it does not keep ``total`` alive
-        return tuple(x.reshape(phi.shape)[()]
-                     for x in (s0.real.copy(), -s1.imag, -s2.real))
+        take = (lambda s: s.real.copy(), lambda s: -s.imag, lambda s: -s.real)
+        return tuple(f(s).reshape(phi.shape)[()] for f, s in zip(take, total))
 
     def curve(self, phi: Array | float) -> tuple[Array, Array, Array]:
         """The boundary gamma = r e^{i phi} and its derivatives gamma',
@@ -242,8 +250,13 @@ def _curve_map(t: Array, r: Array, r1: Array,
     gamma = r e^{i phi}, gamma' = (r' + i r) e^{i phi} and gamma'' = (r'' - r
     + 2 i r') e^{i phi}, each with a trailing (x, y) axis."""
     z = np.exp(1j * t)
-    return tuple(np.stack([g.real, g.imag], axis=-1)
-                 for g in (r * z, (r1 + 1j * r) * z, (r2 - r + 2j * r1) * z))
+    return tuple(_xy(g) for g in (r * z, (r1 + 1j * r) * z,
+                                  (r2 - r + 2j * r1) * z))
+
+
+def _xy(g: Array) -> Array:
+    """Complex points as a trailing (x, y) axis."""
+    return np.stack([g.real, g.imag], axis=-1)
 
 
 # the first five fields are what a boundary integral reads
@@ -302,47 +315,59 @@ def perimeter(domain: StarDomain2D) -> float:
     return float(np.sum(table.speed)) * (2.0 * math.pi / table.phi.size)
 
 
-_GOLDEN_CAP = 200  # golden-section steps, a guard: the stopping rules end sooner
+_PROBES = 7  # equally spaced points per round of the bracket search
 # 4 pi eps: a bracket this narrow holds about three doubles near 2 pi
 _ANGLE_RESOLUTION = 4.0 * math.pi * float(np.finfo(float).eps)
+# the bracket ends and its probes, from -1 to 1 in steps 2 / (_PROBES + 1)
+_OFFSETS = np.linspace(-1.0, 1.0, _PROBES + 2)
 
 
-def _golden_min(fun, lo: float, hi: float) -> float:
-    """Golden-section minimizer for a scalar unimodal function on [lo, hi].
+def _bracket_min(fun, t: float, f: float,
+                 width: float) -> tuple[float, float]:
+    """(argmin, min) of a unimodal function on [t - width, t + width], whose
+    value at the middle t is f.
 
-    Stops once the bracket is no wider than ``_ANGLE_RESOLUTION``, or once
-    it stops shrinking, where a new probe would land on the probe it keeps
-    or outside the bracket.  Without the first rule, a bracket ending at 0
-    would shrink through the denormals.
+    Each round places ``_PROBES`` equally spaced points inside the bracket.
+    The middle one is the best point so far, and ``fun`` (an array of
+    angles in, an array of values out) takes the others in one call.  The
+    best point and its two neighbours are the next bracket, ``(_PROBES +
+    1) / 2`` times narrower.  Stops once the bracket is no wider than
+    ``_ANGLE_RESOLUTION``, or once it stops shrinking, where the points no
+    longer increase strictly.  Without the first rule, a bracket ending at
+    0 would shrink through the denormals.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(_GOLDEN_CAP):
-        if hi - lo <= _ANGLE_RESOLUTION:
+    mid = _PROBES // 2
+    while 2.0 * width > _ANGLE_RESOLUTION:
+        x = t + width * _OFFSETS
+        if not np.all(x[1:] > x[:-1]):
             break
-        if f1 <= f2:
-            probe = x2 - inv_phi * (x2 - lo)
-            if not lo < probe < x1:
-                break
-            hi, x2, f2 = x2, x1, f1
-            x1, f1 = probe, fun(probe)
-        else:
-            probe = x1 + inv_phi * (hi - x1)
-            if not x2 < probe < hi:
-                break
-            lo, x1, f1 = x1, x2, f2
-            x2, f2 = probe, fun(probe)
-    return x1 if f1 <= f2 else x2
+        inner = x[1:-1]
+        values = np.insert(fun(np.delete(inner, mid)), mid, f)
+        k = int(np.argmin(values))
+        t, f = float(inner[k]), float(values[k])
+        width /= (_PROBES + 1) / 2
+    return t, f
 
 
 def _refine_extremum(fun, grid: Array, values: Array, j: int) -> float:
-    """Golden-section refinement of a discrete minimum on a periodic grid."""
+    """The minimum of ``fun`` (vectorized) near the tabulated minimum
+    ``values[j]`` of a periodic grid: the bracket search over the grid
+    steps on either side of ``grid[j]``."""
     step = grid[1] - grid[0] if grid.size > 1 else 2.0 * math.pi
-    lo, hi = grid[j] - step, grid[j] + step
-    t = _golden_min(lambda x: float(fun(x)), lo, hi)
-    return min(float(fun(t)), float(values[j]))
+    return _bracket_min(fun, float(grid[j]), float(values[j]), float(step))[1]
+
+
+def _farthest_pair(points: Array) -> tuple[int, int, float]:
+    """Indices and squared distance of the farthest pair of points (n, 2),
+    from the (n, n) table of squared distances built in place."""
+    x, y = points[:, 0], points[:, 1]
+    d2 = np.subtract.outer(x, x)
+    d2 *= d2
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    d2 += dy
+    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    return int(i), int(j), float(d2[i, j])
 
 
 def diameter(domain: StarDomain2D) -> float:
@@ -352,12 +377,10 @@ def diameter(domain: StarDomain2D) -> float:
     the farthest pair of the curve is a critical pair of the distance.
     """
     table = _coarse(domain.boundary_table)
-    phi, pts = table.phi, table.gamma
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-    t1, t2 = _critical_pair(domain, float(phi[i]), float(phi[j]))
+    i, j, d2 = _farthest_pair(table.gamma)
+    t1, t2 = _critical_pair(domain, float(table.phi[i]), float(table.phi[j]))
     g1, g2 = domain.boundary(np.array([t1, t2]))
-    return max(float(np.linalg.norm(g1 - g2)), math.sqrt(float(d2[i, j])))
+    return max(float(np.linalg.norm(g1 - g2)), math.sqrt(d2))
 
 
 # --------------------------------------------------------------------------
@@ -368,7 +391,7 @@ def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
     """(min, max) of |gamma(phi) - z| over the boundary.
 
     The min is the boundary distance :func:`delta_gamma`; the max refines
-    the farthest sample of the boundary table by golden section.
+    the farthest sample of the boundary table by the bracket search.
     """
     z = np.asarray(z, dtype=float)
     if not bool(domain.contains(z[None, :])[0]):
@@ -376,8 +399,8 @@ def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
     table = domain.boundary_table
     d = np.linalg.norm(table.gamma - z, axis=-1)
 
-    def dist(t: float) -> float:
-        return float(np.linalg.norm(domain.boundary(np.asarray(t)) - z))
+    def dist(t: Array) -> Array:
+        return np.linalg.norm(domain.boundary(t) - z, axis=-1)
 
     rho_e = -_refine_extremum(lambda t: -dist(t), table.phi, -d,
                               int(np.argmax(d)))
@@ -392,8 +415,8 @@ def delta_gamma(domain: StarDomain2D, x) -> float:
     d = np.linalg.norm(table.gamma - x, axis=-1)
     j = int(np.argmin(d))
     seed = (table.gamma[j:j + 1], table.tangent[j:j + 1], table.accel[j:j + 1])
-    projected, _ = _projected_distance(domain, x[None, :], table.phi[j:j + 1],
-                                       seed)
+    projected = _projected_distance(domain, x[None, :], table.phi[j:j + 1],
+                                    seed)[0]
     # the sample stays an upper bound if a projection misses
     return min(float(projected[0]), float(d[j]))
 
@@ -403,7 +426,7 @@ _NEWTON_STEPS = 2  # evaluated steps after the tabulated first step
 
 def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
                         seed: tuple[Array, Array, Array]
-                        ) -> tuple[Array, Array]:
+                        ) -> tuple[Array, Array, Array]:
     """Distance of each point to the boundary by seeded Newton projection.
 
     Newton's method on ``|gamma(phi) - x|^2 / 2`` starts from the parameter
@@ -412,8 +435,9 @@ def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
     gamma', gamma''), so it costs no evaluation; the iteration converges
     quadratically to the closest point in ``_NEWTON_STEPS`` more steps.
     Each step is capped at a hundredth of a radian and skipped where the
-    objective is not locally convex.  Returns the distances and the
-    parameters of the closest points.
+    objective is not locally convex.  The closing evaluation needs only
+    gamma, so it sums r alone.  Returns the distances, the parameters of
+    the closest points and r there.
     """
     for k in range(_NEWTON_STEPS + 1):
         gamma, tangent, accel = seed if k == 0 else domain.curve(phi)
@@ -424,7 +448,9 @@ def _projected_distance(domain: StarDomain2D, points: Array, phi: Array,
         step = np.where(bend > 0.0, -slope / np.where(bend > 0.0, bend, 1.0),
                         0.0)
         phi = phi + np.clip(step, -1e-2, 1e-2)
-    return np.linalg.norm(domain.boundary(phi) - points, axis=-1), phi
+    r = domain.radial(phi)
+    gamma = _xy(r * np.exp(1j * phi))
+    return np.linalg.norm(gamma - points, axis=-1), phi, r
 
 
 _BALL_STRIDE = 8  # every 8th sample is a tangency point p; also the pair gap
@@ -440,11 +466,24 @@ def _tangent_ball(r: Array, r1: Array, rq: Array, sin_d: Array,
     passes through q has radius the first over the second.  Both come from
     polar differences (r_p - r_q and the angle d), not Cartesian ones, so no
     terms of the size of |p| cancel: on a circle the quotient is exact.
+    Both are summed in place on arrays of the table's shape, in the order
+    of ``(r - rq)^2 + chord`` and ``2 (r (r - rq) + chord / 2 + r1 rq
+    sin_d) / sqrt(r^2 + r1^2)``.
     """
     dr = r - rq
-    chord = 4.0 * r * rq * sin_half * sin_half
-    dot = 2.0 * (r * dr + 0.5 * chord + r1 * rq * sin_d)
-    return dr * dr + chord, dot / np.sqrt(r * r + r1 * r1)
+    chord = 4.0 * r * rq
+    chord *= sin_half
+    chord *= sin_half
+    dot = r * dr
+    dot += 0.5 * chord
+    term = r1 * rq
+    term *= sin_d
+    dot += term
+    dot *= 2.0
+    dot /= np.sqrt(r * r + r1 * r1)
+    dr *= dr
+    dr += chord
+    return dr, dot
 
 
 def _critical_pair(domain: StarDomain2D, t1: float,
@@ -472,34 +511,45 @@ def _critical_pair(domain: StarDomain2D, t1: float,
     return t1, t2
 
 
-def _ball_table(domain: StarDomain2D):
-    """The tangent-ball quotient table of :func:`ball_radii` and :func:`inradius`.
+def _ball_table(domain: StarDomain2D) -> tuple[Array, Array]:
+    """The tangent-ball quotient table of :func:`ball_radii` and
+    :func:`inradius`, reduced to its row minima.
 
-    Row i holds the tangency point p = boundary-table sample
+    Row i takes the tangency point p = boundary-table sample
     ``_BALL_STRIDE * i`` against q = sample ``_BALL_STRIDE * i + lag`` for
     every lag more than ``_BALL_STRIDE`` samples from p on either side.
-    Returns the sample angles, (r, r', r'') there, the lags, and the
-    table's denominators ``2 (p - q) . nu`` and quotients.  One table can
-    serve both searches, so its arrays are read-only.
+    Each block of ``_TABLE_BLOCK`` rows is reduced while it is in cache:
+    ``least[0, i]`` is the least quotient over the q with ``2 (p - q) . nu
+    > 0`` (inner balls) and ``least[1, i]`` the least negated quotient over
+    the q with ``2 (p - q) . nu < 0`` (outer balls), inf where there is no
+    such q; ``lags`` holds the lag of each, the first where the minimum
+    ties.  Returns ``(least, lags)``, both (2, rows).  One table can serve
+    both searches, so its arrays are read-only.
     """
     table = domain.boundary_table
-    phi, r, r1, r2 = table.phi, table.r, table.r1, table.r2
-    m, stride = phi.size, _BALL_STRIDE
+    r, r1 = table.r, table.r1
+    m, stride = r.size, _BALL_STRIDE
     lag = np.arange(stride + 1, m - stride)
     d_phi = 2.0 * math.pi * lag / m
     sin_d, sin_half = np.sin(d_phi), np.sin(0.5 * d_phi)
     rp, rp1 = r[::stride, None], r1[::stride, None]
     window = sliding_window_view(np.concatenate([r, r[:-1]]), m)[::stride]
-    num, den = np.empty((2, rp.size, lag.size))
+    least = np.empty((2, rp.size))
+    lags = np.empty((2, rp.size), dtype=lag.dtype)
     for lo in range(0, rp.size, _TABLE_BLOCK):  # blocks that stay in cache
         b = slice(lo, lo + _TABLE_BLOCK)
-        num[b], den[b] = _tangent_ball(rp[b], rp1[b], window[b][:, lag],
-                                       sin_d, sin_half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num /= den
-    for x in (lag, den, num):
+        num, den = _tangent_ball(rp[b], rp1[b], window[b, lag[0]:lag[-1] + 1],
+                                 sin_d, sin_half)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num /= den
+        for side, quotient in enumerate((np.where(den > 0.0, num, math.inf),
+                                         np.where(den < 0.0, -num, math.inf))):
+            k = np.argmin(quotient, axis=1)
+            least[side, b] = np.take_along_axis(quotient, k[:, None], 1)[:, 0]
+            lags[side, b] = lag[k]
+    for x in (least, lags):
         x.flags.writeable = False
-    return phi, (r, r1, r2), lag, den, num
+    return least, lags
 
 
 def ball_radii(domain: StarDomain2D, *, table=None,
@@ -517,7 +567,7 @@ def ball_radii(domain: StarDomain2D, *, table=None,
     shapes admit arbitrarily large exterior balls).
 
     The local term refines max kappa and max(-kappa) over the boundary
-    table by golden section.  The pair term is the quotient table of
+    table by the bracket search.  The pair term is the least row minimum of
     :func:`_ball_table`, which leaves out pairs within 8 samples of each
     other (the local term covers those).  When the table undercuts the local
     term, a bottleneck binds: the minimizing pair has its chord normal to
@@ -529,33 +579,30 @@ def ball_radii(domain: StarDomain2D, *, table=None,
     and passes the domain's :func:`diameter` as ``diam`` if it holds it.
     Both are computed here when left out; the radii are the same either way.
     """
-    if table is None:
-        table = _ball_table(domain)
-    phi, _, lag, den, ratio = table
+    least, lags = _ball_table(domain) if table is None else table
+    samples = domain.boundary_table
+    phi, kappa = samples.phi, samples.kappa
     m, stride = phi.size, _BALL_STRIDE
-    kappa = domain.boundary_table.kappa
 
     def quotient(tp: float, tq: float, side: float) -> float:
-        rp, rp1, _ = domain.radial_derivatives(np.asarray(tp))
-        rq = domain.radial(np.asarray(tq))
+        r, r1 = domain.radial_derivatives(np.array([tp, tq]), 1)
         d = tq - tp
-        num, den = _tangent_ball(rp, rp1, rq, np.sin(d), np.sin(0.5 * d))
+        num, den = _tangent_ball(r[0], r1[0], r[1], np.sin(d), np.sin(0.5 * d))
         den = side * float(den)
         return float(num) / den if den > 0.0 else math.inf
 
     out = []
-    for side in (1.0, -1.0):  # interior, then exterior
+    for row, side in enumerate((1.0, -1.0)):  # interior, then exterior
         j = int(np.argmax(side * kappa))
         k_max = -_refine_extremum(
             lambda t: -side * _curvature(*domain.radial_derivatives(t)),
             phi, -side * kappa, j)
         best = 1.0 / k_max if k_max > 0.0 else math.inf
-        pairs = np.where(side * den > 0.0, side * ratio, math.inf)
-        ip, k = np.unravel_index(int(np.argmin(pairs)), pairs.shape)
-        if pairs[ip, k] < best:
+        ip = int(np.argmin(least[row]))
+        if least[row, ip] < best:
             tp, tq = _critical_pair(domain, phi[stride * ip],
-                                    phi[(stride * ip + lag[k]) % m])
-            best = min(float(pairs[ip, k]), quotient(tp, tq, side))
+                                    phi[(stride * ip + lags[row, ip]) % m])
+            best = min(float(least[row, ip]), quotient(tp, tq, side))
         out.append(best)
     return out[0], min(out[1], diameter(domain) if diam is None else diam)
 
@@ -573,7 +620,7 @@ def star_radius(domain: StarDomain2D) -> float:
     table = domain.boundary_table
     vals = pedal(table.r, table.r1)
     return _refine_extremum(
-        lambda t: float(pedal(*domain.radial_derivatives(np.asarray(t))[:2])),
+        lambda t: pedal(*domain.radial_derivatives(t, 1)),
         table.phi, vals, int(np.argmin(vals)))
 
 
@@ -590,67 +637,80 @@ def inradius(domain: StarDomain2D, *, table=None) -> float:
     The largest inscribed disk is tangent wherever it touches, so r_Omega
     is the maximum of rho(p).
 
-    The rows of the :func:`_ball_table` give rho at 512 tangency points;
-    the best row is refined over p by golden section on an exact rho(p).
-    Each evaluation takes the quotient of p against the boundary-table
-    samples (only sin(q - p) changes with p).  The sampled quotient is
-    biased high, so for each local minimum that could hold the infimum,
-    the center p - rho nu of the ball it gives is projected onto the curve
-    and the quotient recomputed at that contact, which converges to the
-    minimum of that branch quadratically.
+    The inner row minima of the :func:`_ball_table` give rho at 512
+    tangency points; the best row is refined over p by the bracket search
+    on an exact rho(p), evaluated for every probe of a round at once.  Each
+    evaluation takes the quotient of p against the boundary-table samples
+    (only sin(q - p) changes with p).  The sampled quotient is biased high,
+    so for each local minimum that could hold the infimum, the center
+    p - rho nu of the ball it gives is projected onto the curve, seeded
+    from the table, and the quotient recomputed at that contact, which
+    converges to the minimum of that branch quadratically.  The contacts of
+    every branch of every probe are projected together.
 
     ``table`` is the domain's ``_ball_table``, built here when left out;
     one table serves this and :func:`ball_radii`, and neither writes to it.
     """
-    if table is None:
-        table = _ball_table(domain)
-    phi, (r, _, _), _, den, ratio = table
+    least, _ = _ball_table(domain) if table is None else table
+    samples = domain.boundary_table
+    phi, r = samples.phi, samples.r
     m, stride = phi.size, _BALL_STRIDE
-    kappa = domain.boundary_table.kappa[::stride]
+    kappa = samples.kappa[::stride]
     with np.errstate(divide="ignore"):
-        rows = np.minimum(np.min(ratio, axis=1, initial=math.inf,
-                                 where=den > 0.0),
+        rows = np.minimum(least[0],
                           np.where(kappa > 0.0, 1.0 / kappa, math.inf))
     # sin(q - p) and sin((q - p) / 2) by the difference formulas
     cos_q, sin_q = np.cos(phi), np.sin(phi)
     cos_h, sin_h = np.cos(0.5 * phi), np.sin(0.5 * phi)
     near = np.arange(-stride, stride + 1)
 
-    def rho(t: float) -> float:
-        rp, rp1, rp2 = domain.radial_derivatives(np.asarray(t))
-        c, s = math.cos(t), math.sin(t)
-        num, dot = _tangent_ball(
-            rp, rp1, r, sin_q * c - cos_q * s,
-            sin_h * math.cos(0.5 * t) - cos_h * math.sin(0.5 * t))
+    def rho(t: Array) -> Array:
+        rp, rp1, rp2 = domain.radial_derivatives(t)
+        c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+        ch, sh = np.cos(0.5 * t)[:, None], np.sin(0.5 * t)[:, None]
+        num, dot = _tangent_ball(rp[:, None], rp1[:, None], r,
+                                 sin_q * c - cos_q * s,
+                                 sin_h * ch - cos_h * sh)
         # pairs within ``stride`` samples are left out, as in the table;
         # every local minimum of the sampled quotient is a contact branch,
         # and a branch can undercut the sampled best by about an eighth of
         # its second difference ``dip``, so keep those within a quarter
+        own = np.rint(t * m / (2.0 * math.pi)).astype(int)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             quot = np.where(dot > 0.0, num / dot, math.inf)
-            quot[(round(t * m / (2.0 * math.pi)) + near) % m] = math.inf
-            left, right = np.roll(quot, 1), np.roll(quot, -1)
+            quot[np.arange(t.size)[:, None], (own + near) % m] = math.inf
+            left, right = np.roll(quot, 1, axis=1), np.roll(quot, -1, axis=1)
             dip = left + right - 2.0 * quot
-        best = float(np.min(quot))
+        best = np.min(quot, axis=1)
         low = quot - 0.25 * dip
-        j = np.flatnonzero((quot < left) & (quot <= right) & np.isfinite(dip)
-                           & (low <= best))
-        j = j[np.argsort(low[j])][:_CONTACT_BRANCHES]
-        p, (tx, ty), _ = domain.curve(t)
-        nu = np.array([ty, -tx]) / math.hypot(rp, rp1)
-        est, tq = quot[j], phi[j]
-        for _ in range(_CONTACT_ROUNDS):
-            _, tq = _projected_distance(domain, p - est[:, None] * nu, tq,
-                                        domain.curve(tq))
-            dq = tq - t
-            num, dot = _tangent_ball(rp, rp1, domain.radial(tq), np.sin(dq),
+        ip, jq = np.nonzero((quot < left) & (quot <= right) & np.isfinite(dip)
+                            & (low <= best[:, None]))
+        # the lowest ``_CONTACT_BRANCHES`` of each probe's branches
+        order = np.lexsort((low[ip, jq], ip))
+        ip, jq = ip[order], jq[order]
+        keep = np.arange(ip.size) - np.searchsorted(ip, ip) < _CONTACT_BRANCHES
+        ip, jq = ip[keep], jq[keep]
+        p, tangent, _ = _curve_map(t, rp, rp1, rp2)
+        nu = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1)
+        nu /= np.hypot(rp, rp1)[:, None]
+        est, tq = quot[ip, jq], phi[jq]
+        seed = (samples.gamma[jq], samples.tangent[jq], samples.accel[jq])
+        for step in range(_CONTACT_ROUNDS):
+            if step:
+                seed = domain.curve(tq)
+            _, tq, rq = _projected_distance(
+                domain, p[ip] - est[:, None] * nu[ip], tq, seed)
+            dq = tq - t[ip]
+            num, dot = _tangent_ball(rp[ip], rp1[ip], rq, np.sin(dq),
                                      np.sin(0.5 * dq))
             with np.errstate(divide="ignore", invalid="ignore"):
                 est = np.minimum(est, np.where(dot > 0.0, num / dot, math.inf))
-        best = min(best, float(np.min(est, initial=math.inf)))
-        k = float(_curvature(rp, rp1, rp2))
-        return min(best, 1.0 / k) if k > 0.0 else best
+        np.minimum.at(best, ip, est)
+        k = _curvature(rp, rp1, rp2)
+        with np.errstate(divide="ignore"):
+            return np.where(k > 0.0, np.minimum(best, 1.0 / k), best)
 
     i = int(np.argmax(rows))
-    rows[i] = rho(phi[stride * i])  # the fallback must be exact, not sampled
+    # the fallback must be exact, not sampled
+    rows[i] = rho(phi[stride * i:stride * i + 1])[0]
     return -_refine_extremum(lambda t: -rho(t), phi[::stride], -rows, i)

@@ -162,8 +162,8 @@ class Grid:
             # the table vertex stays an upper bound if a projection misses
             seed = tuple(g[nearest] for g in (table.gamma, table.tangent,
                                                table.accel))
-            projected, _ = _projected_distance(self.domain, pts,
-                                               table.phi[nearest], seed)
+            projected = _projected_distance(self.domain, pts,
+                                            table.phi[nearest], seed)[0]
             delta[i, j] = np.minimum(dist, projected)
         return delta
 
@@ -454,17 +454,36 @@ def _norm(v: Array) -> float:
     return math.sqrt(float(np.sum(v * v)))
 
 
+def _true_residual(A: sparse.csr_matrix):
+    """The map (b, x) -> b - A x, summed as b_i - sum_j a_ij (x_j - x_i) -
+    s_i x_i with the row sums s_i of A, zero away from cut nodes.
+
+    The products a_ij x_j of b - A x are near 4 |x| / h^2 and at h = 1/512
+    round to an error near ``_RTOL``; the differences x_j - x_i are small
+    where u is smooth.
+    """
+    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype),
+                     np.diff(A.indptr))
+    row_sums = np.bincount(rows, A.data, A.shape[0])
+
+    def residual(b: Array, x: Array) -> Array:
+        # in place: one more temporary of nnz entries adds 30 MB to the
+        # peak RSS of a 1/512 rung
+        terms = x[A.indices]
+        terms -= x[rows]
+        terms *= A.data
+        return b - (np.bincount(rows, terms, b.size) + row_sums * x)
+    return residual
+
+
 def _bicgstab(A: sparse.csr_matrix, b: Array, precondition) -> Array:
     """Solve ``A x = b`` to the true relative residual ``_RTOL`` by
     right-preconditioned BiCGSTAB (van der Vorst 1992): x = M y, where
     ``precondition`` applies M.
 
     The recursive residual drifts from b - A x, so a round that brings it
-    under the target is followed by a round from the true residual, until
-    that is under the target too.  The true residual is summed as
-    b_i - sum_j a_ij (x_j - x_i) - s_i x_i with the row sums s_i of A, zero
-    away from cut nodes; the products a_ij x_j of b - A x are near
-    4 |x| / h^2 and at h = 1/512 round to an error near ``_RTOL``.  Raises
+    under the target is followed by a round from the true residual (see
+    :func:`_true_residual`), until that is under the target too.  Raises
     :class:`GeometryError` after ``_STEPS`` steps or on a zero denominator.
     """
     def quotient(num: float, den: float) -> float:
@@ -477,9 +496,7 @@ def _bicgstab(A: sparse.csr_matrix, b: Array, precondition) -> Array:
     def dot(u: Array, v: Array) -> float:
         return float(np.sum(u * v))
 
-    rows = np.repeat(np.arange(b.size, dtype=A.indices.dtype),
-                     np.diff(A.indptr))
-    row_sums = np.bincount(rows, A.data, b.size)
+    true_residual = _true_residual(A)
     target = _RTOL * _norm(b)
     x, r, steps = np.zeros_like(b), b, 0
     while (res := _norm(r)) > target:
@@ -508,12 +525,7 @@ def _bicgstab(A: sparse.csr_matrix, b: Array, precondition) -> Array:
             x += omega * s_hat
             r = r - omega * t
             res = _norm(r)
-        # in place: one more temporary of nnz entries adds 30 MB to the
-        # peak RSS of a 1/512 rung
-        terms = x[A.indices]
-        terms -= x[rows]
-        terms *= A.data
-        r = b - (np.bincount(rows, terms, b.size) + row_sums * x)
+        r = true_residual(b, x)
     return x
 
 
@@ -578,7 +590,7 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
         reading.result()
     if not np.all(np.isfinite(sol)):
         raise GeometryError("linear solver returned non-finite values")
-    residual = _norm(A @ sol - rhs) / _norm(rhs)
+    residual = _norm(_true_residual(A)(rhs, sol)) / _norm(rhs)
 
     values = np.full((ny, nx), np.nan)
     values[ii, jj] = sol[center]

@@ -8,6 +8,7 @@ and for the inradius, and rolling-ball = 1/max curvature for convex shapes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from scipy import integrate, optimize, special
 from oscbound.errors import DomainError, GeometryError
 from oscbound.stardomain import (
     StarDomain2D,
+    _ANGLE_RESOLUTION,
+    _PROBES,
     _ball_table,
+    _bracket_min,
     _coarse,
-    _golden_min,
+    _farthest_pair,
     _sample_boundary,
     _tangent_ball,
     area,
@@ -458,16 +462,28 @@ def _ball_radii_reference(dom: StarDomain2D, n_p: int = 4096,
 
 
 def test_ball_table_blocks_match_one_pass():
-    # the table is built in row blocks; the arithmetic is the same as one
-    # pass over the whole (tangency point x lag) array
-    phi, (r, r1, _), lag, den, ratio = _ball_table(_mixed(0.5))
-    m, stride = phi.size, phi.size // den.shape[0]
+    # the table is built and reduced in row blocks; the arithmetic is the
+    # same as one pass over the whole (tangency point x lag) array, and each
+    # row keeps the first lag where its minimum ties
+    dom = _mixed(0.5)
+    table = dom.boundary_table
+    r, r1 = table.r, table.r1
+    m, stride = r.size, 8
+    lag = np.arange(stride + 1, m - stride)
     rq = r[(np.arange(0, m, stride)[:, None] + lag[None, :]) % m]
     d = 2.0 * math.pi * lag / m
-    num, want = _tangent_ball(r[::stride, None], r1[::stride, None], rq,
-                              np.sin(d), np.sin(0.5 * d))
-    assert np.array_equal(den, want)
-    assert np.array_equal(ratio, num / want)
+    num, den = _tangent_ball(r[::stride, None], r1[::stride, None], rq,
+                             np.sin(d), np.sin(0.5 * d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    least, lags = _ball_table(dom)
+    for row, side in enumerate((1.0, -1.0)):
+        pairs = np.where(side * den > 0.0, side * ratio, math.inf)
+        k = np.argmin(pairs, axis=1)
+        assert np.array_equal(least[row], np.min(pairs, axis=1))
+        assert np.array_equal(lags[row], lag[k])
+    assert np.array_equal(least[0], np.min(ratio, axis=1, initial=math.inf,
+                                           where=den > 0.0))
 
 
 @pytest.mark.parametrize("dom", [
@@ -479,13 +495,13 @@ def test_shared_ball_table_gives_the_separate_values(dom):
     # one table for r_i, r_e and the inradius gives, bit for bit, what two
     # calls with a table each give, and neither search writes to it
     table = _ball_table(dom)
-    arrays = (table[0], *table[1], *table[2:])
-    before = [x.tobytes() for x in arrays]
+    before = [x.tobytes() for x in table]
     shared = (*ball_radii(dom, table=table, diam=diameter(dom)),
               inradius(dom, table=table))
     separate = (*ball_radii(dom), inradius(dom))
     assert [x.hex() for x in shared] == [x.hex() for x in separate]
-    assert [x.tobytes() for x in arrays] == before
+    assert [x.tobytes() for x in table] == before
+    assert not any(x.flags.writeable for x in table)
 
 
 def test_ball_radii_closed_forms():
@@ -703,33 +719,44 @@ def test_inradius_matches_brute_force(dom):
     assert abs(inradius(dom) - _inradius_reference(dom)) < 1e-9
 
 
-def test_golden_min_stops_when_the_bracket_stops_shrinking():
-    probes = []
+def test_bracket_search_stops_when_the_bracket_stops_shrinking():
+    calls = []
 
     def parabola(x):
-        probes.append(x)
+        calls.append(x)
         return (x - 0.3) ** 2
 
-    assert abs(_golden_min(parabola, 0.0, 1.0) - 0.3) < 1e-15
-    # each probe is new, and the search ends well before its step cap
-    assert len(probes) == len(set(probes)) < 100
+    t, f = _bracket_min(parabola, 0.5, 0.04, 0.5)
+    assert abs(t - 0.3) < 1e-15
+    assert f == (t - 0.3) ** 2
+    # each probe is new, and a round evaluates all but the middle point in
+    # one call
+    probes = np.concatenate(calls)
+    assert probes.size == np.unique(probes).size
+    assert 0.04 not in probes
+    assert {x.size for x in calls} == {_PROBES - 1}
 
 
-def test_golden_min_stops_at_the_angle_resolution():
-    # a minimum at 0 would let the bracket shrink through the denormals
-    probes = []
+def test_bracket_search_stops_at_the_angle_resolution():
+    # a minimum at 0 would let the bracket shrink through the denormals;
+    # the bracket narrows (_PROBES + 1) / 2 times a round, so it reaches
+    # the angle resolution from width 1 within this many rounds
+    rounds = math.ceil(math.log(1.0 / _ANGLE_RESOLUTION)
+                       / math.log((_PROBES + 1) / 2))
+    calls = []
 
     def parabola(x):
-        probes.append(x)
+        calls.append(x)
         return x * x
 
-    assert abs(_golden_min(parabola, -1.0, 0.0)) < 1e-14
-    assert len(probes) < 80
+    t, _ = _bracket_min(parabola, -0.5, 0.25, 0.5)
+    assert abs(t) < 1e-14
+    assert len(calls) <= rounds == 25
 
 
 # star_radius, r_i, r_e, inradius and rho_bounds(dom, 0) from the golden
-# search that ran to a 90-step cap, to which the angle-resolution stop must
-# stay within 1e-15.  The ellipse's r_i is the value after its odd and sine
+# search that ran to a 90-step cap, to which the bracket search, stopping at
+# the angle resolution, must stay within 1e-15.  The ellipse's r_i is the value after its odd and sine
 # coefficients became exact zeros, which moved it by 6.9e-15 (toward the
 # closed form b^2 / a).
 _GEOMETRY_REFERENCE = [
@@ -764,6 +791,48 @@ def test_golden_refinements_keep_their_values(dom, want):
            *rho_bounds(dom, np.zeros(2)))
     for g, w in zip(got, want):
         assert rel_err(g, w) <= 1e-15
+
+
+@pytest.mark.parametrize("dom", [d for d, _ in _GEOMETRY_REFERENCE],
+                         ids=[d.label for d, _ in _GEOMETRY_REFERENCE])
+def test_farthest_pair_matches_the_broadcast_distances(dom):
+    # d^2 built in place from outer differences is, bit for bit, the sum of
+    # the broadcast squares, so diameter seeds from the same pair
+    table = _coarse(dom.boundary_table)
+    pts = table.gamma
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    got = _farthest_pair(pts)
+    assert got[:2] == (i, j)
+    assert got[2].hex() == float(d2[i, j]).hex()
+
+
+def test_geometry_kernel_budget(monkeypatch):
+    # every search evaluates a round of probes in one kernel call, and the
+    # inradius projects the contacts of all of a round's branches together;
+    # {angles per call: calls} on r = 1 + 0.2 (cos 2 phi + sin(3 phi) / 2 +
+    # cos(5 phi) / 3), whose boundary table is built before counting.
+    # Scalar probes took 792, 120, 61 and 65 calls.
+    dom = StarDomain2D(1.0, (0.0, 0.2, 0.0, 0.0, 0.2 / 3.0), (0.0, 0.0, 0.1))
+    dom.boundary_table
+    kernel = StarDomain2D.radial_derivatives
+    sizes = []
+
+    def counted(self, phi, *order):
+        sizes.append(np.size(phi))
+        return kernel(self, phi, *order)
+
+    monkeypatch.setattr(StarDomain2D, "radial_derivatives", counted)
+    budget = {
+        inradius: {1: 8, 6: 63, 7: 7, 10: 7, 12: 91},
+        lambda d: ball_radii(d, diam=3.0): {6: 40},
+        star_radius: {6: 20},
+        lambda d: rho_bounds(d, np.zeros(2)): {1: 4, 6: 20},
+    }
+    for fun, want in budget.items():
+        sizes.clear()
+        fun(dom)
+        assert dict(Counter(sizes)) == want
 
 
 # --------------------------------------------------------------------------
