@@ -43,7 +43,7 @@ from .constants import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from .cones import _check_dimension, run_cone_sweep
+from .cones import check_dimension, run_cone_sweep
 from .errors import ConfigError, OscboundError
 from .identities import (
     build_pipeline_data,
@@ -51,7 +51,6 @@ from .identities import (
     run_domain_checks,
 )
 from .stability import (
-    _DEFAULT_EPS,
     FamilySpec,
     ProfileVerdict,
     StabilityRecord,
@@ -100,11 +99,11 @@ class RunConfig:
 
     command: str = ""
     family: str = "ellipse"
-    eps: tuple[float, ...] = _DEFAULT_EPS
-    k: int = 2
-    normalize_area: bool = False
-    grid_h: float = 1.0 / 64.0
-    grid_refinements: int = 0
+    eps: tuple[float, ...] = FamilySpec.eps
+    k: int = FamilySpec.k
+    normalize_area: bool = FamilySpec.normalize_area
+    grid_h: float = FamilySpec.spacing
+    grid_refinements: int = FamilySpec.refinements
     p: float = 6.0
     q: float = INF
     alpha: float = 0.5
@@ -243,7 +242,7 @@ def _validate(config: RunConfig) -> RunConfig:
         elif config.command == "constants":
             unit_ball_volume(config.N)
         elif config.command == "cone-verify":
-            _check_dimension(config.N)
+            check_dimension(config.N)
     except OscboundError as exc:
         raise ConfigError(str(exc)) from None
     return config

@@ -51,6 +51,7 @@ __all__ = [
     "ConeField",
     "ConeCheck",
     "cone_samples",
+    "check_dimension",
     "verify_pointwise_cone",
     "verify_morrey_cone",
     "verify_interpolation_cone",
@@ -132,7 +133,7 @@ def _orthonormal_frame(axis: Array) -> tuple[Array, Array]:
     return u, np.cross(axis, u)
 
 
-def _check_dimension(dim: int) -> None:
+def check_dimension(dim: int) -> None:
     """Raise DomainError unless the cone quadrature supports ``dim``."""
     if dim not in (2, 3):
         raise DomainError(f"cone quadrature supports dimensions 2 and 3, got {dim}")
@@ -176,7 +177,7 @@ class QuadratureRule:
     @staticmethod
     def build(cone: ConeSpec, n_radial: int = 48, n_angular: int = 48) -> "QuadratureRule":
         dim = cone.dim
-        _check_dimension(dim)
+        check_dimension(dim)
         s, ws = _gauss_on(0.0, cone.height, n_radial)
 
         if dim == 2:

@@ -40,8 +40,6 @@ from .constants import (
 from .errors import DomainError, GeometryError
 from .stardomain import (
     StarDomain2D,
-    _ball_table,
-    _coarse,
     area,
     ball_radii,
     diameter,
@@ -225,30 +223,19 @@ class PipelineData:
         return bool(np.min(self.boundary.kappa) >= -_ABS_SLACK)
 
     @cached_property
-    def _tangent_balls(self) -> tuple[float, float, float]:
-        """(r_i, r_e, inradius) from one tangent-ball table.
-
-        The table is local to this call, so it is freed before the next
-        check runs instead of living as long as the domain.
-        """
-        table = _ball_table(self.domain)
-        r_i, r_e = ball_radii(self.domain, table=table, diam=self.diam)
-        return r_i, r_e, inradius(self.domain, table=table)
-
-    @property
     def r_i(self) -> float:
         """Uniform interior ball radius."""
-        return self._tangent_balls[0]
+        return ball_radii(self.domain)[0]
 
-    @property
+    @cached_property
     def r_e(self) -> float:
         """Uniform exterior ball radius, capped at the diameter."""
-        return self._tangent_balls[1]
+        return ball_radii(self.domain)[1]
 
-    @property
+    @cached_property
     def r_inradius(self) -> float:
         """Radius of the largest inscribed disk."""
-        return self._tangent_balls[2]
+        return inradius(self.domain)
 
     @cached_property
     def diam(self) -> float:
@@ -337,7 +324,7 @@ def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
                         -hess_u.components[..., 1],
                         1.0 - hess_u.components[..., 2]], axis=-1)
     hess_h = TensorField(grid=u.grid, components=residue, valid=hess_u.valid)
-    boundary = _coarse(domain.boundary_table)
+    boundary = domain.coarse_table
     trace = normal_derivative(u, boundary)
     rho_i, rho_e = rho_bounds(domain, z)
     return PipelineData(

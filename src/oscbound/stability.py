@@ -61,7 +61,6 @@ DEVIATION_FIELDS = (
     "weighted_hess_norm",
 )
 
-_DEFAULT_EPS = (0.02, 0.04, 0.07, 0.1, 0.14, 0.2)
 _FLOOR = 1e-12          # below this a deviation is unresolved noise
 _MONOTONE_FLOOR = 1e-8  # discretization floor for monotonicity checks
 # planar profiles are linear: the fitted slope window, the least R^2 of that
@@ -98,7 +97,7 @@ class FamilySpec:
     """
 
     kind: str = "ellipse"
-    eps: tuple[float, ...] = _DEFAULT_EPS
+    eps: tuple[float, ...] = (0.02, 0.04, 0.07, 0.1, 0.14, 0.2)
     k: int = 2
     normalize_area: bool = False
     spacing: float = 1.0 / 64.0
@@ -202,12 +201,11 @@ def record_from_data(eps: float, data: PipelineData) -> StabilityRecord:
 
 
 def _failure_record(eps: float, spacing: float, exc: Exception) -> StabilityRecord:
-    nan = math.nan
+    nan = dict.fromkeys((f.name for f in fields(StabilityRecord)
+                         if f.type == "float"), math.nan)
     return StabilityRecord(
-        eps=eps, curvature_flatness=nan, radius_gap=nan, gauss_deviation=nan,
-        trace_flatness=nan, hess_norm=nan, weighted_hess_norm=nan,
-        residual_divergence=nan, residual_fundamental=nan, residual_mp=nan,
-        h=spacing, status="error", detail=f"{type(exc).__name__}: {exc}",
+        **{**nan, "eps": eps, "h": spacing}, status="error",
+        detail=f"{type(exc).__name__}: {exc}",
     )
 
 

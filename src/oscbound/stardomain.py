@@ -9,25 +9,30 @@ machine-exact because their coefficients decay geometrically.
 One kernel, :meth:`StarDomain2D.radial_derivatives`, sums the series for
 (r, r', r'') by Horner's rule in O(angles) memory, and one curve map on top
 of it, :meth:`StarDomain2D.curve`, gives every Cartesian (gamma, gamma',
-gamma'') that a caller needs.  Each domain samples its boundary once, in
-one table at 4096 uniform angles (:attr:`StarDomain2D.boundary_table`).
+gamma'') that a caller needs.
 
 All geometric quantities of the estimates live here: area, perimeter,
 diameter, the two radii measured from a marked point (rho_i, rho_e), the
 uniform interior/exterior ball radii (r_i, r_e), the inradius and the
-boundary distance.  Each starts from the boundary table,
-and three searches carry every extremum: the tangent-ball quotient table,
-reduced to row minima as it is built (the ball radii and the inradius), the
-seeded Newton projection onto the curve (every nearest-point distance) and
-one bracket search that refines a tabulated extremum, evaluating each
-round's probes in one vectorized call.
+boundary distance.  The domain object keeps, read-only and computed on
+first use, what several of them share: the boundary table at 4096 uniform
+angles and its every-4th-angle view (:attr:`StarDomain2D.boundary_table`,
+:attr:`StarDomain2D.coarse_table`), and by :func:`_kept` the tangent-ball
+quotient table, the diameter, the ball radii and the inradius.  Three
+searches carry every extremum: the tangent-ball quotient table, reduced to
+row minima as it is built (the ball radii and the inradius), the seeded
+Newton projection onto the curve and one bracket search that refines a
+tabulated extremum, evaluating each round's probes in one vectorized call.
+Every nearest-point distance is one :func:`boundary_distance` step: the
+projection from a coarse-table vertex that the caller picks, capped at
+that vertex's distance.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,7 +48,7 @@ __all__ = [
     "diameter",
     "rho_bounds",
     "ball_radii",
-    "delta_gamma",
+    "boundary_distance",
     "star_radius",
     "inradius",
     "rotated",
@@ -211,6 +216,15 @@ class StarDomain2D:
         """The boundary at 4096 uniform angles (:func:`_sample_boundary`)."""
         return _sample_boundary(self, _TABLE_SAMPLES)
 
+    @cached_property
+    def coarse_table(self) -> "BoundaryTable":
+        """Every 4th sample of :attr:`boundary_table` with the weights times
+        4: bit for bit the table of 1024 angles, and read-only like it."""
+        view = BoundaryTable(*(x[::_COARSE_STRIDE] for x in self.boundary_table))
+        weight = view.weight * _COARSE_STRIDE
+        weight.flags.writeable = False
+        return view._replace(weight=weight)
+
     def boundary(self, phi: Array | float) -> Array:
         return self.curve(phi)[0]
 
@@ -288,11 +302,16 @@ def _sample_boundary(domain: StarDomain2D, m: int) -> BoundaryTable:
     return table
 
 
-def _coarse(table: BoundaryTable) -> BoundaryTable:
-    """Every 4th sample with the weights times 4: bit for bit the table of a
-    quarter as many angles."""
-    view = BoundaryTable(*(x[::_COARSE_STRIDE] for x in table))
-    return view._replace(weight=view.weight * _COARSE_STRIDE)
+def _kept(fun):
+    """``fun(domain)``, computed once per domain object and kept on it, as
+    a cached property keeps its value; an equal object computes its own."""
+    @wraps(fun)
+    def kept(domain: StarDomain2D):
+        values = vars(domain).setdefault("_kept", {})
+        if fun.__name__ not in values:
+            values[fun.__name__] = fun(domain)
+        return values[fun.__name__]
+    return kept
 
 
 # --------------------------------------------------------------------------
@@ -370,13 +389,14 @@ def _farthest_pair(points: Array) -> tuple[int, int, float]:
     return int(i), int(j), float(d2[i, j])
 
 
+@_kept
 def diameter(domain: StarDomain2D) -> float:
     """Largest boundary-to-boundary distance, coarse table plus refinement.
 
     The farthest pair of the coarse table seeds ``_critical_pair``, since
     the farthest pair of the curve is a critical pair of the distance.
     """
-    table = _coarse(domain.boundary_table)
+    table = domain.coarse_table
     i, j, d2 = _farthest_pair(table.gamma)
     t1, t2 = _critical_pair(domain, float(table.phi[i]), float(table.phi[j]))
     g1, g2 = domain.boundary(np.array([t1, t2]))
@@ -390,8 +410,9 @@ def diameter(domain: StarDomain2D) -> float:
 def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
     """(min, max) of |gamma(phi) - z| over the boundary.
 
-    The min is the boundary distance :func:`delta_gamma`; the max refines
-    the farthest sample of the boundary table by the bracket search.
+    The min is the :func:`boundary_distance` of z from the nearest vertex
+    of the coarse table; the max refines the farthest sample of the
+    boundary table by the bracket search.
     """
     z = np.asarray(z, dtype=float)
     if not bool(domain.contains(z[None, :])[0]):
@@ -404,21 +425,24 @@ def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
 
     rho_e = -_refine_extremum(lambda t: -dist(t), table.phi, -d,
                               int(np.argmax(d)))
-    return delta_gamma(domain, z), rho_e
+    # the coarse table is every _COARSE_STRIDE-th sample of this one
+    nearest = np.argmin(d[::_COARSE_STRIDE], keepdims=True)
+    return float(boundary_distance(domain, z[None, :], nearest)[0]), rho_e
 
 
-def delta_gamma(domain: StarDomain2D, x) -> float:
-    """Distance of x to the boundary, projected from the nearest sample of
-    the boundary table."""
-    x = np.asarray(x, dtype=float)
-    table = domain.boundary_table
-    d = np.linalg.norm(table.gamma - x, axis=-1)
-    j = int(np.argmin(d))
-    seed = (table.gamma[j:j + 1], table.tangent[j:j + 1], table.accel[j:j + 1])
-    projected = _projected_distance(domain, x[None, :], table.phi[j:j + 1],
-                                    seed)[0]
-    # the sample stays an upper bound if a projection misses
-    return min(float(projected[0]), float(d[j]))
+def boundary_distance(domain: StarDomain2D, points: Array,
+                      nearest: Array) -> Array:
+    """Distance of each point (n, 2) to the boundary, projected from vertex
+    ``nearest`` (n indices) of the coarse table, the vertex nearest to it.
+
+    Newton's method starts from that vertex (:func:`_projected_distance`);
+    the vertex's own distance caps the result, so it stays an upper bound
+    if a projection misses.
+    """
+    table = domain.coarse_table
+    seed = tuple(g[nearest] for g in (table.gamma, table.tangent, table.accel))
+    projected = _projected_distance(domain, points, table.phi[nearest], seed)[0]
+    return np.minimum(np.linalg.norm(seed[0] - points, axis=-1), projected)
 
 
 _NEWTON_STEPS = 2  # evaluated steps after the tabulated first step
@@ -511,6 +535,7 @@ def _critical_pair(domain: StarDomain2D, t1: float,
     return t1, t2
 
 
+@_kept
 def _ball_table(domain: StarDomain2D) -> tuple[Array, Array]:
     """The tangent-ball quotient table of :func:`ball_radii` and
     :func:`inradius`, reduced to its row minima.
@@ -523,8 +548,8 @@ def _ball_table(domain: StarDomain2D) -> tuple[Array, Array]:
     > 0`` (inner balls) and ``least[1, i]`` the least negated quotient over
     the q with ``2 (p - q) . nu < 0`` (outer balls), inf where there is no
     such q; ``lags`` holds the lag of each, the first where the minimum
-    ties.  Returns ``(least, lags)``, both (2, rows).  One table can serve
-    both searches, so its arrays are read-only.
+    ties.  Returns ``(least, lags)``, both (2, rows).  The domain keeps
+    the table for both searches, so its arrays are read-only.
     """
     table = domain.boundary_table
     r, r1 = table.r, table.r1
@@ -552,8 +577,8 @@ def _ball_table(domain: StarDomain2D) -> tuple[Array, Array]:
     return least, lags
 
 
-def ball_radii(domain: StarDomain2D, *, table=None,
-               diam: float | None = None) -> tuple[float, float]:
+@_kept
+def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
     """Uniform interior and exterior ball radii (r_i, r_e), in closed form.
 
     At a boundary point p with outward normal nu, the ball tangent at p on
@@ -573,13 +598,8 @@ def ball_radii(domain: StarDomain2D, *, table=None,
     term, a bottleneck binds: the minimizing pair has its chord normal to
     the curve at both ends, so the best pair of the table seeds
     ``_critical_pair``.
-
-    One table serves this and :func:`inradius`: a caller that needs both
-    builds it once with ``_ball_table(domain)`` and passes it as ``table``,
-    and passes the domain's :func:`diameter` as ``diam`` if it holds it.
-    Both are computed here when left out; the radii are the same either way.
     """
-    least, lags = _ball_table(domain) if table is None else table
+    least, lags = _ball_table(domain)
     samples = domain.boundary_table
     phi, kappa = samples.phi, samples.kappa
     m, stride = phi.size, _BALL_STRIDE
@@ -604,7 +624,7 @@ def ball_radii(domain: StarDomain2D, *, table=None,
                                     phi[(stride * ip + lags[row, ip]) % m])
             best = min(float(least[row, ip]), quotient(tp, tq, side))
         out.append(best)
-    return out[0], min(out[1], diameter(domain) if diam is None else diam)
+    return out[0], min(out[1], diameter(domain))
 
 
 def star_radius(domain: StarDomain2D) -> float:
@@ -628,7 +648,8 @@ _CONTACT_ROUNDS = 2  # projections of the tangent-ball center per rho(p)
 _CONTACT_BRANCHES = 8  # per rho(p), at most: a circle's samples all tie
 
 
-def inradius(domain: StarDomain2D, *, table=None) -> float:
+@_kept
+def inradius(domain: StarDomain2D) -> float:
     """Inradius r_Omega: the radius of the largest inscribed disk.
 
     Let rho(p) be the radius of the largest interior ball tangent at the
@@ -647,11 +668,8 @@ def inradius(domain: StarDomain2D, *, table=None) -> float:
     from the table, and the quotient recomputed at that contact, which
     converges to the minimum of that branch quadratically.  The contacts of
     every branch of every probe are projected together.
-
-    ``table`` is the domain's ``_ball_table``, built here when left out;
-    one table serves this and :func:`ball_radii`, and neither writes to it.
     """
-    least, _ = _ball_table(domain) if table is None else table
+    least, _ = _ball_table(domain)
     samples = domain.boundary_table
     phi, r = samples.phi, samples.r
     m, stride = phi.size, _BALL_STRIDE

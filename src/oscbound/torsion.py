@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from .cones import AnalyticField
 from .errors import DomainError, GeometryError
-from .stardomain import StarDomain2D, _coarse, _projected_distance, area
+from .stardomain import StarDomain2D, area, boundary_distance
 
 Array = np.ndarray
 
@@ -83,13 +83,13 @@ class Grid:
     cells inside the domain, by Green's theorem, with the area of an
     outside node's cell handed to an inside neighbor; ``delta`` is exact at
     every inside node and NaN outside, as the values of a
-    :class:`DiscreteField`: the nearest vertex of the coarse view of the
-    boundary table (1024 angles) seeds a Newton projection onto the
-    closed-form curve.  ``delta`` is computed on first read, in chunks of
-    nodes so that its temporaries stay small; :func:`solve_torsion` makes
-    that read on a worker thread while the linear solve runs.  ``index``
-    numbers the inside nodes red (i + j even) first, then black, each colour
-    in row-major order.
+    :class:`DiscreteField`: a kd-tree finds each node's nearest vertex of
+    the domain's coarse table (1024 angles), and :func:`boundary_distance`
+    projects from it onto the closed-form curve.  ``delta`` is computed on
+    first read, in chunks of nodes so that its temporaries stay small;
+    :func:`solve_torsion` makes that read on a worker thread while the
+    linear solve runs.  ``index`` numbers the inside nodes red (i + j even)
+    first, then black, each colour in row-major order.
     """
 
     domain: StarDomain2D
@@ -151,20 +151,14 @@ class Grid:
     def delta(self) -> Array:
         """Boundary distance at the inside nodes, NaN outside; built on
         first read, ``_DELTA_CHUNK`` nodes at a time."""
-        table = _coarse(self.domain.boundary_table)
-        tree = cKDTree(table.gamma)
+        tree = cKDTree(self.domain.coarse_table.gamma)
         delta = np.full(self.inside.shape, np.nan)
         ii, jj = np.nonzero(self.inside)
         for start in range(0, ii.size, _DELTA_CHUNK):
             i, j = ii[start:start + _DELTA_CHUNK], jj[start:start + _DELTA_CHUNK]
             pts = np.stack([self.xs[j], self.ys[i]], axis=-1)
-            dist, nearest = tree.query(pts, workers=1)
-            # the table vertex stays an upper bound if a projection misses
-            seed = tuple(g[nearest] for g in (table.gamma, table.tangent,
-                                               table.accel))
-            projected = _projected_distance(self.domain, pts,
-                                            table.phi[nearest], seed)[0]
-            delta[i, j] = np.minimum(dist, projected)
+            _, nearest = tree.query(pts, workers=1)
+            delta[i, j] = boundary_distance(self.domain, pts, nearest)
         return delta
 
 

@@ -454,7 +454,7 @@ class TestLazyGeometry:
     def test_battery_reads_the_direct_values(self):
         domain = StarDomain2D.cosine(0.1, 3)
         data = build_pipeline_data(domain, 1.0 / 32.0)
-        cached = ("_tangent_balls", "diam", "rho_star")
+        cached = ("r_i", "r_e", "r_inradius", "diam", "rho_star")
         assert not set(cached) & set(vars(data))
         run_domain_checks(data)
         assert (data.r_i, data.r_e) == ball_radii(domain)
@@ -491,8 +491,8 @@ class TestLazyGeometry:
 
     def test_rung_does_each_piece_of_work_once(self, monkeypatch):
         # delta is projected at the inside nodes only, and the battery
-        # derives r_i, r_e and the inradius from one tangent-ball table and
-        # caps r_e with the bundle's own diameter
+        # builds one tangent-ball table (one window view of r) and one
+        # diameter (one farthest pair), which the domain keeps
         counts = {"projected": 0, "_ball_table": 0, "diameter": 0}
 
         def counting(name, fn, size=lambda *args: 1):
@@ -501,13 +501,13 @@ class TestLazyGeometry:
                 return fn(*args, **kwargs)
             return shim
 
-        monkeypatch.setattr(torsion, "_projected_distance", counting(
-            "projected", torsion._projected_distance,
+        monkeypatch.setattr(torsion, "boundary_distance", counting(
+            "projected", torsion.boundary_distance,
             lambda domain, points, *rest: len(points)))
-        for name in ("_ball_table", "diameter"):
-            shim = counting(name, getattr(stardomain, name))
-            monkeypatch.setattr(stardomain, name, shim)
-            monkeypatch.setattr(identities, name, shim)
+        for name, built in (("_ball_table", "sliding_window_view"),
+                            ("diameter", "_farthest_pair")):
+            monkeypatch.setattr(stardomain, built, counting(
+                name, getattr(stardomain, built)))
         data = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
         assert counts["projected"] == data.u.grid.n_unknowns
         run_domain_checks(data)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
+from oscbound import stardomain
 from oscbound.errors import DomainError, GeometryError
 from oscbound.stardomain import (
     StarDomain2D,
@@ -23,13 +24,12 @@ from oscbound.stardomain import (
     _PROBES,
     _ball_table,
     _bracket_min,
-    _coarse,
     _farthest_pair,
     _sample_boundary,
     _tangent_ball,
     area,
     ball_radii,
-    delta_gamma,
+    boundary_distance,
     diameter,
     inradius,
     perimeter,
@@ -209,13 +209,15 @@ def test_boundary_sample_circle_curvature_and_normals():
 def test_coarse_table_is_sampling_a_quarter_of_the_angles(dom):
     # the 1024-angle users read every 4th row of the one 4096-angle table,
     # with the weights times 4; bit for bit, so no output moves
-    coarse = _coarse(dom.boundary_table)
+    coarse = dom.coarse_table
     want = _sample_boundary(dom, 1024)
     for got, expected in zip(coarse[:5], want):
         assert np.array_equal(got, expected)
     table = dom.boundary_table
     assert np.array_equal(coarse.weight, table.weight[::4] * 4)
     assert not table.gamma.flags.writeable
+    assert not any(x.flags.writeable for x in coarse)
+    assert dom.coarse_table is coarse
 
 
 def test_ellipse_curvature_at_vertex():
@@ -353,6 +355,14 @@ def test_rho_bounds_rejects_outside_point():
         rho_bounds(dom, np.array([2.0, 0.0]))
 
 
+def delta_gamma(dom: StarDomain2D, x) -> float:
+    """delta_Gamma(x) by :func:`boundary_distance` from the nearest vertex
+    of the coarse table."""
+    x = np.asarray(x, dtype=float)[None, :]
+    near = np.linalg.norm(dom.coarse_table.gamma - x, axis=-1)
+    return float(boundary_distance(dom, x, np.argmin(near, keepdims=True))[0])
+
+
 def test_delta_gamma_circle_and_boundary_point():
     dom = StarDomain2D(c0=1.5)
     assert rel_err(delta_gamma(dom, np.zeros(2)), 1.5) < 1e-10
@@ -365,6 +375,8 @@ def test_delta_gamma_against_brute_force():
     phi = np.linspace(0.0, 2.0 * math.pi, 1_000_000, endpoint=False)
     brute = float(np.min(np.linalg.norm(dom.boundary(phi) - x, axis=-1)))
     assert abs(delta_gamma(dom, x) - brute) < 1e-8
+    # the min of rho_bounds is the same step
+    assert rho_bounds(dom, x)[0] == delta_gamma(dom, x)
 
 
 def test_ball_radii_circle_capped_exterior():
@@ -492,14 +504,18 @@ def test_ball_table_blocks_match_one_pass():
             math.pi / 8.0),
 ], ids=["mixed", "petals"])
 def test_shared_ball_table_gives_the_separate_values(dom):
-    # one table for r_i, r_e and the inradius gives, bit for bit, what two
-    # calls with a table each give, and neither search writes to it
+    # the table the domain keeps for r_i, r_e and the inradius gives, bit
+    # for bit, what two equal domains with a table each give, and neither
+    # search writes to it
     table = _ball_table(dom)
     before = [x.tobytes() for x in table]
-    shared = (*ball_radii(dom, table=table, diam=diameter(dom)),
-              inradius(dom, table=table))
-    separate = (*ball_radii(dom), inradius(dom))
+    shared = (*ball_radii(dom), inradius(dom))
+    alone = [StarDomain2D(dom.c0, dom.cos_coeffs, dom.sin_coeffs)
+             for _ in range(2)]
+    separate = (*ball_radii(alone[0]), inradius(alone[1]))
+    assert _ball_table(alone[0]) is not _ball_table(alone[1])
     assert [x.hex() for x in shared] == [x.hex() for x in separate]
+    assert _ball_table(dom) is table
     assert [x.tobytes() for x in table] == before
     assert not any(x.flags.writeable for x in table)
 
@@ -798,8 +814,7 @@ def test_golden_refinements_keep_their_values(dom, want):
 def test_farthest_pair_matches_the_broadcast_distances(dom):
     # d^2 built in place from outer differences is, bit for bit, the sum of
     # the broadcast squares, so diameter seeds from the same pair
-    table = _coarse(dom.boundary_table)
-    pts = table.gamma
+    pts = dom.coarse_table.gamma
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
     got = _farthest_pair(pts)
@@ -811,10 +826,10 @@ def test_geometry_kernel_budget(monkeypatch):
     # every search evaluates a round of probes in one kernel call, and the
     # inradius projects the contacts of all of a round's branches together;
     # {angles per call: calls} on r = 1 + 0.2 (cos 2 phi + sin(3 phi) / 2 +
-    # cos(5 phi) / 3), whose boundary table is built before counting.
-    # Scalar probes took 792, 120, 61 and 65 calls.
+    # cos(5 phi) / 3), whose boundary table and diameter are built before
+    # counting.  Scalar probes took 792, 120, 61 and 65 calls.
     dom = StarDomain2D(1.0, (0.0, 0.2, 0.0, 0.0, 0.2 / 3.0), (0.0, 0.0, 0.1))
-    dom.boundary_table
+    diameter(dom)
     kernel = StarDomain2D.radial_derivatives
     sizes = []
 
@@ -825,7 +840,7 @@ def test_geometry_kernel_budget(monkeypatch):
     monkeypatch.setattr(StarDomain2D, "radial_derivatives", counted)
     budget = {
         inradius: {1: 8, 6: 63, 7: 7, 10: 7, 12: 91},
-        lambda d: ball_radii(d, diam=3.0): {6: 40},
+        ball_radii: {6: 40},
         star_radius: {6: 20},
         lambda d: rho_bounds(d, np.zeros(2)): {1: 4, 6: 20},
     }
@@ -833,6 +848,37 @@ def test_geometry_kernel_budget(monkeypatch):
         sizes.clear()
         fun(dom)
         assert dict(Counter(sizes)) == want
+
+
+def test_geometry_is_kept_on_the_domain_object(monkeypatch):
+    # the first ball_radii, inradius and diameter call builds the tables;
+    # a second call on the same object builds nothing and calls no kernel,
+    # and a new object with equal coefficients builds its own table
+    dom = _mixed(0.5)
+    first = (ball_radii(dom), inradius(dom), diameter(dom))
+    kernel = StarDomain2D.radial_derivatives
+    counts = Counter()
+
+    def counted(name, fn):
+        def shim(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return shim
+
+    monkeypatch.setattr(StarDomain2D, "radial_derivatives",
+                        counted("kernel", kernel))
+    monkeypatch.setattr(stardomain, "sliding_window_view", counted(
+        "table", stardomain.sliding_window_view))
+    monkeypatch.setattr(stardomain, "_farthest_pair", counted(
+        "farthest", stardomain._farthest_pair))
+    assert (ball_radii(dom), inradius(dom), diameter(dom)) == first
+    assert counts == {}
+    equal = StarDomain2D(dom.c0, dom.cos_coeffs, dom.sin_coeffs)
+    assert equal == dom
+    assert ball_radii(equal) == first[0]
+    assert counts["table"] == 1 and counts["farthest"] == 1
+    assert counts["kernel"] > 0
+    assert _ball_table(equal) is not _ball_table(dom)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from oscbound.stardomain import (
     StarDomain2D,
     _sample_boundary,
     area,
-    delta_gamma,
+    boundary_distance,
     rotated,
 )
 from oscbound.torsion import (
@@ -338,9 +338,19 @@ def test_boundary_distance_table_matches_disk_distance(disk_solve):
     assert float(err.max()) < 1e-12
     assert np.isnan(grid.delta[~inside]).all()
     # the projection is exact outside the curve too
-    for i, j in np.argwhere(~inside):
-        x = np.array([grid.xs[j], grid.ys[i]])
-        assert abs(delta_gamma(domain, x) - exact[i, j]) < 1e-12
+    out = np.argwhere(~inside)
+    pts = np.stack([grid.xs[out[:, 1]], grid.ys[out[:, 0]]], axis=-1)
+    err = np.abs(argmin_distance(domain, pts) - exact[~inside])
+    assert float(err.max()) < 1e-12
+
+
+def argmin_distance(domain: StarDomain2D, pts: np.ndarray) -> np.ndarray:
+    """boundary_distance seeded by each point's argmin over the coarse
+    table, in place of the kd-tree query."""
+    gamma = domain.coarse_table.gamma
+    near = np.argmin(np.linalg.norm(gamma[None] - pts[:, None], axis=-1),
+                     axis=1)
+    return boundary_distance(domain, pts, near)
 
 
 @pytest.mark.parametrize("domain", [
@@ -350,14 +360,15 @@ def test_boundary_distance_table_matches_disk_distance(disk_solve):
     rotated(StarDomain2D(c0=0.5, cos_coeffs=(0, 0, 0, 0, 0, 0, 0, 0.45)),
             math.pi / 8.0),
 ], ids=["mixed", "petals"])
-def test_boundary_distance_matches_delta_gamma(domain):
+def test_delta_seeds_from_the_nearest_coarse_vertex(domain):
+    # the kd-tree picks the vertex an argmin over the coarse table picks
     grid = Grid.build(domain, 1.0 / 64.0)
     rng = np.random.default_rng(7)
     ii, jj = np.nonzero(grid.inside)
     pick = rng.choice(ii.size, 500, replace=False)
-    for i, j in zip(ii[pick], jj[pick]):
-        want = delta_gamma(domain, np.array([grid.xs[j], grid.ys[i]]))
-        assert abs(grid.delta[i, j] - want) < 1e-12
+    i, j = ii[pick], jj[pick]
+    want = argmin_distance(domain, np.stack([grid.xs[j], grid.ys[i]], axis=-1))
+    assert float(np.max(np.abs(grid.delta[i, j] - want))) < 1e-12
     # delta is computed at the inside nodes only
     assert np.isnan(grid.delta[~grid.inside]).all()
 
