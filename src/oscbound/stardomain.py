@@ -18,14 +18,16 @@ boundary distance.  The domain object keeps, read-only and computed on
 first use, what several of them share: the boundary table at 4096 uniform
 angles and its every-4th-angle view (:attr:`StarDomain2D.boundary_table`,
 :attr:`StarDomain2D.coarse_table`), and by :func:`_kept` the tangent-ball
-quotient table, the diameter, the ball radii and the inradius.  Three
+quotient table, the Delaunay graph of the coarse table, the diameter, the
+ball radii and the inradius.  Three
 searches carry every extremum: the tangent-ball quotient table, reduced to
 row minima as it is built (the ball radii and the inradius), the seeded
 Newton projection onto the curve and one bracket search that refines a
 tabulated extremum, evaluating each round's probes in one vectorized call.
 Every nearest-point distance is one :func:`boundary_distance` step: the
 projection from a coarse-table vertex that the caller picks, capped at
-that vertex's distance.
+that vertex's distance.  :func:`nearest_vertex` picks it for many points at
+once by a walk on the Delaunay graph.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial import Delaunay
 
 from .errors import DomainError
 
@@ -49,6 +52,7 @@ __all__ = [
     "rho_bounds",
     "ball_radii",
     "boundary_distance",
+    "nearest_vertex",
     "star_radius",
     "inradius",
     "rotated",
@@ -142,7 +146,9 @@ class StarDomain2D:
     def n_modes(self) -> int:
         return max(len(self.cos_coeffs), len(self.sin_coeffs))
 
-    def _coefficient_arrays(self) -> tuple[Array, Array, Array]:
+    def coefficient_arrays(self) -> tuple[Array, Array, Array]:
+        """(k, a_k, b_k) for k = 1 .. n_modes, the missing coefficients
+        as 0."""
         K = self.n_modes
         a = np.zeros(K)
         b = np.zeros(K)
@@ -155,7 +161,7 @@ class StarDomain2D:
         """Rows ``k^j c_k`` (j = 0, 1, 2) over the even k, each followed by
         its row over the odd k if any c_k there is nonzero, with c_0 = c0
         and c_k = a_k - i b_k, so that r = Re sum_k c_k e^{ik phi}."""
-        _, a, b = self._coefficient_arrays()
+        _, a, b = self.coefficient_arrays()
         c = np.concatenate([[self.c0], a - 1j * b])
         c = np.append(c, [0.0] * (c.size % 2))  # as many odd k as even k
         k = np.arange(c.size)
@@ -238,7 +244,7 @@ class StarDomain2D:
 
 def rotated(domain: StarDomain2D, alpha: float) -> StarDomain2D:
     """The same shape rotated by alpha (Fourier coefficients are remixed)."""
-    k, a, b = domain._coefficient_arrays()
+    k, a, b = domain.coefficient_arrays()
     ca, sa = np.cos(k * alpha), np.sin(k * alpha)
     return StarDomain2D(
         c0=domain.c0,
@@ -320,7 +326,7 @@ def _kept(fun):
 
 def area(domain: StarDomain2D) -> float:
     """|Omega| = (1/2) int r^2 dphi, closed form by Parseval."""
-    _, a, b = domain._coefficient_arrays()
+    _, a, b = domain.coefficient_arrays()
     return math.pi * (domain.c0**2 + 0.5 * float(np.sum(a * a) + np.sum(b * b)))
 
 
@@ -433,7 +439,9 @@ def rho_bounds(domain: StarDomain2D, z) -> tuple[float, float]:
 def boundary_distance(domain: StarDomain2D, points: Array,
                       nearest: Array) -> Array:
     """Distance of each point (n, 2) to the boundary, projected from vertex
-    ``nearest`` (n indices) of the coarse table, the vertex nearest to it.
+    ``nearest`` (n indices) of the coarse table, the vertex nearest to it:
+    an argmin over the table for a few points, :func:`nearest_vertex` for
+    many (the grid's delta).
 
     Newton's method starts from that vertex (:func:`_projected_distance`);
     the vertex's own distance caps the result, so it stays an upper bound
@@ -443,6 +451,86 @@ def boundary_distance(domain: StarDomain2D, points: Array,
     seed = tuple(g[nearest] for g in (table.gamma, table.tangent, table.accel))
     projected = _projected_distance(domain, points, table.phi[nearest], seed)[0]
     return np.minimum(np.linalg.norm(seed[0] - points, axis=-1), projected)
+
+
+_DELAUNAY_ROW = 8  # entries per row of the Delaunay table, at most
+
+
+@_kept
+def _delaunay_table(domain: StarDomain2D) -> tuple[Array, Array, Array, Array]:
+    """The Delaunay graph of the coarse table's vertices, in rows of equal
+    width.
+
+    Vertex v and its Delaunay neighbours, in descending order and padded
+    with v, fill rows ``first[v]`` to ``first[v + 1] - 1`` of the table, so
+    that the first least entry of a vertex's rows is the one with the
+    largest index.  A row is one more than the greatest degree wide, but at
+    most ``_DELAUNAY_ROW``: cocircular vertices, as on a disk, may fan out
+    from one vertex to all the others.  Returns ``first``, the table and
+    the x and y of each entry's vertex, all read-only, as the domain keeps
+    them.
+    """
+    gamma = domain.coarse_table.gamma
+    indptr, indices = Delaunay(gamma).vertex_neighbor_vertices
+    size = np.diff(indptr) + 1
+    width = min(int(size.max()), _DELAUNAY_ROW)
+    rows = -(-size // width)
+    first = np.concatenate([[0], np.cumsum(rows)])
+    own = np.arange(size.size)
+    table = np.repeat(np.repeat(own, rows)[:, None], width, axis=1)
+    entries = np.insert(indices, indptr[:-1], own)
+    order = np.lexsort((-entries, np.repeat(own, size)))
+    slot = np.arange(entries.size) - np.repeat(indptr[:-1] + own, size)
+    table.flat[np.repeat(first[:-1] * width, size) + slot] = entries[order]
+    kept = (first, table, gamma[table, 0], gamma[table, 1])
+    for x in kept:
+        x.flags.writeable = False
+    return kept
+
+
+def nearest_vertex(domain: StarDomain2D, points: Array,
+                   start: Array) -> Array:
+    """Index of the coarse-table vertex nearest to each point (n, 2), by a
+    greedy walk on the Delaunay graph from the vertices ``start`` (n).
+
+    Each round moves every point that is still walking to the vertex with
+    the least ``dx * dx + dy * dy`` among its vertex and that vertex's
+    Delaunay neighbours, the largest index on an exact tie; a point stops
+    where it stays.  A vertex that no Delaunay neighbour is closer than is
+    a nearest vertex (its Voronoi cell holds the point), and each move
+    strictly lowers (squared distance, -index), so the walk is exact and
+    ends (Mücke, Saias and Zhu 1999).  Qhull's triangulation is Delaunay
+    to rounding only: where many vertices are equidistant from a point to
+    rounding, as from the centre of a disk, the walk may end at one whose
+    squared distance exceeds the least by rounding.  A start near the
+    answer, such as the nearest vertex of a point close by, keeps the walk
+    to a few rounds.
+    """
+    first, table, x, y = _delaunay_table(domain)
+    nearest = np.array(start, dtype=np.intp)
+    walking = np.arange(nearest.size)
+    while walking.size:
+        vertex = nearest[walking]
+        # the rows of each walking point's vertex, and the point of each row
+        count = first[vertex + 1] - first[vertex]
+        at = np.cumsum(count) - count
+        row = np.repeat(first[vertex] - at, count)
+        row += np.arange(row.size)
+        point = np.repeat(walking, count)
+        dx = x[row]
+        dx -= points[point, 0, None]
+        dx *= dx
+        dy = y[row]
+        dy -= points[point, 1, None]
+        dy *= dy
+        dx += dy
+        col = np.argmin(dx, axis=1)
+        d2, best = dx[np.arange(row.size), col], table[row, col]
+        least = np.repeat(np.minimum.reduceat(d2, at), count)
+        best = np.maximum.reduceat(np.where(d2 == least, best, -1), at)
+        nearest[walking] = best
+        walking = walking[best != vertex]
+    return nearest
 
 
 _NEWTON_STEPS = 2  # evaluated steps after the tabulated first step

@@ -11,9 +11,11 @@ multigrid V-cycle solves the linear system, while a worker thread computes
 the boundary distance delta.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
 gradients and Hessians, interior norms with exact cell areas and optional
-weights by the boundary distance delta (exact at every inside node, by
-Newton projection onto the curve, and NaN outside), and boundary traces of
-the normal derivative.
+weights by the boundary distance delta, and boundary traces of the normal
+derivative.  delta is exact at every inside node and NaN outside: a walk on
+the Delaunay graph of the coarse boundary vertices, seeded by one kd-tree
+query per block of nodes, finds each node's nearest vertex, and Newton's
+method projects from it onto the curve.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from scipy.spatial import cKDTree
 
 from .cones import AnalyticField
 from .errors import DomainError, GeometryError
-from .stardomain import StarDomain2D, area, boundary_distance
+from .stardomain import StarDomain2D, area, boundary_distance, nearest_vertex
 
 Array = np.ndarray
 
@@ -58,7 +60,8 @@ _T_MIN = 1e-8           # crossing-fraction snap to keep the matrix conditioned
 _ON_BOUNDARY = 1e-13    # a node this many spacings from a crossing is on it
 _AREA_TOL = 1e-12       # relative gap allowed between the areas and |Omega|
 _TRACE_STEP = 3.0       # normal-derivative stencil step, in grid spacings
-_DELTA_CHUNK = 8192     # nodes per kd-tree query and projection of delta
+_DELTA_CHUNK = 8192     # nodes per nearest-vertex walk and projection of delta
+_SEED_BLOCK = 4         # delta's walks start from the vertex of a 4 x 4 block
 _COARSEST = 3000        # unknowns of the coarsest multigrid level, factored
 _JACOBI = 0.8           # damping of the coarse levels' Jacobi sweeps
 _RTOL = 1e-11           # true relative residual at which BiCGSTAB stops
@@ -83,10 +86,13 @@ class Grid:
     cells inside the domain, by Green's theorem, with the area of an
     outside node's cell handed to an inside neighbor; ``delta`` is exact at
     every inside node and NaN outside, as the values of a
-    :class:`DiscreteField`: a kd-tree finds each node's nearest vertex of
-    the domain's coarse table (1024 angles), and :func:`boundary_distance`
-    projects from it onto the closed-form curve.  ``delta`` is computed on
-    first read, in chunks of nodes so that its temporaries stay small;
+    :class:`DiscreteField`.  A kd-tree over the domain's coarse table
+    (1024 angles) gives the vertex nearest to the centre of each block of
+    ``_SEED_BLOCK`` x ``_SEED_BLOCK`` nodes; from it, :func:`nearest_vertex`
+    walks the Delaunay graph of the table to each node's nearest vertex,
+    and :func:`boundary_distance` projects from that onto the closed-form
+    curve.  ``delta`` is computed on first read, the walk and the
+    projection in chunks of nodes so that their temporaries stay small;
     :func:`solve_torsion` makes that read on a worker thread while the
     linear solve runs.  ``index`` numbers the inside nodes red (i + j even)
     first, then black, each colour in row-major order.
@@ -151,13 +157,24 @@ class Grid:
     def delta(self) -> Array:
         """Boundary distance at the inside nodes, NaN outside; built on
         first read, ``_DELTA_CHUNK`` nodes at a time."""
-        tree = cKDTree(self.domain.coarse_table.gamma)
         delta = np.full(self.inside.shape, np.nan)
         ii, jj = np.nonzero(self.inside)
+        # each node walks from the vertex nearest to the centre of its
+        # block of _SEED_BLOCK x _SEED_BLOCK nodes, one kd-tree query a block
+        b = _SEED_BLOCK
+        ny, nx = self.inside.shape
+        blocks = np.pad(self.inside, ((0, -ny % b), (0, -nx % b)))
+        blocks = blocks.reshape(-(-ny // b), b, -(-nx // b), b).any(axis=(1, 3))
+        si, sj = np.nonzero(blocks)
+        centres = np.stack([self.xs[b * sj], self.ys[b * si]], axis=-1)
+        centres += 0.5 * (b - 1) * self.h
+        seeds = np.zeros(blocks.shape, dtype=np.intp)
+        _, seeds[si, sj] = cKDTree(self.domain.coarse_table.gamma).query(
+            centres, workers=1)
         for start in range(0, ii.size, _DELTA_CHUNK):
             i, j = ii[start:start + _DELTA_CHUNK], jj[start:start + _DELTA_CHUNK]
             pts = np.stack([self.xs[j], self.ys[i]], axis=-1)
-            _, nearest = tree.query(pts, workers=1)
+            nearest = nearest_vertex(self.domain, pts, seeds[i // b, j // b])
             delta[i, j] = boundary_distance(self.domain, pts, nearest)
         return delta
 
@@ -266,7 +283,7 @@ def _cell_areas(domain: StarDomain2D, rows, cols, lines: Array) -> Array:
     t = np.sort(np.concatenate(angles))
     half = 0.5 * np.diff(np.append(t, t[:1] + 2.0 * math.pi))
     mid = t + half
-    _, a, b = domain._coefficient_arrays()
+    _, a, b = domain.coefficient_arrays()
     spec = np.concatenate([(a + 1j * b)[::-1], [2.0 * domain.c0], a - 1j * b])
     sq = np.convolve(spec, spec)[2 * a.size:] / 4.0  # of e^{ik phi} in r^2
     k = np.arange(1, sq.size)
@@ -576,8 +593,9 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
     rhs = np.full(grid.n_unknowns, 2.0)
 
     # the first read of delta overlaps the solve where either side releases
-    # the interpreter lock: the kd-tree query and large numpy operations do,
-    # scipy's sparse products do not
+    # the interpreter lock: the seed query of the kd-tree and the numpy
+    # operations on whole chunks of the walk and the projection do, scipy's
+    # sparse products do not
     with ThreadPoolExecutor(max_workers=1) as worker:
         reading = worker.submit(getattr, grid, "delta")
         sol = spsolve(A, rhs, idx)

@@ -1,4 +1,4 @@
-"""Each module of the package imports only the public names of its siblings,
+"""Each module of the package uses only the public names of its siblings,
 so a private helper can change without touching another module."""
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oscbound"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def private_sibling_imports(source: str) -> list[str]:
@@ -18,11 +22,72 @@ def private_sibling_imports(source: str) -> list[str]:
     return found
 
 
+def private_definitions(source: str) -> set[str]:
+    """The private names that source defines at module level or in a class
+    body: functions, classes and assigned names."""
+    tree = ast.parse(source)
+    bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                            if isinstance(node, ast.ClassDef)]
+    names = set()
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if _private(name)}
+
+
+def private_attribute_reads(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module, ``sibling._name`` for every attribute ``x._name`` that it
+    reads and a sibling module defines, unless it defines ``_name`` too."""
+    defined = {name: private_definitions(src) for name, src in sources.items()}
+    found = {}
+    for name, src in sources.items():
+        reads = sorted({node.attr for node in ast.walk(ast.parse(src))
+                        if isinstance(node, ast.Attribute)
+                        and _private(node.attr)} - defined[name])
+        hits = [f"{other}.{attr}" for attr in reads
+                for other in sorted(defined) if attr in defined[other]]
+        if hits:
+            found[name] = hits
+    return found
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text()
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_no_module_imports_a_private_sibling_name():
     assert private_sibling_imports(
         "from .stardomain import StarDomain2D, _coarse\n"
         "from numpy import _private\n") == ["stardomain._coarse"]
-    found = {path.name: private_sibling_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: private_sibling_imports(src)
+             for name, src in package_sources().items()}
     assert len(found) > 1
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_module_reads_a_private_sibling_attribute():
+    assert private_attribute_reads({
+        "shape": "class Shape:\n"
+                 "    _cache = None\n"
+                 "    def _arrays(self):\n"
+                 "        return self._cache\n"
+                 "def _helper():\n"
+                 "    pass\n",
+        "grid": "def area(shape):\n"
+                "    shape._arrays(); shape.__class__; x._replace()\n"
+                "    return shape._helper\n",
+        "own": "def _arrays():\n"
+               "    pass\n"
+               "def f(shape):\n"
+               "    return shape._arrays()\n",
+    }) == {"grid": ["own._arrays", "shape._arrays", "shape._helper"]}
+    sources = package_sources()
+    assert len(sources) > 1
+    assert private_attribute_reads(sources) == {}

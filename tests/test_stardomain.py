@@ -24,6 +24,7 @@ from oscbound.stardomain import (
     _PROBES,
     _ball_table,
     _bracket_min,
+    _delaunay_table,
     _farthest_pair,
     _sample_boundary,
     _tangent_ball,
@@ -37,6 +38,7 @@ from oscbound.stardomain import (
     rotated,
     star_radius,
 )
+from oscbound.torsion import Grid
 
 
 def rel_err(got: float, want: float) -> float:
@@ -108,7 +110,7 @@ def test_radial_derivatives_match_finite_differences():
 def long_double_derivatives(dom: StarDomain2D, phi: np.ndarray):
     """(r, r', r'') summed term by term in long double."""
     ld = np.longdouble
-    k, a, b = (x.astype(ld) for x in dom._coefficient_arrays())
+    k, a, b = (x.astype(ld) for x in dom.coefficient_arrays())
     ang = phi.astype(ld)[:, None] * k
     c, s = np.cos(ang), np.sin(ang)
     return (ld(dom.c0) + np.sum(c * a + s * b, axis=1),
@@ -851,11 +853,13 @@ def test_geometry_kernel_budget(monkeypatch):
 
 
 def test_geometry_is_kept_on_the_domain_object(monkeypatch):
-    # the first ball_radii, inradius and diameter call builds the tables;
-    # a second call on the same object builds nothing and calls no kernel,
-    # and a new object with equal coefficients builds its own table
+    # the first ball_radii, inradius and diameter call and the first grid's
+    # delta build the tables; a second call on the same object builds
+    # nothing and calls no kernel, a second grid's delta builds no Delaunay
+    # table, and a new object with equal coefficients builds its own tables
     dom = _mixed(0.5)
     first = (ball_radii(dom), inradius(dom), diameter(dom))
+    delta = Grid.build(dom, 1.0 / 32.0).delta
     kernel = StarDomain2D.radial_derivatives
     counts = Counter()
 
@@ -871,14 +875,25 @@ def test_geometry_is_kept_on_the_domain_object(monkeypatch):
         "table", stardomain.sliding_window_view))
     monkeypatch.setattr(stardomain, "_farthest_pair", counted(
         "farthest", stardomain._farthest_pair))
+    monkeypatch.setattr(stardomain, "Delaunay", counted(
+        "delaunay", stardomain.Delaunay))
     assert (ball_radii(dom), inradius(dom), diameter(dom)) == first
     assert counts == {}
+    again = Grid.build(dom, 1.0 / 32.0).delta
+    assert np.array_equal(again, delta, equal_nan=True)
+    assert counts["delaunay"] == 0
     equal = StarDomain2D(dom.c0, dom.cos_coeffs, dom.sin_coeffs)
     assert equal == dom
     assert ball_radii(equal) == first[0]
     assert counts["table"] == 1 and counts["farthest"] == 1
     assert counts["kernel"] > 0
     assert _ball_table(equal) is not _ball_table(dom)
+    assert np.array_equal(Grid.build(equal, 1.0 / 32.0).delta, delta,
+                          equal_nan=True)
+    assert counts["delaunay"] == 1
+    assert _delaunay_table(equal) is not _delaunay_table(dom)
+    assert counts["delaunay"] == 1
+    assert not any(x.flags.writeable for x in _delaunay_table(dom))
 
 
 # --------------------------------------------------------------------------

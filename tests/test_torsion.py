@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from scipy import sparse
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
+from scipy.spatial import cKDTree
 
 from oscbound import torsion
 from oscbound.errors import DomainError, GeometryError
@@ -30,6 +31,7 @@ from oscbound.stardomain import (
     _sample_boundary,
     area,
     boundary_distance,
+    nearest_vertex,
     rotated,
 )
 from oscbound.torsion import (
@@ -346,7 +348,8 @@ def test_boundary_distance_table_matches_disk_distance(disk_solve):
 
 def argmin_distance(domain: StarDomain2D, pts: np.ndarray) -> np.ndarray:
     """boundary_distance seeded by each point's argmin over the coarse
-    table, in place of the kd-tree query."""
+    table (the first on a tie), in place of the walk on the Delaunay
+    graph."""
     gamma = domain.coarse_table.gamma
     near = np.argmin(np.linalg.norm(gamma[None] - pts[:, None], axis=-1),
                      axis=1)
@@ -361,7 +364,8 @@ def argmin_distance(domain: StarDomain2D, pts: np.ndarray) -> np.ndarray:
             math.pi / 8.0),
 ], ids=["mixed", "petals"])
 def test_delta_seeds_from_the_nearest_coarse_vertex(domain):
-    # the kd-tree picks the vertex an argmin over the coarse table picks
+    # the walk from the kd-tree seeds picks the vertex an argmin over the
+    # coarse table picks
     grid = Grid.build(domain, 1.0 / 64.0)
     rng = np.random.default_rng(7)
     ii, jj = np.nonzero(grid.inside)
@@ -371,6 +375,83 @@ def test_delta_seeds_from_the_nearest_coarse_vertex(domain):
     assert float(np.max(np.abs(grid.delta[i, j] - want))) < 1e-12
     # delta is computed at the inside nodes only
     assert np.isnan(grid.delta[~grid.inside]).all()
+
+
+def squared_distances(domain: StarDomain2D, pts: np.ndarray) -> np.ndarray:
+    """``dx * dx + dy * dy`` from each point to each coarse-table vertex."""
+    gamma = domain.coarse_table.gamma
+    dx = gamma[None, :, 0] - pts[:, 0, None]
+    dy = gamma[None, :, 1] - pts[:, 1, None]
+    return dx * dx + dy * dy
+
+
+@pytest.mark.parametrize("domain", [
+    StarDomain2D(c0=1.0, cos_coeffs=(0.0, 0.2), sin_coeffs=(0.0, 0.0, 0.1)),
+    PETALS,
+    rotated(build_family_domain(FamilySpec(kind="ellipse"), 0.2), 1.234),
+    # the vertices lie within 1e-3 of one circle: many near-ties
+    StarDomain2D(c0=1.0, cos_coeffs=(0.0, 1e-3)),
+], ids=["mixed", "petals", "rotated-ellipse", "near-circle"])
+def test_walk_finds_the_brute_force_nearest_vertex(domain):
+    # at every inside node the walk's vertex has the least squared distance
+    # of all 1024 coarse vertices, from the kd-tree's vertex and from a
+    # random one, and delta is the projection from it: bit for bit
+    # argmin_distance where both pick the same vertex, which they do but
+    # where the rounded distances tie
+    grid = Grid.build(domain, 1.0 / 128.0)
+    ii, jj = np.nonzero(grid.inside)
+    pts = np.stack([grid.xs[jj], grid.ys[ii]], axis=-1)
+    _, kd = cKDTree(domain.coarse_table.gamma).query(pts)
+    walk = nearest_vertex(domain, pts, kd)
+    assert np.array_equal(grid.delta[ii, jj],
+                          boundary_distance(domain, pts, walk))
+    pick = np.random.default_rng(3).choice(ii.size, 4096, replace=False)
+    far = np.random.default_rng(4).integers(0, 1024, pick.size)
+    assert np.array_equal(nearest_vertex(domain, pts[pick], far), walk[pick])
+    near = np.empty_like(walk)
+    for lo in range(0, ii.size, 2048):
+        part = slice(lo, lo + 2048)
+        d2 = squared_distances(domain, pts[part])
+        rows = np.arange(d2.shape[0])
+        assert np.array_equal(d2[rows, walk[part]], d2.min(axis=1))
+        # np.linalg.norm, as argmin_distance takes it, is sqrt(d2) bit for bit
+        dist = np.sqrt(d2)
+        near[part] = np.argmin(dist, axis=1)
+        other = near[part] != walk[part]
+        assert np.array_equal(dist[rows, near[part]][other],
+                              dist[rows, walk[part]][other])
+    assert np.count_nonzero(near != walk) <= 2
+    same = pick[:1024][near[pick[:1024]] == walk[pick[:1024]]]
+    assert np.array_equal(grid.delta[ii[same], jj[same]],
+                          argmin_distance(domain, pts[same]))
+
+
+def test_delta_does_not_depend_on_the_chunk_size(monkeypatch):
+    # the unrotated ellipse has exact mirror ties on its axes: the walk
+    # takes the larger index from either tied vertex, and delta keeps its
+    # bits on a fresh domain and with chunks of 1000 nodes
+    def ellipse():
+        return build_family_domain(FamilySpec(kind="ellipse"), 0.2)
+
+    domain = ellipse()
+    grid = Grid.build(domain, 1.0 / 128.0)
+    ii, jj = np.nonzero(grid.inside)
+    pts = np.stack([grid.xs[jj], grid.ys[ii]], axis=-1)
+    pts = pts[(pts[:, 0] == 0.0) | (pts[:, 1] == 0.0)]  # the axis nodes
+    d2 = squared_distances(domain, pts)
+    tied = np.flatnonzero(np.count_nonzero(d2 == d2.min(axis=1)[:, None],
+                                           axis=1) == 2)
+    assert tied.size >= 4
+    pair = np.sort(np.argsort(d2[tied], axis=1, kind="stable")[:, :2], axis=1)
+    for start in pair.T:
+        assert np.array_equal(nearest_vertex(domain, pts[tied], start),
+                              pair[:, 1])
+
+    fresh = Grid.build(ellipse(), 1.0 / 128.0).delta
+    monkeypatch.setattr(torsion, "_DELTA_CHUNK", 1000)
+    chunked = Grid.build(domain, 1.0 / 128.0).delta
+    for other in (fresh, chunked):
+        assert np.array_equal(other, grid.delta, equal_nan=True)
 
 
 def test_grid_rejects_nonpositive_spacing():
