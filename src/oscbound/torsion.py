@@ -16,6 +16,19 @@ derivative.  delta is exact at every inside node and NaN outside: a walk on
 the Delaunay graph of the coarse boundary vertices, seeded by one kd-tree
 query per block of nodes, finds each node's nearest vertex, and Newton's
 method projects from it onto the curve.
+
+The memory a rung needs.  The solve keeps the grid, A, the multigrid
+hierarchy and BiCGSTAB's vectors, and nothing else of a size set by A's
+entries: no assembly lists, no copy of A or of its blocks.  Its traced
+peak on the ladder ellipse (eps = 0.2) is about 405 bytes per unknown at
+h = 1/128.  One rung alone in a fresh process (``build_pipeline_data``
+and the check battery) peaks at a resident set of 157 MB at h = 1/256 and
+397 MB at 1/512 on that ellipse, and 152 and 362 MB on the cosine member
+(k = 2, eps = 0.1); about 71 MB of it is the interpreter and the imports.
+While the solve kept its assembly lists and copies of A's blocks, the
+same rungs peaked at 225 and 654 MB (ellipse) and 223 and 646 MB
+(cosine).  The limit is documented, not checked: no spacing is refused
+for the memory its rung would need.
 """
 from __future__ import annotations
 
@@ -66,6 +79,7 @@ _COARSEST = 3000        # unknowns of the coarsest multigrid level, factored
 _JACOBI = 0.8           # damping of the coarse levels' Jacobi sweeps
 _RTOL = 1e-11           # true relative residual at which BiCGSTAB stops
 _STEPS = 100            # BiCGSTAB steps in all before the solve fails
+_RESIDUAL_ROWS = 8192   # rows per chunk of the true residual
 
 
 # --------------------------------------------------------------------------
@@ -364,6 +378,54 @@ class SolveReport:
 # the solver
 # --------------------------------------------------------------------------
 
+def _red_count(index: Array) -> int:
+    """Number of red (i + j even) inside nodes of the grid map ``index``,
+    which is -1 outside."""
+    return int(np.count_nonzero(index[::2, ::2] >= 0)
+               + np.count_nonzero(index[1::2, 1::2] >= 0))
+
+
+def _assemble(grid: Grid) -> sparse.csr_matrix:
+    """The Shortley-Weller matrix of ``grid``, built directly in CSR form.
+
+    Row k belongs to the unknown k and lists its columns in ascending
+    order, as the grid numbers each colour in row-major order: a red row
+    holds its diagonal and then its black neighbours S, W, E, N, a black
+    row its red neighbours S, W, E, N and then its diagonal.  A node
+    couples to a neighbour only across an uncut edge: a cut edge ends at a
+    Dirichlet zero.  The inside nodes keep off the grid's outer ring, so a
+    neighbour's flat index stays in range.
+    """
+    inside, index = grid.inside.ravel(), grid.index.ravel()
+    nx, n, h2 = grid.inside.shape[1], grid.n_unknowns, grid.h * grid.h
+    n_red = _red_count(grid.index)
+    node = np.empty(n, dtype=np.intp)  # the flat node of each unknown
+    node[index[inside]] = np.flatnonzero(inside)
+    t = {d: grid.cuts[d].ravel()[node] for d in "EWNS"}
+    # the neighbours in the order of their columns: each one's step in the
+    # flat grid and the direction opposite to it
+    steps = (("S", -nx, "N"), ("W", -1, "E"), ("E", 1, "W"), ("N", nx, "S"))
+    coupled = [(t[d] == 1.0) & inside[node + step] for d, step, _ in steps]
+
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(1 + sum(coupled), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    diagonal = np.concatenate([indptr[:n_red], indptr[n_red + 1:] - 1])
+    indices[diagonal] = np.arange(n)
+    data[diagonal] = (-2.0 / (t["E"] * t["W"] * h2)
+                      - 2.0 / (t["N"] * t["S"] * h2))
+    free = indptr[:-1] + (np.arange(n) < n_red)  # each row's next entry
+    for (d, step, opp), ok in zip(steps, coupled):
+        rows = np.flatnonzero(ok)
+        at = free[rows]
+        indices[at] = index[node[rows] + step]
+        t_this = t[d][rows]
+        data[at] = 2.0 / (t_this * (t_this + t[opp][rows]) * h2)
+        free[rows] += 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _restriction(number: Array) -> tuple[sparse.csr_matrix, Array]:
     """The transpose R = P^T of bilinear interpolation P from the nodes with
     even (i, j) to every node, and the numbering of the coarse level.
@@ -373,25 +435,41 @@ def _restriction(number: Array) -> tuple[sparse.csr_matrix, Array]:
     row-major order.  A coarse node gives weight 1 to the fine node on it,
     1/2 to the fine nodes beside it on a grid line and 1/4 to those on its
     diagonals, so a fine node that misses a coarse neighbour outside the
-    domain takes the Dirichlet zero there.
+    domain takes the Dirichlet zero there.  R's indices and the coarse
+    numbering are int32.
     """
-    nx = number.shape[1]
+    ny, nx = number.shape
     even = number[::2, ::2] >= 0
     ci, cj = np.nonzero(even)
-    coarse = np.full(even.shape, -1, dtype=np.int64)
+    coarse = np.full(even.shape, -1, dtype=np.int32)
     coarse[even] = np.arange(ci.size)
     # a ring of -1 around the level keeps every neighbour's index in range
-    padded = np.pad(number, 1, constant_values=-1).ravel()
+    padded = np.full((ny + 2, nx + 2), -1, dtype=np.int32)
+    padded[1:-1, 1:-1] = number
     step = np.array([-1, 0, 1])
     offsets = (step[:, None] * (nx + 2) + step).ravel()
     weights = (0.5 ** (np.abs(step)[:, None] + np.abs(step))).ravel()
-    fine = padded[((2 * ci + 1) * (nx + 2) + 2 * cj + 1)[:, None] + offsets]
+    fine = padded.ravel()[((2 * ci + 1) * (nx + 2) + 2 * cj + 1)[:, None]
+                          + offsets]
     hit = fine >= 0
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(hit, axis=1))])
+    indptr = np.zeros(ci.size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
     R = sparse.csr_matrix(
         (np.broadcast_to(weights, hit.shape)[hit], fine[hit], indptr),
         shape=(ci.size, int(np.count_nonzero(number >= 0))))
     return R, coarse
+
+
+def _row_block(A: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
+    """Rows ``start:stop`` of ``A`` as a CSR matrix that shares A's values
+    and column indices.  Slicing would copy them, and so would the
+    constructor, which copies a view shorter than half the array it views;
+    so the block takes the views as attributes."""
+    lo, hi = A.indptr[start], A.indptr[stop]
+    block = sparse.csr_matrix((stop - start, A.shape[1]), dtype=A.dtype)
+    block.data, block.indices = A.data[lo:hi], A.indices[lo:hi]
+    block.indptr = A.indptr[start:stop + 1] - lo
+    return block
 
 
 class _VCycle:
@@ -410,48 +488,68 @@ class _VCycle:
     residual.  The nine-point coarse levels are smoothed by two damped
     Jacobi sweeps before and after.  A system of at most ``_COARSEST``
     unknowns is factored whole.
+
+    The cycle keeps no copy of A.  The half-sweeps multiply by the red and
+    the black rows of A (see :func:`_row_block`), which also read the
+    colour being solved for; that colour is zero in the vector they
+    multiply, so each sum adds the same terms in the same order as a
+    product by the other colour's columns alone, and zeros.  The fine
+    residual is restricted by R from a vector that is zero on black, and
+    P is applied as the transpose view ``R.T``.  A call allocates its
+    result and one more fine vector.
     """
 
     def __init__(self, A: sparse.csr_matrix, number: Array, n_red: int):
-        self.levels, self.P = [], None
+        self.levels, self.R = [], None
         if A.shape[0] <= _COARSEST:
             self.lu = splu(A.tocsc())
             return
         d = A.diagonal()
         self.n_red, self.d_red, self.d_black = n_red, d[:n_red], d[n_red:]
-        self.A_rb, self.A_br = A[:n_red, n_red:], A[n_red:, :n_red]
-        R, number = _restriction(number)
-        self.P, self.R_red = R.T.tocsr(), R[:, :n_red]
-        A = R @ A @ self.P
+        self.A_red = _row_block(A, 0, n_red)
+        self.A_black = _row_block(A, n_red, A.shape[0])
+        self.R, number = _restriction(number)
+        A = self.R @ A @ self.R.T
         while A.shape[0] > _COARSEST:
             R, number = _restriction(number)
-            P = R.T.tocsr()
-            self.levels.append((A, _JACOBI / A.diagonal(), P, R))
-            A = R @ A @ P
+            self.levels.append((A, _JACOBI / A.diagonal(), R))
+            A = R @ A @ R.T
         self.lu = splu(A.tocsc())
 
     def __call__(self, b: Array) -> Array:
-        if self.P is None:
+        if self.R is None:
             return self.lu.solve(b)
-        n = self.n_red
-        x = np.empty_like(b)
-        x_red, x_black = x[:n], x[n:]
-        b_red, b_black = b[:n], b[n:]
-        np.divide(b_red, self.d_red, out=x_red)
-        np.divide(b_black - self.A_br @ x_red, self.d_black, out=x_black)
-        # the residual is -A_rb x_black on red and zero on black
-        x -= self.P @ self._coarse(self.R_red @ (self.A_rb @ x_black), 0)
-        np.divide(b_red - self.A_rb @ x_black, self.d_red, out=x_red)
-        np.divide(b_black - self.A_br @ x_red, self.d_black, out=x_black)
+        red, black = slice(0, self.n_red), slice(self.n_red, None)
+        x = np.zeros_like(b)
+        np.divide(b[red], self.d_red, out=x[red])
+        self._sweep(self.A_black, self.d_black, b, x, black)
+        # the residual is -A_rb x_black on red and zero on black: w is
+        # first (0, x_black), then (A_rb x_black, 0)
+        w = np.zeros_like(b)
+        w[black] = x[black]
+        w[red] = self.A_red @ w
+        w[black] = 0.0
+        w = self.R @ w
+        x -= self.R.T @ self._coarse(w, 0)
+        self._sweep(self.A_red, self.d_red, b, x, red)
+        self._sweep(self.A_black, self.d_black, b, x, black)
         return x
+
+    @staticmethod
+    def _sweep(rows, d: Array, b: Array, x: Array, colour: slice) -> None:
+        """Solve the rows of one colour exactly for x on that colour."""
+        x[colour] = 0.0
+        y = rows @ x
+        np.subtract(b[colour], y, out=y)
+        np.divide(y, d, out=x[colour])
 
     def _coarse(self, b: Array, level: int) -> Array:
         if level == len(self.levels):
             return self.lu.solve(b)
-        A, scale, P, R = self.levels[level]
+        A, scale, R = self.levels[level]
         x = scale * b
         x += scale * (b - A @ x)
-        x += P @ self._coarse(R @ (b - A @ x), level + 1)
+        x += R.T @ self._coarse(R @ (b - A @ x), level + 1)
         for _ in range(2):
             x += scale * (b - A @ x)
         return x
@@ -466,36 +564,61 @@ def _norm(v: Array) -> float:
 
 
 def _true_residual(A: sparse.csr_matrix):
-    """The map (b, x) -> b - A x, summed as b_i - sum_j a_ij (x_j - x_i) -
-    s_i x_i with the row sums s_i of A, zero away from cut nodes.
+    """The map (b, x, out) -> b - A x, written to ``out`` and summed as
+    b_i - sum_j a_ij (x_j - x_i) - s_i x_i with the row sums s_i of A, zero
+    away from cut nodes.
 
     The products a_ij x_j of b - A x are near 4 |x| / h^2 and at h = 1/512
     round to an error near ``_RTOL``; the differences x_j - x_i are small
-    where u is smooth.
+    where u is smooth.  It runs over ``_RESIDUAL_ROWS`` rows at a time, so
+    that no temporary has an entry per entry of A, and sums each row's
+    terms in A's order, as one pass over all rows would.
     """
-    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype),
-                     np.diff(A.indptr))
-    row_sums = np.bincount(rows, A.data, A.shape[0])
+    n, indptr = A.shape[0], A.indptr
+    chunks = [(lo, min(lo + _RESIDUAL_ROWS, n))
+              for lo in range(0, n, _RESIDUAL_ROWS)]
 
-    def residual(b: Array, x: Array) -> Array:
-        # in place: one more temporary of nnz entries adds 30 MB to the
-        # peak RSS of a 1/512 rung
-        terms = x[A.indices]
-        terms -= x[rows]
-        terms *= A.data
-        return b - (np.bincount(rows, terms, b.size) + row_sums * x)
+    def entries(lo: int, hi: int):
+        # the entries of rows lo:hi and the row of each, counted from lo
+        at = slice(indptr[lo], indptr[hi])
+        return at, np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+
+    row_sums = np.empty(n)
+    for lo, hi in chunks:
+        at, row = entries(lo, hi)
+        row_sums[lo:hi] = np.bincount(row, A.data[at], hi - lo)
+
+    def residual(b: Array, x: Array, out: Array) -> Array:
+        for lo, hi in chunks:
+            at, row = entries(lo, hi)
+            terms = x[A.indices[at]]
+            terms -= x[lo:hi][row]
+            terms *= A.data[at]
+            np.subtract(b[lo:hi], np.bincount(row, terms, hi - lo)
+                        + row_sums[lo:hi] * x[lo:hi], out=out[lo:hi])
+        return out
     return residual
 
 
-def _bicgstab(A: sparse.csr_matrix, b: Array, precondition) -> Array:
+def _bicgstab(A: sparse.csr_matrix, b: Array,
+              precondition) -> tuple[Array, float]:
     """Solve ``A x = b`` to the true relative residual ``_RTOL`` by
     right-preconditioned BiCGSTAB (van der Vorst 1992): x = M y, where
-    ``precondition`` applies M.
+    ``precondition`` applies M and returns a new array.  Returns x and its
+    true relative residual.
 
     The recursive residual drifts from b - A x, so a round that brings it
     under the target is followed by a round from the true residual (see
     :func:`_true_residual`), until that is under the target too.  Raises
     :class:`GeometryError` after ``_STEPS`` steps or on a zero denominator.
+
+    The recurrences are van der Vorst's, updated in place: x, r, the
+    shadow residual and p are the solve's own vectors, and b is only read.
+    Each step's M p, A M p, M r and A M r are new arrays that hold the
+    step's scaled updates once read and are dropped at the step's end.  p
+    keeps p - omega v from one step to the next.  Every update forms the
+    same products and sums as the textbook expressions, in a commuted
+    order, so x is the same to the bit.
     """
     def quotient(num: float, den: float) -> float:
         # Python floats would raise ZeroDivisionError, not a solver failure
@@ -508,88 +631,68 @@ def _bicgstab(A: sparse.csr_matrix, b: Array, precondition) -> Array:
         return float(np.sum(u * v))
 
     true_residual = _true_residual(A)
-    target = _RTOL * _norm(b)
-    x, r, steps = np.zeros_like(b), b, 0
+    norm_b = _norm(b)
+    target = _RTOL * norm_b
+    x, r, shadow, p = (np.zeros_like(b), b.copy(), np.empty_like(b),
+                       np.empty_like(b))
+    steps = 0
     while (res := _norm(r)) > target:
-        shadow, rho, alpha, omega, p, v = r, 1.0, 1.0, 1.0, 0.0, 0.0
+        np.copyto(shadow, r)
+        rho, alpha, omega = 1.0, 1.0, 1.0
+        p.fill(0.0)   # p - omega v at v = 0
         while res > target:
             if steps >= _STEPS:
                 raise GeometryError(
                     f"BiCGSTAB stopped after {steps} iterations at relative "
-                    f"residual {res / _norm(b):.3e}, above {_RTOL:g}")
+                    f"residual {res / norm_b:.3e}, above {_RTOL:g}")
             steps += 1
             rho, last = dot(shadow, r), rho
-            p = r + quotient(rho, last) * quotient(alpha, omega) * (
-                p - omega * v)
+            p *= quotient(rho, last) * quotient(alpha, omega)
+            p += r
             p_hat = precondition(p)
             v = A @ p_hat
             alpha = quotient(rho, dot(shadow, v))
-            x += alpha * p_hat
-            r = r - alpha * v
+            p_hat *= alpha
+            x += p_hat
+            r -= np.multiply(v, alpha, out=p_hat)
+            del p_hat
             # a solution in the Krylov space leaves r = 0 here, and then
             # t = A M r = 0 below
             if (res := _norm(r)) <= target:
+                del v
                 break
             s_hat = precondition(r)
             t = A @ s_hat
             omega = quotient(dot(t, r), dot(t, t))
-            x += omega * s_hat
-            r = r - omega * t
+            s_hat *= omega
+            x += s_hat
+            r -= np.multiply(t, omega, out=s_hat)
+            p -= np.multiply(v, omega, out=t)
+            del s_hat, t, v
             res = _norm(r)
-        r = true_residual(b, x)
-    return x
+        true_residual(b, x, r)
+    return x, res / norm_b
 
 
-def spsolve(A: sparse.csr_matrix, rhs: Array, index: Array) -> Array:
+def spsolve(A: sparse.csr_matrix, rhs: Array,
+            index: Array) -> tuple[Array, float]:
     """Solve the Shortley-Weller system ``A x = rhs``, whose unknowns the
     grid map ``index`` numbers red (i + j even) first, by BiCGSTAB
     preconditioned with a geometric multigrid V-cycle (see
-    :class:`_VCycle`).  It takes 7-11 steps from h = 1/64 to 1/512 on the
-    ladder members, whose solution it gives within 1e-12 of a direct
-    factorization's.  No step calls BLAS (see :func:`_norm`).
+    :class:`_VCycle`).  Returns x and its true relative residual
+    ||rhs - A x|| / ||rhs||, the one the last BiCGSTAB round stopped on
+    (see :func:`_true_residual`).  It takes 7-11 steps from h = 1/64 to
+    1/512 on the ladder members, whose solution it gives within 1e-12 of
+    a direct factorization's.  No step calls BLAS (see :func:`_norm`), and
+    none writes to A or rhs.
     """
-    ii, jj = np.nonzero(index >= 0)
-    n_red = int(np.count_nonzero((ii + jj) % 2 == 0))
-    return _bicgstab(A, rhs, _VCycle(A, index, n_red))
+    return _bicgstab(A, rhs, _VCycle(A, index, _red_count(index)))
 
 
 def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveReport]:
     """Shortley-Weller discretization of ``lap u = 2``, ``u = 0`` on the boundary."""
     grid = Grid.build(domain, h)
-    inside = grid.inside
-    idx = grid.index
-    ny, nx = inside.shape
-    ii, jj = np.nonzero(inside)
-    center = idx[ii, jj]
-    h2 = h * h
-
-    tE = grid.cuts["E"][ii, jj]
-    tW = grid.cuts["W"][ii, jj]
-    tN = grid.cuts["N"][ii, jj]
-    tS = grid.cuts["S"][ii, jj]
-
-    rows = [center]
-    cols = [center]
-    data = [-2.0 / (tE * tW * h2) - 2.0 / (tN * tS * h2)]
-
-    def neighbor_entries(di, dj, t_this, t_opp):
-        # couple across uncut edges only: a cut edge ends at a Dirichlet zero
-        a, b = ii + di, jj + dj
-        ok = (a >= 0) & (a < ny) & (b >= 0) & (b < nx) & (t_this == 1.0)
-        ok[ok] &= inside[a[ok], b[ok]]
-        coeff = 2.0 / (t_this * (t_this + t_opp) * h2)
-        rows.append(center[ok])
-        cols.append(idx[a[ok], b[ok]])
-        data.append(coeff[ok])
-
-    neighbor_entries(0, 1, tE, tW)
-    neighbor_entries(0, -1, tW, tE)
-    neighbor_entries(1, 0, tN, tS)
-    neighbor_entries(-1, 0, tS, tN)
-
-    A = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_unknowns, grid.n_unknowns)).tocsr()
+    A = _assemble(grid)
     rhs = np.full(grid.n_unknowns, 2.0)
 
     # the first read of delta overlaps the solve where either side releases
@@ -598,14 +701,13 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
     # sparse products do not
     with ThreadPoolExecutor(max_workers=1) as worker:
         reading = worker.submit(getattr, grid, "delta")
-        sol = spsolve(A, rhs, idx)
+        sol, residual = spsolve(A, rhs, grid.index)
         reading.result()
     if not np.all(np.isfinite(sol)):
         raise GeometryError("linear solver returned non-finite values")
-    residual = _norm(_true_residual(A)(rhs, sol)) / _norm(rhs)
 
-    values = np.full((ny, nx), np.nan)
-    values[ii, jj] = sol[center]
+    values = np.full(grid.inside.shape, np.nan)
+    values[grid.inside] = sol[grid.index[grid.inside]]
     u = DiscreteField(grid=grid, values=values)
     return u, SolveReport(residual=residual, n_unknowns=grid.n_unknowns)
 
