@@ -12,6 +12,16 @@ contract: 0 all asserted checks passed, 1 an asserted check failed, 2 the
 configuration was rejected, 3 an infrastructure error (solver failure,
 unreadable input, grid too coarse) stopped the run.  Identical
 configurations produce byte-identical CSV outputs.
+
+A process that the command line starts (``python -m oscbound.cli``, the
+``oscbound`` script and their pool workers) runs BLAS on one thread: this
+module sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads.  Nothing is lost,
+because the parallelism is the ``jobs`` process pool and no oscbound path
+makes a BLAS call large enough to thread, while each idle OpenBLAS pool
+(numpy's and scipy's) would otherwise spin a helper thread at start-up.  A
+caller who sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` keeps that setting, and a program that loaded numpy
+before importing this module keeps its environment as it is.
 """
 from __future__ import annotations
 
@@ -24,6 +34,13 @@ import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
+
+# before numpy loads, or OpenBLAS has already sized its thread pools
+if "numpy" not in sys.modules and not any(
+        name in os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -294,7 +311,7 @@ _REPORT = (("source",), {
 _FIELD_DUMP = (("x", "y", "value"), {})  # grid nodes: no object
 
 
-def _fmt(value: object) -> str:
+def _fmt_any(value: object) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if value is None:
@@ -302,6 +319,16 @@ def _fmt(value: object) -> str:
     if isinstance(value, dict):  # the inputs of a constant
         return ";".join(f"{key}={cell:g}" for key, cell in sorted(value.items()))
     return str(value)
+
+
+# the types of almost every cell, formatted as _fmt_any would in one lookup;
+# any other type (int, bool, dict, a subclass) takes its isinstance chain
+_FORMATS = {float: float.__repr__, np.float64: float.__repr__,
+            type(None): lambda _: "", str: str}
+
+
+def _fmt(value: object) -> str:
+    return _FORMATS.get(type(value), _fmt_any)(value)
 
 
 def _write_csv(path: str, schema: tuple[tuple[str, ...], dict[str, str]],

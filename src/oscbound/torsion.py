@@ -6,7 +6,11 @@ edge crosses the boundary, the distance to its first crossing replaces the
 full spacing, and the Dirichlet zero is imposed at the crossing.  One table
 of the boundary's crossings with the grid lines, found by Newton's method on
 the closed-form curve, gives the inside mask, those crossing distances and
-the exact cut-cell areas.  BiCGSTAB preconditioned by a geometric
+the exact cut-cell areas.  A spacing is refused when no node lies inside,
+or when the inside nodes fall into more than one component joined by the
+five-point stencil's edges (4-connectivity): each row's runs of inside
+nodes are joined with the runs of the next row that share a column, and
+union-find counts the components.  BiCGSTAB preconditioned by a geometric
 multigrid V-cycle solves the linear system, while a worker thread computes
 the boundary distance delta.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
@@ -134,8 +138,11 @@ class Grid:
         xs = lines[1::2]
         inside, cuts = _mask_and_cuts(rows, cols, xs)
 
-        labels, n_comp = ndimage.label(inside)
-        if n_comp != 1 or not inside.any():
+        if not inside.any():
+            raise GeometryError(f"no grid node lies inside the domain at "
+                                f"h={h:g}; the grid is too coarse for it")
+        n_comp = _components(inside)
+        if n_comp != 1:
             raise GeometryError(
                 f"inside region splits into {n_comp} grid components at "
                 f"h={h:g}; the grid is too coarse for this shape"
@@ -271,6 +278,40 @@ def _mask_and_cuts(rows, cols, xs: Array):
               & (np.minimum.reduce(fractions) > _ON_BOUNDARY))
     return inside, {name: np.where(inside, np.maximum(frac, _T_MIN), 1.0)
                     for name, frac in zip("WESN", fractions)}
+
+
+def _components(mask: Array) -> int:
+    """Number of 4-connected components of a 2-D boolean mask.
+
+    Each row's runs of True are the nodes of a graph, joined to the runs of
+    the next row that share a column with them.  Union-find counts the
+    graph's components: every round hooks the larger root of each join
+    under the smaller, and pointer jumping then flattens the trees.
+    """
+    step = np.diff(mask, prepend=False, append=False, axis=1)
+    row, col = np.nonzero(step)  # each run's start, then its end (exclusive)
+    width = mask.shape[1] + 1
+    first = row[::2] * width + col[::2]
+    last = row[::2] * width + col[1::2]
+    # the runs of the next row that overlap [start, end): ends after the
+    # start and starts before the end, both shifted one row down
+    lo = np.searchsorted(last, first + width, side="right")
+    hi = np.searchsorted(first, last + width, side="left")
+    count = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(first.size), count)
+    b = np.arange(a.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    root = np.arange(first.size)
+    while True:
+        ra, rb = root[a], root[b]
+        join = ra != rb
+        if not join.any():
+            return int(np.count_nonzero(root == np.arange(first.size)))
+        np.minimum.at(root, np.maximum(ra, rb)[join], np.minimum(ra, rb)[join])
+        while True:
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
 
 
 def _cell_areas(domain: StarDomain2D, rows, cols, lines: Array) -> Array:

@@ -1,10 +1,17 @@
 """Fixtures shared by the test modules."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+import oscbound
 from oscbound.errors import DomainError
+
+# the variables that size OpenBLAS's thread pools, in the order it reads them
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
 
 
 def _gradient_self_check(field, dim: int, n: int = 100, seed: int = 7,
@@ -34,3 +41,14 @@ def _gradient_self_check(field, dim: int, n: int = 100, seed: int = 7,
 def gradient_self_check():
     """The finite-difference check of an AnalyticField's exact gradient."""
     return _gradient_self_check
+
+
+@pytest.fixture
+def fresh_env():
+    """Environment for a fresh interpreter that imports the package from its
+    source tree, with none of the BLAS thread variables, so that numpy and
+    scipy start their thread pools at the library default."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oscbound.__file__))
+    return env

@@ -17,6 +17,7 @@ import sys
 import tempfile
 from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -279,6 +280,32 @@ def test_writer_header_is_its_schema(tmp_path, schema, context, obj):
     header, row = text.splitlines()
     assert header == ",".join([*context_columns, *columns])
     assert row == ",".join([*map(cli._fmt, context), *cells])
+
+
+def _fmt_reference(value):
+    """The cell formatter as an isinstance chain, the golden reference."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return ";".join(f"{key}={cell:g}" for key, cell in sorted(value.items()))
+    return str(value)
+
+
+class _Half(float):
+    def __repr__(self):
+        return "half"
+
+
+@pytest.mark.parametrize("value", [
+    0.1, 1e-300, -2.5e17, -0.0, 0.0, float("nan"), INF, -INF,
+    np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.float64(-INF),
+    np.float32(0.1), np.float16(1.5), _Half(0.5), 0, 7, -3, 10**20,
+    np.int64(5), True, False, None, "", "pointwise", 'a "b", c',
+    {"x": 1.0, "N": 3}, {}, (1, 2)])
+def test_cell_formatting_matches_the_isinstance_chain(value):
+    assert cli._fmt(value) == _fmt_reference(value)
 
 
 def test_record_detail_with_comma_and_quote_round_trips(tmp_path):
@@ -576,6 +603,44 @@ def test_package_import_loads_no_submodule_and_no_scipy():
 def test_every_public_name_resolves(module):
     mod = importlib.import_module(f"oscbound.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+# --------------------------------------------------------------------------
+# the BLAS thread default of a command-line process
+# --------------------------------------------------------------------------
+
+def fresh_python(code, env):
+    """The last line that ``code`` prints in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs the thread list from /proc")
+def test_cli_import_starts_no_blas_helper_thread(fresh_env):
+    # without the default, numpy's and scipy's OpenBLAS each start a helper
+    # thread at import, which spins for about 0.06 s of CPU
+    code = ("import os, oscbound.cli; print(len(os.listdir('/proc/self/task')),"
+            " os.environ['OPENBLAS_NUM_THREADS'])")
+    assert fresh_python(code, fresh_env) == "1 1"
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                  "OMP_NUM_THREADS"])
+def test_cli_import_keeps_the_callers_blas_threads(fresh_env, name):
+    code = ("import os, oscbound.cli; print(os.environ.get("
+            f"'{name}'), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    expect = "2 2" if name == "OPENBLAS_NUM_THREADS" else "2 None"
+    assert fresh_python(code, dict(fresh_env, **{name: "2"})) == expect
+
+
+def test_cli_import_after_numpy_leaves_the_environment(fresh_env):
+    # numpy has sized its pools already; the host program owns the process
+    code = ("import os, numpy, oscbound.cli; "
+            "print('OPENBLAS_NUM_THREADS' in os.environ)")
+    assert fresh_python(code, fresh_env) == "False"
 
 
 # --------------------------------------------------------------------------

@@ -632,14 +632,13 @@ print(json.dumps({str(tid): after[tid] - before[tid]
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread CPU times from /proc")
-def test_sweep_leaves_helper_threads_idle():
+def test_sweep_leaves_helper_threads_idle(fresh_env):
     # a kernel sum rewritten as ``kernel_weights @ mags`` is one BLAS ddot over
     # 27,648 nodes; it wakes the OpenBLAS pool, whose helper thread then spins
     # for about 0.9 s of the sweep.  The sweep must leave the pool asleep.
-    src = os.path.dirname(os.path.dirname(oscbound.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _SWEEP_HELPER_CPU_SCRIPT],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     gained = json.loads(done.stdout.splitlines()[-1])
     helper_s = sum(gained.values()) / os.sysconf("SC_CLK_TCK")

@@ -617,14 +617,13 @@ print(json.dumps({str(tid): after[tid] - before[tid]
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread CPU times from /proc")
-def test_member_path_leaves_helper_threads_idle():
+def test_member_path_leaves_helper_threads_idle(fresh_env):
     # a woken OpenBLAS pool spins on the core that a sibling pool worker of
     # run_family needs; the threads numpy and scipy start at import must
     # stay idle through one member and its check battery
-    src = os.path.dirname(os.path.dirname(identities.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _HELPER_CPU_SCRIPT],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     gained = json.loads(done.stdout.splitlines()[-1])
     helper_s = sum(gained.values()) / os.sysconf("SC_CLK_TCK")

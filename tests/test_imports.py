@@ -3,6 +3,8 @@ so a private helper can change without touching another module."""
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oscbound"
@@ -91,3 +93,11 @@ def test_no_module_reads_a_private_sibling_attribute():
     sources = package_sources()
     assert len(sources) > 1
     assert private_attribute_reads(sources) == {}
+
+
+def test_cli_import_leaves_out_scipy_ndimage(fresh_env):
+    # the grid's connectivity check joins row runs itself
+    code = "import sys, oscbound.cli; print('scipy.ndimage' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=fresh_env, check=True)
+    assert done.stdout.strip() == "False"

@@ -464,8 +464,51 @@ def test_grid_rejects_disconnected_inside_region():
     # eight deep petals rotated off-axis: at h = 0.3 the neck nodes all fall
     # outside and the inside mask breaks into one island per petal
     flower = StarDomain2D(c0=0.5, cos_coeffs=(0, 0, 0, 0, 0, 0, 0, 0.45))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="splits into 9 grid components"):
         Grid.build(rotated(flower, math.pi / 8.0), 0.3)
+
+
+def test_grid_rejects_a_thin_waist_at_a_coarse_spacing():
+    # r = 0.5 + 0.45 cos 2(phi - pi/4): lobes along the diagonal, a waist of
+    # half-width 0.05 across it.  At h = 0.6 the nodes (h, 0) and (0, h) lie
+    # outside (r = 0.5 there), so the lobe nodes (h, h) and (-h, -h) touch
+    # the centre node only diagonally: three 4-connected components.
+    waist = rotated(StarDomain2D(c0=0.5, cos_coeffs=(0, 0.45)), math.pi / 4.0)
+    with pytest.raises(GeometryError, match="splits into 3 grid components"):
+        Grid.build(waist, 0.6)
+
+
+def test_grid_with_no_inside_node_says_so():
+    # the origin is a grid node inside every star domain, so only a spacing
+    # that puts it within _ON_BOUNDARY spacings of the boundary empties the mask
+    with pytest.raises(GeometryError, match="no grid node lies inside"):
+        Grid.build(StarDomain2D(c0=1.0), 1e14)
+
+
+def _label_count(mask):
+    from scipy import ndimage   # the reference only; the package avoids it
+    return ndimage.label(mask)[1]
+
+
+def test_component_count_matches_ndimage_on_random_masks():
+    rng = np.random.default_rng(24)
+    masks = [np.zeros((0, 3), dtype=bool), np.zeros((4, 0), dtype=bool),
+             np.zeros((3, 5), dtype=bool), np.ones((3, 5), dtype=bool),
+             np.eye(6, dtype=bool), np.eye(6, dtype=bool)[::-1]]
+    for _ in range(300):
+        ny, nx = rng.integers(1, 30, size=2)
+        masks.append(rng.random((ny, nx)) < rng.uniform(0.0, 1.0))
+    counts = [(torsion._components(m), _label_count(m)) for m in masks]
+    assert all(ours == ref for ours, ref in counts)
+    assert {ref for _, ref in counts} >= {0, 1, 2, 6}
+
+
+@pytest.mark.parametrize("kind", ["ellipse", "cosine_perturbation"])
+def test_component_count_matches_ndimage_on_the_default_families(kind):
+    spec = FamilySpec(kind=kind)
+    for eps in spec.eps:
+        inside = Grid.build(build_family_domain(spec, eps), 1.0 / 64.0).inside
+        assert torsion._components(inside) == _label_count(inside) == 1
 
 
 # --------------------------------------------------------------------------
