@@ -443,7 +443,7 @@ def _cmd_domain_verify(config: RunConfig) -> int:
                 print(f"  FAIL {config.family} eps={eps:g} {report.name}: "
                       f"lhs={report.lhs:.6g} rhs={report.rhs:.6g}")
         if config.dump_fields:
-            dump = _dump_field(config, f"{config.family}_eps{eps:g}", data)
+            dump = _dump_field(config, f"{config.family}_eps{eps!r}", data)
             print(f"dumped field -> {dump}")
     path = _out_path(config, "domain_checks.csv")
     _write_csv(path, _DOMAIN_CHECKS, rows)
@@ -614,12 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     flags = vars(_build_parser().parse_args(argv))
     command, config_path = flags.pop("command"), flags.pop("config")
     try:
-        config = parse_config(command, config_path=config_path, **flags)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return execute(config)
+        return execute(parse_config(command, config_path=config_path, **flags))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

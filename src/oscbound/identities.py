@@ -222,31 +222,6 @@ class PipelineData:
         """Whether the boundary curvature is nowhere negative (up to slack)."""
         return bool(np.min(self.boundary.kappa) >= -_ABS_SLACK)
 
-    @cached_property
-    def r_i(self) -> float:
-        """Uniform interior ball radius."""
-        return ball_radii(self.domain)[0]
-
-    @cached_property
-    def r_e(self) -> float:
-        """Uniform exterior ball radius, capped at the diameter."""
-        return ball_radii(self.domain)[1]
-
-    @cached_property
-    def r_inradius(self) -> float:
-        """Radius of the largest inscribed disk."""
-        return inradius(self.domain)
-
-    @cached_property
-    def diam(self) -> float:
-        """Largest boundary-to-boundary distance."""
-        return diameter(self.domain)
-
-    @cached_property
-    def rho_star(self) -> float:
-        """Star-shapedness radius about the origin."""
-        return star_radius(self.domain)
-
     # ---------------- integration helpers (unnormalized) ----------------
 
     def domain_integral(self, values: Array, valid: Array | None = None) -> float:
@@ -400,14 +375,15 @@ def check_hopf_bound(data: PipelineData) -> IdentityReport:
     if not ok.any():
         raise GeometryError("Hopf check needs at least one valid trace sample")
     rhs = float(np.min(data.trace.values[ok]))
-    return IdentityReport.inequality("hopf", data.r_i, rhs, tol)
+    return IdentityReport.inequality("hopf", ball_radii(data.domain)[0], rhs,
+                                     tol)
 
 
 def check_torsion_depth(data: PipelineData) -> IdentityReport:
     """``delta_Gamma(x) <= -2 u(x) / r_i`` at every inside node."""
     tol = 1.0 * data.h
     grid = data.u.grid
-    gap = grid.delta + 2.0 * data.u.values / data.r_i
+    gap = grid.delta + 2.0 * data.u.values / ball_radii(data.domain)[0]
     lhs = float(np.max(gap[grid.inside]))
     return IdentityReport.inequality("torsion_depth", lhs, 0.0, tol)
 
@@ -419,7 +395,9 @@ def check_min_depth(data: PipelineData) -> IdentityReport:
     explicit damping bracket otherwise.
     """
     tol = 1.0 * data.h
-    bound = min_depth_bound(2, data.r_inradius, d=data.diam, r_e=data.r_e,
+    domain = data.domain
+    bound = min_depth_bound(2, inradius(domain), d=diameter(domain),
+                            r_e=ball_radii(domain)[1],
                             mean_convex=data.mean_convex)
     depth = data.rho_i  # delta_Gamma(z), the min of rho_bounds
     return IdentityReport.inequality("min_depth", bound, depth, tol)
@@ -443,8 +421,8 @@ def check_oscillation_chain(data: PipelineData, p: float = 6.0,
     pair = ExponentPair(p=p, q=q, N=2)
     grad_p = lp_norm_domain(data.grad_h, p)
     grad_q = lp_norm_domain(data.grad_h, q)
-    estimate = oscillation_bound(grad_p, grad_q, pair, data.diam,
-                                 data.rho_star, data.area)
+    estimate = oscillation_bound(grad_p, grad_q, pair, diameter(data.domain),
+                                 star_radius(data.domain), data.area)
     lhs = data.rho_e - data.rho_i
     rhs = 2.0 * math.sqrt(unit_ball_volume(2) / data.area) * estimate.value
     if p > 2:
@@ -480,7 +458,8 @@ def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport
     else:
         A = morrey_cone_constant(q, N, 1.0) * vol_ratio ** (1.0 / q) * hess_q
         exp_a = 1.0 - N / q
-    _, value = two_term_minimize(A, B, exp_a, -N / p, data.r_i)
+    _, value = two_term_minimize(A, B, exp_a, -N / p,
+                                 ball_radii(data.domain)[0])
     return IdentityReport.inequality("grad_infty", sup_grad, value)
 
 

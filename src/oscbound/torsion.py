@@ -29,10 +29,8 @@ h = 1/128.  One rung alone in a fresh process (``build_pipeline_data``
 and the check battery) peaks at a resident set of 157 MB at h = 1/256 and
 397 MB at 1/512 on that ellipse, and 152 and 362 MB on the cosine member
 (k = 2, eps = 0.1); about 71 MB of it is the interpreter and the imports.
-While the solve kept its assembly lists and copies of A's blocks, the
-same rungs peaked at 225 and 654 MB (ellipse) and 223 and 646 MB
-(cosine).  The limit is documented, not checked: no spacing is refused
-for the memory its rung would need.
+The limit is documented, not checked: no spacing is refused for the
+memory its rung would need.
 """
 from __future__ import annotations
 
@@ -113,7 +111,8 @@ class Grid:
     projection in chunks of nodes so that their temporaries stay small;
     :func:`solve_torsion` makes that read on a worker thread while the
     linear solve runs.  ``index`` numbers the inside nodes red (i + j even)
-    first, then black, each colour in row-major order.
+    first, then black, each colour in row-major order; ``n_red`` counts the
+    red ones.
     """
 
     domain: StarDomain2D
@@ -125,11 +124,13 @@ class Grid:
     cuts: dict[str, Array]        # E, W, N, S fractions in (0, 1]
     cell_weights: Array           # (ny, nx), sums to |Omega|
     n_unknowns: int = 0
+    n_red: int = 0                # the red unknowns, numbered first
 
     @staticmethod
     def build(domain: StarDomain2D, h: float) -> "Grid":
-        if h <= 0:
-            raise DomainError(f"grid spacing must be positive, got {h}")
+        if not 0 < h < math.inf:
+            raise DomainError(f"grid spacing must be positive and finite, "
+                              f"got {h}")
         r_max = float(np.max(domain.boundary_table.r))
         n_side = int(math.ceil((r_max + 1.5 * h) / h))
         # node lines x, y = m h / 2 at odd m, cell lines at even m
@@ -150,7 +151,8 @@ class Grid:
 
         # red nodes (i + j even) first, each colour in row-major order, so
         # the multigrid smoother reads each colour as one block of unknowns
-        red = inside & (np.indices(inside.shape).sum(axis=0) % 2 == 0)
+        red = np.zeros_like(inside)
+        red[::2, ::2], red[1::2, 1::2] = inside[::2, ::2], inside[1::2, 1::2]
         n_red, n_unknowns = int(red.sum()), int(inside.sum())
         index = np.full(inside.shape, -1, dtype=np.int64)
         index[red] = np.arange(n_red)
@@ -172,7 +174,7 @@ class Grid:
 
         return Grid(domain=domain, h=h, xs=xs, ys=xs.copy(), inside=inside,
                     index=index, cuts=cuts, cell_weights=cell_w,
-                    n_unknowns=n_unknowns)
+                    n_unknowns=n_unknowns, n_red=n_red)
 
     @cached_property
     def delta(self) -> Array:
@@ -419,13 +421,6 @@ class SolveReport:
 # the solver
 # --------------------------------------------------------------------------
 
-def _red_count(index: Array) -> int:
-    """Number of red (i + j even) inside nodes of the grid map ``index``,
-    which is -1 outside."""
-    return int(np.count_nonzero(index[::2, ::2] >= 0)
-               + np.count_nonzero(index[1::2, 1::2] >= 0))
-
-
 def _assemble(grid: Grid) -> sparse.csr_matrix:
     """The Shortley-Weller matrix of ``grid``, built directly in CSR form.
 
@@ -439,7 +434,7 @@ def _assemble(grid: Grid) -> sparse.csr_matrix:
     """
     inside, index = grid.inside.ravel(), grid.index.ravel()
     nx, n, h2 = grid.inside.shape[1], grid.n_unknowns, grid.h * grid.h
-    n_red = _red_count(grid.index)
+    n_red = grid.n_red
     node = np.empty(n, dtype=np.intp)  # the flat node of each unknown
     node[index[inside]] = np.flatnonzero(inside)
     t = {d: grid.cuts[d].ravel()[node] for d in "EWNS"}
@@ -716,10 +711,10 @@ def _bicgstab(A: sparse.csr_matrix, b: Array,
 
 
 def spsolve(A: sparse.csr_matrix, rhs: Array,
-            index: Array) -> tuple[Array, float]:
-    """Solve the Shortley-Weller system ``A x = rhs``, whose unknowns the
-    grid map ``index`` numbers red (i + j even) first, by BiCGSTAB
-    preconditioned with a geometric multigrid V-cycle (see
+            grid: Grid) -> tuple[Array, float]:
+    """Solve the Shortley-Weller system ``A x = rhs`` of ``grid``, whose
+    map ``index`` numbers its ``n_red`` red (i + j even) unknowns first, by
+    BiCGSTAB preconditioned with a geometric multigrid V-cycle (see
     :class:`_VCycle`).  Returns x and its true relative residual
     ||rhs - A x|| / ||rhs||, the one the last BiCGSTAB round stopped on
     (see :func:`_true_residual`).  It takes 7-11 steps from h = 1/64 to
@@ -727,7 +722,7 @@ def spsolve(A: sparse.csr_matrix, rhs: Array,
     a direct factorization's.  No step calls BLAS (see :func:`_norm`), and
     none writes to A or rhs.
     """
-    return _bicgstab(A, rhs, _VCycle(A, index, _red_count(index)))
+    return _bicgstab(A, rhs, _VCycle(A, grid.index, grid.n_red))
 
 
 def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveReport]:
@@ -742,7 +737,7 @@ def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveR
     # sparse products do not
     with ThreadPoolExecutor(max_workers=1) as worker:
         reading = worker.submit(getattr, grid, "delta")
-        sol, residual = spsolve(A, rhs, grid.index)
+        sol, residual = spsolve(A, rhs, grid)
         reading.result()
     if not np.all(np.isfinite(sol)):
         raise GeometryError("linear solver returned non-finite values")
@@ -887,11 +882,9 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
     uyy = second(0, grid.cuts["N"], grid.cuts["S"])
 
     g = gradient(u)
-    gx = np.where(g.valid, g.components[..., 0], np.nan)
-    gy = np.where(g.valid, g.components[..., 1], np.nan)
-    fxy1, vxy1 = _axis_derivative(gx, g.valid, grid, axis=0)
-    fxy2, vxy2 = _axis_derivative(gy, g.valid, grid, axis=1)
-    valid = inside & vxy1 & vxy2
+    fxy1, vxy1 = _axis_derivative(g.components[..., 0], g.valid, grid, axis=0)
+    fxy2, vxy2 = _axis_derivative(g.components[..., 1], g.valid, grid, axis=1)
+    valid = vxy1 & vxy2
     uxy = 0.5 * (fxy1 + fxy2)
     comps = np.stack([np.where(valid, uxx, np.nan),
                       np.where(valid, uxy, np.nan),

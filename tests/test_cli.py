@@ -385,6 +385,18 @@ class TestDomainVerifyCommand:
                     open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read()
 
+    def test_members_alike_to_six_digits_dump_two_files(self, tmp_path,
+                                                        capsys):
+        # both eps print as 0.1 under :g; each still gets its own file
+        cfg = write_cfg(tmp_path,
+                        "family=ellipse\neps=0.1000001, 0.1000002\n"
+                        "grid.h=0.0625\ndump_fields=true\n")
+        out = tmp_path / "o"
+        assert main(["domain-verify", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.glob("u_*.csv")) == [
+            "u_ellipse_eps0.1000001.csv", "u_ellipse_eps0.1000002.csv"]
+        assert capsys.readouterr().out.count("dumped field -> ") == 2
+
 
 # --------------------------------------------------------------------------
 # stability subcommands and report

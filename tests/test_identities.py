@@ -58,7 +58,6 @@ from oscbound.stability import (
 from oscbound.stardomain import (
     StarDomain2D,
     ball_radii,
-    diameter,
     inradius,
     star_radius,
 )
@@ -222,14 +221,15 @@ class TestPipelineBundle:
 
     def test_geometry_scalars(self, disk_data, ellipse_data):
         assert disk_data.z == pytest.approx([0.0, 0.0], abs=1e-9)
-        assert disk_data.r_i == pytest.approx(1.0, rel=1e-9)
+        assert ball_radii(disk_data.domain)[0] == pytest.approx(1.0, rel=1e-9)
         assert disk_data.rho_e - disk_data.rho_i == pytest.approx(0.0, abs=1e-9)
         assert disk_data.mean_convex
         # rolling-ball radius of the ellipse is b^2/a, its inradius is b
-        assert ellipse_data.r_i == pytest.approx(
+        ellipse = ellipse_data.domain
+        assert ball_radii(ellipse)[0] == pytest.approx(
             ELLIPSE_B**2 / ELLIPSE_A, abs=1e-4)
-        assert ellipse_data.r_inradius == pytest.approx(ELLIPSE_B, rel=1e-9)
-        assert ellipse_data.rho_star == pytest.approx(1.0, rel=1e-9)
+        assert inradius(ellipse) == pytest.approx(ELLIPSE_B, rel=1e-9)
+        assert star_radius(ellipse) == pytest.approx(1.0, rel=1e-9)
         assert ellipse_data.mean_convex
 
 
@@ -418,7 +418,8 @@ class TestConsistency:
             StarDomain2D.cosine(lam * 0.1, 3, base=lam), 1.0 / 16.0)
         assert big.area == pytest.approx(lam**2 * base.area, rel=1e-10)
         assert big.R == pytest.approx(lam * base.R, rel=1e-10)
-        assert big.r_i == pytest.approx(lam * base.r_i, rel=1e-10)
+        assert ball_radii(big.domain)[0] == pytest.approx(
+            lam * ball_radii(base.domain)[0], rel=1e-10)
         assert np.allclose(big.z, lam * base.z, atol=1e-10)
         assert big.curvature_flatness == pytest.approx(
             base.curvature_flatness / lam, rel=1e-10)
@@ -451,16 +452,25 @@ class TestLazyGeometry:
         assert all(r.status == "ok" for r in records)
         assert records == expected
 
-    def test_battery_reads_the_direct_values(self):
-        domain = StarDomain2D.cosine(0.1, 3)
-        data = build_pipeline_data(domain, 1.0 / 32.0)
-        cached = ("r_i", "r_e", "r_inradius", "diam", "rho_star")
-        assert not set(cached) & set(vars(data))
+    def test_battery_reads_the_direct_values(self, monkeypatch):
+        # the bundle keeps no copy of the domain's geometry: the battery
+        # reads it from the domain, which builds one tangent-ball table (one
+        # window view of r) and one farthest pair for all of its checks
+        counts = {"sliding_window_view": 0, "_farthest_pair": 0}
+
+        def counting(name, fn):
+            def shim(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return shim
+
+        for name in counts:
+            monkeypatch.setattr(stardomain, name, counting(
+                name, getattr(stardomain, name)))
+        data = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
+        assert counts == {"sliding_window_view": 0, "_farthest_pair": 0}
         run_domain_checks(data)
-        assert (data.r_i, data.r_e) == ball_radii(domain)
-        assert data.diam == diameter(domain)
-        assert data.rho_star == star_radius(domain)
-        assert data.r_inradius == inradius(domain)
+        assert counts == {"sliding_window_view": 1, "_farthest_pair": 1}
 
     def test_auxiliary_field_is_built_by_the_battery_only(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -456,8 +456,9 @@ def test_delta_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_grid_rejects_nonpositive_spacing():
-    with pytest.raises(DomainError):
-        Grid.build(StarDomain2D(c0=1.0), 0.0)
+    for h in (0.0, -0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="positive and finite"):
+            Grid.build(StarDomain2D(c0=1.0), h)
 
 
 def test_grid_rejects_disconnected_inside_region():
@@ -568,8 +569,8 @@ def test_solve_residual_matches_long_double(domain, monkeypatch):
     seen = []
     real_spsolve = torsion.spsolve
 
-    def recording_spsolve(A, rhs, index):
-        sol, residual = real_spsolve(A, rhs, index)
+    def recording_spsolve(A, rhs, grid):
+        sol, residual = real_spsolve(A, rhs, grid)
         seen.append((A, rhs, sol, residual))
         return sol, residual
 
@@ -603,22 +604,23 @@ def test_red_black_solve_matches_full_factorization(domain, h, snapped,
     seen = []
     real_spsolve = torsion.spsolve
 
-    def recording_spsolve(A, rhs, index):
-        sol, residual = real_spsolve(A, rhs, index)
-        seen.append((A, rhs, index, sol))
+    def recording_spsolve(A, rhs, grid):
+        sol, residual = real_spsolve(A, rhs, grid)
+        seen.append((A, rhs, grid, sol))
         return sol, residual
 
     monkeypatch.setattr(torsion, "spsolve", recording_spsolve)
     u, report = solve_torsion(domain, h)
-    (A, rhs, index, sol), = seen
-    grid = u.grid
-    assert index is grid.index
+    (A, rhs, grid, sol), = seen
+    assert grid is u.grid
     assert report.residual <= torsion._RTOL
-    # the grid numbers every red (i + j even) inside node before every black
+    # the grid numbers every red (i + j even) inside node before every
+    # black, and counts them
     ii, jj = np.nonzero(grid.inside)
     red = np.empty(grid.n_unknowns, dtype=bool)
-    red[index[ii, jj]] = (ii + jj) % 2 == 0
+    red[grid.index[ii, jj]] = (ii + jj) % 2 == 0
     n_red = int(np.count_nonzero(red))
+    assert grid.n_red == n_red
     assert 0 < n_red < grid.n_unknowns
     assert red[:n_red].all() and not red[n_red:].any()
     # the stencil couples only nodes of opposite colour, which makes each
@@ -642,7 +644,7 @@ def test_solve_torsion_joins_its_worker_thread(monkeypatch):
     fresh = Grid.build(domain, 1.0 / 32.0)
     assert np.array_equal(u.grid.delta, fresh.delta, equal_nan=True)
 
-    def failing(A, rhs, index):
+    def failing(A, rhs, grid):
         raise GeometryError("solve failed")
 
     monkeypatch.setattr(torsion, "spsolve", failing)
@@ -729,7 +731,7 @@ def test_spsolve_leaves_its_inputs_unchanged(h):
     rhs = np.full(grid.n_unknowns, 2.0)
     inputs = (A.data, A.indices, A.indptr, rhs)
     before = [v.tobytes() for v in inputs]
-    _, residual = torsion.spsolve(A, rhs, grid.index)
+    _, residual = torsion.spsolve(A, rhs, grid)
     assert [v.tobytes() for v in inputs] == before
     assert residual <= torsion._RTOL
 
@@ -741,7 +743,7 @@ def test_vcycle_row_views_match_the_off_diagonal_blocks():
     # off-diagonal blocks and of R's red columns, which it does not copy
     grid = Grid.build(MIXED, 1.0 / 128.0)
     A = torsion._assemble(grid)
-    cycle = torsion._VCycle(A, grid.index, torsion._red_count(grid.index))
+    cycle = torsion._VCycle(A, grid.index, grid.n_red)
     n = cycle.n_red
     assert all(np.shares_memory(rows.data, A.data)
                for rows in (cycle.A_red, cycle.A_black))
