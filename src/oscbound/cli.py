@@ -68,6 +68,8 @@ from .identities import (
     run_domain_checks,
 )
 from .stability import (
+    FLOAT_FIELDS,
+    MIN_FIT_POINTS,
     FamilySpec,
     ProfileVerdict,
     StabilityRecord,
@@ -90,7 +92,8 @@ _CONFIG_HELP = """\
 config file keys (key=value, one per line, # comments):
   family            ellipse | cosine            (default ellipse)
   eps               comma-separated positive ascending list (default
-                    0.02,0.04,0.07,0.1,0.14,0.2)
+                    0.02,0.04,0.07,0.1,0.14,0.2); at least 4 values
+                    for sbt-run and serrin-run, which fit across them
   k                 cosine mode number >= 1     (default 2)
   normalize_area    true | false: rescale cosine members to area pi
   grid.h            solver grid spacing > 0     (default 0.015625 = 1/64)
@@ -238,7 +241,8 @@ def _family_spec(config: RunConfig) -> FamilySpec:
 def _validate(config: RunConfig) -> RunConfig:
     # eps, grid.h and grid.refinements are checked by FamilySpec below, for
     # the commands that build a family, and N by the library for the
-    # commands that use it; FamilySpec checks k only for cosines
+    # commands that use it; FamilySpec checks k only for cosines.  A list
+    # FamilySpec takes may still be too short for the family fit.
     if config.k < 1:
         raise ConfigError(f"k must be >= 1, got {config.k}")
     if config.p < 1.0:
@@ -256,6 +260,11 @@ def _validate(config: RunConfig) -> RunConfig:
             _family_spec(config)
             if config.command == "domain-verify":
                 check_battery_exponents(config.p, config.q, config.alpha)
+            elif len(config.eps) < MIN_FIT_POINTS:
+                raise ConfigError(
+                    f"{config.command} fits across the family and needs at "
+                    f"least {MIN_FIT_POINTS} eps values, got "
+                    f"{len(config.eps)}")
         elif config.command == "constants":
             unit_ball_volume(config.N)
         elif config.command == "cone-verify":
@@ -517,13 +526,10 @@ def _read_records_csv(path: str) -> list[StabilityRecord]:
     return records
 
 
-_FLOAT_FIELDS = {f.name for f in fields(StabilityRecord) if f.type == "float"}
-
-
 def _parse_record(row: dict[str, str]) -> StabilityRecord:
     _, columns = _RECORDS
     return StabilityRecord(**{
-        attr: float(row[column]) if attr in _FLOAT_FIELDS else row[column]
+        attr: float(row[column]) if attr in FLOAT_FIELDS else row[column]
         for column, attr in columns.items()})
 
 

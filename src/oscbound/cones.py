@@ -10,14 +10,17 @@ catalog of closed-form fields.
 One evaluator, :class:`ConeField`, is the only path from a
 :class:`QuadratureRule` and an :class:`AnalyticField` to the quantities the
 checks read: the vertex oscillation, the two kernel integrals and the
-normalized gradient norms, each computed once per instance.  The check
+normalized gradient norms, each computed once per instance (cached
+properties, and a dict of norms keyed by exponent).  The check
 functions :func:`verify_pointwise_cone`, :func:`verify_morrey_cone` and
 :func:`verify_interpolation_cone` take a ``ConeField``, and the sweep builds
 one per (cone, field) pair.
 
 Work that does not depend on the field is done once per rule: the rule
 carries the cone measure and both kernel weight vectors, and the Halton fill
-and the Gauss-Legendre nodes are computed once per size.  All of these
+and the Gauss-Legendre nodes are computed once per size.  The rule's nodes
+and its quasi-random sup-norm fill take their directions from one map of cap
+angles to unit vectors, ``_cap_directions``.  All of these
 arrays are read-only because rules, their fields and the caches share them.
 Row norms and row sums of squares go through :func:`_row_sum_sq`, which adds
 columns in order; that gives numpy's short-axis reduction bit for bit at a
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,13 +127,23 @@ def _gauss_on(a: float, b: float, n: int) -> tuple[Array, Array]:
     return mid + half * xi, half * w
 
 
-def _orthonormal_frame(axis: Array) -> tuple[Array, Array]:
-    pick = int(np.argmin(np.abs(axis)))
+def _cap_directions(cone: ConeSpec, *angles: Array) -> Array:
+    """Unit vectors through the cone's cap, one per entry of the paired
+    angle arrays: the polar angle phi in 2-D, and cos(beta) from the axis
+    with the azimuth gamma about it in 3-D."""
+    if cone.dim == 2:
+        phi, = angles
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    c, gamma = angles
     e = np.zeros(3)
-    e[pick] = 1.0
-    u = np.cross(axis, e)
+    e[int(np.argmin(np.abs(cone.axis)))] = 1.0
+    u = np.cross(cone.axis, e)
     u /= np.linalg.norm(u)
-    return u, np.cross(axis, u)
+    v = np.cross(cone.axis, u)
+    sin_b = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    return (c[:, None] * cone.axis[None, :]
+            + sin_b[:, None] * (np.cos(gamma)[:, None] * u
+                                + np.sin(gamma)[:, None] * v))
 
 
 def check_dimension(dim: int) -> None:
@@ -183,18 +196,13 @@ class QuadratureRule:
         if dim == 2:
             psi0 = math.atan2(cone.axis[1], cone.axis[0])
             phi, dw = _gauss_on(psi0 - cone.theta, psi0 + cone.theta, n_angular)
-            dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+            dirs = _cap_directions(cone, phi)
         else:
             n_c = max(6, n_angular // 4)
             c, wc = _gauss_on(math.cos(cone.theta), 1.0, n_c)
             gamma = 2.0 * math.pi * np.arange(n_angular) / n_angular
-            u, v = _orthonormal_frame(cone.axis)
-            sin_b = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-            dirs = (
-                c[:, None, None] * cone.axis[None, None, :]
-                + sin_b[:, None, None]
-                * (np.cos(gamma)[None, :, None] * u + np.sin(gamma)[None, :, None] * v)
-            ).reshape(-1, 3)
+            dirs = _cap_directions(cone, np.repeat(c, n_angular),
+                                   np.tile(gamma, n_c))
             dw = np.repeat(wc * (2.0 * math.pi / n_angular), n_angular)
 
         pts = (cone.vertex[None, None, :] + s[:, None, None] * dirs[None, :, :])
@@ -248,17 +256,10 @@ def cone_samples(cone: ConeSpec) -> Array:
     s = cone.height * u[:, 0] ** (1.0 / dim)
     if dim == 2:
         psi0 = math.atan2(cone.axis[1], cone.axis[0])
-        phi = psi0 + cone.theta * (2.0 * u[:, 1] - 1.0)
-        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        dirs = _cap_directions(cone, psi0 + cone.theta * (2.0 * u[:, 1] - 1.0))
     else:
-        c = 1.0 - u[:, 1] * (1.0 - math.cos(cone.theta))
-        gamma = 2.0 * math.pi * u[:, 2]
-        ub, vb = _orthonormal_frame(cone.axis)
-        sin_b = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-        dirs = (
-            c[:, None] * cone.axis[None, :]
-            + sin_b[:, None] * (np.cos(gamma)[:, None] * ub + np.sin(gamma)[:, None] * vb)
-        )
+        dirs = _cap_directions(cone, 1.0 - u[:, 1] * (1.0 - math.cos(cone.theta)),
+                               2.0 * math.pi * u[:, 2])
     return cone.vertex[None, :] + s[:, None] * dirs
 
 
@@ -270,8 +271,9 @@ class ConeField:
     """Kernel integrals, norms and the cone average of one field on one cone.
 
     The cone is ``rule.cone``.  Every check reads these quantities, and each
-    is computed on first use and kept on the instance (a cache keyed by the
-    field at module level would keep every field of a sweep alive).
+    is computed on first use and kept on the instance, in cached properties
+    and the ``_norms`` dict keyed by exponent (a cache keyed by the field at
+    module level would keep every field of a sweep alive).
     Measures are normalized: ``dmu = dy / |C|``.
     """
 
@@ -279,22 +281,27 @@ class ConeField:
         self.rule = rule
         self.cone = rule.cone
         self.field = field
-        self._grad_rule: Array | None = None
-        self._grad_sup: Array | None = None
         self._norms: dict[float, float] = {}
-        self._riesz: dict[bool, float] = {}
-        self._average: float | None = None
 
+    @cached_property
     def _grad_on_rule(self) -> Array:
-        if self._grad_rule is None:
-            self._grad_rule = self.field.gradient_magnitude(self.rule.points)
-        return self._grad_rule
+        return self.field.gradient_magnitude(self.rule.points)
+
+    @cached_property
+    def _average(self) -> float:
+        vals = np.asarray(self.field.value(self.rule.points), dtype=float)
+        return float(np.sum(self.rule.weights * vals)) / self.rule.measure
+
+    @cached_property
+    def _riesz(self) -> tuple[float, float]:
+        # the plain and the weighted kernel integral, indexed by ``weighted``
+        rule = self.rule
+        return tuple(float(np.sum(kernel_w * self._grad_on_rule)) / rule.measure
+                     for kernel_w in (rule.kernel_weights,
+                                      rule.weighted_kernel_weights))
 
     def average(self) -> float:
         """Mean f_C of the field over the cone."""
-        if self._average is None:
-            vals = np.asarray(self.field.value(self.rule.points), dtype=float)
-            self._average = float(np.sum(self.rule.weights * vals)) / self.rule.measure
         return self._average
 
     def pointwise_lhs(self) -> float:
@@ -309,12 +316,6 @@ class ConeField:
         plain variant.  Computed in vertex-polar coordinates, where the kernel
         is cancelled by the Jacobian analytically.
         """
-        if weighted not in self._riesz:
-            rule = self.rule
-            kernel_w = rule.weighted_kernel_weights if weighted else rule.kernel_weights
-            self._riesz[weighted] = float(
-                np.sum(kernel_w * self._grad_on_rule())
-            ) / rule.measure
         return self._riesz[weighted]
 
     def norm(self, p: float) -> float:
@@ -326,13 +327,11 @@ class ConeField:
         if not (p == INF or p >= 1.0):
             raise DomainError(f"exponent must be in [1, inf], got {p}")
         if p not in self._norms:
+            mags = self._grad_on_rule
             if p == INF:
-                if self._grad_sup is None:
-                    self._grad_sup = self.field.gradient_magnitude(self.rule.sup_points)
-                val = max(float(np.max(self._grad_on_rule())),
-                          float(np.max(self._grad_sup)))
+                sup = self.field.gradient_magnitude(self.rule.sup_points)
+                val = max(float(np.max(mags)), float(np.max(sup)))
             else:
-                mags = self._grad_on_rule()
                 val = float(
                     np.sum(self.rule.weights * mags**p) / self.rule.measure
                 ) ** (1.0 / p)

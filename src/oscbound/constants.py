@@ -2,7 +2,7 @@
 
 Everything in this module is exact arithmetic on top of gamma/beta special
 functions: measures of spherical caps and cones, sharp cone-average (Morrey)
-constants, interpolation exponents, the two-term Hoelder-split minimization
+constants, Hoelder conjugate exponents, the two-term Hoelder-split minimization
 that all oscillation estimates reduce to, and the explicit structural
 constants used by the torsion stability pipeline (gradient bound, minimum
 depth) and the exponent window of its weighted Poincare ratio.  No
@@ -13,7 +13,11 @@ Conventions
 * Lebesgue-type norms are normalized: ``||g||_p`` means
   ``( (1/|D|) \\int_D |g|^p )^{1/p}`` over whichever region D applies.
 * ``p = inf`` is represented by ``math.inf`` and handled as the exact limit
-  of the finite-exponent formulas.
+  of the finite-exponent formulas.  The stability profiles take the
+  exponent q > N of their C^2 form; the C^{2,gamma} profiles are its limit
+  ``q = inf``.
+* :func:`oscillation_bound` returns the bound alone; its regime is
+  :func:`oscillation_regime` of the same exponent pair.
 """
 from __future__ import annotations
 
@@ -32,13 +36,11 @@ __all__ = [
     "ExponentPair",
     "ConeSpec",
     "ConstantReport",
-    "OscillationEstimate",
     "unit_ball_volume",
     "unit_sphere_area",
     "euler_beta",
     "cap_measure",
     "cone_measure",
-    "alpha_pq",
     "morrey_cone_constant",
     "morrey_domain_constant",
     "two_term_minimize",
@@ -136,16 +138,6 @@ class ConstantReport:
             raise DomainError(f"constant {self.name!r} must be finite and >= 0, got {self.value}")
 
 
-@dataclass(frozen=True)
-class OscillationEstimate:
-    """Result of :func:`oscillation_bound`: the bound, its minimizing radius, regime tag."""
-
-    value: float
-    sigma_star: float
-    regime: str
-    alpha: float | None = None
-
-
 # --------------------------------------------------------------------------
 # measures on spheres and cones
 # --------------------------------------------------------------------------
@@ -210,18 +202,6 @@ def holder_conjugate(p: float) -> float:
     if p < 1.0:
         raise DomainError(f"exponent must be >= 1, got {p}")
     return p / (p - 1.0)
-
-
-def alpha_pq(pair: ExponentPair) -> float:
-    """Interpolation weight alpha = p(q-N)/(N(q-p)) for 1 <= p <= N < q <= inf."""
-    p, q, N = pair.p, pair.q, pair.N
-    if p > N:
-        raise DomainError(f"interpolation weight needs p <= N, got p={p} > N={N}")
-    if q <= N:
-        raise DomainError(f"interpolation weight needs q > N, got q={q} <= N={N}")
-    if q == INF:
-        return p / N
-    return p * (q - N) / (N * (q - p))
 
 
 def morrey_cone_constant(p: float, N: int, a: float) -> float:
@@ -373,7 +353,7 @@ def oscillation_bound(
     diameter: float,
     star_radius: float,
     volume: float,
-) -> OscillationEstimate:
+) -> float:
     """Constructive oscillation bound for a domain star-shaped about a ball.
 
     For a domain of volume V and diameter d that is star-shaped with respect
@@ -389,7 +369,8 @@ def oscillation_bound(
     dyadic-shell N-norm far field, linear in log(d/sigma); ``p < N < q``
     interpolates between the q-norm near field and the p-norm far field,
     reproducing the ``||grad f||_p^alpha ||grad f||_q^{1-alpha}`` shape when
-    the optimal sigma is interior.
+    the optimal sigma is interior.  The regime is
+    :func:`oscillation_regime` of ``pair``.
     """
     if grad_p < 0.0 or grad_q < 0.0:
         raise DomainError("gradient norms must be >= 0")
@@ -410,8 +391,7 @@ def oscillation_bound(
     if regime == "morrey":
         coeff = near_field_coefficient(p, N)
         exp_p = 0.0 if p == INF else N / p
-        value = prefactor * coeff * raw(grad_p, p) * d ** (1.0 - exp_p)
-        return OscillationEstimate(value=value, sigma_star=d, regime="morrey")
+        return prefactor * coeff * raw(grad_p, p) * d ** (1.0 - exp_p)
 
     eA = 1.0 - (0.0 if q == INF else N / q)
     A = near_field_coefficient(q, N) * raw(grad_q, q) * d**eA
@@ -421,55 +401,39 @@ def oscillation_bound(
         # ||grad f||_N (N |B_1| log 2)^{1 - 1/N}, and there are at most
         # 1 + log2(d/sigma) shells outside B_sigma.
         shell = raw(grad_p, N) * (N * ball * math.log(2.0)) ** (1.0 - 1.0 / N)
-        sigma, inner = two_term_minimize(
+        _, inner = two_term_minimize(
             A, shell / math.log(2.0), eA, 0.0, d, log_variant=True
         )
-        return OscillationEstimate(
-            value=prefactor * (shell + inner), sigma_star=sigma, regime="log"
-        )
+        return prefactor * (shell + inner)
 
     eB = 1.0 - N / p
     B = far_field_coefficient(p, N) * raw(grad_p, p) * d**eB
-    sigma, inner = two_term_minimize(A, B, eA, eB, d)
-    return OscillationEstimate(
-        value=prefactor * inner,
-        sigma_star=sigma,
-        regime="interpolation",
-        alpha=alpha_pq(pair),
-    )
+    _, inner = two_term_minimize(A, B, eA, eB, d)
+    return prefactor * inner
 
 
 # --------------------------------------------------------------------------
 # stability profiles and structural constants
 # --------------------------------------------------------------------------
 
-_REGULARITIES = ("C2", "C2gamma")
-
-
-def _check_regularity(regularity: str) -> None:
-    if regularity not in _REGULARITIES:
-        raise DomainError(f"regularity must be one of {_REGULARITIES}, got {regularity!r}")
-
-
-def psi_profile(sigma: float, N: int, regularity: str = "C2gamma", q: float = INF) -> float:
+def psi_profile(sigma: float, N: int, q: float = INF) -> float:
     """Dimension-dependent stability profile evaluated at deviation sigma >= 0.
 
     ``sigma`` itself for N in {2, 3}; ``sigma * max(log(1/sigma), 1)`` for
-    N = 4; ``sigma^tau`` for N >= 5 with ``tau = 4/N`` for C^{2,gamma}
-    boundaries and ``tau = 4/N - 2(N-4)/(N(q-2))`` for C^2 boundaries with
-    finite q > N.
+    N = 4; ``sigma^tau`` for N >= 5 with ``tau = 4/N - 2(N-4)/(N(q-2))`` for
+    C^2 boundaries with finite q > N, and its q = inf limit ``tau = 4/N``,
+    which is also the C^{2,gamma} exponent.
     """
     if sigma < 0.0:
         raise DomainError(f"deviation must be >= 0, got {sigma}")
     _check_dim(N)
-    _check_regularity(regularity)
     if N in (2, 3):
         return float(sigma)
     if N == 4:
         if sigma == 0.0:
             return 0.0
         return sigma * max(math.log(1.0 / sigma), 1.0)
-    if regularity == "C2gamma" or q == INF:
+    if q == INF:
         tau = 4.0 / N
     else:
         if not q > N:
@@ -478,18 +442,18 @@ def psi_profile(sigma: float, N: int, regularity: str = "C2gamma", q: float = IN
     return float(sigma) ** tau
 
 
-def serrin_profile_exponent(N: int, q: float = INF, regularity: str = "C2") -> float:
+def serrin_profile_exponent(N: int, q: float = INF) -> float:
     """Stability exponent for the overdetermined (constant normal derivative) problem.
 
     Defined for N >= 4: ``(4 - 2N/q) / (N + 1 - 2N/q)`` for C^2 boundaries
-    with finite q > N, with the C^{2,gamma} / q -> inf limit ``4/(N+1)``.
-    Dimensions N <= 3 do not use this exponent and raise a domain error.
+    with finite q > N, and its q = inf limit ``4/(N+1)``, which is also the
+    C^{2,gamma} exponent.  Dimensions N <= 3 do not use this exponent and
+    raise a domain error.
     """
     _check_dim(N)
     if N <= 3:
         raise DomainError(f"profile exponent is only used for N >= 4, got N={N}")
-    _check_regularity(regularity)
-    if regularity == "C2gamma" or q == INF:
+    if q == INF:
         return 4.0 / (N + 1.0)
     if not q > N:
         raise DomainError(f"need q > N, got q={q}, N={N}")

@@ -424,7 +424,7 @@ def check_oscillation_chain(data: PipelineData, p: float = 6.0,
     estimate = oscillation_bound(grad_p, grad_q, pair, diameter(data.domain),
                                  star_radius(data.domain), data.area)
     lhs = data.rho_e - data.rho_i
-    rhs = 2.0 * math.sqrt(unit_ball_volume(2) / data.area) * estimate.value
+    rhs = 2.0 * math.sqrt(unit_ball_volume(2) / data.area) * estimate
     if p > 2:
         return IdentityReport.inequality("oscillation_chain", lhs, rhs)
     return IdentityReport.monitored("oscillation_chain", lhs, rhs)

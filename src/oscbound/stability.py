@@ -37,6 +37,8 @@ from .stardomain import StarDomain2D
 
 __all__ = [
     "DEVIATION_FIELDS",
+    "FLOAT_FIELDS",
+    "MIN_FIT_POINTS",
     "FamilySpec",
     "StabilityRecord",
     "FitResult",
@@ -61,6 +63,9 @@ DEVIATION_FIELDS = (
     "weighted_hess_norm",
 )
 
+# the fewest usable points a family fit takes, so the fewest members a
+# fitting command can run
+MIN_FIT_POINTS = 4
 _FLOOR = 1e-12          # below this a deviation is unresolved noise
 _MONOTONE_FLOOR = 1e-8  # discretization floor for monotonicity checks
 # planar profiles are linear: the fitted slope window, the least R^2 of that
@@ -173,14 +178,18 @@ class StabilityRecord:
         if not (self.eps > 0.0 and self.h > 0.0):
             raise DomainError("record needs positive epsilon and spacing")
         if self.status == "ok":
-            for field in fields(self):
-                if field.type != "float":
-                    continue
-                value = getattr(self, field.name)
+            for name in FLOAT_FIELDS:
+                value = getattr(self, name)
                 if not (math.isfinite(value) and value >= 0.0):
                     raise DomainError(
-                        f"record field {field.name} must be finite and "
+                        f"record field {name} must be finite and "
                         f">= 0, got {value}")
+
+
+# the float columns of a record: finite and >= 0 in an ok row, NaN in a
+# failure row except eps and h
+FLOAT_FIELDS = tuple(f.name for f in fields(StabilityRecord)
+                     if f.type == "float")
 
 
 def record_from_data(eps: float, data: PipelineData) -> StabilityRecord:
@@ -201,8 +210,7 @@ def record_from_data(eps: float, data: PipelineData) -> StabilityRecord:
 
 
 def _failure_record(eps: float, spacing: float, exc: Exception) -> StabilityRecord:
-    nan = dict.fromkeys((f.name for f in fields(StabilityRecord)
-                         if f.type == "float"), math.nan)
+    nan = dict.fromkeys(FLOAT_FIELDS, math.nan)
     return StabilityRecord(
         **{**nan, "eps": eps, "h": spacing}, status="error",
         detail=f"{type(exc).__name__}: {exc}",
@@ -253,9 +261,9 @@ class FitResult:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 4:
-            raise DomainError(
-                f"a valid fit needs >= 4 points, got {self.n_points}")
+        if self.n_points < MIN_FIT_POINTS:
+            raise DomainError(f"a valid fit needs >= {MIN_FIT_POINTS} "
+                              f"points, got {self.n_points}")
 
 
 def fit_exponent(records: list[StabilityRecord], x_field: str,
@@ -263,8 +271,8 @@ def fit_exponent(records: list[StabilityRecord], x_field: str,
     """Fit ``log y = slope log x + intercept`` across a family.
 
     Failure rows and points with an unresolved (nonpositive or sub-noise)
-    coordinate are excluded with a warning; fewer than four surviving
-    points is an error.
+    coordinate are excluded with a warning; fewer than ``MIN_FIT_POINTS``
+    surviving points is an error.
     """
     xs, ys = [], []
     for record in records:
@@ -280,10 +288,10 @@ def fit_exponent(records: list[StabilityRecord], x_field: str,
             continue
         xs.append(math.log(x))
         ys.append(math.log(y))
-    if len(xs) < 4:
+    if len(xs) < MIN_FIT_POINTS:
         raise DomainError(
             f"fit of {y_field} vs {x_field} has {len(xs)} usable points, "
-            f"needs >= 4")
+            f"needs >= {MIN_FIT_POINTS}")
     lx = np.asarray(xs)
     ly = np.asarray(ys)
     if np.ptp(lx) <= 0.0:

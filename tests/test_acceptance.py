@@ -213,7 +213,7 @@ def test_criterion_04_domain_oscillation_bounds():
                                         diameter=diam,
                                         star_radius=rho, volume=volume)
                 n_checks += 1
-                if osc > est.value + 1e-9:
+                if osc > est + 1e-9:
                     violations += 1
     elapsed = time.perf_counter() - t0
     accept(4, violations == 0 and elapsed < 30.0,
@@ -362,7 +362,7 @@ def test_criterion_09_profile_closed_forms():
         worst = max(worst, rel(psi_profile(sigma, N), sigma ** (4.0 / N)))
         q = 2.5 * N
         tau = 4.0 / N - 2.0 * (N - 4.0) / (N * (q - 2.0))
-        worst = max(worst, rel(psi_profile(sigma, N, "C2", q), sigma ** tau))
+        worst = max(worst, rel(psi_profile(sigma, N, q), sigma ** tau))
     # N = 4 logarithmic profile and the low-dimension linear profile
     worst = max(worst, rel(psi_profile(0.01, 4), 0.01 * math.log(100.0)))
     worst = max(worst, rel(psi_profile(0.8, 4), 0.8))       # log clamp at 1
@@ -371,7 +371,7 @@ def test_criterion_09_profile_closed_forms():
         with pytest.raises(DomainError):
             serrin_profile_exponent(N, INF)                 # excluded low dim
     with pytest.raises(DomainError):
-        psi_profile(0.5, 5, "C2", 4.0)                      # needs q > N
+        psi_profile(0.5, 5, 4.0)                            # needs q > N
     accept(9, worst <= 1e-10,
            f"psi/overdetermined profile closed forms incl. q->inf limits "
            f"4/N and 4/(N+1): worst rel err {worst:.2e}; N<=3 exponents "

@@ -80,7 +80,7 @@ class TestParseConfig:
         cfg_path = write_cfg(tmp_path, """
             # full configuration exercise
             family = cosine
-            eps = 0.1, 0.2   # trailing comment
+            eps = 0.1, 0.2, 0.3, 0.4   # trailing comment
             k = 3
             normalize_area = true
             grid.h = 0.03125
@@ -95,7 +95,7 @@ class TestParseConfig:
         """)
         cfg = parse_config("sbt-run", cfg_path)
         assert cfg.family == "cosine"
-        assert cfg.eps == (0.1, 0.2)
+        assert cfg.eps == (0.1, 0.2, 0.3, 0.4)
         assert cfg.k == 3
         assert cfg.normalize_area is True
         assert cfg.grid_h == 0.03125
@@ -154,8 +154,23 @@ class TestParseConfig:
         "eps = 0.1, inf",             # not finite
     ])
     def test_rejects_bad_lines(self, tmp_path, line):
+        # domain-verify does no fit, so a short list is no fault there: each
+        # line must be rejected for its own fault
         cfg_path = write_cfg(tmp_path, line + "\n")
-        with pytest.raises(ConfigError):
+        for command in ("sbt-run", "domain-verify"):
+            with pytest.raises(ConfigError):
+                parse_config(command, cfg_path)
+
+    def test_eps_lists_too_short_to_fit(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, "eps = 0.1, 0.2, 0.3\n")
+        for command in ("sbt-run", "serrin-run"):
+            with pytest.raises(ConfigError, match="needs at least 4 eps "
+                                                  "values, got 3"):
+                parse_config(command, cfg_path)
+        assert parse_config("domain-verify", cfg_path).eps == (0.1, 0.2, 0.3)
+        # a list that is both bad and short fails for its own fault
+        cfg_path = write_cfg(tmp_path, "eps = 0.2, 0.1\n")
+        with pytest.raises(ConfigError, match="strictly ascending"):
             parse_config("sbt-run", cfg_path)
 
     def test_family_invariants_checked_for_family_commands(self, tmp_path):
@@ -470,9 +485,24 @@ class TestStabilityCommands:
         assert main(["report", "--out", str(out)]) == 1
         assert "[FAIL] sbt:" in capsys.readouterr().out
 
+    def test_eps_list_too_short_to_fit_exits_2_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a member was solved")
+
+        monkeypatch.setattr(cli, "run_family", forbidden)
+        cfg = write_cfg(tmp_path, "family=ellipse\neps=0.02,0.04,0.07\n"
+                                  "grid.h=0.0625\n")
+        out = tmp_path / "o"
+        assert main(["sbt-run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sbt-run fits across the family and needs at "
+            "least 4 eps values, got 3"]
+        assert not (out / "sbt_records.csv").exists()
+
     def test_crashed_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(stability, "_run_one", _die)
-        cfg = write_cfg(tmp_path, "family=cosine\neps=0.1,0.2\n")
+        cfg = write_cfg(tmp_path, "family=cosine\neps=0.1,0.2,0.3,0.4\n")
         assert main(["serrin-run", "--config", cfg, "--jobs", "2",
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err.splitlines()
@@ -487,7 +517,7 @@ class TestStabilityCommands:
             raise ValueError("pipeline broke")
 
         monkeypatch.setattr(cli, "run_family", broken_pipeline)
-        cfg = write_cfg(tmp_path, "family=cosine\neps=0.1,0.2\n")
+        cfg = write_cfg(tmp_path, "family=cosine\neps=0.1,0.2,0.3,0.4\n")
         assert main(["serrin-run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.splitlines() == [

@@ -19,7 +19,6 @@ from oscbound.constants import (
     ConeSpec,
     ConstantReport,
     ExponentPair,
-    alpha_pq,
     cap_measure,
     cone_measure,
     euler_beta,
@@ -28,6 +27,7 @@ from oscbound.constants import (
     morrey_cone_constant,
     morrey_domain_constant,
     oscillation_bound,
+    oscillation_regime,
     psi_profile,
     serrin_profile_exponent,
     two_term_minimize,
@@ -166,29 +166,8 @@ def test_cone_spec_rejects_non_finite(vertex, axis, height):
 
 
 # --------------------------------------------------------------------------
-# interpolation exponent
+# exponent pairs
 # --------------------------------------------------------------------------
-
-def test_alpha_pq_examples():
-    assert alpha_pq(ExponentPair(2.0, INF, 4)) == pytest.approx(0.5)
-    assert alpha_pq(ExponentPair(4.0, 9.0, 4)) == pytest.approx(1.0)
-    assert alpha_pq(ExponentPair(2.0, 6.0, 4)) == pytest.approx(0.25)
-
-
-def test_alpha_pq_range_and_continuity():
-    for N in (2, 3, 4):
-        for p in np.linspace(1.0, N, 7):
-            values = [alpha_pq(ExponentPair(p, q, N)) for q in (N + 0.01, 5.0, 50.0, 1e9, INF)]
-            assert all(0.0 < v <= 1.0 for v in values)
-            assert abs(values[-2] - values[-1]) < 1e-6  # q -> inf continuity
-
-
-def test_alpha_pq_rejects_bad_regimes():
-    with pytest.raises(DomainError):
-        alpha_pq(ExponentPair(3.0, 5.0, 2))  # p > N
-    with pytest.raises(DomainError):
-        alpha_pq(ExponentPair(1.0, 2.0, 2))  # q <= N
-
 
 def test_exponent_pair_validation():
     with pytest.raises(DomainError):
@@ -364,17 +343,18 @@ def sweep_oracle(grad_p, grad_q, pair, diameter, star_radius, volume, n=200_000)
 
 def test_oscillation_bound_zero_norms():
     est = oscillation_bound(0.0, 0.0, ExponentPair(1.0, INF, 2), **DISK)
-    assert est.value == 0.0
+    assert est == 0.0
 
 
 def test_oscillation_bound_respects_known_oscillation():
     # f = x_1 on the unit disk: osc = 2, |grad f| = 1 everywhere.  The p = inf
     # estimate is 2 d^{N+1}/rho^N ||grad f||_inf = 16 here; any valid
     # constructive bound must weakly exceed the true oscillation.
-    est = oscillation_bound(1.0, 1.0, ExponentPair(INF, INF, 2), **DISK)
-    assert est.regime == "morrey"
-    assert rel_err(est.value, 16.0) < 1e-12
-    assert est.value >= 2.0
+    pair = ExponentPair(INF, INF, 2)
+    est = oscillation_bound(1.0, 1.0, pair, **DISK)
+    assert oscillation_regime(pair) == "morrey"
+    assert rel_err(est, 16.0) < 1e-12
+    assert est >= 2.0
 
 
 def test_oscillation_bound_matches_sigma_sweep():
@@ -386,8 +366,8 @@ def test_oscillation_bound_matches_sigma_sweep():
     ]:
         est = oscillation_bound(gp, gq, pair, **DISK)
         oracle = sweep_oracle(gp, gq, pair, **DISK)
-        assert est.value <= oracle * (1.0 + 1e-10)
-        assert rel_err(est.value, oracle) < 1e-5
+        assert est <= oracle * (1.0 + 1e-10)
+        assert rel_err(est, oracle) < 1e-5
 
 
 def test_oscillation_bound_homogeneity():
@@ -395,10 +375,7 @@ def test_oscillation_bound_homogeneity():
     for pair in (ExponentPair(4.0, 4.0, 2), ExponentPair(1.5, 5.0, 2), ExponentPair(2.0, 8.0, 2)):
         base = oscillation_bound(0.8, 1.7, pair, **DISK)
         scaled = oscillation_bound(0.8 * lam, 1.7 * lam, pair, **DISK)
-        assert rel_err(scaled.value, lam * base.value) < 1e-10
-        # minimizing radius is scale-free in every regime
-        if base.sigma_star > 0:
-            assert rel_err(scaled.sigma_star, base.sigma_star) < 1e-7
+        assert rel_err(scaled, lam * base) < 1e-10
 
 
 def test_oscillation_bound_regime_errors():
@@ -423,7 +400,7 @@ def test_oscillation_bound_log_regime_explicit_value():
     x = min(B / A, 1.0 / math.e)
     inner = A * x + B * math.log(1.0 / x)
     want = (2.0 * 4.0 / (2.0 * ball)) * (shell + inner)
-    assert rel_err(est.value, want) < 1e-10
+    assert rel_err(est, want) < 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -434,18 +411,18 @@ def test_psi_profile_examples():
     assert psi_profile(0.1, 2) == pytest.approx(0.1)
     assert psi_profile(0.35, 3) == pytest.approx(0.35)
     assert psi_profile(1.0, 4) == pytest.approx(1.0)
-    assert psi_profile(0.01, 5, "C2gamma") == pytest.approx(0.01**0.8, rel=1e-12)
+    assert psi_profile(0.01, 5, q=INF) == pytest.approx(0.01**0.8, rel=1e-12)
     assert psi_profile(0.0, 4) == 0.0
     # C2 with finite q: tau = 4/N - 2(N-4)/(N(q-2))
     tau = 4.0 / 5.0 - 2.0 / (5.0 * 8.0)
-    assert psi_profile(0.2, 5, "C2", q=10.0) == pytest.approx(0.2**tau, rel=1e-12)
+    assert psi_profile(0.2, 5, q=10.0) == pytest.approx(0.2**tau, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7])
 def test_psi_profile_nondecreasing(N):
     grid = np.linspace(0.0, 1.0, 400)
-    for kwargs in ({"regularity": "C2gamma"}, {"regularity": "C2", "q": float(2 * N)}):
-        vals = [psi_profile(float(s), N, **kwargs) for s in grid]
+    for q in (INF, float(2 * N)):
+        vals = [psi_profile(float(s), N, q=q) for s in grid]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -455,14 +432,12 @@ def test_psi_profile_errors():
     with pytest.raises(DomainError):
         psi_profile(0.1, 1)
     with pytest.raises(DomainError):
-        psi_profile(0.1, 5, "C2", q=4.0)  # q <= N
-    with pytest.raises(DomainError):
-        psi_profile(0.1, 5, "smooth")
+        psi_profile(0.1, 5, q=4.0)  # q <= N
 
 
 def test_serrin_profile_exponent_examples():
     assert serrin_profile_exponent(4, INF) == pytest.approx(0.8)
-    assert serrin_profile_exponent(4, regularity="C2gamma") == pytest.approx(4.0 / 5.0)
+    assert serrin_profile_exponent(4) == pytest.approx(4.0 / 5.0)
     assert serrin_profile_exponent(5, 10.0) == pytest.approx(0.6)
 
 

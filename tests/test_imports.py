@@ -3,6 +3,7 @@ so a private helper can change without touching another module."""
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oscbound"
 # public names kept for a planned pipeline path, as "module.name"
 UNREAD_ALLOWED = {"torsion.estimate_order"}  # the refinement-ladder order
+# public class members kept for a planned pipeline path, as
+# "module.Class.member": the excluded fractions of the record health columns
+UNREAD_MEMBERS_ALLOWED = {"torsion.TensorField.excluded_fraction",
+                          "torsion.BoundaryTrace.excluded_fraction"}
+# a string that names an attribute path, such as a CSV schema's "primary.slope"
+_ATTRIBUTE_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _private(name: str) -> bool:
@@ -93,6 +100,38 @@ def unread_public_names(sources: dict[str, str],
     return sorted(unread)
 
 
+def attribute_path_names(source: str) -> set[str]:
+    """Every name in a string constant of source that is an attribute path:
+    the CSV schemas read record members through such strings."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and _ATTRIBUTE_PATH.fullmatch(node.value)):
+            found.update(node.value.split("."))
+    return found
+
+
+def unread_public_members(sources: dict[str, str],
+                          readers: list[str]) -> list[str]:
+    """``module.Class.member`` for every public method or property of a class
+    in sources that no module of sources or of readers reads, as an
+    attribute, a name or in an attribute-path string."""
+    texts = [*sources.values(), *readers]
+    read = set().union(*map(names_read, texts),
+                       *map(attribute_path_names, texts))
+    unread = []
+    for name, src in sources.items():
+        for cls in ast.walk(ast.parse(src)):
+            if isinstance(cls, ast.ClassDef):
+                unread += [f"{name}.{cls.name}.{node.name}"
+                           for node in cls.body
+                           if isinstance(node, (ast.FunctionDef,
+                                                ast.AsyncFunctionDef))
+                           and not node.name.startswith("_")
+                           and node.name not in read]
+    return sorted(unread)
+
+
 def package_sources() -> dict[str, str]:
     return {path.stem: path.read_text()
             for path in sorted(PACKAGE.glob("*.py"))}
@@ -153,3 +192,29 @@ def test_every_public_name_is_read_by_a_pipeline_path():
     assert readers
     assert unread_public_names(package_sources(), readers) \
         == sorted(UNREAD_ALLOWED)
+
+
+def test_every_public_class_member_is_read_by_a_pipeline_path():
+    assert unread_public_members({
+        "shape": "class Shape:\n"
+                 "    def area(self):\n"
+                 "        pass\n"
+                 "    @property\n"
+                 "    def spare(self):\n"
+                 "        pass\n"
+                 "    @property\n"
+                 "    def slope(self):\n"
+                 "        pass\n"
+                 "    def _helper(self):\n"
+                 "        pass\n"
+                 "    def __len__(self):\n"
+                 "        return 0\n",
+        "grid": "SCHEMA = {'gradient': 'fit.slope'}\n"
+                "def f(shape):\n"
+                "    return shape.area()\n",
+    }, ["import shape\n"]) == ["shape.Shape.spare"]
+    readers = [path.read_text()
+               for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert readers
+    assert unread_public_members(package_sources(), readers) \
+        == sorted(UNREAD_MEMBERS_ALLOWED)
