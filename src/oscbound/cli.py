@@ -31,7 +31,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import attrgetter
 
@@ -123,7 +123,7 @@ class RunConfig:
     k: int = FamilySpec.k
     normalize_area: bool = FamilySpec.normalize_area
     grid_h: float = FamilySpec.spacing
-    grid_refinements: int = FamilySpec.refinements
+    grid_refinements: int = 0
     p: float = 6.0
     q: float = INF
     alpha: float = 0.5
@@ -234,15 +234,14 @@ def _family_spec(config: RunConfig) -> FamilySpec:
     kind = "ellipse" if config.family == "ellipse" else "cosine_perturbation"
     return FamilySpec(kind=kind, eps=config.eps, k=config.k,
                       normalize_area=config.normalize_area,
-                      spacing=config.grid_h,
-                      refinements=config.grid_refinements)
+                      spacing=config.grid_h)
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    # eps, grid.h and grid.refinements are checked by FamilySpec below, for
-    # the commands that build a family, and N by the library for the
-    # commands that use it; FamilySpec checks k only for cosines.  A list
-    # FamilySpec takes may still be too short for the family fit.
+    # eps and grid.h are checked by FamilySpec below, for the commands that
+    # build a family, and N by the library for the commands that use it;
+    # FamilySpec checks k only for cosines.  A list FamilySpec takes may
+    # still be too short for the family fit.
     if config.k < 1:
         raise ConfigError(f"k must be >= 1, got {config.k}")
     if config.p < 1.0:
@@ -258,6 +257,9 @@ def _validate(config: RunConfig) -> RunConfig:
     try:
         if config.command in _FAMILY_COMMANDS:
             _family_spec(config)
+            if config.grid_refinements < 0:
+                raise ConfigError(f"grid.refinements must be >= 0, got "
+                                  f"{config.grid_refinements}")
             if config.command == "domain-verify":
                 check_battery_exponents(config.p, config.q, config.alpha)
             elif len(config.eps) < MIN_FIT_POINTS:
@@ -320,7 +322,7 @@ _REPORT = (("source",), {
 _FIELD_DUMP = (("x", "y", "value"), {})  # grid nodes: no object
 
 
-def _fmt_any(value: object) -> str:
+def _fmt(value: object) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if value is None:
@@ -328,16 +330,6 @@ def _fmt_any(value: object) -> str:
     if isinstance(value, dict):  # the inputs of a constant
         return ";".join(f"{key}={cell:g}" for key, cell in sorted(value.items()))
     return str(value)
-
-
-# the types of almost every cell, formatted as _fmt_any would in one lookup;
-# any other type (int, bool, dict, a subclass) takes its isinstance chain
-_FORMATS = {float: float.__repr__, np.float64: float.__repr__,
-            type(None): lambda _: "", str: str}
-
-
-def _fmt(value: object) -> str:
-    return _FORMATS.get(type(value), _fmt_any)(value)
 
 
 def _write_csv(path: str, schema: tuple[tuple[str, ...], dict[str, str]],
@@ -471,36 +463,36 @@ def _print_verdict(verdict: ProfileVerdict) -> None:
 
 def _cmd_stability(config: RunConfig, profile: str) -> int:
     spec = _family_spec(config)
-    records = run_family(spec, jobs=config.effective_jobs)
-    path = _out_path(config, f"{profile}_records.csv")
-    _write_csv(path, _RECORDS,
-               [((config.family, config.k), r) for r in records])
-    print(f"wrote {len(records)} rows -> {path}")
-    broken = [r for r in records if r.status != "ok"]
-    if broken:
+    levels = []
+    for level in range(config.grid_refinements + 1):
+        records = run_family(replace(spec, spacing=spec.spacing / 2.0**level),
+                             jobs=config.effective_jobs)
+        if not level:
+            path = _out_path(config, f"{profile}_records.csv")
+            _write_csv(path, _RECORDS,
+                       [((config.family, config.k), r) for r in records])
+            print(f"wrote {len(records)} rows -> {path}")
+        broken = [r for r in records if r.status != "ok"]
         for record in broken:
-            print(f"  ERROR eps={record.eps:g}: {record.detail}",
-                  file=sys.stderr)
-        return EXIT_INFRA
+            print(f"  ERROR eps={record.eps:g} h={record.h:g}: "
+                  f"{record.detail}", file=sys.stderr)
+        if broken:
+            return EXIT_INFRA
+        levels.append(records)
     checker = check_sbt_profile if profile == "sbt" else check_serrin_profile
-    verdict = checker(records)
+    verdict = checker(levels[0])
     _print_verdict(verdict)
-    monotone = verify_monotone_deviations(records)
+    monotone = verify_monotone_deviations(levels[0])
     bad_monotone = [m for m in monotone if m.status != "pass"]
     for report in bad_monotone:
         print(f"  FAIL {report.name}: worst step {report.lhs:.3e}")
-    if config.grid_refinements >= 1:
-        ladder = verify_refinement(spec, records,
-                                   jobs=config.effective_jobs)
-        bad_ladder = [l for l in ladder if l.status != "pass"]
-        for report in bad_ladder:
-            print(f"  FAIL {report.name}: change {report.lhs:.3e} "
-                  f"exceeds {report.rhs:.3e}")
-        if bad_ladder:
-            return EXIT_FAIL
-    if not verdict.passed or bad_monotone:
-        return EXIT_FAIL
-    return EXIT_PASS
+    ladder = verify_refinement(levels) if config.grid_refinements else []
+    bad_ladder = [l for l in ladder if l.status != "pass"]
+    for report in bad_ladder:
+        print(f"  FAIL {report.name}: change {report.lhs:.3e} "
+              f"exceeds {report.rhs:.3e}")
+    failed = not verdict.passed or bad_monotone or bad_ladder
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 def _read_records_csv(path: str) -> list[StabilityRecord]:

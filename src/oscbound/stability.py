@@ -20,7 +20,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,9 +96,10 @@ class FamilySpec:
     normalize_area : bool
         Rescale cosine members to area pi (ellipse members have it already).
     spacing : float
-        Grid spacing handed to the torsion solver, positive and finite.
-    refinements : int
-        Number of grid halvings :func:`verify_refinement` should check.
+        Grid spacing handed to the torsion solver, positive and finite.  A
+        refinement ladder runs one spec per level, each at half the spacing
+        of the last, and compares their records with
+        :func:`verify_refinement`.
     """
 
     kind: str = "ellipse"
@@ -106,7 +107,6 @@ class FamilySpec:
     k: int = 2
     normalize_area: bool = False
     spacing: float = 1.0 / 64.0
-    refinements: int = 0
 
     def __post_init__(self):
         if self.kind not in ("ellipse", "cosine_perturbation"):
@@ -128,10 +128,6 @@ class FamilySpec:
         if not 0.0 < self.spacing < math.inf:
             raise DomainError(
                 f"grid spacing must be positive and finite, got {self.spacing}")
-        if int(self.refinements) != self.refinements or self.refinements < 0:
-            raise DomainError(
-                f"refinement count must be a nonnegative integer, got "
-                f"{self.refinements}")
 
 
 def build_family_domain(spec: FamilySpec, eps: float) -> StarDomain2D:
@@ -328,8 +324,6 @@ def _profile(records: list[StabilityRecord], name: str,
     ratios = [record.radius_gap / getattr(record, deviation)
               for record in records
               if record.status == "ok" and getattr(record, deviation) > _FLOOR]
-    if not ratios:
-        raise DomainError(f"{name} profile has no resolved deviation ratios")
     lo, hi = _SLOPE_WINDOW
     passed = (lo <= primary.slope <= hi and primary.r_squared >= _MIN_R2
               and gauss.slope >= _MIN_GAUSS_SLOPE)
@@ -377,38 +371,31 @@ def verify_monotone_deviations(
     return reports
 
 
-def verify_refinement(spec: FamilySpec, coarse: list[StabilityRecord],
-                      jobs: int = 1) -> list[IdentityReport]:
+def verify_refinement(
+        levels: list[list[StabilityRecord]]) -> list[IdentityReport]:
     """Check the family's deviations are grid-converged.
 
-    ``coarse`` holds the family's records at ``spec.spacing`` (as returned
-    by :func:`run_family`).  The family is rerun on ``spec.refinements``
-    successively halved grids; at each halving, the largest change in any
-    deviation column must stay below 10% of the smallest resolved deviation
-    on the finer grid.
+    ``levels`` holds one record list per grid level, as returned by
+    :func:`run_family`: the family's own spacing first, each next level at
+    half the spacing of the one before.  At each halving, the largest change
+    in any deviation column must stay below 10% of the smallest deviation on
+    the finer grid.  This only compares; it solves nothing.
     """
-    if spec.refinements < 1:
-        raise DomainError("refinement check needs refinements >= 1")
-    if len(coarse) != len(spec.eps):
+    if len(levels) < 2:
+        raise DomainError("refinement check needs at least two grid levels")
+    sizes = [len(records) for records in levels]
+    if len(set(sizes)) != 1:
         raise DomainError(
-            f"refinement check needs one coarse record per epsilon, got "
-            f"{len(coarse)} for {len(spec.eps)}")
+            "refinement check needs one record per epsilon on every level, "
+            f"got {', '.join(map(str, sizes))}")
+    if any(r.status != "ok" for records in levels for r in records):
+        raise DomainError("refinement check needs every record ok")
     reports = []
-    for level in range(1, spec.refinements + 1):
-        finer_spec = replace(spec, spacing=spec.spacing / 2.0**level,
-                             refinements=0)
-        fine = run_family(finer_spec, jobs)
+    for level, (coarse, fine) in enumerate(zip(levels, levels[1:]), start=1):
         for column in DEVIATION_FIELDS:
-            gaps, floor = [], []
-            for a, b in zip(coarse, fine):
-                if a.status != "ok" or b.status != "ok":
-                    continue
-                gaps.append(abs(getattr(a, column) - getattr(b, column)))
-                floor.append(getattr(b, column))
-            if not gaps:
-                raise DomainError(
-                    f"refinement check for {column} has no valid pairs")
+            gaps = [abs(getattr(a, column) - getattr(b, column))
+                    for a, b in zip(coarse, fine)]
             reports.append(IdentityReport.inequality(
-                f"refine{level}_{column}", max(gaps), 0.1 * min(floor)))
-        coarse = fine
+                f"refine{level}_{column}", max(gaps),
+                0.1 * min(getattr(b, column) for b in fine)))
     return reports

@@ -27,6 +27,7 @@ from oscbound import cli, constants, stability
 from oscbound.cli import RunConfig, constants_table, main, parse_config
 from oscbound.cones import ConeCheck
 from oscbound.constants import INF, ConstantReport
+from oscbound.errors import GeometryError
 from oscbound.identities import IdentityReport
 from oscbound.stability import FitResult, ProfileVerdict, StabilityRecord
 from oscbound.errors import ConfigError
@@ -40,6 +41,9 @@ RECORD_HEADER = ("family,k,eps,curvature_flatness,radius_gap,gauss_deviation,"
 NON_UTF8_RECORDS = b"family,k,eps\n\xff\xfe,2,0.1\n"
 
 TEST_EPS = "0.05,0.1,0.15,0.2"
+# the ellipse family of the shared stability run, with one ladder halving
+LADDER_CFG = f"family=ellipse\neps={TEST_EPS}\ngrid.h=0.03125\n" \
+             "grid.refinements=1\n"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -152,6 +156,7 @@ class TestParseConfig:
         "grid.h = inf",               # not finite
         "eps = inf",                  # not finite
         "eps = 0.1, inf",             # not finite
+        "grid.refinements = 0.5",     # not an integer
     ])
     def test_rejects_bad_lines(self, tmp_path, line):
         # domain-verify does no fit, so a short list is no fault there: each
@@ -522,6 +527,77 @@ class TestStabilityCommands:
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "error: ValueError: pipeline broke"]
+
+    @staticmethod
+    def _spacings_run(monkeypatch):
+        """Wrap ``cli.run_family``; returns the list of spacings it ran."""
+        run_family = cli.run_family
+        spacings = []
+
+        def spy(spec, jobs):
+            spacings.append(spec.spacing)
+            return run_family(spec, jobs)
+
+        monkeypatch.setattr(cli, "run_family", spy)
+        return spacings
+
+    @staticmethod
+    def _fail_member(monkeypatch, eps, below):
+        """Make the ellipse member at ``eps`` fail on grids finer than
+        ``below``."""
+        build = stability.build_pipeline_data
+        member = stability.build_family_domain(stability.FamilySpec(), eps)
+
+        def flaky(domain, h):
+            if h < below and domain == member:
+                raise GeometryError("member lost on this grid")
+            return build(domain, h)
+
+        monkeypatch.setattr(stability, "build_pipeline_data", flaky)
+
+    def test_refinement_ladder_runs_every_level_through_run_family(
+            self, stability_out, tmp_path, capsys, monkeypatch):
+        spacings = self._spacings_run(monkeypatch)
+        out = tmp_path / "o"
+        assert main(["sbt-run", "--config", write_cfg(tmp_path, LADDER_CFG),
+                     "--jobs", "1", "--out", str(out)]) == 0
+        assert spacings == [1.0 / 32.0, 1.0 / 64.0]
+        printed = capsys.readouterr()
+        assert "[PASS] sbt:" in printed.out and "FAIL" not in printed.out
+        assert printed.err == ""
+        # the records CSV holds the family's own spacing, as without a ladder
+        shared, _ = stability_out
+        assert (out / "sbt_records.csv").read_bytes() == \
+            open(os.path.join(shared, "sbt_records.csv"), "rb").read()
+
+    def test_member_failing_on_a_finer_level_exits_3(self, tmp_path, capsys,
+                                                     monkeypatch):
+        spacings = self._spacings_run(monkeypatch)
+        self._fail_member(monkeypatch, 0.2, below=1.0 / 32.0)
+        out = tmp_path / "o"
+        assert main(["sbt-run", "--config", write_cfg(tmp_path, LADDER_CFG),
+                     "--jobs", "1", "--out", str(out)]) == 3
+        assert spacings == [1.0 / 32.0, 1.0 / 64.0]
+        assert capsys.readouterr().err.splitlines() == [
+            "  ERROR eps=0.2 h=0.015625: GeometryError: member lost on this "
+            "grid"]
+        rows = read_lines(out / "sbt_records.csv")[1:]
+        assert len(rows) == 4 and {r.split(",")[13] for r in rows} == {"ok"}
+
+    def test_member_failing_at_the_family_spacing_exits_3(
+            self, tmp_path, capsys, monkeypatch):
+        spacings = self._spacings_run(monkeypatch)
+        self._fail_member(monkeypatch, 0.1, below=1.0)
+        out = tmp_path / "o"
+        assert main(["sbt-run", "--config", write_cfg(tmp_path, LADDER_CFG),
+                     "--jobs", "1", "--out", str(out)]) == 3
+        assert spacings == [1.0 / 32.0]
+        assert capsys.readouterr().err.splitlines() == [
+            "  ERROR eps=0.1 h=0.03125: GeometryError: member lost on this "
+            "grid"]
+        rows = [r.split(",") for r in read_lines(out / "sbt_records.csv")[1:]]
+        assert [r[13] for r in rows] == ["ok", "error", "ok", "ok"]
+        assert rows[1][2] == "0.1" and rows[1][14].startswith("GeometryError")
 
     @pytest.mark.parametrize("header, cell, message", [
         (RECORD_HEADER.replace(",hess_norm,", ",hess_nrm,"), "0.1",

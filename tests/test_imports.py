@@ -16,6 +16,12 @@ UNREAD_ALLOWED = {"torsion.estimate_order"}  # the refinement-ladder order
 # "module.Class.member": the excluded fractions of the record health columns
 UNREAD_MEMBERS_ALLOWED = {"torsion.TensorField.excluded_fraction",
                           "torsion.BoundaryTrace.excluded_fraction"}
+# the functions that start member solves, and the only functions of the
+# package that may call each, as "module.function"
+SOLVE_CALLERS = {
+    "run_family": {"cli._cmd_stability"},
+    "build_pipeline_data": {"stability._run_one", "cli._cmd_domain_verify"},
+}
 # a string that names an attribute path, such as a CSV schema's "primary.slope"
 _ATTRIBUTE_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -132,6 +138,29 @@ def unread_public_members(sources: dict[str, str],
     return sorted(unread)
 
 
+def call_sites(sources: dict[str, str],
+               callees: set[str]) -> dict[str, set[str]]:
+    """Per callee, ``module.function`` for every function of sources that
+    calls it by name or as an attribute (``module.<module>`` at top level)."""
+    found: dict[str, set[str]] = {callee: set() for callee in callees}
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name in found:
+                found[name].add(f"{module}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for module, src in sources.items():
+        visit(ast.parse(src), module, "<module>")
+    return found
+
+
 def package_sources() -> dict[str, str]:
     return {path.stem: path.read_text()
             for path in sorted(PACKAGE.glob("*.py"))}
@@ -218,3 +247,19 @@ def test_every_public_class_member_is_read_by_a_pipeline_path():
     assert readers
     assert unread_public_members(package_sources(), readers) \
         == sorted(UNREAD_MEMBERS_ALLOWED)
+
+
+def test_member_solves_start_only_in_known_places():
+    # a comparison that reran the family would show up as a new caller
+    assert call_sites({
+        "stab": "def solve():\n"
+                "    pass\n"
+                "def run():\n"
+                "    return solve()\n"
+                "def compare(levels):\n"
+                "    def inner():\n"
+                "        return stab.solve()\n"
+                "    return inner\n"
+                "solve()\n",
+    }, {"solve"}) == {"solve": {"stab.run", "stab.inner", "stab.<module>"}}
+    assert call_sites(package_sources(), set(SOLVE_CALLERS)) == SOLVE_CALLERS

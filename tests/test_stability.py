@@ -10,10 +10,12 @@ grids before the windows below were frozen.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oscbound import stability
 from oscbound.errors import DomainError
 from oscbound.stability import (
     DEVIATION_FIELDS,
@@ -78,7 +80,6 @@ class TestFamilySpec:
         assert spec.kind == "ellipse"
         assert spec.eps == (0.02, 0.04, 0.07, 0.1, 0.14, 0.2)
         assert spec.spacing == pytest.approx(1.0 / 64.0)
-        assert spec.refinements == 0
 
     @pytest.mark.parametrize("kwargs", [
         {"kind": "square"},
@@ -89,8 +90,6 @@ class TestFamilySpec:
         {"kind": "cosine_perturbation", "eps": (0.5, 1.0)},
         {"kind": "cosine_perturbation", "k": 0},
         {"spacing": 0.0},
-        {"refinements": -1},
-        {"refinements": 0.5},
         {"eps": (0.1, math.inf)},
         {"eps": (0.1, math.nan)},
         {"spacing": math.inf},
@@ -298,23 +297,65 @@ class TestProfiles:
 # grid convergence of the family measurements
 # --------------------------------------------------------------------------
 
+def synth_level(scale: float) -> list[StabilityRecord]:
+    """One grid level of synthetic records: every deviation ``scale * eps``."""
+    return [synth_record(e, **{c: scale * e for c in DEVIATION_FIELDS})
+            for e in (0.1, 0.15, 0.2)]
+
+
+@pytest.fixture
+def no_solves(monkeypatch):
+    """Make any member solve fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a member was solved")
+
+    monkeypatch.setattr(stability, "run_family", forbidden)
+    monkeypatch.setattr(stability, "build_pipeline_data", forbidden)
+
+
 class TestRefinement:
     def test_ladder_converges(self):
-        spec = FamilySpec(kind="ellipse", eps=(0.1, 0.2),
-                          spacing=1.0 / 32.0, refinements=1)
-        reports = verify_refinement(spec, run_family(spec))
+        spec = FamilySpec(kind="ellipse", eps=(0.1, 0.2), spacing=1.0 / 32.0)
+        levels = [run_family(spec),
+                  run_family(replace(spec, spacing=1.0 / 64.0))]
+        reports = verify_refinement(levels)
         assert len(reports) == len(DEVIATION_FIELDS)
         assert all(r.name.startswith("refine1_") for r in reports)
         assert all(r.status == "pass" for r in reports)
 
-    def test_requires_refinements(self):
-        with pytest.raises(DomainError):
-            verify_refinement(FamilySpec(kind="ellipse", refinements=0), [])
+    def test_converging_levels_pass(self, no_solves):
+        levels = [synth_level(1.04), synth_level(1.01), synth_level(1.0)]
+        reports = verify_refinement(levels)
+        assert [r.name for r in reports] == [
+            f"refine{level}_{column}" for level in (1, 2)
+            for column in DEVIATION_FIELDS]
+        assert all(r.status == "pass" for r in reports)
+        # the largest change against 10% of the finer level's least value
+        assert reports[0].lhs == pytest.approx(0.03 * 0.2)
+        assert reports[0].rhs == pytest.approx(0.1 * 1.01 * 0.1)
 
-    def test_requires_one_coarse_record_per_eps(self):
-        spec = FamilySpec(kind="ellipse", eps=(0.1, 0.2), refinements=1)
-        with pytest.raises(DomainError):
-            verify_refinement(spec, [synth_record(0.1)])
+    def test_change_above_ten_percent_fails(self, no_solves):
+        coarse = synth_level(1.0)
+        coarse[1] = replace(coarse[1], trace_flatness=0.15 + 0.012)
+        by_name = {r.name: r
+                   for r in verify_refinement([coarse, synth_level(1.0)])}
+        assert by_name["refine1_trace_flatness"].status == "fail"
+        assert by_name["refine1_radius_gap"].status == "pass"
+
+    def test_error_row_is_rejected(self, no_solves):
+        fine = synth_level(1.0)
+        fine[2] = synth_record(0.2, status="error", detail="GeometryError: x")
+        with pytest.raises(DomainError, match="every record ok"):
+            verify_refinement([synth_level(1.0), fine])
+
+    def test_requires_refinements(self, no_solves):
+        for levels in ([], [synth_level(1.0)]):
+            with pytest.raises(DomainError, match="at least two grid levels"):
+                verify_refinement(levels)
+
+    def test_requires_one_coarse_record_per_eps(self, no_solves):
+        with pytest.raises(DomainError, match="one record per epsilon"):
+            verify_refinement([synth_level(1.0), synth_level(1.0)[:2]])
 
     def test_monotone_needs_two_records(self):
         with pytest.raises(DomainError):
