@@ -90,6 +90,8 @@ class TestFamilySpec:
         {"kind": "cosine_perturbation", "eps": (0.5, 1.0)},
         {"kind": "cosine_perturbation", "k": 0},
         {"spacing": 0.0},
+        {"kind": "cosine_perturbation", "k": 1.5},
+        {"spacing": -1.0 / 64.0},
         {"eps": (0.1, math.inf)},
         {"eps": (0.1, math.nan)},
         {"spacing": math.inf},
