@@ -63,6 +63,9 @@ from .constants import (
 from .cones import check_dimension, run_cone_sweep
 from .errors import ConfigError, OscboundError
 from .identities import (
+    BATTERY_ALPHA,
+    BATTERY_P,
+    BATTERY_Q,
     build_pipeline_data,
     check_battery_exponents,
     run_domain_checks,
@@ -124,9 +127,9 @@ class RunConfig:
     normalize_area: bool = FamilySpec.normalize_area
     grid_h: float = FamilySpec.spacing
     grid_refinements: int = 0
-    p: float = 6.0
-    q: float = INF
-    alpha: float = 0.5
+    p: float = BATTERY_P
+    q: float = BATTERY_Q
+    alpha: float = BATTERY_ALPHA
     N: int = 2
     jobs: int = 0
     out: str = "."

@@ -2,9 +2,11 @@
 
 Everything here consumes a :class:`PipelineData` bundle (one solved domain:
 torsion solution, deepest point, auxiliary field ``h = |x-z|^2/2 - u``,
-derivative tensors, boundary traces, and exact geometry scalars, the parts
-only the battery reads built on first read) and produces
-:class:`IdentityReport` records.  Three kinds of check coexist:
+derivative tensors and the normal-derivative trace on the domain's coarse
+boundary table, the parts only the battery reads built on first read) and
+produces :class:`IdentityReport` records.  The geometry scalars (area,
+perimeter, radii) are read from the domain, which owns them.  Three kinds
+of check coexist:
 
 * ``identity`` — both sides of an exact integral identity are computed
   numerically and must agree up to a discretization tolerance;
@@ -53,7 +55,6 @@ from .torsion import (
     DiscreteField,
     SolveReport,
     TensorField,
-    boundary_lp_norm,
     gauss_map_deviation,
     gradient,
     h_field,
@@ -67,6 +68,9 @@ from .torsion import (
 Array = np.ndarray
 
 __all__ = [
+    "BATTERY_ALPHA",
+    "BATTERY_P",
+    "BATTERY_Q",
     "FLOOR",
     "IdentityReport",
     "PipelineData",
@@ -89,6 +93,9 @@ __all__ = [
 FLOOR = 1e-12        # scale floor in relative residuals
 _ABS_SLACK = 1e-9    # absolute slack for explicit-constant inequalities
 _POINCARE_R, _POINCARE_P = 4.0, 2.0  # the battery's weighted Poincare ratio
+# the battery's default exponents: (p, q) of the oscillation chain and the
+# weight exponent alpha of the weighted Poincare ratio
+BATTERY_P, BATTERY_Q, BATTERY_ALPHA = 6.0, INF, 0.5
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +180,10 @@ class IdentityReport:
 class PipelineData:
     """Everything the identity checks need about one solved domain.
 
-    ``boundary`` is the coarse boundary table view that ``trace`` samples.
+    ``trace`` is u_nu on the domain's coarse boundary table
+    (``trace.table``), whose positions, normals, curvatures and weights the
+    boundary terms read.  The area and the perimeter are read from the
+    domain through :func:`area` and :func:`perimeter`.
     """
 
     domain: StarDomain2D
@@ -181,10 +191,7 @@ class PipelineData:
     report: SolveReport
     z: Array
     hess_h: TensorField
-    trace: BoundaryTrace          # u_nu at the boundary view's angles
-    boundary: tuple[Array, ...]   # the coarse BoundaryTable view
-    area: float
-    perimeter: float
+    trace: BoundaryTrace
     rho_i: float
     rho_e: float
 
@@ -196,7 +203,7 @@ class PipelineData:
     @property
     def R(self) -> float:
         """Reference radius N |Omega| / |Gamma|."""
-        return 2.0 * self.area / self.perimeter
+        return 2.0 * area(self.domain) / perimeter(self.domain)
 
     @property
     def H0(self) -> float:
@@ -220,7 +227,7 @@ class PipelineData:
     @cached_property
     def mean_convex(self) -> bool:
         """Whether the boundary curvature is nowhere negative (up to slack)."""
-        return bool(np.min(self.boundary.kappa) >= -_ABS_SLACK)
+        return bool(np.min(self.trace.table.kappa) >= -_ABS_SLACK)
 
     # ---------------- integration helpers (unnormalized) ----------------
 
@@ -234,20 +241,29 @@ class PipelineData:
             raise GeometryError("domain integral has no valid nodes")
         return float(np.sum(w[mask] * values[mask])) * float(np.sum(w)) / covered
 
-    def boundary_integral(self, values: Array) -> float:
-        """``int_Gamma values dS`` over valid trace samples, rescaled."""
+    def _valid_samples(self, values: Array) -> tuple[Array, Array]:
+        """``values`` and the arclength weights at the valid trace samples
+        where ``values`` is finite."""
         ok = self.trace.valid & np.isfinite(values)
         if not ok.any():
-            raise GeometryError("boundary integral has no valid samples")
-        w = self.trace.weights
-        return float(np.sum(w[ok] * values[ok])) * self.perimeter / float(np.sum(w[ok]))
+            raise GeometryError("no valid boundary samples remain")
+        return values[ok], self.trace.table.weight[ok]
+
+    def boundary_integral(self, values: Array) -> float:
+        """``int_Gamma values dS`` over valid trace samples, rescaled."""
+        vals, w = self._valid_samples(values)
+        return float(np.sum(w * vals)) * perimeter(self.domain) / float(np.sum(w))
 
     def boundary_norm(self, values: Array, p: float) -> float:
-        """Perimeter-normalized boundary p-norm over valid samples."""
-        tr = BoundaryTrace(phi=self.trace.phi, values=values,
-                           weights=self.trace.weights,
-                           valid=self.trace.valid & np.isfinite(values))
-        return boundary_lp_norm(tr, p)
+        """Perimeter-normalized boundary p-norm (measure dS / |Gamma|) over
+        valid trace samples."""
+        if not (p == math.inf or p >= 1.0):
+            raise DomainError(f"exponent must be in [1, inf], got {p}")
+        vals, w = self._valid_samples(values)
+        vals = np.abs(vals)
+        if p == math.inf:
+            return float(np.max(vals))
+        return float(np.sum(w * vals**p) / np.sum(w)) ** (1.0 / p)
 
     # ---------------- derived boundary fields ----------------
 
@@ -259,7 +275,7 @@ class PipelineData:
         auxiliary field of this package is its negative, which no check
         depends on since each use is either squared or explicitly signed.
         """
-        b = self.boundary
+        b = self.trace.table
         return self.trace.values - np.sum((b.gamma - self.z) * b.normal, axis=-1)
 
     # ---------------- the stability deviations ----------------
@@ -267,7 +283,7 @@ class PipelineData:
     @cached_property
     def curvature_flatness(self) -> float:
         """``|| H - H_0 ||_{2, Gamma}`` (normalized)."""
-        return self.boundary_norm(self.boundary.kappa - self.H0, 2.0)
+        return self.boundary_norm(self.trace.table.kappa - self.H0, 2.0)
 
     @cached_property
     def trace_flatness(self) -> float:
@@ -299,14 +315,9 @@ def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
                         -hess_u.components[..., 1],
                         1.0 - hess_u.components[..., 2]], axis=-1)
     hess_h = TensorField(grid=u.grid, components=residue, valid=hess_u.valid)
-    boundary = domain.coarse_table
-    trace = normal_derivative(u, boundary)
     rho_i, rho_e = rho_bounds(domain, z)
-    return PipelineData(
-        domain=domain, u=u, report=report, z=z, hess_h=hess_h, trace=trace,
-        boundary=boundary, area=area(domain), perimeter=perimeter(domain),
-        rho_i=rho_i, rho_e=rho_e,
-    )
+    return PipelineData(domain=domain, u=u, report=report, z=z, hess_h=hess_h,
+                        trace=normal_derivative(u), rho_i=rho_i, rho_e=rho_e)
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +327,7 @@ def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
 def check_divergence_identity(data: PipelineData) -> IdentityReport:
     """``N |Omega| = int_Gamma u_nu dS`` (integrate the equation once)."""
     tol = max(1.0 * data.h, _ABS_SLACK)
-    lhs = 2.0 * data.area
+    lhs = 2.0 * area(data.domain)
     rhs = data.boundary_integral(data.trace.values)
     return IdentityReport.identity("divergence", lhs, rhs, tol)
 
@@ -332,7 +343,7 @@ def check_fundamental_identity(data: PipelineData) -> IdentityReport:
     interior = data.domain_integral(mag2, data.hess_h.valid)  # 1/(N-1) = 1
     un = data.trace.values
     defect = data.boundary_integral((un - data.R) ** 2) / data.R
-    rhs = data.boundary_integral((data.H0 - data.boundary.kappa) * un**2)
+    rhs = data.boundary_integral((data.H0 - data.trace.table.kappa) * un**2)
     # on a ball every term vanishes; the discretization error still scales
     # with the uncancelled curvature-side magnitude
     natural = data.H0 * data.boundary_integral(un**2)
@@ -356,7 +367,7 @@ def check_identity_mp(data: PipelineData) -> IdentityReport:
     rhs = 0.5 * data.boundary_integral((un**2 - data.R**2) * data.h_nu)
     # triangle majorant of the boundary side: the yardstick the noise scales
     # with when both sides vanish on a ball
-    b = data.boundary
+    b = data.trace.table
     geom = np.abs(np.sum((b.gamma - data.z) * b.normal, axis=-1))
     natural = 0.5 * data.boundary_integral(
         (un**2 + data.R**2) * (np.abs(un) + geom))
@@ -371,10 +382,7 @@ def check_identity_mp(data: PipelineData) -> IdentityReport:
 def check_hopf_bound(data: PipelineData) -> IdentityReport:
     """``u_nu >= r_i`` on the boundary (Hopf-type barrier bound)."""
     tol = 1.0 * data.h
-    ok = data.trace.valid
-    if not ok.any():
-        raise GeometryError("Hopf check needs at least one valid trace sample")
-    rhs = float(np.min(data.trace.values[ok]))
+    rhs = float(np.min(data._valid_samples(data.trace.values)[0]))
     return IdentityReport.inequality("hopf", ball_radii(data.domain)[0], rhs,
                                      tol)
 
@@ -407,8 +415,8 @@ def check_min_depth(data: PipelineData) -> IdentityReport:
 # constructive inequality chains
 # --------------------------------------------------------------------------
 
-def check_oscillation_chain(data: PipelineData, p: float = 6.0,
-                            q: float = INF) -> IdentityReport:
+def check_oscillation_chain(data: PipelineData, p: float,
+                            q: float) -> IdentityReport:
     """Annulus gap against the constructive oscillation bound of ``h``.
 
     The exact geometric step ``rho_e - rho_i <= 2 (|B|/|Omega|)^{1/N}
@@ -421,10 +429,11 @@ def check_oscillation_chain(data: PipelineData, p: float = 6.0,
     pair = ExponentPair(p=p, q=q, N=2)
     grad_p = lp_norm_domain(data.grad_h, p)
     grad_q = lp_norm_domain(data.grad_h, q)
+    omega = area(data.domain)
     estimate = oscillation_bound(grad_p, grad_q, pair, diameter(data.domain),
-                                 star_radius(data.domain), data.area)
+                                 star_radius(data.domain), omega)
     lhs = data.rho_e - data.rho_i
-    rhs = 2.0 * math.sqrt(unit_ball_volume(2) / data.area) * estimate
+    rhs = 2.0 * math.sqrt(unit_ball_volume(2) / omega) * estimate
     if p > 2:
         return IdentityReport.inequality("oscillation_chain", lhs, rhs)
     return IdentityReport.monitored("oscillation_chain", lhs, rhs)
@@ -450,7 +459,7 @@ def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport
     hess_q = lp_norm_domain(data.hess_h, q)
     grad_p = lp_norm_domain(data.grad_h, p)
     cap = cap_measure(math.pi / 4.0, N)
-    vol_ratio = N * data.area / cap
+    vol_ratio = N * area(data.domain) / cap
     B = vol_ratio ** (1.0 / p) * grad_p
     if q == INF:
         A = morrey_cone_constant(INF, N, 1.0) * hess_q
@@ -480,7 +489,7 @@ def check_grad_infty_weighted(data: PipelineData) -> IdentityReport:
 
 
 def check_weighted_poincare(data: PipelineData,
-                            alpha: float = 0.5) -> IdentityReport:
+                            alpha: float) -> IdentityReport:
     """Distance-weighted Poincare ratio around the critical point of ``h``.
 
     Records ``||grad h||_{4, Omega}`` against ``||delta^alpha hess h||_{2,
@@ -523,8 +532,9 @@ def check_battery_exponents(p: float, q: float, alpha: float) -> None:
     weighted_poincare_window(2, _POINCARE_R, _POINCARE_P, alpha)
 
 
-def run_domain_checks(data: PipelineData, p: float = 6.0, q: float = INF,
-                      alpha: float = 0.5) -> list[IdentityReport]:
+def run_domain_checks(data: PipelineData, p: float = BATTERY_P,
+                      q: float = BATTERY_Q,
+                      alpha: float = BATTERY_ALPHA) -> list[IdentityReport]:
     """Run the full per-domain check battery in a fixed order.
 
     ``p``/``q`` steer the oscillation chain and ``alpha`` the weighted

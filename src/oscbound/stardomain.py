@@ -19,11 +19,13 @@ first use, what several of them share: the boundary table at 4096 uniform
 angles and its every-4th-angle view (:attr:`StarDomain2D.boundary_table`,
 :attr:`StarDomain2D.coarse_table`), and by :func:`_kept` the tangent-ball
 quotient table, the Delaunay graph of the coarse table, the diameter, the
-ball radii and the inradius.  Three
+ball radii and the inradius.  Four
 searches carry every extremum: the tangent-ball quotient table, reduced to
 row minima as it is built (the ball radii and the inradius), the seeded
-Newton projection onto the curve and one bracket search that refines a
-tabulated extremum, evaluating each round's probes in one vectorized call.
+Newton projection onto the curve, the Newton step on a critical pair of
+boundary points (:func:`_critical_pair`: the diameter and the bottleneck of
+the ball radii) and one bracket search that refines a tabulated extremum,
+evaluating each round's probes in one vectorized call.
 Every nearest-point distance is one :func:`boundary_distance` step: the
 projection from a coarse-table vertex that the caller picks, capped at
 that vertex's distance.  :func:`nearest_vertex` picks it for many points at

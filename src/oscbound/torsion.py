@@ -46,7 +46,13 @@ from scipy.spatial import cKDTree
 
 from .cones import AnalyticField
 from .errors import DomainError, GeometryError
-from .stardomain import StarDomain2D, area, boundary_distance, nearest_vertex
+from .stardomain import (
+    BoundaryTable,
+    StarDomain2D,
+    area,
+    boundary_distance,
+    nearest_vertex,
+)
 
 Array = np.ndarray
 
@@ -65,7 +71,6 @@ __all__ = [
     "lp_norm_domain",
     "bilinear",
     "normal_derivative",
-    "boundary_lp_norm",
     "gauss_map_deviation",
     "estimate_order",
 ]
@@ -896,25 +901,18 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
 # norms
 # --------------------------------------------------------------------------
 
-def lp_norm_domain(field: DiscreteField | TensorField, p: float,
-                   alpha: float = 0.0) -> float:
-    """Normalized interior norm ``|| delta^alpha f ||_{p, Omega}``.
+def lp_norm_domain(field: TensorField, p: float, alpha: float = 0.0) -> float:
+    """Normalized interior norm ``|| delta^alpha |f| ||_{p, Omega}`` of a
+    tensor field's magnitude.
 
     The measure is dx / |Omega| via the exact cell areas; masked nodes are
-    excluded (their volume fraction is available on TensorField).
+    excluded (their volume fraction is :attr:`TensorField.excluded_fraction`).
     """
-    if isinstance(field, TensorField):
-        grid = field.grid
-        mag = field.magnitude
-        valid = field.valid
-    else:
-        grid = field.grid
-        mag = np.abs(field.values)
-        valid = grid.inside
     if not (p == math.inf or p >= 1.0):
         raise DomainError(f"exponent must be in [1, inf], got {p}")
-    mask = valid & grid.inside
-    vals = mag[mask]
+    grid = field.grid
+    mask = field.valid & grid.inside
+    vals = field.magnitude[mask]
     if alpha != 0.0:
         vals = vals * grid.delta[mask] ** alpha
     if p == math.inf:
@@ -959,25 +957,25 @@ def bilinear(field: DiscreteField, pts: Array) -> tuple[Array, Array]:
 
 @dataclass(eq=False)
 class BoundaryTrace:
-    """Values of a quantity at uniform boundary samples, with exclusions."""
+    """Values of a quantity at the samples of a boundary table, with
+    exclusions; the table holds the samples' angles, positions, normals,
+    curvatures and arclength weights."""
 
-    phi: Array
+    table: BoundaryTable
     values: Array
-    weights: Array
     valid: Array
 
     @property
     def excluded_fraction(self) -> float:
-        return float(np.sum(self.weights[~self.valid]) / np.sum(self.weights))
+        weight = self.table.weight
+        return float(np.sum(weight[~self.valid]) / np.sum(weight))
 
 
-def normal_derivative(u: DiscreteField, samples: tuple[Array, ...]) -> BoundaryTrace:
+def normal_derivative(u: DiscreteField) -> BoundaryTrace:
     """Outward normal derivative on the boundary by one-sided differences.
 
-    ``samples`` are the boundary samples to differentiate at: a
-    boundary table or its first five fields
-    (phi, position, outward normal, curvature, arclength weight); the
-    pipeline passes the coarse view of the domain's boundary table.  Uses
+    Samples the coarse view of the domain's boundary table
+    (:attr:`StarDomain2D.coarse_table`, 1024 uniform angles).  Uses
     ``u = 0`` on the boundary and bilinear samples at distances delta and 2
     delta inward along the normal (delta = ``_TRACE_STEP`` h = 3 h).  The
     trace is first-order accurate as measured: against a spectral reference
@@ -986,29 +984,14 @@ def normal_derivative(u: DiscreteField, samples: tuple[Array, ...]) -> BoundaryT
     are flagged and excluded.
     """
     grid = u.grid
-    phi, pos, normal, _, weight = samples[:5]
+    table = grid.domain.coarse_table
     delta = _TRACE_STEP * grid.h
-    p1 = pos - delta * normal
-    p2 = pos - 2.0 * delta * normal
-    v1, ok1 = bilinear(u, p1)
-    v2, ok2 = bilinear(u, p2)
+    v1, ok1 = bilinear(u, table.gamma - delta * table.normal)
+    v2, ok2 = bilinear(u, table.gamma - 2.0 * delta * table.normal)
     valid = ok1 & ok2
     vals = (v2 - 4.0 * v1) / (2.0 * delta)
-    return BoundaryTrace(phi=phi, values=np.where(valid, vals, np.nan),
-                         weights=weight, valid=valid)
-
-
-def boundary_lp_norm(trace: BoundaryTrace, p: float) -> float:
-    """Normalized boundary norm (measure dS / |Gamma|) over valid samples."""
-    if not (p == math.inf or p >= 1.0):
-        raise DomainError(f"exponent must be in [1, inf], got {p}")
-    vals = np.abs(trace.values[trace.valid])
-    w = trace.weights[trace.valid]
-    if vals.size == 0:
-        raise GeometryError("no valid boundary samples remain")
-    if p == math.inf:
-        return float(np.max(vals))
-    return float(np.sum(w * vals**p) / np.sum(w)) ** (1.0 / p)
+    return BoundaryTrace(table=table, values=np.where(valid, vals, np.nan),
+                         valid=valid)
 
 
 def gauss_map_deviation(domain: StarDomain2D, z, R: float) -> float:

@@ -40,7 +40,7 @@ from oscbound.identities import (
     check_identity_mp,
 )
 from oscbound.stability import FamilySpec, check_sbt_profile, check_serrin_profile, run_family
-from oscbound.stardomain import StarDomain2D, _sample_boundary, diameter, star_radius
+from oscbound.stardomain import StarDomain2D, diameter, star_radius
 from oscbound.torsion import (
     DiscreteField,
     estimate_order,
@@ -256,7 +256,7 @@ def test_criterion_05_solver_order_and_trace():
         u, _ = solve_torsion(ellipse, h)
         errors[k] = max_node_error(u, exact)
         if k == 7:
-            traces[k] = normal_derivative(u, _sample_boundary(ellipse, 1024))
+            traces[k] = normal_derivative(u)
     # The exact ellipse torsion is a quadratic, which the cut-cell stencil
     # reproduces exactly: node errors sit at the roundoff floor, which
     # trumps any finite convergence order.  If the floor is ever missed,
@@ -277,7 +277,7 @@ def test_criterion_05_solver_order_and_trace():
                           shared_node_gap(sols[5], sols[6]))
     # normal-derivative trace accuracy at h = 1/128
     tr = traces[7]
-    gamma = ellipse.boundary(tr.phi)
+    gamma = tr.table.gamma
     exact_un = 0.4 * np.sqrt(gamma[:, 0] ** 2 + 16.0 * gamma[:, 1] ** 2)
     trace_err = float(np.max(np.abs(tr.values - exact_un)[tr.valid]))
     elapsed = time.perf_counter() - t0

@@ -318,12 +318,22 @@ class _Half(float):
         return "half"
 
 
-@pytest.mark.parametrize("value", [
-    0.1, 1e-300, -2.5e17, -0.0, 0.0, float("nan"), INF, -INF,
-    np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.float64(-INF),
-    np.float32(0.1), np.float16(1.5), _Half(0.5), 0, 7, -3, 10**20,
-    np.int64(5), True, False, None, "", "pointwise", 'a "b", c',
-    {"x": 1.0, "N": 3}, {}, (1, 2)])
+# id -> cell; each id is written out, so deleting a case renames no other
+_CELLS = {
+    "0.1_0": 0.1, "1e-300": 1e-300, "-2.5e+17": -2.5e17, "-0.0_0": -0.0,
+    "0.0": 0.0, "nan0": float("nan"), "inf": INF, "-inf0": -INF,
+    "0.1_1": np.float64(0.1), "-0.0_1": np.float64(-0.0),
+    "nan1": np.float64("nan"), "-inf1": np.float64(-INF),
+    "value12": np.float32(0.1), "value13": np.float16(1.5),
+    "half": _Half(0.5), "0": 0, "7": 7, "-3": -3,
+    "100000000000000000000": 10**20, "value19": np.int64(5), "True": True,
+    "False": False, "None": None, "": "", "pointwise": "pointwise",
+    'a "b", c': 'a "b", c', "value26": {"x": 1.0, "N": 3}, "value27": {},
+    "value28": (1, 2),
+}
+
+
+@pytest.mark.parametrize("value", list(_CELLS.values()), ids=list(_CELLS))
 def test_cell_formatting_matches_the_isinstance_chain(value):
     assert cli._fmt(value) == _fmt_reference(value)
 

@@ -75,7 +75,8 @@ def test_beta_symmetry(x, y):
     assert euler_beta(x, y) == euler_beta(y, x)
 
 
-@pytest.mark.parametrize("bad", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0)])
+@pytest.mark.parametrize("bad", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0)],
+                         ids=["x=0", "x<0", "y=0"])
 def test_beta_rejects_nonpositive(bad):
     with pytest.raises(DomainError):
         euler_beta(*bad)

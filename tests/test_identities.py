@@ -18,6 +18,7 @@ whole pipeline reproduces exactly in floating point.
 """
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import math
@@ -33,8 +34,12 @@ from oscbound import cli, cones, identities, stability, stardomain, torsion
 from oscbound.constants import INF
 from oscbound.errors import DomainError, GeometryError
 from oscbound.identities import (
+    BATTERY_ALPHA,
+    BATTERY_P,
+    BATTERY_Q,
     FLOOR,
     IdentityReport,
+    PipelineData,
     build_pipeline_data,
     check_divergence_identity,
     check_fundamental_identity,
@@ -57,8 +62,10 @@ from oscbound.stability import (
 )
 from oscbound.stardomain import (
     StarDomain2D,
+    area,
     ball_radii,
     inradius,
+    perimeter,
     star_radius,
 )
 from oscbound.torsion import lp_norm_domain
@@ -103,6 +110,12 @@ def ellipse_data():
 def ellipse_coarse():
     return build_pipeline_data(
         StarDomain2D.ellipse(ELLIPSE_A, ELLIPSE_B), 1.0 / 32.0)
+
+
+@pytest.fixture(scope="module")
+def thin_data():
+    # the trace excludes the 100 samples near the two tips, 40% of the weight
+    return build_pipeline_data(StarDomain2D.ellipse(1.0, 0.12), 1.0 / 32.0)
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +184,7 @@ class TestPipelineBundle:
     def test_constant_domain_integral(self, disk_data):
         total = disk_data.domain_integral(
             np.ones_like(disk_data.u.values))
-        assert total == pytest.approx(disk_data.area, rel=1e-8)
+        assert total == pytest.approx(area(disk_data.domain), rel=1e-8)
 
     def test_domain_integral_rescales_exclusions(self, disk_data):
         grid = disk_data.u.grid
@@ -179,7 +192,8 @@ class TestPipelineBundle:
         valid = rng.random(grid.inside.shape) < 0.5
         total = disk_data.domain_integral(
             np.full(grid.inside.shape, 3.0), valid)
-        assert total == pytest.approx(3.0 * disk_data.area, rel=1e-8)
+        assert total == pytest.approx(3.0 * area(disk_data.domain),
+                                      rel=1e-8)
 
     def test_domain_integral_needs_valid_nodes(self, disk_data):
         empty = np.zeros_like(disk_data.u.grid.inside)
@@ -189,12 +203,50 @@ class TestPipelineBundle:
     def test_constant_boundary_integral(self, disk_data):
         ones = np.ones_like(disk_data.trace.values)
         assert disk_data.boundary_integral(ones) == pytest.approx(
-            disk_data.perimeter, rel=1e-12)
+            perimeter(disk_data.domain), rel=1e-12)
 
     def test_boundary_integral_needs_valid_samples(self, disk_data):
         with pytest.raises(GeometryError):
             disk_data.boundary_integral(
                 np.full_like(disk_data.trace.values, np.nan))
+
+    def test_boundary_norm_of_constants(self, disk_data):
+        flat = np.full_like(disk_data.trace.values, 2.5)
+        for p in (1.0, 2.0, math.inf):
+            assert abs(disk_data.boundary_norm(flat, p) - 2.5) < 1e-13
+        with pytest.raises(DomainError):
+            disk_data.boundary_norm(flat, 0.3)
+
+    def test_boundary_norm_needs_valid_samples(self, disk_data):
+        with pytest.raises(GeometryError):
+            disk_data.boundary_norm(
+                np.full_like(disk_data.trace.values, np.nan), 2.0)
+
+    def test_bundle_reads_the_domain_coarse_table(self, disk_data):
+        # the bundle holds the trace and nothing the domain owns: the
+        # boundary samples, the area and the perimeter are read from it
+        assert [f.name for f in dataclasses.fields(PipelineData)] == [
+            "domain", "u", "report", "z", "hess_h", "trace", "rho_i", "rho_e"]
+        assert [f.name for f in dataclasses.fields(disk_data.trace)] == [
+            "table", "values", "valid"]
+        assert disk_data.trace.table is disk_data.domain.coarse_table
+
+    def test_trace_exclusions_are_skipped(self, thin_data):
+        trace = thin_data.trace
+        valid, weight = trace.valid, trace.table.weight
+        assert trace.excluded_fraction > 0.4
+        # finite values at excluded samples change neither the norm nor the
+        # integral, which is rescaled from the valid weight to |Gamma|
+        spiked = np.where(valid, 2.5, 1e6)
+        for p in (1.0, 2.0, math.inf):
+            assert abs(thin_data.boundary_norm(spiked, p) - 2.5) < 1e-13
+        assert thin_data.boundary_integral(spiked) == pytest.approx(
+            2.5 * perimeter(thin_data.domain), rel=1e-13)
+        kappa = trace.table.kappa
+        want = math.sqrt(float(np.sum(weight[valid] * kappa[valid] ** 2)
+                               / np.sum(weight[valid])))
+        assert thin_data.boundary_norm(kappa, 2.0) == pytest.approx(
+            want, rel=1e-13)
 
     def test_reference_radius(self, disk_data, ellipse_data):
         assert disk_data.R == pytest.approx(1.0, rel=1e-12)
@@ -278,7 +330,7 @@ class TestEllipseOracles:
     def test_curvature_boundary_term(self, ellipse_data):
         un = ellipse_data.trace.values
         value = ellipse_data.boundary_integral(
-            ellipse_data.boundary.kappa * un**2)
+            ellipse_data.trace.table.kappa * un**2)
         assert value == pytest.approx(CURV_BOUNDARY_TERM, rel=8e-3)
 
     def test_trace_defect_term(self, ellipse_data):
@@ -344,13 +396,13 @@ class TestEllipseInequalities:
         assert report.rhs == pytest.approx(ELLIPSE_B, rel=1e-6)
 
     def test_oscillation_chain_asserted(self, ellipse_data):
-        report = check_oscillation_chain(ellipse_data)
+        report = check_oscillation_chain(ellipse_data, p=6.0, q=INF)
         assert report.kind == "inequality"
         assert report.status == "pass"
         assert report.lhs < report.rhs
 
     def test_oscillation_chain_monitored_regime(self, ellipse_data):
-        report = check_oscillation_chain(ellipse_data, p=2.0)
+        report = check_oscillation_chain(ellipse_data, p=2.0, q=INF)
         assert report.kind == "ratio"
         assert report.status == "monitored"
 
@@ -371,7 +423,7 @@ class TestEllipseInequalities:
             check_grad_infty_bound(ellipse_data, q=2.0)
 
     def test_weighted_poincare_monitored(self, ellipse_data):
-        report = check_weighted_poincare(ellipse_data)
+        report = check_weighted_poincare(ellipse_data, alpha=0.5)
         assert report.kind == "ratio"
         assert report.status == "monitored"
         assert report.lhs > 0.0 and report.rhs > 0.0
@@ -389,6 +441,20 @@ class TestEllipseInequalities:
         assert all(r.kind == "ratio" for r in links)
         assert all(r.status == "monitored" for r in links)
         assert all(math.isfinite(r.ratio) and r.ratio > 0.0 for r in links)
+
+    def test_battery_defaults_have_one_owner(self):
+        # run_domain_checks and the command line default to the module's
+        # exponents; the checks they steer take every exponent from them
+        defaults = {name: par.default for name, par in inspect.signature(
+            run_domain_checks).parameters.items() if name != "data"}
+        assert defaults == {"p": BATTERY_P, "q": BATTERY_Q,
+                            "alpha": BATTERY_ALPHA}
+        config = cli.parse_config("domain-verify")
+        assert (config.p, config.q, config.alpha) == (
+            BATTERY_P, BATTERY_Q, BATTERY_ALPHA)
+        for check in (check_oscillation_chain, check_weighted_poincare):
+            assert all(par.default is inspect.Parameter.empty for par in
+                       inspect.signature(check).parameters.values())
 
     def test_run_domain_checks_order(self, ellipse_data):
         reports = run_domain_checks(ellipse_data)
@@ -416,7 +482,8 @@ class TestConsistency:
         base = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
         big = build_pipeline_data(
             StarDomain2D.cosine(lam * 0.1, 3, base=lam), 1.0 / 16.0)
-        assert big.area == pytest.approx(lam**2 * base.area, rel=1e-10)
+        assert area(big.domain) == pytest.approx(
+            lam**2 * area(base.domain), rel=1e-10)
         assert big.R == pytest.approx(lam * base.R, rel=1e-10)
         assert ball_radii(big.domain)[0] == pytest.approx(
             lam * ball_radii(base.domain)[0], rel=1e-10)

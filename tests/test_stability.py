@@ -81,21 +81,26 @@ class TestFamilySpec:
         assert spec.eps == (0.02, 0.04, 0.07, 0.1, 0.14, 0.2)
         assert spec.spacing == pytest.approx(1.0 / 64.0)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"kind": "square"},
-        {"eps": ()},
-        {"eps": (-0.1, 0.2)},
-        {"eps": (0.1, 0.1)},
-        {"eps": (0.2, 0.1)},
-        {"kind": "cosine_perturbation", "eps": (0.5, 1.0)},
-        {"kind": "cosine_perturbation", "k": 0},
-        {"spacing": 0.0},
-        {"kind": "cosine_perturbation", "k": 1.5},
-        {"spacing": -1.0 / 64.0},
-        {"eps": (0.1, math.inf)},
-        {"eps": (0.1, math.nan)},
-        {"spacing": math.inf},
-    ])
+    # id -> spec arguments; each id is written out, so deleting a case
+    # renames no other
+    INVALID = {
+        "kwargs0": {"kind": "square"},
+        "kwargs1": {"eps": ()},
+        "kwargs2": {"eps": (-0.1, 0.2)},
+        "kwargs3": {"eps": (0.1, 0.1)},
+        "kwargs4": {"eps": (0.2, 0.1)},
+        "kwargs5": {"kind": "cosine_perturbation", "eps": (0.5, 1.0)},
+        "kwargs6": {"kind": "cosine_perturbation", "k": 0},
+        "kwargs7": {"spacing": 0.0},
+        "kwargs8": {"kind": "cosine_perturbation", "k": 1.5},
+        "kwargs9": {"spacing": -1.0 / 64.0},
+        "kwargs10": {"eps": (0.1, math.inf)},
+        "kwargs11": {"eps": (0.1, math.nan)},
+        "kwargs12": {"spacing": math.inf},
+    }
+
+    @pytest.mark.parametrize("kwargs", list(INVALID.values()),
+                             ids=list(INVALID))
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(DomainError):
             FamilySpec(**kwargs)

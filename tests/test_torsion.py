@@ -29,20 +29,17 @@ from oscbound.errors import DomainError, GeometryError
 from oscbound.stability import FamilySpec, build_family_domain
 from oscbound.stardomain import (
     StarDomain2D,
-    _sample_boundary,
     area,
     boundary_distance,
     nearest_vertex,
     rotated,
 )
 from oscbound.torsion import (
-    BoundaryTrace,
     DiscreteField,
     Grid,
     SolveReport,
     TensorField,
     bilinear,
-    boundary_lp_norm,
     estimate_order,
     exact_ellipse_torsion,
     gauss_map_deviation,
@@ -85,6 +82,13 @@ def cosine_solves():
 def nodal(grid: Grid, fun) -> DiscreteField:
     X, Y = np.meshgrid(grid.xs, grid.ys)
     return DiscreteField(grid, np.where(grid.inside, fun(X, Y), np.nan))
+
+
+def unit_vectors(grid: Grid) -> TensorField:
+    """A vector field of magnitude 1 at every inside node."""
+    comps = np.zeros(grid.inside.shape + (2,))
+    comps[..., 0] = 1.0
+    return TensorField(grid=grid, components=comps, valid=grid.inside.copy())
 
 
 # --------------------------------------------------------------------------
@@ -955,7 +959,7 @@ def test_tensor_field_magnitude_rejects_unknown_shape(disk_solve):
 
 def test_lp_norm_of_constants_is_exact(disk_solve):
     _, u, _ = disk_solve
-    one = nodal(u.grid, lambda X, Y: np.full_like(X, 1.0))
+    one = unit_vectors(u.grid)
     for p in (1.0, 2.0, 3.5, math.inf):
         assert abs(lp_norm_domain(one, p) - 1.0) < 1e-13
 
@@ -964,7 +968,7 @@ def test_lp_norm_distance_weights_match_disk_moments(disk_solve):
     # with delta = 1 - r on the unit disk: mean delta = 1/3 and
     # mean delta^2 = 1/6, so the weighted norms are 1/3 and sqrt(1/6)
     _, u, _ = disk_solve
-    one = nodal(u.grid, lambda X, Y: np.full_like(X, 1.0))
+    one = unit_vectors(u.grid)
     assert abs(lp_norm_domain(one, 1.0, alpha=1.0) - 1.0 / 3.0) < 2e-3
     assert abs(lp_norm_domain(one, 2.0, alpha=1.0) - math.sqrt(1.0 / 6.0)) < 5e-4
 
@@ -986,7 +990,7 @@ def test_lp_norm_frobenius_of_harmonic_residue(ellipse_solve):
 def test_lp_norm_rejects_bad_exponent(disk_solve):
     _, u, _ = disk_solve
     with pytest.raises(DomainError):
-        lp_norm_domain(u, 0.5)
+        lp_norm_domain(unit_vectors(u.grid), 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -1013,15 +1017,16 @@ def test_bilinear_flags_points_without_full_cells(disk_solve):
 
 def test_normal_derivative_on_the_disk_is_the_radius(disk_solve):
     domain, u, _ = disk_solve
-    trace = normal_derivative(u, _sample_boundary(domain, 256))
+    trace = normal_derivative(u)
+    assert trace.table is domain.coarse_table
     assert trace.excluded_fraction == 0.0
     assert float(np.max(np.abs(trace.values[trace.valid] - 1.0))) < 8e-3
 
 
 def test_normal_derivative_on_the_ellipse(ellipse_solve):
     domain, u, _ = ellipse_solve
-    trace = normal_derivative(u, _sample_boundary(domain, 512))
-    gamma = domain.boundary(trace.phi)
+    trace = normal_derivative(u)
+    gamma = trace.table.gamma
     want = 0.8 * np.sqrt(gamma[:, 0] ** 2 / 4.0 + 4.0 * gamma[:, 1] ** 2)
     ok = trace.valid
     rel = np.abs(trace.values[ok] - want[ok]) / want[ok]
@@ -1032,25 +1037,21 @@ def test_normal_derivative_on_the_ellipse(ellipse_solve):
     assert abs(float(np.min(trace.values[ok])) - 0.8) < 5e-3
 
 
-def test_normal_derivative_flags_stencils_that_leave_the_domain(disk_solve):
-    # with the normals flipped, both stencil samples lie outside the disk
-    domain, u, _ = disk_solve
-    phi, pos, normal, kappa, weight = _sample_boundary(domain, 64)[:5]
-    trace = normal_derivative(u, (phi, pos, -normal, kappa, weight))
-    assert trace.excluded_fraction == 1.0
-    with pytest.raises(GeometryError):
-        boundary_lp_norm(trace, 2.0)
-
-
-def test_boundary_lp_norm_of_constants(disk_solve):
-    domain, u, _ = disk_solve
-    trace = normal_derivative(u, _sample_boundary(domain, 256))
-    flat = BoundaryTrace(phi=trace.phi, values=np.full_like(trace.values, 2.5),
-                         weights=trace.weights, valid=trace.valid)
-    for p in (1.0, 2.0, math.inf):
-        assert abs(boundary_lp_norm(flat, p) - 2.5) < 1e-13
-    with pytest.raises(DomainError):
-        boundary_lp_norm(flat, 0.3)
+def test_normal_derivative_flags_stencils_that_leave_the_domain():
+    # within 9 degrees of the tips of a thin ellipse (semi-axes 1 and 0.12)
+    # at h = 1/32, a stencil point 3 h or 6 h inward along the normal falls
+    # in a cell that is cut or has a node outside: those 100 of the 1024
+    # samples, 40% of the arclength, are excluded and NaN
+    domain = StarDomain2D.ellipse(1.0, 0.12)
+    u, _ = solve_torsion(domain, 1.0 / 32.0)
+    trace = normal_derivative(u)
+    weight = trace.table.weight
+    assert int(np.sum(~trace.valid)) == 100
+    assert trace.excluded_fraction == float(
+        np.sum(weight[~trace.valid]) / np.sum(weight))
+    assert abs(trace.excluded_fraction - 0.404) < 1e-3
+    assert np.isnan(trace.values[~trace.valid]).all()
+    assert np.isfinite(trace.values[trace.valid]).all()
 
 
 def test_gauss_map_deviation_vanishes_exactly_on_the_disk():
