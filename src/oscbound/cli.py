@@ -1,10 +1,21 @@
 """Configuration-driven command line for the verification pipelines.
 
-Subcommands map one-to-one onto the package layers: ``constants`` prints the
-closed-form constant table, ``cone-verify`` sweeps the analytic cone
-inequalities, ``domain-verify`` runs the identity battery on one domain
-family, ``sbt-run`` / ``serrin-run`` measure the stability profiles, and
-``report`` re-fits slopes from previously written record CSVs.
+Subcommands map one-to-one onto the package layers: the constant table, the
+analytic cone sweep, the identity battery on one domain family, the two
+stability profiles, and a re-fit of previously written record CSVs.  Each
+command-line concept is declared once, in one table that the rest of the
+module reads:
+
+* ``_COMMANDS``: each subcommand's handler, the config key of its one flag
+  besides ``--config`` and ``--out``, the check of its config that runs
+  before any computation, and its help line.  The parser, the dispatch of
+  :func:`execute` and the config checks loop over it.
+* ``_KEYS``: each config key's parser, meaning and range.  The key sets the
+  :class:`RunConfig` field of its name with ``.`` read as ``_``, whose
+  default is the key's default.  Config files are parsed with it, every
+  subcommand checks every range, and ``--help`` lists each key with its
+  range and default.
+* ``_FAMILIES``: each config family name's :class:`FamilySpec` kind.
 
 Configuration is a plain ``key=value`` file (one pair per line, ``#``
 comments); command-line flags override file values.  Exit codes are a
@@ -34,6 +45,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import attrgetter
+from typing import Callable, NamedTuple
 
 # before numpy loads, or OpenBLAS has already sized its thread pools
 if "numpy" not in sys.modules and not any(
@@ -90,27 +102,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INFRA = 3
-
-_CONFIG_HELP = """\
-config file keys (key=value, one per line, # comments):
-  family            ellipse | cosine            (default ellipse)
-  eps               comma-separated positive ascending list (default
-                    0.02,0.04,0.07,0.1,0.14,0.2); at least 4 values
-                    for sbt-run and serrin-run, which fit across them
-  k                 cosine mode number >= 1     (default 2)
-  normalize_area    true | false: rescale cosine members to area pi
-  grid.h            solver grid spacing > 0     (default 0.015625 = 1/64)
-  grid.refinements  grid halvings checked by the refinement ladder >= 0
-  p, q, alpha       exponents for the oscillation chain and the weighted
-                    Poincare ratio (defaults 6, inf, 0.5)
-  N                 dimension for the constants table / cone sweep >= 2
-  jobs              worker processes; 0 = available parallelism (read
-                    by sbt-run and serrin-run only)
-  out               output directory            (default .)
-  dump_fields       true | false: dump solved u as x,y,value CSV (read
-                    by domain-verify only)
-"""
-
 
 # --------------------------------------------------------------------------
 # configuration
@@ -181,30 +172,58 @@ def _parse_eps(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in parts)
 
 
+# the config name of each family -> its FamilySpec kind
+_FAMILIES = {"ellipse": "ellipse", "cosine": "cosine_perturbation"}
+
+
 def _parse_family(text: str) -> str:
     low = text.strip().lower()
-    if low not in ("ellipse", "cosine"):
-        raise ConfigError(f"family must be ellipse or cosine, got {text!r}")
+    if low not in _FAMILIES:
+        raise ConfigError(
+            f"family must be {' or '.join(_FAMILIES)}, got {text!r}")
     return low
 
 
-_KEYS = {
-    "family": ("family", _parse_family),
-    "eps": ("eps", _parse_eps),
-    "k": ("k", _parse_int),
-    "normalize_area": ("normalize_area", _parse_bool),
-    "grid.h": ("grid_h", _parse_float),
-    "grid.refinements": ("grid_refinements", _parse_int),
-    "p": ("p", _parse_float),
-    "q": ("q", _parse_float),
-    "alpha": ("alpha", _parse_float),
-    "N": ("N", _parse_int),
-    "jobs": ("jobs", _parse_int),
-    "out": ("out", str),
-    "dump_fields": ("dump_fields", _parse_bool),
-}
+def _within(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written ``[low, high]`` or,
+    with the lower end open, ``(low, high]``."""
+    low, high = map(float, interval[1:-1].split(","))
+    return low < value <= high if interval[0] == "(" else low <= value <= high
 
-_FAMILY_COMMANDS = ("domain-verify", "sbt-run", "serrin-run")
+
+class _Key(NamedTuple):
+    """One config key, which sets the RunConfig attribute of its name with
+    "." read as "_": the parser of its text, what it sets (the help of the
+    key and of its flag), and the interval that every command checks its
+    value against ("" for none)."""
+
+    parse: Callable[[str], object]
+    help: str
+    range: str = ""
+
+
+_KEYS = {
+    "family": _Key(_parse_family, " | ".join(_FAMILIES)),
+    "eps": _Key(_parse_eps, "comma-separated positive ascending list; a "
+                f"family fit needs at least {MIN_FIT_POINTS} values"),
+    "k": _Key(_parse_int, "cosine mode number", "[1, inf]"),
+    "normalize_area": _Key(_parse_bool, "rescale cosine members to area pi"),
+    "grid.h": _Key(_parse_float, "solver grid spacing > 0"),
+    "grid.refinements": _Key(_parse_int, "grid halvings of the refinement "
+                             "ladder", "[0, inf]"),
+    "p": _Key(_parse_float, "lower exponent of the oscillation chain",
+              "[1, inf]"),
+    "q": _Key(_parse_float, "upper exponent of the oscillation chain",
+              "(0, inf]"),
+    "alpha": _Key(_parse_float, "weight exponent of the weighted Poincare "
+                  "ratio", "[0, 1]"),
+    "N": _Key(_parse_int, "dimension of the constants and the cone sweep",
+              "[2, inf]"),
+    "jobs": _Key(_parse_int, "worker processes; 0 = the CPUs this process "
+                 "may run on", "[0, inf]"),
+    "out": _Key(str, "output directory"),
+    "dump_fields": _Key(_parse_bool, "dump each solved u as x,y,value CSV"),
+}
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -221,59 +240,33 @@ def _read_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(
                 f"{path}:{number}: expected key=value, got {line!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
+        key, _, text = (part.strip() for part in line.partition("="))
         if key not in _KEYS:
             raise ConfigError(f"{path}:{number}: unknown config key {key!r}")
-        attr, parse = _KEYS[key]
         try:
-            values[attr] = parse(text.strip())
+            values[key.replace(".", "_")] = _KEYS[key].parse(text)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{number}: key {key}: {exc}") from None
     return values
 
 
 def _family_spec(config: RunConfig) -> FamilySpec:
-    kind = "ellipse" if config.family == "ellipse" else "cosine_perturbation"
-    return FamilySpec(kind=kind, eps=config.eps, k=config.k,
-                      normalize_area=config.normalize_area,
-                      spacing=config.grid_h)
+    # FamilySpec rejects a name that no file parser saw (an override)
+    return FamilySpec(kind=_FAMILIES.get(config.family, config.family),
+                      eps=config.eps, k=config.k, spacing=config.grid_h,
+                      normalize_area=config.normalize_area)
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    # eps and grid.h are checked by FamilySpec below, for the commands that
-    # build a family, and N by the library for the commands that use it;
-    # FamilySpec checks k only for cosines.  A list FamilySpec takes may
-    # still be too short for the family fit.
-    if config.k < 1:
-        raise ConfigError(f"k must be >= 1, got {config.k}")
-    if config.p < 1.0:
-        raise ConfigError(f"p must be >= 1, got {config.p}")
-    if not config.q > 0.0:
-        raise ConfigError(f"q must be positive, got {config.q}")
-    if not 0.0 <= config.alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {config.alpha}")
-    if config.N < 2:
-        raise ConfigError(f"N must be >= 2, got {config.N}")
-    if config.jobs < 0:
-        raise ConfigError(f"jobs must be >= 0, got {config.jobs}")
+    # every command checks each key's range; the command's own check (its
+    # family, or N for the library) follows.  FamilySpec checks eps and
+    # grid.h; a list it takes may still be too short for the family fit.
+    for name, key in _KEYS.items():
+        value = getattr(config, name.replace(".", "_"))
+        if key.range and not _within(value, key.range):
+            raise ConfigError(f"{name} must be in {key.range}, got {value!r}")
     try:
-        if config.command in _FAMILY_COMMANDS:
-            _family_spec(config)
-            if config.grid_refinements < 0:
-                raise ConfigError(f"grid.refinements must be >= 0, got "
-                                  f"{config.grid_refinements}")
-            if config.command == "domain-verify":
-                check_battery_exponents(config.p, config.q, config.alpha)
-            elif len(config.eps) < MIN_FIT_POINTS:
-                raise ConfigError(
-                    f"{config.command} fits across the family and needs at "
-                    f"least {MIN_FIT_POINTS} eps values, got "
-                    f"{len(config.eps)}")
-        elif config.command == "constants":
-            unit_ball_volume(config.N)
-        elif config.command == "cone-verify":
-            check_dimension(config.N)
+        _command(config.command).check(config)
     except OscboundError as exc:
         raise ConfigError(str(exc)) from None
     return config
@@ -542,72 +535,113 @@ def _cmd_report(config: RunConfig) -> int:
         _print_verdict(verdict)
         all_passed = all_passed and verdict.passed
     if not rows:
-        raise ConfigError(
-            f"no record CSVs found under {config.out!r}; run sbt-run or "
-            f"serrin-run first")
+        fits = [name for name, command in _COMMANDS.items()
+                if command.check is _check_fit]
+        raise ConfigError(f"no record CSVs found under {config.out!r}; run "
+                          f"{' or '.join(fits)} first")
     path = _out_path(config, "report.csv")
     _write_csv(path, _REPORT, rows)
     print(f"wrote {len(rows)} rows -> {path}")
     return EXIT_PASS if all_passed else EXIT_FAIL
 
 
+def _check_battery(config: RunConfig) -> None:
+    _family_spec(config)
+    check_battery_exponents(config.p, config.q, config.alpha)
+
+
+def _check_fit(config: RunConfig) -> None:
+    _family_spec(config)
+    if len(config.eps) < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"{config.command} fits across the family and needs at least "
+            f"{MIN_FIT_POINTS} eps values, got {len(config.eps)}")
+
+
+class _Command(NamedTuple):
+    """One subcommand: its handler, the config key of the one flag it takes
+    besides --config and --out ("" for none), the check of its config that
+    runs before any computation, and its help line."""
+
+    run: Callable[[RunConfig], int]
+    flag: str
+    check: Callable[[RunConfig], object]
+    help: str
+
+
+_COMMANDS = {
+    "constants": _Command(_cmd_constants, "N", lambda c: unit_ball_volume(c.N),
+                          "print the closed-form constant table as CSV"),
+    "cone-verify": _Command(_cmd_cone_verify, "",
+                            lambda c: check_dimension(c.N),
+                            "sweep the analytic cone inequalities"),
+    "domain-verify": _Command(_cmd_domain_verify, "dump_fields", _check_battery,
+                              "run the integral-identity battery on a family"),
+    "sbt-run": _Command(partial(_cmd_stability, profile="sbt"), "jobs",
+                        _check_fit, "measure the planar soap-bubble stability "
+                        "profile"),
+    "serrin-run": _Command(partial(_cmd_stability, profile="serrin"), "jobs",
+                           _check_fit, "measure the planar "
+                           "overdetermined-torsion profile"),
+    "report": _Command(_cmd_report, "", lambda c: None,
+                       "re-fit slopes from previously written record CSVs"),
+}
+
+
+def _command(name: str) -> _Command:
+    if name not in _COMMANDS:
+        raise ConfigError(f"unknown command {name!r}")
+    return _COMMANDS[name]
+
+
 def execute(config: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit code."""
-    if config.command == "constants":
-        return _cmd_constants(config)
-    if config.command == "cone-verify":
-        return _cmd_cone_verify(config)
-    if config.command == "domain-verify":
-        return _cmd_domain_verify(config)
-    if config.command == "sbt-run":
-        return _cmd_stability(config, "sbt")
-    if config.command == "serrin-run":
-        return _cmd_stability(config, "serrin")
-    if config.command == "report":
-        return _cmd_report(config)
-    raise ConfigError(f"unknown command {config.command!r}")
+    return _command(config.command).run(config)
 
 
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
 
+def _config_text(value: object) -> str:
+    """A value as a config file writes it."""
+    if isinstance(value, tuple):
+        return ",".join(map(_config_text, value))
+    return str(value).lower() if isinstance(value, bool) else _fmt(value)
+
+
+def _config_help() -> str:
+    """Each config key with what it sets, its range and its default."""
+    lines = ["config file keys (key=value, one per line, # comments):"]
+    for name, key in _KEYS.items():
+        limits = f"in {key.range}; " if key.range else ""
+        default = _config_text(getattr(RunConfig, name.replace(".", "_")))
+        lines += [f"  {name:<18}{key.help}", f"{'':20}{limits}default {default}"]
+    return "\n".join(lines) + "\n"
+
+
+_CONFIG_HELP = _config_help()
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    layout = {"epilog": _CONFIG_HELP,
+              "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = argparse.ArgumentParser(
         prog="oscbound",
         description="constructive oscillation bounds and torsion-function "
-                    "stability experiments",
-        epilog=_CONFIG_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    commands = {
-        "constants": "print the closed-form constant table as CSV",
-        "cone-verify": "sweep the analytic cone inequalities",
-        "domain-verify": "run the integral-identity battery on a family",
-        "sbt-run": "measure the planar soap-bubble stability profile",
-        "serrin-run": "measure the planar overdetermined-torsion profile",
-        "report": "re-fit slopes from previously written record CSVs",
-    }
+                    "stability experiments", **layout)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in commands.items():
-        cmd = sub.add_parser(name, help=help_text, epilog=_CONFIG_HELP,
-                             formatter_class=argparse.RawDescriptionHelpFormatter)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help, **layout)
         cmd.add_argument("--config", metavar="PATH",
                          help="key=value config file")
-        cmd.add_argument("--out", metavar="DIR",
-                         help="output directory (default .)")
-        # each flag only where it is read; the config keys stay shared
-        if name == "constants":
-            cmd.add_argument("--N", type=int, dest="N", metavar="DIM",
-                             help="dimension of the constant table")
-        elif name == "domain-verify":
-            cmd.add_argument("--dump-fields", action="store_true",
-                             default=None,
-                             help="dump solved u as x,y,value CSV")
-        elif name in ("sbt-run", "serrin-run"):
-            cmd.add_argument("--jobs", type=int, metavar="K",
-                             help="worker processes; 0 = available "
-                                  "parallelism")
+        # --out everywhere, each other flag only where it is read
+        for key in filter(None, ("out", command.flag)):
+            default = getattr(RunConfig, key)
+            kind = ({"action": "store_true", "default": None}
+                    if isinstance(default, bool) else {"type": type(default)})
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             help=_KEYS[key].help, **kind)
     return parser
 
 

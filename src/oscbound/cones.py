@@ -42,6 +42,7 @@ from .constants import (
     cone_measure,
     holder_conjugate,
     morrey_cone_constant,
+    normalized_norm,
     two_term_minimize,
 )
 from .errors import DomainError
@@ -324,18 +325,13 @@ class ConeField:
         ``p = inf`` is an essential sup estimated as the max over the
         quadrature nodes and the rule's ``sup_points``.
         """
-        if not (p == INF or p >= 1.0):
-            raise DomainError(f"exponent must be in [1, inf], got {p}")
         if p not in self._norms:
             mags = self._grad_on_rule
             if p == INF:
-                sup = self.field.gradient_magnitude(self.rule.sup_points)
-                val = max(float(np.max(mags)), float(np.max(sup)))
-            else:
-                val = float(
-                    np.sum(self.rule.weights * mags**p) / self.rule.measure
-                ) ** (1.0 / p)
-            self._norms[p] = val
+                mags = np.concatenate([mags, self.field.gradient_magnitude(
+                    self.rule.sup_points)])
+            self._norms[p] = normalized_norm(mags, self.rule.weights, p,
+                                             self.rule.measure)
         return self._norms[p]
 
 

@@ -11,7 +11,9 @@ discretization happens here.
 Conventions
 -----------
 * Lebesgue-type norms are normalized: ``||g||_p`` means
-  ``( (1/|D|) \\int_D |g|^p )^{1/p}`` over whichever region D applies.
+  ``( (1/|D|) \\int_D |g|^p )^{1/p}`` over whichever region D applies,
+  and ``||g||_inf`` is the max of ``|g|``.  :func:`normalized_norm` is the
+  one reduction that every norm of the package goes through.
 * ``p = inf`` is represented by ``math.inf`` and handled as the exact limit
   of the finite-exponent formulas.  The stability profiles take the
   exponent q > N of their C^2 form; the C^{2,gamma} profiles are its limit
@@ -52,6 +54,7 @@ __all__ = [
     "min_depth_bound",
     "weighted_poincare_window",
     "holder_conjugate",
+    "normalized_norm",
     "near_field_coefficient",
     "far_field_coefficient",
 ]
@@ -61,6 +64,19 @@ def _check_dim(N: int) -> None:
     """Raise DomainError unless N is an integer >= 2."""
     if int(N) != N or N < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {N}")
+
+
+def normalized_norm(values: np.ndarray, weights: np.ndarray, p: float,
+                    measure: float) -> float:
+    """``( sum(weights |values|^p) / measure )^{1/p}`` for ``p`` in [1, inf),
+    the max of ``|values|`` for ``p = inf`` (the weights are then unread)."""
+    if not (p == INF or p >= 1.0):
+        raise DomainError(f"exponent must be in [1, inf], got {p}")
+    magnitudes = np.abs(values, dtype=float)  # a new array, so powered in place
+    if p == INF:
+        return float(np.max(magnitudes))
+    magnitudes **= p
+    return float(np.sum(weights * magnitudes) / measure) ** (1.0 / p)
 
 
 # --------------------------------------------------------------------------

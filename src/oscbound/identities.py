@@ -33,6 +33,7 @@ from .constants import (
     cap_measure,
     min_depth_bound,
     morrey_cone_constant,
+    normalized_norm,
     oscillation_bound,
     oscillation_regime,
     two_term_minimize,
@@ -257,13 +258,8 @@ class PipelineData:
     def boundary_norm(self, values: Array, p: float) -> float:
         """Perimeter-normalized boundary p-norm (measure dS / |Gamma|) over
         valid trace samples."""
-        if not (p == math.inf or p >= 1.0):
-            raise DomainError(f"exponent must be in [1, inf], got {p}")
         vals, w = self._valid_samples(values)
-        vals = np.abs(vals)
-        if p == math.inf:
-            return float(np.max(vals))
-        return float(np.sum(w * vals**p) / np.sum(w)) ** (1.0 / p)
+        return normalized_norm(vals, w, p, np.sum(w))
 
     # ---------------- derived boundary fields ----------------
 

@@ -144,14 +144,10 @@ class StarDomain2D:
 
     # -- closed-form evaluation --------------------------------------------
 
-    @property
-    def n_modes(self) -> int:
-        return max(len(self.cos_coeffs), len(self.sin_coeffs))
-
     def coefficient_arrays(self) -> tuple[Array, Array, Array]:
-        """(k, a_k, b_k) for k = 1 .. n_modes, the missing coefficients
-        as 0."""
-        K = self.n_modes
+        """(k, a_k, b_k) for k = 1 .. K, the longer coefficient list's
+        length, the missing coefficients as 0."""
+        K = max(len(self.cos_coeffs), len(self.sin_coeffs))
         a = np.zeros(K)
         b = np.zeros(K)
         a[: len(self.cos_coeffs)] = self.cos_coeffs
@@ -283,15 +279,16 @@ def _xy(g: Array) -> Array:
 
 # the first five fields are what a boundary integral reads
 BoundaryTable = namedtuple("BoundaryTable", "phi gamma normal kappa weight "
-                           "speed r r1 r2 tangent accel")
+                           "speed r r1 tangent accel")
 
 
 def _sample_boundary(domain: StarDomain2D, m: int) -> BoundaryTable:
     """The boundary at the m angles 2 pi j / m: (r, r', r'') from one kernel
-    call, (gamma, gamma', gamma'') = (gamma, tangent, accel) from the curve
-    map, the speed sqrt(r^2 + r'^2), the outward unit normal, the curvature
-    (both from the polar form, exact on a circle) and the trapezoid weight
-    speed 2 pi / m.  A domain's callers share its table, so it is read-only.
+    call (the table keeps r and r'), (gamma, gamma', gamma'') = (gamma,
+    tangent, accel) from the curve map, the speed sqrt(r^2 + r'^2), the
+    outward unit normal, the curvature (both from the polar form, exact on a
+    circle) and the trapezoid weight speed 2 pi / m.  A domain's callers
+    share its table, so it is read-only.
     """
     phi = 2.0 * math.pi * np.arange(m) / m
     r, r1, r2 = domain.radial_derivatives(phi)
@@ -303,8 +300,8 @@ def _sample_boundary(domain: StarDomain2D, m: int) -> BoundaryTable:
                           axis=-1) / speed[:, None]
         kappa = _curvature(r, r1, r2)
     table = BoundaryTable(phi, gamma, normal, kappa,
-                          speed * (2.0 * math.pi / m), speed, r, r1, r2,
-                          tangent, accel)
+                          speed * (2.0 * math.pi / m), speed, r, r1, tangent,
+                          accel)
     for x in table:
         x.flags.writeable = False
     return table

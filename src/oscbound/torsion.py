@@ -45,6 +45,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .cones import AnalyticField
+from .constants import normalized_norm
 from .errors import DomainError, GeometryError
 from .stardomain import (
     BoundaryTable,
@@ -908,18 +909,13 @@ def lp_norm_domain(field: TensorField, p: float, alpha: float = 0.0) -> float:
     The measure is dx / |Omega| via the exact cell areas; masked nodes are
     excluded (their volume fraction is :attr:`TensorField.excluded_fraction`).
     """
-    if not (p == math.inf or p >= 1.0):
-        raise DomainError(f"exponent must be in [1, inf], got {p}")
     grid = field.grid
     mask = field.valid & grid.inside
     vals = field.magnitude[mask]
     if alpha != 0.0:
         vals = vals * grid.delta[mask] ** alpha
-    if p == math.inf:
-        return float(np.max(vals))
-    w = grid.cell_weights[mask]
-    total = float(np.sum(grid.cell_weights))
-    return float(np.sum(w * vals**p) / total) ** (1.0 / p)
+    return normalized_norm(vals, grid.cell_weights[mask], p,
+                           float(np.sum(grid.cell_weights)))
 
 
 def bilinear(field: DiscreteField, pts: Array) -> tuple[Array, Array]:

@@ -7,7 +7,9 @@ and byte-identical reruns.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -874,3 +876,197 @@ class TestExitCodeContract:
             code, err = run_main(["report", "--out", tmp])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# the command, key and family tables
+# --------------------------------------------------------------------------
+
+def _config_text(value):
+    """A default as a config file writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(repr(cell) for cell in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _help_entries(text):
+    """The config-key entries of a --help text: key -> its lines, joined."""
+    entries, key = {}, None
+    for line in text.split("config file keys", 1)[1].splitlines()[1:]:
+        if line.startswith("  ") and not line.startswith("   "):
+            key = line.split()[0]
+            entries[key] = line
+        elif line.startswith("   ") and key is not None:
+            entries[key] += " " + line.strip()
+    return entries
+
+
+class TestTables:
+    @pytest.mark.parametrize("argv", [["--help"], ["constants", "--help"]],
+                             ids=" ".join)
+    def test_help_shows_each_key_with_its_range_and_default(self, capsys,
+                                                            argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        entries = _help_entries(capsys.readouterr().out)
+        assert list(entries) == list(cli._KEYS)
+        defaults = RunConfig()
+        for key, spec in cli._KEYS.items():
+            default = getattr(defaults, key.replace(".", "_"))
+            text = _config_text(default)
+            assert f"default {text}" in entries[key], key
+            assert spec.parse(text) == default, key   # config syntax
+            if spec.range:
+                assert f"in {spec.range}" in entries[key], key
+
+    def test_every_key_sets_one_config_field(self):
+        attrs = [key.replace(".", "_") for key in cli._KEYS]
+        assert sorted(attrs) == sorted(
+            f.name for f in dataclasses.fields(RunConfig) if f.name != "command")
+
+    def test_families_name_family_spec_kinds(self):
+        for name, kind in cli._FAMILIES.items():
+            spec = cli._family_spec(RunConfig(family=name))
+            assert spec.kind == kind
+            stability.build_family_domain(spec, 0.1)
+        assert " | ".join(cli._FAMILIES) in cli._CONFIG_HELP
+        # a family name that bypassed the file parser is still rejected
+        with pytest.raises(ConfigError, match="unknown family kind 'square'"):
+            parse_config("domain-verify", family="square")
+
+    def test_subcommands_are_the_command_table(self):
+        parser = cli._build_parser()
+        sub, = [action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS)
+        for name, command in cli._COMMANDS.items():
+            flags = {option for action in sub.choices[name]._actions
+                     for option in action.option_strings}
+            want = {"-h", "--help", "--config", "--out"}
+            if command.flag:
+                want.add("--" + command.flag.replace("_", "-"))
+                assert command.flag in cli._KEYS
+            assert flags == want, name
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_each_command_dispatches_to_its_handler(self, tmp_path,
+                                                    monkeypatch, name):
+        seen = []
+
+        def handler(config):
+            seen.append(config)
+            return 7
+
+        entry = cli._COMMANDS[name]
+        monkeypatch.setitem(cli._COMMANDS, name, entry._replace(run=handler))
+        assert main([name, "--out", str(tmp_path)]) == 7
+        assert [config.command for config in seen] == [name]
+        assert seen[0].out == str(tmp_path)
+
+    def test_execute_rejects_an_unknown_command(self):
+        with pytest.raises(ConfigError, match="unknown command 'nope'"):
+            cli.execute(RunConfig(command="nope"))
+        with pytest.raises(ConfigError, match="unknown command 'nope'"):
+            parse_config("nope")
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("line, message", [
+        ("k = 0", "k must be in [1, inf], got 0"),
+        ("grid.refinements = -1", "grid.refinements must be in [0, inf], "
+                                  "got -1"),
+        ("p = 0.5", "p must be in [1, inf], got 0.5"),
+        ("q = 0", "q must be in (0, inf], got 0.0"),
+        ("alpha = 1.5", "alpha must be in [0, 1], got 1.5"),
+        ("N = 1", "N must be in [2, inf], got 1"),
+        ("jobs = -1", "jobs must be in [0, inf], got -1"),
+    ], ids=["k", "grid.refinements", "p", "q", "alpha", "N", "jobs"])
+    def test_every_command_checks_every_range(self, tmp_path, capsys,
+                                              command, line, message):
+        cfg = write_cfg(tmp_path, line + "\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling, value", [
+        ("false", False), ("0", False), ("no", False), ("OFF", False),
+        ("true", True), ("1", True), ("Yes", True), ("on", True)])
+    def test_boolean_spellings(self, tmp_path, spelling, value):
+        cfg = write_cfg(tmp_path, f"dump_fields = {spelling}\n"
+                                  f"normalize_area = {spelling}\n")
+        config = parse_config("domain-verify", cfg)
+        assert config.dump_fields is value and config.normalize_area is value
+
+
+# --------------------------------------------------------------------------
+# exit 1 and exit 3 paths of the commands
+# --------------------------------------------------------------------------
+
+class TestFailurePaths:
+    def test_cone_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        bad = ConeCheck("quad", 0.5, 1.0, "pointwise", lhs=2.0, rhs=1.5)
+        good = ConeCheck("quad", 0.5, 1.0, "pointwise", lhs=1.0, rhs=1.5)
+        monkeypatch.setattr(cli, "run_cone_sweep", lambda dim: [good, bad])
+        assert main(["cone-verify", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "violations beyond slack: 1",
+            "  FAIL quad theta=0.5 a=1 pointwise: margin -5.000e-01"]
+        assert len(read_lines(tmp_path / "cone_checks.csv")) == 3
+
+    def test_failed_domain_check_exits_1(self, tmp_path, capsys,
+                                         monkeypatch):
+        reports = [IdentityReport.inequality("hopf", 2.5, 1.25),
+                   IdentityReport.monitored("ratio", 1.0, 2.0)]
+        monkeypatch.setattr(cli, "build_pipeline_data", lambda domain, h: None)
+        monkeypatch.setattr(cli, "run_domain_checks",
+                            lambda data, p, q, alpha: reports)
+        cfg = write_cfg(tmp_path, "family = cosine\neps = 0.1, 0.2\n")
+        out = tmp_path / "o"
+        assert main(["domain-verify", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "  FAIL cosine eps=0.1 hopf: lhs=2.5 rhs=1.25",
+            "  FAIL cosine eps=0.2 hopf: lhs=2.5 rhs=1.25",
+            f"wrote 4 rows -> {out / 'domain_checks.csv'}",
+            "failed checks: 2"]
+
+    @pytest.mark.parametrize("binding, line", [
+        ("verify_monotone_deviations",
+         "  FAIL monotone_radius_gap: worst step 1.000e-03"),
+        ("verify_refinement",
+         "  FAIL refinement_radius_gap: change 5.000e-01 exceeds 1.000e-01"),
+    ])
+    def test_failed_family_check_exits_1(self, tmp_path, capsys, monkeypatch,
+                                         binding, line):
+        records = [StabilityRecord(eps, *[eps] * 9, h=0.03125)
+                   for eps in (0.05, 0.1, 0.15, 0.2)]
+        failing = {
+            "verify_monotone_deviations":
+                IdentityReport.inequality("monotone_radius_gap", 1e-3, 1e-8),
+            "verify_refinement":
+                IdentityReport.inequality("refinement_radius_gap", 0.5, 0.1)}
+        monkeypatch.setattr(cli, "run_family", lambda spec, jobs: records)
+        monkeypatch.setattr(cli, "check_sbt_profile", lambda records:
+                            ProfileVerdict("sbt", FIT, FIT, 1.0, True))
+        for name, report in failing.items():
+            passing = IdentityReport.inequality(report.name, 0.0, 1.0)
+            result = report if name == binding else passing
+            monkeypatch.setattr(cli, name,
+                                lambda *args, result=result: [result])
+        cfg = write_cfg(tmp_path, LADDER_CFG)
+        out = tmp_path / "o"
+        assert main(["sbt-run", "--config", cfg, "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out.splitlines()[2:] == [line]
+        assert printed.err == ""
+
+    def test_output_path_that_is_a_file_exits_3(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        assert main(["constants", "--out", str(taken)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"

@@ -35,6 +35,7 @@ from oscbound.constants import (
     weighted_poincare_window,
 )
 from oscbound.constants import far_field_coefficient, near_field_coefficient
+from oscbound.constants import normalized_norm
 from oscbound.errors import DomainError
 
 
@@ -495,3 +496,30 @@ def test_constant_report_validation():
     ConstantReport("cap", math.pi, {"theta": math.pi / 2, "N": 2}, "closed form")
     with pytest.raises(DomainError):
         ConstantReport("bad", -1.0)
+
+
+# --------------------------------------------------------------------------
+# normalized_norm
+# --------------------------------------------------------------------------
+
+def test_normalized_norm_examples():
+    values = np.array([3.0, -4.0])
+    weights = np.array([1.0, 3.0])
+    assert normalized_norm(values, weights, 1.0, 4.0) == (3.0 + 12.0) / 4.0
+    assert normalized_norm(values, weights, 2.0, 4.0) == math.sqrt(57.0 / 4.0)
+    # the max of |values|: the weights and the measure are not read
+    assert normalized_norm(values, None, INF, None) == 4.0
+
+
+def test_normalized_norm_of_a_constant_is_the_constant():
+    # the measure is the total weight, as for a normalized norm over D
+    weights = np.array([0.25, 0.5, 1.25])
+    for p in (1.0, 2.0, 7.5, INF):
+        got = normalized_norm(np.full(3, -2.5), weights, p, 2.0)
+        assert rel_err(got, 2.5) < 1e-15, p
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -INF, math.nan])
+def test_normalized_norm_rejects_bad_exponent(p):
+    with pytest.raises(DomainError, match=r"exponent must be in \[1, inf\]"):
+        normalized_norm(np.ones(2), np.ones(2), p, 2.0)
