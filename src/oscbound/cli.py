@@ -12,9 +12,10 @@ module reads:
   :func:`execute` and the config checks loop over it.
 * ``_KEYS``: each config key's parser, meaning and range.  The key sets the
   :class:`RunConfig` field of its name with ``.`` read as ``_``, whose
-  default is the key's default.  Config files are parsed with it, every
-  subcommand checks every range, and ``--help`` lists each key with its
-  range and default.
+  default is the key's default.  Every value is config text read by its
+  key's parser, whether it comes from a file line, a flag or a
+  :func:`parse_config` keyword; every subcommand checks every range, and
+  ``--help`` lists each key with its range and default.
 * ``_FAMILIES``: each config family name's :class:`FamilySpec` kind.
 
 Configuration is a plain ``key=value`` file (one pair per line, ``#``
@@ -44,8 +45,9 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 # before numpy loads, or OpenBLAS has already sized its thread pools
 if "numpy" not in sys.modules and not any(
@@ -185,10 +187,11 @@ def _parse_family(text: str) -> str:
 
 
 def _within(value: float, interval: str) -> bool:
-    """Whether ``value`` lies in ``interval``, written ``[low, high]`` or,
-    with the lower end open, ``(low, high]``."""
+    """Whether ``value`` lies in ``interval``, written ``[low, high]`` with
+    ``(`` for an open lower end and ``)`` for an open upper end."""
     low, high = map(float, interval[1:-1].split(","))
-    return low < value <= high if interval[0] == "(" else low <= value <= high
+    above = low < value if interval[0] == "(" else low <= value
+    return above and (value < high if interval[-1] == ")" else value <= high)
 
 
 class _Key(NamedTuple):
@@ -208,7 +211,7 @@ _KEYS = {
                 f"family fit needs at least {MIN_FIT_POINTS} values"),
     "k": _Key(_parse_int, "cosine mode number", "[1, inf]"),
     "normalize_area": _Key(_parse_bool, "rescale cosine members to area pi"),
-    "grid.h": _Key(_parse_float, "solver grid spacing > 0"),
+    "grid.h": _Key(_parse_float, "solver grid spacing", "(0, inf)"),
     "grid.refinements": _Key(_parse_int, "grid halvings of the refinement "
                              "ladder", "[0, inf]"),
     "p": _Key(_parse_float, "lower exponent of the oscillation chain",
@@ -226,13 +229,14 @@ _KEYS = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, object]:
+def _read_config_file(path: str) -> Iterator[tuple[str, str, str]]:
+    """Each ``key=value`` line of ``path`` as ``(path:line, key, text)``,
+    one at a time, so an error names the first bad line."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    values: dict[str, object] = {}
     for number, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -241,26 +245,19 @@ def _read_config_file(path: str) -> dict[str, object]:
             raise ConfigError(
                 f"{path}:{number}: expected key=value, got {line!r}")
         key, _, text = (part.strip() for part in line.partition("="))
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{number}: unknown config key {key!r}")
-        try:
-            values[key.replace(".", "_")] = _KEYS[key].parse(text)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{number}: key {key}: {exc}") from None
-    return values
+        yield f"{path}:{number}", key, text
 
 
 def _family_spec(config: RunConfig) -> FamilySpec:
-    # FamilySpec rejects a name that no file parser saw (an override)
-    return FamilySpec(kind=_FAMILIES.get(config.family, config.family),
+    return FamilySpec(kind=_FAMILIES[config.family],
                       eps=config.eps, k=config.k, spacing=config.grid_h,
                       normalize_area=config.normalize_area)
 
 
 def _validate(config: RunConfig) -> RunConfig:
     # every command checks each key's range; the command's own check (its
-    # family, or N for the library) follows.  FamilySpec checks eps and
-    # grid.h; a list it takes may still be too short for the family fit.
+    # family, or N for the library) follows.  FamilySpec checks eps; a list
+    # it takes may still be too short for the family fit.
     for name, key in _KEYS.items():
         value = getattr(config, name.replace(".", "_"))
         if key.range and not _within(value, key.range):
@@ -277,18 +274,25 @@ def parse_config(command: str, config_path: str | None = None,
     """Assemble and validate one :class:`RunConfig`.
 
     Precedence: built-in defaults, then the config file, then the non-None
-    ``flag_overrides``.  Any unknown key, type mismatch, or invariant
-    violation raises :class:`ConfigError` before any computation starts.
+    ``flag_overrides``, each named by its :class:`RunConfig` field.  An
+    override is written as config text (``True`` as ``true``, a tuple as a
+    comma-separated list) and read by its key's parser, as a file line is,
+    so a call accepts only what a config file would.  Any unknown key,
+    malformed value, or invariant violation raises :class:`ConfigError`
+    before any computation starts.
     """
+    keys = {name.replace(".", "_"): name for name in _KEYS}
+    overrides = [("override", keys.get(attr, attr), _config_text(value))
+                 for attr, value in flag_overrides.items() if value is not None]
+    files = _read_config_file(config_path) if config_path is not None else ()
     values: dict[str, object] = {}
-    if config_path is not None:
-        values.update(_read_config_file(config_path))
-    for attr, value in flag_overrides.items():
-        if value is None:
-            continue
-        if attr not in {f.name for f in fields(RunConfig)}:
-            raise ConfigError(f"unknown override {attr!r}")
-        values[attr] = value
+    for where, key, text in chain(files, overrides):
+        if key not in _KEYS:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        try:
+            values[key.replace(".", "_")] = _KEYS[key].parse(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: key {key}: {exc}") from None
     return _validate(RunConfig(command=command, **values))
 
 
@@ -607,7 +611,9 @@ def _config_text(value: object) -> str:
     """A value as a config file writes it."""
     if isinstance(value, tuple):
         return ",".join(map(_config_text, value))
-    return str(value).lower() if isinstance(value, bool) else _fmt(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def _config_help() -> str:
@@ -637,9 +643,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="key=value config file")
         # --out everywhere, each other flag only where it is read
         for key in filter(None, ("out", command.flag)):
-            default = getattr(RunConfig, key)
+            # every flag value is config text for parse_config to read
             kind = ({"action": "store_true", "default": None}
-                    if isinstance(default, bool) else {"type": type(default)})
+                    if isinstance(getattr(RunConfig, key), bool) else {})
             cmd.add_argument("--" + key.replace("_", "-"), dest=key,
                              help=_KEYS[key].help, **kind)
     return parser

@@ -196,6 +196,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("constants", None, not_a_field=3)
 
+    # keywords are read as config text by the key's parser, as file lines are
+    def test_keyword_boolean_is_parsed(self):
+        assert parse_config("domain-verify", dump_fields="no").dump_fields \
+            is False
+
+    def test_keyword_fractional_jobs_rejected(self):
+        with pytest.raises(ConfigError, match="key jobs: expected an integer"):
+            parse_config("sbt-run", jobs=1.5)
+
+    def test_keyword_integer_text_is_parsed(self):
+        assert parse_config("constants", N="3").N == 3
+
+    def test_keyword_values_round_trip(self):
+        values = dict(family="cosine", eps=(0.1, 0.2, 0.3, 0.4), k=3,
+                      normalize_area=True, grid_h=1 / 3, grid_refinements=1,
+                      p=4.0, q=INF, alpha=0.25, N=3, jobs=2, out="somewhere",
+                      dump_fields=True)
+        assert parse_config("sbt-run", **values) == RunConfig(
+            command="sbt-run", **values)
+
+    @pytest.mark.parametrize("override", [
+        {"dump_fields": "maybe"}, {"N": 2.0}, {"k": True}, {"eps": ()},
+        {"eps": {"a": "b"}}, {"p": "nan"}, {"family": 3}, {"grid_h": 0}],
+        ids=["bad bool", "float N", "bool k", "empty eps", "dict eps", "nan p",
+             "int family", "zero grid_h"])
+    def test_bad_keywords_raise_config_error(self, override):
+        # a keyword takes only what a config file would take
+        with pytest.raises(ConfigError):
+            parse_config("domain-verify", **override)
+
 
 # --------------------------------------------------------------------------
 # constants subcommand
@@ -697,6 +727,18 @@ class TestArgparseSurface:
         assert "unknown config key 'calibration_k'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["constants", "--N", "2.5"], "key N: expected an integer, got '2.5'"),
+        (["sbt-run", "--jobs", "x"], "key jobs: expected an integer, got 'x'"),
+    ], ids=["N", "jobs"])
+    def test_malformed_flag_value_is_config_error(self, tmp_path, capsys,
+                                                  argv, message):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: override: {message}"]
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "nonsense = 1\n")
         assert main(["constants", "--config", cfg]) == 2
@@ -933,8 +975,9 @@ class TestTables:
             assert spec.kind == kind
             stability.build_family_domain(spec, 0.1)
         assert " | ".join(cli._FAMILIES) in cli._CONFIG_HELP
-        # a family name that bypassed the file parser is still rejected
-        with pytest.raises(ConfigError, match="unknown family kind 'square'"):
+        # a keyword family name is read by the family parser, as a file's is
+        with pytest.raises(ConfigError, match="family must be ellipse or "
+                                              "cosine, got 'square'"):
             parse_config("domain-verify", family="square")
 
     def test_subcommands_are_the_command_table(self):
@@ -982,7 +1025,8 @@ class TestTables:
         ("alpha = 1.5", "alpha must be in [0, 1], got 1.5"),
         ("N = 1", "N must be in [2, inf], got 1"),
         ("jobs = -1", "jobs must be in [0, inf], got -1"),
-    ], ids=["k", "grid.refinements", "p", "q", "alpha", "N", "jobs"])
+        ("grid.h = 0", "grid.h must be in (0, inf), got 0.0"),
+    ], ids=["k", "grid.refinements", "p", "q", "alpha", "N", "jobs", "grid.h"])
     def test_every_command_checks_every_range(self, tmp_path, capsys,
                                               command, line, message):
         cfg = write_cfg(tmp_path, line + "\n")

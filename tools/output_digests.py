@@ -47,8 +47,8 @@ RUNS = (
     Run("constants-N5", ("constants", "--N", "5")),
     Run("cone-verify-N2", ("cone-verify",)),
     Run("cone-verify-N3", ("cone-verify",), "N = 3\n"),
-    Run("domain-verify-ellipse-dump", ("domain-verify",),
-        "family = ellipse\ndump_fields = true\n"),
+    Run("domain-verify-ellipse-dump", ("domain-verify", "--dump-fields"),
+        "family = ellipse\n"),
     Run("domain-verify-cosine", ("domain-verify",), "family = cosine\n"),
     Run("domain-verify-interpolation", ("domain-verify",),
         "p = 2\nq = 6\nalpha = 0.25\n"),
