@@ -25,10 +25,11 @@ The memory a rung needs.  The solve keeps the grid, A, the multigrid
 hierarchy and BiCGSTAB's vectors, and nothing else of a size set by A's
 entries: no assembly lists, no copy of A or of its blocks.  Its traced
 peak on the ladder ellipse (eps = 0.2) is about 405 bytes per unknown at
-h = 1/128.  One rung alone in a fresh process (``build_pipeline_data``
-and the check battery) peaks at a resident set of 157 MB at h = 1/256 and
-397 MB at 1/512 on that ellipse, and 152 and 362 MB on the cosine member
-(k = 2, eps = 0.1); about 71 MB of it is the interpreter and the imports.
+h = 1/128 (399-406 measured).  One rung alone in a fresh process
+(``build_pipeline_data`` and the check battery) peaks at a resident set of
+154 MB at h = 1/256 and 381 MB at 1/512 on that ellipse, and 153 and
+365 MB on the cosine member (k = 2, eps = 0.1); about 71 MB of it is the
+interpreter and the imports.
 The limit is documented, not checked: no spacing is refused for the
 memory its rung would need.
 """
@@ -468,37 +469,141 @@ def _assemble(grid: Grid) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _restriction(number: Array) -> tuple[sparse.csr_matrix, Array]:
-    """The transpose R = P^T of bilinear interpolation P from the nodes with
-    even (i, j) to every node, and the numbering of the coarse level.
+def _interpolation(A: sparse.csr_matrix, number: Array,
+                   red_black: bool) -> tuple[sparse.csr_matrix, Array]:
+    """The transpose R = P^T of the interpolation P that the rows of ``A``
+    define from the nodes with even (i, j) to every node, and the numbering
+    of the coarse level (Alcouffe, Brandt, Dendy & Painter 1981; de Zeeuw
+    1990).
 
-    ``number`` maps each node of the level to its unknown, -1 outside.  The
+    ``number`` maps each node of the level to its row of A, -1 outside.  A
+    coarse node injects its value.  A node between two coarse nodes on a
+    grid line collapses its 3 x 3 stencil onto that line: on a row its west
+    weight is w_W = -(a_SW + a_W + a_NW) / (a_S + a_C + a_N), and so on
+    for the east side and for a node on a column.  A cell-centre node
+    solves its own row, with its edge neighbours' values interpolated and
+    its corners' injected.  An absent neighbour drops out of a sum, and a
+    zero weight is left out of P.  Where no edge of a node's stencil is
+    cut, the weights are bilinear interpolation's (1/2 and 1/4) to the
+    bit; next to a cut the larger diagonal makes them sum to less than 1,
+    so the node takes the Dirichlet zero at the crossing, not a coarse
+    value beyond it.
+
+    Each row of A lists its columns in the order of their nodes, red
+    before black where ``red_black``: the five-point level that
+    :func:`_assemble` builds.  A row of that level with all five entries
+    is h^-2 (1, 1, -4, 1, 1) and gives the bilinear weights, so there the
+    formula runs only at the nodes whose own row, or an edge neighbour's,
+    is shorter; on the nine-point levels it runs at every node.  The
     coarse level is the grid ``number[::2, ::2]`` and numbers its nodes in
-    row-major order.  A coarse node gives weight 1 to the fine node on it,
-    1/2 to the fine nodes beside it on a grid line and 1/4 to those on its
-    diagonals, so a fine node that misses a coarse neighbour outside the
-    domain takes the Dirichlet zero there.  R's indices and the coarse
-    numbering are int32.
+    row-major order.  R's indices and the coarse numbering are int32.
     """
     ny, nx = number.shape
-    even = number[::2, ::2] >= 0
-    ci, cj = np.nonzero(even)
-    coarse = np.full(even.shape, -1, dtype=np.int32)
-    coarse[even] = np.arange(ci.size)
-    # a ring of -1 around the level keeps every neighbour's index in range
-    padded = np.full((ny + 2, nx + 2), -1, dtype=np.int32)
-    padded[1:-1, 1:-1] = number
-    step = np.array([-1, 0, 1])
-    offsets = (step[:, None] * (nx + 2) + step).ravel()
-    weights = (0.5 ** (np.abs(step)[:, None] + np.abs(step))).ravel()
-    fine = padded.ravel()[((2 * ci + 1) * (nx + 2) + 2 * cj + 1)[:, None]
-                          + offsets]
-    hit = fine >= 0
-    indptr = np.zeros(ci.size + 1, dtype=np.int32)
+    cy, cx = -(-ny // 2), -(-nx // 2)
+    # the nodes of a level fall into four classes by the parity (p, q) of
+    # (i, j), and each class into the cells (a, b): node (2a + p, 2b + q).
+    # The padded level holds node (i, j) at (i + 3, j + 3), so that every
+    # class reads as an array over the cells a, b >= -1, shifted by one
+    # node in any direction; the padding is outside
+    padded = np.full((2 * cy + 7, 2 * cx + 7), -1, dtype=np.int32)
+    padded[3:ny + 3, 3:nx + 3] = number
+    shape = (cy + 2, cx + 2)
+
+    def nodes(p: int, q: int, di: int = 0, dj: int = 0) -> Array:
+        i, j = 1 + p + di, 1 + q + dj
+        return padded[i:i + 2 * shape[0]:2, j:j + 2 * shape[1]:2]
+
+    steps = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+             if not (red_black and di and dj)]
+    rows = {pq: np.ascontiguousarray(nodes(*pq))
+            for pq in ((0, 1), (1, 0), (1, 1))}
+    # the entries of each row; an outside node's -1 reads indptr[-1]
+    # twice, an empty row
+    length = {pq: A.indptr[1:].take(row) - A.indptr.take(row)
+              for pq, row in rows.items()}
+    run = {pq: n > 0 for pq, n in length.items()}
+    if red_black:
+        full = {pq: n == len(steps) for pq, n in length.items()}
+        # a cell centre's edge neighbours: on rows of cells (a, b) and
+        # (a + 1, b), on columns of cells (a, b) and (a, b + 1)
+        full[1, 1][:-1] &= full[0, 1][:-1] & full[0, 1][1:]
+        full[1, 1][:, :-1] &= full[1, 0][:, :-1] & full[1, 0][:, 1:]
+        for pq in run:
+            run[pq] &= ~full[pq]
+    # the cells, as flat indices, of the nodes the formula runs at
+    cells = {pq: np.flatnonzero(r) for pq, r in run.items()}
+
+    def stencil(p: int, q: int) -> dict:
+        # A's entries, by step, in the rows of the class (p, q) nodes that
+        # the formula runs at, zero where a row has none.  Each row lists
+        # its columns in the order of the steps sorted below, so a row with
+        # an entry for every step holds them in that order, and a shorter
+        # row is walked entry by entry
+        at = A.indptr.take(rows[p, q].take(cells[p, q]))
+        count = length[p, q].take(cells[p, q])
+        order = sorted(steps, key=lambda s: (
+            red_black and (p + q + s[0] + s[1]) % 2, s))
+        entries = {s: A.data.take(at + k, mode="clip")
+                   for k, s in enumerate(order)}
+        short = np.flatnonzero(count < len(order))
+        a, b = np.unravel_index(cells[p, q][short], shape)
+        at, end = at[short], at[short] + count[short]
+        for s in order:
+            hit = (at < end) & (A.indices.take(at, mode="clip")
+                                == nodes(p, q, *s)[a, b])
+            entries[s][short] = np.where(hit, A.data.take(at, mode="clip"),
+                                         0.0)
+            at += hit
+        return entries
+
+    # table[k]: each node's weight towards the coarse node one step s_k
+    # from it, for the steps s_k in raster order, bilinear's where the
+    # formula does not run; table[4] is the coarse node's own weight, 1
+    raster = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    table = np.empty((9,) + shape)
+    towards = dict(zip(raster, table))
+    for (di, dj), w in towards.items():
+        w.fill(0.5 ** (abs(di) + abs(dj)))
+    for (p, q), axis in (((0, 1), 1), ((1, 0), 0)):
+        # nodes on a row (axis 1) or a column (axis 0) take weights towards
+        # the coarse nodes before and after them on that line
+        entries = stencil(p, q)
+        line = [[entries[s] for s in steps if s[axis] == k]
+                for k in (-1, 0, 1)]
+        den = -sum(line[1][1:], line[1][0])
+        for side, d in ((line[0], -1), (line[2], 1)):
+            np.put(towards[(0, d) if axis else (d, 0)], cells[p, q],
+                   sum(side[1:], side[0]) / den)
+    entries, cell = stencil(1, 1), cells[1, 1]
+    for di, dj in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+        # the edge neighbour in direction (di, 0) is the node on a row of
+        # cell (a + 1, b) or (a, b), the one in direction (0, dj) the node
+        # on a column of cell (a, b + 1) or (a, b)
+        total = (entries[di, 0] * towards[0, dj].take(cell + (di > 0)
+                                                      * shape[1])
+                 + entries[0, dj] * towards[di, 0].take(cell + (dj > 0)))
+        if (di, dj) in entries:
+            total += entries[di, dj]
+        np.put(towards[di, dj], cell, total / -entries[0, 0])
+
+    # row (a, b) of R: the 3 x 3 nodes around coarse node (a, b), each
+    # with its weight towards it.  Node (a, b) + s_k is of class
+    # (|di|, |dj|) and cell (a + min(di, 0), b + min(dj, 0)), and the
+    # coarse node is the step s_(8 - k) from it
+    ka, kb = np.nonzero(nodes(0, 0) >= 0)
+    coarse = np.full((cy, cx), -1, dtype=np.int32)
+    coarse[ka - 1, kb - 1] = np.arange(ka.size)
+    width, size = padded.shape[1], shape[0] * shape[1]
+    fine = padded.ravel()[((2 * ka + 1) * width + 2 * kb + 1)[:, None]
+                          + [di * width + dj for di, dj in raster]]
+    weights = table.ravel()[(ka * shape[1] + kb)[:, None] + [
+        (8 - k) * size + min(di, 0) * shape[1] + min(dj, 0)
+        for k, (di, dj) in enumerate(raster)]]
+    hit = (fine >= 0) & (weights != 0.0)
+    indptr = np.zeros(ka.size + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
-    R = sparse.csr_matrix(
-        (np.broadcast_to(weights, hit.shape)[hit], fine[hit], indptr),
-        shape=(ci.size, int(np.count_nonzero(number >= 0))))
+    R = sparse.csr_matrix((weights[hit], fine[hit], indptr),
+                          shape=(ka.size, A.shape[0]))
     return R, coarse
 
 
@@ -520,16 +625,25 @@ class _VCycle:
 
     ``A`` numbers its unknowns red (i + j even) first, ``n_red`` of them, as
     ``number`` maps the grid nodes to them: :meth:`Grid.build` numbers them
-    so (see :func:`_restriction`).
-    Each coarser level is the Galerkin product A_c = P^T A P with the
-    bilinear P, down to at most ``_COARSEST`` unknowns, which SuperLU
-    factors.  The fine level is smoothed by one red-black Gauss-Seidel
-    sweep before and after the coarse correction: the five-point stencil
-    couples a node only to nodes of the other colour, so each half-sweep
-    solves its colour exactly, and the presmoothing sweep leaves no black
-    residual.  The nine-point coarse levels are smoothed by two damped
-    Jacobi sweeps before and after.  A system of at most ``_COARSEST``
-    unknowns is factored whole.
+    so.  Each coarser level is the Galerkin product A_c = R A P, R = P^T,
+    down to at most ``_COARSEST`` unknowns, which SuperLU factors.  P is
+    built from the rows of the level's own operator at every level, the
+    nine-point coarse ones included (see :func:`_interpolation`; Alcouffe,
+    Brandt, Dendy & Painter, SIAM J. Sci. Stat. Comput. 2, 1981; de Zeeuw,
+    J. Comput. Appl. Math. 33, 1990), so that a node next to a cut edge
+    takes the Dirichlet zero at the crossing, as its Shortley-Weller row
+    does.  As a stationary iteration the cycle reduces the residual by a
+    factor of 0.11-0.19 a cycle from h = 1/64 to 1/512 on the ladder
+    members and the tests' mixed shape; bilinear P, which ignores those
+    rows, gave 0.35-0.53 and left nearly all of the residual next to the
+    boundary.  Each coarse level's rows are sorted by column before its P
+    is read from them.  The fine level is smoothed by one red-black
+    Gauss-Seidel sweep before and after the coarse correction: the
+    five-point stencil couples a node only to nodes of the other colour,
+    so each half-sweep solves its colour exactly, and the presmoothing
+    sweep leaves no black residual.  The nine-point coarse levels are
+    smoothed by two damped Jacobi sweeps before and after.  A system of at
+    most ``_COARSEST`` unknowns is factored whole.
 
     The cycle keeps no copy of A.  The half-sweeps multiply by the red and
     the black rows of A (see :func:`_row_block`), which also read the
@@ -550,10 +664,11 @@ class _VCycle:
         self.n_red, self.d_red, self.d_black = n_red, d[:n_red], d[n_red:]
         self.A_red = _row_block(A, 0, n_red)
         self.A_black = _row_block(A, n_red, A.shape[0])
-        self.R, number = _restriction(number)
+        self.R, number = _interpolation(A, number, True)
         A = self.R @ A @ self.R.T
         while A.shape[0] > _COARSEST:
-            R, number = _restriction(number)
+            A.sort_indices()
+            R, number = _interpolation(A, number, False)
             self.levels.append((A, _JACOBI / A.diagonal(), R))
             A = R @ A @ R.T
         self.lu = splu(A.tocsc())
@@ -723,10 +838,10 @@ def spsolve(A: sparse.csr_matrix, rhs: Array,
     BiCGSTAB preconditioned with a geometric multigrid V-cycle (see
     :class:`_VCycle`).  Returns x and its true relative residual
     ||rhs - A x|| / ||rhs||, the one the last BiCGSTAB round stopped on
-    (see :func:`_true_residual`).  It takes 7-11 steps from h = 1/64 to
-    1/512 on the ladder members, whose solution it gives within 1e-12 of
-    a direct factorization's.  No step calls BLAS (see :func:`_norm`), and
-    none writes to A or rhs.
+    (see :func:`_true_residual`).  It takes 5-6 steps (10-12 V-cycles)
+    from h = 1/64 to 1/512 on the ladder members, whose solution it gives
+    within 1e-12 of a direct factorization's.  No step calls BLAS (see
+    :func:`_norm`), and none writes to A or rhs.
     """
     return _bicgstab(A, rhs, _VCycle(A, grid.index, grid.n_red))
 
@@ -734,15 +849,17 @@ def spsolve(A: sparse.csr_matrix, rhs: Array,
 def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveReport]:
     """Shortley-Weller discretization of ``lap u = 2``, ``u = 0`` on the boundary."""
     grid = Grid.build(domain, h)
-    A = _assemble(grid)
-    rhs = np.full(grid.n_unknowns, 2.0)
 
-    # the first read of delta overlaps the solve where either side releases
-    # the interpreter lock: the seed query of the kd-tree and the numpy
-    # operations on whole chunks of the walk and the projection do, scipy's
-    # sparse products do not
+    # the first read of delta overlaps the assembly and the solve where
+    # either side releases the interpreter lock: the seed query of the
+    # kd-tree, the numpy operations on whole chunks of the walk and the
+    # projection, and (as measured with scipy 1.17) scipy's sparse
+    # products do.  At h = 1/256 delta takes about as long as the solve,
+    # so it starts before the assembly
     with ThreadPoolExecutor(max_workers=1) as worker:
         reading = worker.submit(getattr, grid, "delta")
+        A = _assemble(grid)
+        rhs = np.full(grid.n_unknowns, 2.0)
         sol, residual = spsolve(A, rhs, grid)
         reading.result()
     if not np.all(np.isfinite(sol)):

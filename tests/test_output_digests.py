@@ -1,5 +1,6 @@
-"""Smoke test of ``tools/output_digests.py`` on its fast entries: the
-constant tables, whose digests must be those of the files ``main`` writes."""
+"""Smoke tests of ``tools/output_digests.py`` on its fast entries, the
+constant tables, whose digests must be those of the files ``main`` writes,
+and of ``tools/output_moves.py`` on two small hand-made output trees."""
 from __future__ import annotations
 
 import hashlib
@@ -37,3 +38,54 @@ def test_constants_digests_are_those_of_the_written_files(tool, tmp_path):
     # the temporary directory is masked, so a second pass prints the same
     assert tool.digest_lines(runs) == lines
 
+
+
+def test_kept_directory_holds_each_run_and_its_printed_lines(tool, tmp_path):
+    # --keep runs in the directory and leaves exit codes, printed text and
+    # outputs there; the digest lines are those of a temporary directory
+    runs = [run for run in tool.RUNS if run.argv[0] == "constants"][:2]
+    lines = tool.run_in(tmp_path, runs)
+    assert lines == tool.digest_lines(runs)
+    for k, run in enumerate(runs):
+        stdout = (tmp_path / f"{run.name}.stdout").read_bytes()
+        assert lines[2 * k].startswith(
+            f"{run.name} exit 0 stdout {hashlib.sha256(stdout).hexdigest()} ")
+        assert (tmp_path / f"{run.name}.exit").read_text() == "0\n"
+        assert (tmp_path / run.name / "constants.csv").is_file()
+
+
+@pytest.fixture(scope="module")
+def moves():
+    path = TOOL.with_name("output_moves.py")
+    spec = importlib.util.spec_from_file_location("output_moves", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_moves_name_each_moved_cell_and_printed_line(moves, tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, code, printed, rows in (
+            (old, "0", "ok\nsame\n", ["1.0,0.5,pass", "2.0,nan,pass",
+                                      "0.0,1.0,pass"]),
+            (new, "1", "ok\nsame\nmore\n", ["1.0,0.25,pass", "2.0,nan,fail",
+                                             "1e-3,1.0,pass"])):
+        (root / "out").mkdir(parents=True)
+        (root / "run.exit").write_text(f"{code}\n")
+        (root / "run.stdout").write_text(printed)
+        (root / "run.stderr").write_text("")
+        (root / "run.cfg").write_text(code)
+        (root / "out" / "t.csv").write_text("\n".join(["x,y,status", *rows]))
+        (root / "out" / "same.csv").write_text("a\n1\n")
+    (new / "out" / "extra.txt").write_text("")
+    assert moves.compare(old, new) == [
+        "run: exit 0 -> 1",
+        "run stdout: +more",
+        f"out/extra.txt: only in {new}",
+        "out/t.csv x: largest move 0.001 on row 3 (0.0 -> 1e-3), "
+        "largest relative move inf on row 3",
+        "out/t.csv y: largest move 0.25 on row 1 (0.5 -> 0.25), "
+        "largest relative move 0.5 on row 1",
+        "out/t.csv row 2 status: 'pass' -> 'fail'",
+    ]
+    assert moves.compare(old, old) == []

@@ -6,7 +6,8 @@ points of grid edges with a circle, hand-integrated boundary-distance
 moments on the disk, closed-form disk-square intersection areas, polar
 quadrature of cut cells, the strict radial inclusion test, a direct LU
 factorization of the whole system for the multigrid-preconditioned solve,
-and Richardson self-comparison on a cosine domain where the solution is
+the multigrid interpolation formula evaluated one node at a time, and
+Richardson self-comparison on a cosine domain where the solution is
 genuinely non-quadratic.
 """
 from __future__ import annotations
@@ -763,6 +764,137 @@ def test_vcycle_row_views_match_the_off_diagonal_blocks():
     assert cycle(b).tobytes() == x.tobytes()
 
 
+def bilinear_restriction(number: np.ndarray) -> sparse.csr_matrix:
+    """R = P^T of bilinear interpolation from the nodes with even (i, j):
+    weight 1 on a coarse node, 1/2 beside it on a grid line, 1/4 on its
+    diagonals, and nothing towards a coarse node outside."""
+    coarse = np.full(number[::2, ::2].shape, -1)
+    inner = number[::2, ::2] >= 0
+    coarse[inner] = np.arange(np.count_nonzero(inner))
+    R = sparse.dok_matrix((coarse.max() + 1, int(np.max(number)) + 1))
+    for (a, b), c in np.ndenumerate(coarse):
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if c >= 0 and number[2 * a + di, 2 * b + dj] >= 0:
+                    R[c, number[2 * a + di, 2 * b + dj]] = 0.5 ** (
+                        abs(di) + abs(dj))
+    return R.tocsr()
+
+
+def reference_restriction(A: sparse.csr_matrix,
+                          number: np.ndarray) -> dict:
+    """The entries {(coarse, fine): weight} of the operator-dependent R,
+    by the formula at every node, one node at a time, with each sum taken
+    in the documented order: S, C, N (W, C, E) across a line and the
+    3 x 3 steps in raster order along it."""
+    entry = A.todok()
+    coarse = np.full(number[::2, ::2].shape, -1)
+    inner = number[::2, ::2] >= 0
+    coarse[inner] = np.arange(np.count_nonzero(inner))
+
+    def a(i, j, di, dj):
+        k, m = number[i, j], number[i + di, j + dj]
+        return entry.get((k, m), 0.0) if m >= 0 else 0.0
+
+    weight = {}   # (i, j, coarse i, coarse j) -> weight
+    for (i, j), k in np.ndenumerate(number):
+        if k < 0 or (i % 2, j % 2) == (1, 1):
+            continue
+        if (i % 2, j % 2) == (0, 0):
+            weight[i, j, i, j] = 1.0
+            continue
+        along = (0, 1) if i % 2 == 0 else (1, 0)
+        across = (along[1], along[0])
+        den = -(a(i, j, -across[0], -across[1]) + a(i, j, 0, 0)
+                + a(i, j, *across))
+        for side in (-1, 1):
+            d = (side * along[0], side * along[1])
+            total = (a(i, j, d[0] - across[0], d[1] - across[1])
+                     + a(i, j, *d) + a(i, j, d[0] + across[0],
+                                       d[1] + across[1]))
+            weight[i, j, i + d[0], j + d[1]] = total / den
+    for (i, j), k in np.ndenumerate(number):
+        if k < 0 or (i % 2, j % 2) != (1, 1):
+            continue
+        for di in (-1, 1):
+            for dj in (-1, 1):
+                ci, cj = i + di, j + dj
+                total = (a(i, j, di, 0) * weight.get((i + di, j, ci, cj), 0.0)
+                         + a(i, j, 0, dj) * weight.get((i, j + dj, ci, cj),
+                                                       0.0)
+                         + a(i, j, di, dj))
+                weight[i, j, ci, cj] = total / -a(i, j, 0, 0)
+    return {(int(coarse[ci // 2, cj // 2]), int(number[i, j])): w
+            for (i, j, ci, cj), w in weight.items()
+            if w != 0.0 and coarse[ci // 2, cj // 2] >= 0}
+
+
+def entries_of(R: sparse.csr_matrix) -> dict:
+    rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+    return dict(zip(zip(rows.tolist(), R.indices.tolist()), R.data.tolist()))
+
+
+@pytest.mark.parametrize("domain", [MIXED, PETALS], ids=["mixed", "petals"])
+def test_interpolation_weights_follow_the_operator(domain):
+    # the fine level's P: bilinear to the bit wherever no edge of the 3 x 3
+    # neighbourhood is cut, every weight in (0, 1] and every row summing to
+    # at most 1; on every level, each weight is the formula's to the bit
+    grid = Grid.build(domain, 1.0 / 64.0)
+    A = torsion._assemble(grid)
+    cycle = torsion._VCycle(A, grid.index, grid.n_red)
+    P = cycle.R.T.tocsr()
+    assert np.all(P.data > 0.0) and np.all(P.data <= 1.0)
+    assert np.max(np.add.reduceat(P.data, P.indptr[:-1])) <= 1.0
+    uncut = grid.inside & np.logical_and.reduce(
+        [c == 1.0 for c in grid.cuts.values()])
+    clear = np.zeros_like(uncut)
+    clear[1:-1, 1:-1] = np.logical_and.reduce(
+        [uncut[1 + di:uncut.shape[0] - 1 + di, 1 + dj:uncut.shape[1] - 1 + dj]
+         for di in (-1, 0, 1) for dj in (-1, 0, 1)])
+    rows = grid.index[clear]
+    assert 0 < rows.size < grid.n_unknowns
+    got, want = P[rows], bilinear_restriction(grid.index).T.tocsr()[rows]
+    got.sort_indices()
+    want.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    cut_rows = np.setdiff1d(np.arange(grid.n_unknowns), rows)
+    assert np.any(np.add.reduceat(P.data, P.indptr[:-1])[cut_rows] < 1.0)
+
+    number, levels = grid.index, [(A, cycle.R)]
+    levels += [(level_A, R) for level_A, _, R in cycle.levels]
+    for level_A, R in levels:
+        assert entries_of(R) == reference_restriction(level_A, number)
+        inner = number[::2, ::2] >= 0
+        number = np.full(inner.shape, -1)
+        number[inner] = np.arange(np.count_nonzero(inner))
+
+
+@pytest.mark.parametrize("h", [1.0 / 64.0, 1.0 / 128.0], ids=["64", "128"])
+@pytest.mark.parametrize("domain", [
+    StarDomain2D.ellipse(1.2, 1.0 / 1.2),
+    StarDomain2D.cosine(0.1, 2),
+    MIXED,
+], ids=["ellipse", "cosine", "mixed"])
+def test_vcycle_reduces_the_residual_fivefold_a_cycle(domain, h):
+    # as a stationary iteration x <- x + M (b - A x), the geometric mean of
+    # the residual's reduction over cycles 6-12; bilinear interpolation
+    # gave 0.35-0.50 here
+    grid = Grid.build(domain, h)
+    A = torsion._assemble(grid)
+    cycle = torsion._VCycle(A, grid.index, grid.n_red)
+    b = np.full(grid.n_unknowns, 2.0)
+    x = np.zeros_like(b)
+    norms = []
+    for _ in range(12):
+        r = b - A @ x
+        norms.append(np.sqrt(np.sum(r * r)))
+        x += cycle(r)
+    r = b - A @ x
+    factor = (np.sqrt(np.sum(r * r)) / norms[5]) ** (1.0 / 7.0)
+    assert factor <= 0.2
+
+
 def test_true_residual_does_not_depend_on_the_chunk_size(monkeypatch):
     grid = Grid.build(MIXED, 1.0 / 64.0)
     A = torsion._assemble(grid)
@@ -779,8 +911,9 @@ def test_true_residual_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 # traced peak of solve_torsion on the ladder ellipse at h = 1/128, per
-# unknown: 407 bytes measured, 737 while the solve kept its assembly lists
-# and copies of A's blocks
+# unknown: 399-406 bytes measured with the operator-dependent interpolation
+# (398-407 with the bilinear one), 737 while the solve kept its assembly
+# lists and copies of A's blocks
 SOLVE_BYTES_PER_UNKNOWN = 480
 
 

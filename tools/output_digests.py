@@ -12,12 +12,19 @@ that claims to keep the outputs is checked by running
     python3 tools/output_digests.py > after.txt     # with the change
     diff before.txt after.txt
 
+With ``--keep DIR`` the runs write into ``DIR`` in place of a temporary
+directory and leave there, besides what they write, each run's exit code,
+stdout and stderr as ``<run>.exit``, ``<run>.stdout`` and ``<run>.stderr``
+(``DIR`` masked as ``<tmp>``); ``tools/output_moves.py`` compares two such
+directories cell by cell.
+
 The package is imported from the ``src`` tree next to this script, so each
 checkout digests its own code.  The runs solve three families at h = 1/64
 and two at h = 1/128 with two workers each.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -73,31 +80,49 @@ def _files(directory: Path) -> dict[str, str]:
             for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
-def digest_lines(runs=RUNS) -> list[str]:
-    """The digest lines of ``runs``, run in order in one temporary
-    directory."""
+def run_in(root: Path, runs=RUNS) -> list[str]:
+    """Run ``runs`` in order in the directory ``root``, keep what they write
+    and each one's exit code, stdout and stderr, and return the digest
+    lines."""
     lines = []
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for run in runs:
-            out = root / (run.out or run.name)
-            config = root / f"{run.name}.cfg"
-            config.write_text(run.config, encoding="utf-8")
-            before = _files(out)
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                code = cli.main([*run.argv, "--config", str(config),
-                                 "--out", str(out)])
-            printed = [stream.getvalue().replace(tmp, "<tmp>").encode()
-                       for stream in (stdout, stderr)]
-            lines.append(f"{run.name} exit {code} stdout {_sha(printed[0])} "
-                         f"stderr {_sha(printed[1])}")
-            lines += [f"{run.name} {name} {digest}"
-                      for name, digest in _files(out).items()
-                      if before.get(name) != digest]
+    for run in runs:
+        out = root / (run.out or run.name)
+        config = root / f"{run.name}.cfg"
+        config.write_text(run.config, encoding="utf-8")
+        before = _files(out)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main([*run.argv, "--config", str(config),
+                             "--out", str(out)])
+        printed = [stream.getvalue().replace(str(root), "<tmp>").encode()
+                   for stream in (stdout, stderr)]
+        (root / f"{run.name}.exit").write_text(f"{code}\n", encoding="utf-8")
+        for stream, text in zip(("stdout", "stderr"), printed):
+            (root / f"{run.name}.{stream}").write_bytes(text)
+        lines.append(f"{run.name} exit {code} stdout {_sha(printed[0])} "
+                     f"stderr {_sha(printed[1])}")
+        lines += [f"{run.name} {name} {digest}"
+                  for name, digest in _files(out).items()
+                  if before.get(name) != digest]
     return lines
 
 
+def digest_lines(runs=RUNS) -> list[str]:
+    """The digest lines of ``runs``, run in order in one temporary
+    directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_in(Path(tmp), runs)
+
+
 if __name__ == "__main__":
-    print(*digest_lines(), sep="\n")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="run in DIR, which must not exist, and keep "
+                             "every output there")
+    keep = parser.parse_args().keep
+    if keep is None:
+        print(*digest_lines(), sep="\n")
+    else:
+        keep.mkdir(parents=True)
+        print(*run_in(keep.resolve()), sep="\n")
