@@ -484,19 +484,16 @@ def _interpolation(A: sparse.csr_matrix, number: Array,
     solves its own row, with its edge neighbours' values interpolated and
     its corners' injected.  An absent neighbour drops out of a sum, and a
     zero weight is left out of P.  Where no edge of a node's stencil is
-    cut, the weights are bilinear interpolation's (1/2 and 1/4) to the
-    bit; next to a cut the larger diagonal makes them sum to less than 1,
-    so the node takes the Dirichlet zero at the crossing, not a coarse
-    value beyond it.
+    cut, the fine level's weights are bilinear interpolation's, 1/2 and
+    1/4 (to the bit where h is a power of two); next to a cut the larger
+    diagonal makes them sum to less than 1, so the node takes the
+    Dirichlet zero at the crossing, not a coarse value beyond it.
 
     Each row of A lists its columns in the order of their nodes, red
     before black where ``red_black``: the five-point level that
-    :func:`_assemble` builds.  A row of that level with all five entries
-    is h^-2 (1, 1, -4, 1, 1) and gives the bilinear weights, so there the
-    formula runs only at the nodes whose own row, or an edge neighbour's,
-    is shorter; on the nine-point levels it runs at every node.  The
-    coarse level is the grid ``number[::2, ::2]`` and numbers its nodes in
-    row-major order.  R's indices and the coarse numbering are int32.
+    :func:`_assemble` builds.  The coarse level is the grid
+    ``number[::2, ::2]`` and numbers its nodes in row-major order.  R's
+    indices and the coarse numbering are int32.
     """
     ny, nx = number.shape
     cy, cx = -(-ny // 2), -(-nx // 2)
@@ -521,24 +518,15 @@ def _interpolation(A: sparse.csr_matrix, number: Array,
     # twice, an empty row
     length = {pq: A.indptr[1:].take(row) - A.indptr.take(row)
               for pq, row in rows.items()}
-    run = {pq: n > 0 for pq, n in length.items()}
-    if red_black:
-        full = {pq: n == len(steps) for pq, n in length.items()}
-        # a cell centre's edge neighbours: on rows of cells (a, b) and
-        # (a + 1, b), on columns of cells (a, b) and (a, b + 1)
-        full[1, 1][:-1] &= full[0, 1][:-1] & full[0, 1][1:]
-        full[1, 1][:, :-1] &= full[1, 0][:, :-1] & full[1, 0][:, 1:]
-        for pq in run:
-            run[pq] &= ~full[pq]
-    # the cells, as flat indices, of the nodes the formula runs at
-    cells = {pq: np.flatnonzero(r) for pq, r in run.items()}
+    # the cells, as flat indices, of the class's inside nodes
+    cells = {pq: np.flatnonzero(n) for pq, n in length.items()}
 
     def stencil(p: int, q: int) -> dict:
-        # A's entries, by step, in the rows of the class (p, q) nodes that
-        # the formula runs at, zero where a row has none.  Each row lists
-        # its columns in the order of the steps sorted below, so a row with
-        # an entry for every step holds them in that order, and a shorter
-        # row is walked entry by entry
+        # A's entries, by step, in the rows of the class (p, q) inside
+        # nodes, zero where a row has none.  Each row lists its columns in
+        # the order of the steps sorted below, so a row with an entry for
+        # every step holds them in that order, and a shorter row is walked
+        # entry by entry
         at = A.indptr.take(rows[p, q].take(cells[p, q]))
         count = length[p, q].take(cells[p, q])
         order = sorted(steps, key=lambda s: (
@@ -557,13 +545,12 @@ def _interpolation(A: sparse.csr_matrix, number: Array,
         return entries
 
     # table[k]: each node's weight towards the coarse node one step s_k
-    # from it, for the steps s_k in raster order, bilinear's where the
-    # formula does not run; table[4] is the coarse node's own weight, 1
+    # from it, for the steps s_k in raster order, zero at an outside node;
+    # table[4] is the coarse node's own weight, 1
     raster = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-    table = np.empty((9,) + shape)
+    table = np.zeros((9,) + shape)
+    table[4] = 1.0
     towards = dict(zip(raster, table))
-    for (di, dj), w in towards.items():
-        w.fill(0.5 ** (abs(di) + abs(dj)))
     for (p, q), axis in (((0, 1), 1), ((1, 0), 0)):
         # nodes on a row (axis 1) or a column (axis 0) take weights towards
         # the coarse nodes before and after them on that line
@@ -849,17 +836,15 @@ def spsolve(A: sparse.csr_matrix, rhs: Array,
 def solve_torsion(domain: StarDomain2D, h: float) -> tuple[DiscreteField, SolveReport]:
     """Shortley-Weller discretization of ``lap u = 2``, ``u = 0`` on the boundary."""
     grid = Grid.build(domain, h)
+    A = _assemble(grid)
+    rhs = np.full(grid.n_unknowns, 2.0)
 
-    # the first read of delta overlaps the assembly and the solve where
-    # either side releases the interpreter lock: the seed query of the
-    # kd-tree, the numpy operations on whole chunks of the walk and the
-    # projection, and (as measured with scipy 1.17) scipy's sparse
-    # products do.  At h = 1/256 delta takes about as long as the solve,
-    # so it starts before the assembly
+    # the first read of delta overlaps the solve where either side releases
+    # the interpreter lock: the seed query of the kd-tree and the numpy
+    # operations on whole chunks of the walk and the projection do, scipy's
+    # sparse products do not
     with ThreadPoolExecutor(max_workers=1) as worker:
         reading = worker.submit(getattr, grid, "delta")
-        A = _assemble(grid)
-        rhs = np.full(grid.n_unknowns, 2.0)
         sol, residual = spsolve(A, rhs, grid)
         reading.result()
     if not np.all(np.isfinite(sol)):

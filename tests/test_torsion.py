@@ -843,8 +843,9 @@ def test_interpolation_weights_follow_the_operator(domain):
     A = torsion._assemble(grid)
     cycle = torsion._VCycle(A, grid.index, grid.n_red)
     P = cycle.R.T.tocsr()
+    sums = np.asarray(P.sum(axis=1)).ravel()
     assert np.all(P.data > 0.0) and np.all(P.data <= 1.0)
-    assert np.max(np.add.reduceat(P.data, P.indptr[:-1])) <= 1.0
+    assert np.max(sums) <= 1.0
     uncut = grid.inside & np.logical_and.reduce(
         [c == 1.0 for c in grid.cuts.values()])
     clear = np.zeros_like(uncut)
@@ -859,7 +860,7 @@ def test_interpolation_weights_follow_the_operator(domain):
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     cut_rows = np.setdiff1d(np.arange(grid.n_unknowns), rows)
-    assert np.any(np.add.reduceat(P.data, P.indptr[:-1])[cut_rows] < 1.0)
+    assert np.any(sums[cut_rows] < 1.0)
 
     number, levels = grid.index, [(A, cycle.R)]
     levels += [(level_A, R) for level_A, _, R in cycle.levels]
