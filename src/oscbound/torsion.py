@@ -25,10 +25,10 @@ The memory a rung needs.  The solve keeps the grid, A, the multigrid
 hierarchy and BiCGSTAB's vectors, and nothing else of a size set by A's
 entries: no assembly lists, no copy of A or of its blocks.  Its traced
 peak on the ladder ellipse (eps = 0.2) is about 405 bytes per unknown at
-h = 1/128 (399-406 measured).  One rung alone in a fresh process
+h = 1/128 (403-413 measured).  One rung alone in a fresh process
 (``build_pipeline_data`` and the check battery) peaks at a resident set of
-154 MB at h = 1/256 and 381 MB at 1/512 on that ellipse, and 153 and
-365 MB on the cosine member (k = 2, eps = 0.1); about 71 MB of it is the
+157 MB at h = 1/256 and 379 MB at 1/512 on that ellipse, and 152 and
+359 MB on the cosine member (k = 2, eps = 0.1); about 71 MB of it is the
 interpreter and the imports.
 The limit is documented, not checked: no spacing is refused for the
 memory its rung would need.

@@ -912,7 +912,7 @@ def test_true_residual_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 # traced peak of solve_torsion on the ladder ellipse at h = 1/128, per
-# unknown: 399-406 bytes measured with the operator-dependent interpolation
+# unknown: 403-413 bytes measured with the operator-dependent interpolation
 # (398-407 with the bilinear one), 737 while the solve kept its assembly
 # lists and copies of A's blocks
 SOLVE_BYTES_PER_UNKNOWN = 480
