@@ -491,9 +491,10 @@ def _interpolation(A: sparse.csr_matrix, number: Array,
 
     Each row of A lists its columns in the order of their nodes, red
     before black where ``red_black``: the five-point level that
-    :func:`_assemble` builds.  The coarse level is the grid
-    ``number[::2, ::2]`` and numbers its nodes in row-major order.  R's
-    indices and the coarse numbering are int32.
+    :func:`_assemble` builds.  A row that lists them in another order
+    raises RuntimeError, a fault of the code and not of the domain.  The
+    coarse level is the grid ``number[::2, ::2]`` and numbers its nodes in
+    row-major order.  R's indices and the coarse numbering are int32.
     """
     ny, nx = number.shape
     cy, cx = -(-ny // 2), -(-nx // 2)
@@ -504,44 +505,38 @@ def _interpolation(A: sparse.csr_matrix, number: Array,
     # node in any direction; the padding is outside
     padded = np.full((2 * cy + 7, 2 * cx + 7), -1, dtype=np.int32)
     padded[3:ny + 3, 3:nx + 3] = number
-    shape = (cy + 2, cx + 2)
+    shape, width = (cy + 2, cx + 2), padded.shape[1]
 
-    def nodes(p: int, q: int, di: int = 0, dj: int = 0) -> Array:
-        i, j = 1 + p + di, 1 + q + dj
+    def nodes(p: int, q: int) -> Array:
+        i, j = 1 + p, 1 + q
         return padded[i:i + 2 * shape[0]:2, j:j + 2 * shape[1]:2]
 
     steps = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
              if not (red_black and di and dj)]
-    rows = {pq: np.ascontiguousarray(nodes(*pq))
-            for pq in ((0, 1), (1, 0), (1, 1))}
-    # the entries of each row; an outside node's -1 reads indptr[-1]
-    # twice, an empty row
-    length = {pq: A.indptr[1:].take(row) - A.indptr.take(row)
-              for pq, row in rows.items()}
     # the cells, as flat indices, of the class's inside nodes
-    cells = {pq: np.flatnonzero(n) for pq, n in length.items()}
+    cells = {pq: np.flatnonzero(nodes(*pq) >= 0)
+             for pq in ((0, 1), (1, 0), (1, 1))}
 
     def stencil(p: int, q: int) -> dict:
         # A's entries, by step, in the rows of the class (p, q) inside
-        # nodes, zero where a row has none.  Each row lists its columns in
-        # the order of the steps sorted below, so a row with an entry for
-        # every step holds them in that order, and a shorter row is walked
-        # entry by entry
-        at = A.indptr.take(rows[p, q].take(cells[p, q]))
-        count = length[p, q].take(cells[p, q])
-        order = sorted(steps, key=lambda s: (
-            red_black and (p + q + s[0] + s[1]) % 2, s))
-        entries = {s: A.data.take(at + k, mode="clip")
-                   for k, s in enumerate(order)}
-        short = np.flatnonzero(count < len(order))
-        a, b = np.unravel_index(cells[p, q][short], shape)
-        at, end = at[short], at[short] + count[short]
-        for s in order:
-            hit = (at < end) & (A.indices.take(at, mode="clip")
-                                == nodes(p, q, *s)[a, b])
-            entries[s][short] = np.where(hit, A.data.take(at, mode="clip"),
-                                         0.0)
+        # nodes, zero where a row has none.  One pass over the steps, in
+        # the order of their columns, takes each row's next entry where
+        # its column is the step's node; a row with entries left after the
+        # pass does not list its columns in that order
+        a, b = np.unravel_index(cells[p, q], shape)
+        node = (2 * a + 1 + p) * width + 2 * b + 1 + q  # in padded, flat
+        row = padded.ravel().take(node)
+        at, end = A.indptr.take(row), A.indptr.take(row + 1)
+        entries = {}
+        for s in sorted(steps, key=lambda s: (
+                red_black and (p + q + s[0] + s[1]) % 2, s)):
+            column = padded.ravel().take(node + s[0] * width + s[1])
+            hit = (at < end) & (A.indices.take(at, mode="clip") == column)
+            entries[s] = np.where(hit, A.data.take(at, mode="clip"), 0.0)
             at += hit
+        if np.any(at < end):
+            raise RuntimeError("a row of the multigrid level lists its "
+                               "columns out of the order of their nodes")
         return entries
 
     # table[k]: each node's weight towards the coarse node one step s_k
@@ -580,7 +575,7 @@ def _interpolation(A: sparse.csr_matrix, number: Array,
     ka, kb = np.nonzero(nodes(0, 0) >= 0)
     coarse = np.full((cy, cx), -1, dtype=np.int32)
     coarse[ka - 1, kb - 1] = np.arange(ka.size)
-    width, size = padded.shape[1], shape[0] * shape[1]
+    size = shape[0] * shape[1]
     fine = padded.ravel()[((2 * ka + 1) * width + 2 * kb + 1)[:, None]
                           + [di * width + dj for di, dj in raster]]
     weights = table.ravel()[(ka * shape[1] + kb)[:, None] + [
@@ -621,16 +616,14 @@ class _VCycle:
     takes the Dirichlet zero at the crossing, as its Shortley-Weller row
     does.  As a stationary iteration the cycle reduces the residual by a
     factor of 0.11-0.19 a cycle from h = 1/64 to 1/512 on the ladder
-    members and the tests' mixed shape; bilinear P, which ignores those
-    rows, gave 0.35-0.53 and left nearly all of the residual next to the
-    boundary.  Each coarse level's rows are sorted by column before its P
-    is read from them.  The fine level is smoothed by one red-black
-    Gauss-Seidel sweep before and after the coarse correction: the
-    five-point stencil couples a node only to nodes of the other colour,
-    so each half-sweep solves its colour exactly, and the presmoothing
-    sweep leaves no black residual.  The nine-point coarse levels are
-    smoothed by two damped Jacobi sweeps before and after.  A system of at
-    most ``_COARSEST`` unknowns is factored whole.
+    members and the tests' mixed shape.  Each coarse level's rows are
+    sorted by column before its P is read from them.  The fine level is
+    smoothed by one red-black Gauss-Seidel sweep before and after the
+    coarse correction: the five-point stencil couples a node only to nodes
+    of the other colour, so each half-sweep solves its colour exactly, and
+    the presmoothing sweep leaves no black residual.  The nine-point
+    coarse levels are smoothed by two damped Jacobi sweeps before and
+    after.  A system of at most ``_COARSEST`` unknowns is factored whole.
 
     The cycle keeps no copy of A.  The half-sweeps multiply by the red and
     the black rows of A (see :func:`_row_block`), which also read the
@@ -754,7 +747,10 @@ def _bicgstab(A: sparse.csr_matrix, b: Array,
     The recursive residual drifts from b - A x, so a round that brings it
     under the target is followed by a round from the true residual (see
     :func:`_true_residual`), until that is under the target too.  Raises
-    :class:`GeometryError` after ``_STEPS`` steps or on a zero denominator.
+    :class:`GeometryError` when a round ends above the target without
+    halving the true residual it started from, which the rounding of
+    b - A x can stop from falling further; after ``_STEPS`` steps; or on a
+    zero denominator.
 
     The recurrences are van der Vorst's, updated in place: x, r, the
     shadow residual and p are the solve's own vectors, and b is only read.
@@ -779,8 +775,14 @@ def _bicgstab(A: sparse.csr_matrix, b: Array,
     target = _RTOL * norm_b
     x, r, shadow, p = (np.zeros_like(b), b.copy(), np.empty_like(b),
                        np.empty_like(b))
-    steps = 0
+    steps, start = 0, math.inf
     while (res := _norm(r)) > target:
+        if res > start / 2.0:
+            raise GeometryError(
+                f"BiCGSTAB stalled after {steps} iterations: a round from "
+                f"relative residual {start / norm_b:.3e} ended at "
+                f"{res / norm_b:.3e}, above {_RTOL:g}")
+        start = res
         np.copyto(shadow, r)
         rho, alpha, omega = 1.0, 1.0, 1.0
         p.fill(0.0)   # p - omega v at v = 0

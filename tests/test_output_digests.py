@@ -1,10 +1,13 @@
 """Smoke tests of ``tools/output_digests.py`` on its fast entries, the
 constant tables, whose digests must be those of the files ``main`` writes,
-and of ``tools/output_moves.py`` on two small hand-made output trees."""
+and on its usage error, and of ``tools/output_moves.py`` on two small
+hand-made output trees."""
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,17 @@ def test_constants_digests_are_those_of_the_written_files(tool, tmp_path):
     # the temporary directory is masked, so a second pass prints the same
     assert tool.digest_lines(runs) == lines
 
+
+def test_keep_into_an_existing_directory_is_a_usage_error(tmp_path):
+    # one error line and exit 2 before any run, not a traceback
+    done = subprocess.run([sys.executable, str(TOOL), "--keep", str(tmp_path)],
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].endswith(
+        f"error: --keep: {tmp_path} already exists")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kept_directory_holds_each_run_and_its_printed_lines(tool, tmp_path):

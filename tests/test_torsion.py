@@ -668,6 +668,31 @@ def test_bicgstab_that_runs_out_of_steps_is_a_geometry_error(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_bicgstab_that_stalls_is_a_geometry_error(monkeypatch):
+    # under a target below the rounding floor of b - A x, the rounds end
+    # at true residuals 9.99e-14, 2.79e-14 and 2.76e-14: the third does not
+    # halve the residual it started from, which ends the solve there, 13
+    # V-cycles in, and not at _STEPS
+    rounds = []
+    real_true_residual = torsion._true_residual
+
+    def counting_true_residual(A):
+        residual = real_true_residual(A)
+
+        def counted(b, x, out):
+            rounds.append(None)
+            return residual(b, x, out)
+        return counted
+
+    monkeypatch.setattr(torsion, "_true_residual", counting_true_residual)
+    monkeypatch.setattr(torsion, "_RTOL", 1e-14)
+    before = threading.active_count()
+    with pytest.raises(GeometryError, match=r"stalled after \d+ iterations"):
+        solve_torsion(StarDomain2D.ellipse(1.2, 1.0 / 1.2), 1.0 / 32.0)
+    assert len(rounds) == 3
+    assert threading.active_count() == before
+
+
 def test_bicgstab_breakdown_returns_the_solution():
     # A M = I and b along a unit vector: the first step leaves the residual
     # exactly zero, which must end the solve before t = A M r = 0 divides
@@ -834,7 +859,12 @@ def entries_of(R: sparse.csr_matrix) -> dict:
     return dict(zip(zip(rows.tolist(), R.indices.tolist()), R.data.tolist()))
 
 
-@pytest.mark.parametrize("domain", [MIXED, PETALS], ids=["mixed", "petals"])
+@pytest.mark.parametrize("domain", [
+    MIXED,
+    PETALS,
+    build_family_domain(FamilySpec(kind="ellipse"), 0.2),
+    build_family_domain(FamilySpec(kind="cosine_perturbation"), 0.1),
+], ids=["mixed", "petals", "ladder_ellipse", "ladder_cosine"])
 def test_interpolation_weights_follow_the_operator(domain):
     # the fine level's P: bilinear to the bit wherever no edge of the 3 x 3
     # neighbourhood is cut, every weight in (0, 1] and every row summing to
@@ -869,6 +899,21 @@ def test_interpolation_weights_follow_the_operator(domain):
         inner = number[::2, ::2] >= 0
         number = np.full(inner.shape, -1)
         number[inner] = np.arange(np.count_nonzero(inner))
+
+
+def test_interpolation_rejects_a_row_out_of_column_order():
+    # a cell-centre row with all five entries, listed backwards, is the
+    # same operator, but the walk over the steps leaves its entries behind:
+    # that must raise, not read its diagonal as its north neighbour's entry
+    grid = Grid.build(MIXED, 1.0 / 64.0)
+    A = torsion._assemble(grid)
+    centre = grid.index[1::2, 1::2]
+    rows = centre[centre >= 0]
+    row = rows[np.diff(A.indptr)[rows] == 5][0]
+    at = slice(A.indptr[row], A.indptr[row + 1])
+    A.indices[at], A.data[at] = A.indices[at][::-1], A.data[at][::-1]
+    with pytest.raises(RuntimeError, match="out of the order"):
+        torsion._interpolation(A, grid.index, True)
 
 
 @pytest.mark.parametrize("h", [1.0 / 64.0, 1.0 / 128.0], ids=["64", "128"])

@@ -124,5 +124,8 @@ if __name__ == "__main__":
     if keep is None:
         print(*digest_lines(), sep="\n")
     else:
-        keep.mkdir(parents=True)
+        try:
+            keep.mkdir(parents=True)
+        except FileExistsError:
+            parser.error(f"--keep: {keep} already exists")
         print(*run_in(keep.resolve()), sep="\n")
