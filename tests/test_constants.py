@@ -405,6 +405,56 @@ def test_oscillation_bound_log_regime_explicit_value():
     assert rel_err(est, want) < 1e-10
 
 
+# The limits q = inf and p = inf are the finite formulas evaluated there: a
+# norm with exponent inf is its own raw norm, and an exponent N/inf is 0.0.
+# Each closed form below repeats the bound's arithmetic with exponent 1 and
+# the raw inf-norms, so the two agree to the last bit.
+LIMIT_SHAPE = dict(diameter=2.3, star_radius=0.4, volume=1.7)
+
+
+def _limit_prefactor(N):
+    d, r = LIMIT_SHAPE["diameter"], LIMIT_SHAPE["star_radius"]
+    return 2.0 * d**N / (N * unit_ball_volume(N) * r**N)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7])
+@pytest.mark.parametrize("g", [0.0, 0.7])
+def test_oscillation_bound_morrey_at_p_inf_is_exact(N, g):
+    d = LIMIT_SHAPE["diameter"]
+    est = oscillation_bound(g, 5.0, ExponentPair(INF, INF, N), **LIMIT_SHAPE)
+    nb = N * unit_ball_volume(N)
+    assert est == _limit_prefactor(N) * nb * g * d
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7])
+@pytest.mark.parametrize("gp, gq", [(0.0, 0.0), (0.0, 1.3), (0.7, 0.0),
+                                    (0.7, 2.9)])
+def test_oscillation_bound_at_q_inf_is_exact(N, gp, gq):
+    d, vol = LIMIT_SHAPE["diameter"], LIMIT_SHAPE["volume"]
+    nb = N * unit_ball_volume(N)
+    A = nb * gq * d
+    # log regime, p = N
+    shell = gp * vol ** (1.0 / N) * (nb * math.log(2.0)) ** (1.0 - 1.0 / N)
+    _, inner = two_term_minimize(A, shell / math.log(2.0), 1.0, 0.0, d,
+                                 log_variant=True)
+    est = oscillation_bound(gp, gq, ExponentPair(float(N), INF, N),
+                            **LIMIT_SHAPE)
+    assert est == _limit_prefactor(N) * (shell + inner)
+    # interpolation regime, p = 1 (far-field coefficient 1) and 1 < p < N
+    for p in (1.0, (1.0 + N) / 2.0):
+        B = (far_field_coefficient(p, N) * (gp * vol ** (1.0 / p))
+             * d ** (1.0 - N / p))
+        _, inner = two_term_minimize(A, B, 1.0, 1.0 - N / p, d)
+        est = oscillation_bound(gp, gq, ExponentPair(p, INF, N),
+                                **LIMIT_SHAPE)
+        assert est == _limit_prefactor(N) * inner
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_far_field_coefficient_at_p_one_is_exactly_one(N):
+    assert far_field_coefficient(1.0, N) == 1.0
+
+
 # --------------------------------------------------------------------------
 # stability profiles
 # --------------------------------------------------------------------------
@@ -418,6 +468,12 @@ def test_psi_profile_examples():
     # C2 with finite q: tau = 4/N - 2(N-4)/(N(q-2))
     tau = 4.0 / 5.0 - 2.0 / (5.0 * 8.0)
     assert psi_profile(0.2, 5, q=10.0) == pytest.approx(0.2**tau, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_psi_profile_at_q_inf_is_exact(N):
+    for sigma in (0.0, 1e-3, 0.37, 2.5):
+        assert psi_profile(sigma, N, q=INF) == sigma ** (4.0 / N)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7])
@@ -441,6 +497,11 @@ def test_serrin_profile_exponent_examples():
     assert serrin_profile_exponent(4, INF) == pytest.approx(0.8)
     assert serrin_profile_exponent(4) == pytest.approx(4.0 / 5.0)
     assert serrin_profile_exponent(5, 10.0) == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("N", [4, 5, 6, 7])
+def test_serrin_profile_exponent_at_q_inf_is_exact(N):
+    assert serrin_profile_exponent(N, INF) == 4.0 / (N + 1.0)
 
 
 def test_serrin_profile_exponent_monotone_in_q():
