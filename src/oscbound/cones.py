@@ -418,10 +418,9 @@ def verify_interpolation_cone(cf: ConeField, pair: ExponentPair) -> ConeCheck:
     if p < N:
         norm_p = cf.norm(p)
         coef_a = N if q == INF else (N * (q - 1.0) / (q - N)) ** (1.0 - 1.0 / q)
-        coef_b = 1.0 if p == 1.0 else (N * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
-        exp_a = 1.0 if q == INF else 1.0 - N / q
+        coef_b = (N * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
         _, rhs = two_term_minimize(coef_a * norm_q, coef_b * norm_p,
-                                   exp_a, 1.0 - N / p, a)
+                                   1.0 - N / q, 1.0 - N / p, a)
         return ConeCheck(field=cf.field.label, theta=cone.theta, a=a,
                          check="interp_power", lhs=lhs, rhs=rhs, p=p, q=q)
 

@@ -18,6 +18,18 @@ Conventions
   of the finite-exponent formulas.  The stability profiles take the
   exponent q > N of their C^2 form; the C^{2,gamma} profiles are its limit
   ``q = inf``.
+* A function evaluates its finite formula at ``inf`` (and at p = 1), since
+  IEEE arithmetic already gives the limit there: ``x / inf == 0.0``,
+  ``x ** 0.0 == 1.0`` and ``0.0 ** 0.0 == 1.0``.  A separate branch is kept
+  only where the formula gives NaN, raises, or rounds differently:
+  :func:`holder_conjugate` (``1 / 0`` raises, ``inf / inf`` is NaN);
+  :func:`near_field_coefficient` and, in ``cones``, the interpolation
+  coefficient and the log factor, whose ``(q - 1) / (q - N)`` is
+  ``inf / inf``; :func:`morrey_cone_constant` and
+  :func:`morrey_domain_constant` at p = inf, where the beta function path
+  rounds 3/4 at N = 3 to ``0x1.7fffffffffffep-1``; and the max of
+  :func:`normalized_norm` (and ``ConeField.norm``) at p = inf, which no
+  power sum reaches.
 * :func:`oscillation_bound` returns the bound alone; its regime is
   :func:`oscillation_regime` of the same exponent pair.
 """
@@ -346,8 +358,6 @@ def far_field_coefficient(p: float, N: int) -> float:
     """
     if not (1.0 <= p < N):
         raise DomainError(f"far-field coefficient needs 1 <= p < N, got p={p}, N={N}")
-    if p == 1.0:
-        return 1.0
     nb = N * unit_ball_volume(N)
     return (nb * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
 
@@ -402,14 +412,13 @@ def oscillation_bound(
 
     def raw(norm: float, expo: float) -> float:
         # normalized norm -> plain Lebesgue norm over the domain
-        return norm if expo == INF else norm * volume ** (1.0 / expo)
+        return norm * volume ** (1.0 / expo)
 
     if regime == "morrey":
         coeff = near_field_coefficient(p, N)
-        exp_p = 0.0 if p == INF else N / p
-        return prefactor * coeff * raw(grad_p, p) * d ** (1.0 - exp_p)
+        return prefactor * coeff * raw(grad_p, p) * d ** (1.0 - N / p)
 
-    eA = 1.0 - (0.0 if q == INF else N / q)
+    eA = 1.0 - N / q
     A = near_field_coefficient(q, N) * raw(grad_q, q) * d**eA
 
     if regime == "log":
@@ -449,12 +458,9 @@ def psi_profile(sigma: float, N: int, q: float = INF) -> float:
         if sigma == 0.0:
             return 0.0
         return sigma * max(math.log(1.0 / sigma), 1.0)
-    if q == INF:
-        tau = 4.0 / N
-    else:
-        if not q > N:
-            raise DomainError(f"C2 profile needs q > N, got q={q}, N={N}")
-        tau = 4.0 / N - 2.0 * (N - 4.0) / (N * (q - 2.0))
+    if not q > N:
+        raise DomainError(f"C2 profile needs q > N, got q={q}, N={N}")
+    tau = 4.0 / N - 2.0 * (N - 4.0) / (N * (q - 2.0))
     return float(sigma) ** tau
 
 
@@ -469,8 +475,6 @@ def serrin_profile_exponent(N: int, q: float = INF) -> float:
     _check_dim(N)
     if N <= 3:
         raise DomainError(f"profile exponent is only used for N >= 4, got N={N}")
-    if q == INF:
-        return 4.0 / (N + 1.0)
     if not q > N:
         raise DomainError(f"need q > N, got q={q}, N={N}")
     return (4.0 - 2.0 * N / q) / (N + 1.0 - 2.0 * N / q)

@@ -457,13 +457,8 @@ def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport
     cap = cap_measure(math.pi / 4.0, N)
     vol_ratio = N * area(data.domain) / cap
     B = vol_ratio ** (1.0 / p) * grad_p
-    if q == INF:
-        A = morrey_cone_constant(INF, N, 1.0) * hess_q
-        exp_a = 1.0
-    else:
-        A = morrey_cone_constant(q, N, 1.0) * vol_ratio ** (1.0 / q) * hess_q
-        exp_a = 1.0 - N / q
-    _, value = two_term_minimize(A, B, exp_a, -N / p,
+    A = morrey_cone_constant(q, N, 1.0) * vol_ratio ** (1.0 / q) * hess_q
+    _, value = two_term_minimize(A, B, 1.0 - N / q, -N / p,
                                  ball_radii(data.domain)[0])
     return IdentityReport.inequality("grad_infty", sup_grad, value)
 
