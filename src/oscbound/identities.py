@@ -446,7 +446,8 @@ def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport
     ``|grad h|(x) <= (N |Omega| / |S| sigma^N) ||grad h||_1
     + c_q sigma^{1 - N/q} (N |Omega| / |S|)^{1/q} ||hess h||_q``
 
-    with the cone average taken in L^1 (p = 1) and ``q > N``.
+    with the cone average taken in L^1 (p = 1) and ``q > N``.  The report
+    is named after q: ``grad_infty_qinf``, ``grad_infty_q8``.
     """
     N, p = 2, 1.0
     if not q > N:
@@ -460,7 +461,7 @@ def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport
     A = morrey_cone_constant(q, N, 1.0) * vol_ratio ** (1.0 / q) * hess_q
     _, value = two_term_minimize(A, B, 1.0 - N / q, -N / p,
                                  ball_radii(data.domain)[0])
-    return IdentityReport.inequality("grad_infty", sup_grad, value)
+    return IdentityReport.inequality(f"grad_infty_q{q:g}", sup_grad, value)
 
 
 def check_grad_infty_weighted(data: PipelineData) -> IdentityReport:

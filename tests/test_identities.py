@@ -85,8 +85,8 @@ CHECK_ORDER = [
     "torsion_depth",
     "min_depth",
     "oscillation_chain",
-    "grad_infty",
-    "grad_infty",
+    "grad_infty_qinf",
+    "grad_infty_q8",
     "grad_infty_weighted",
     "weighted_poincare",
     "sbt_hessian_link",
