@@ -1,7 +1,7 @@
 """Smoke tests of ``tools/output_digests.py`` on its fast entries, the
 constant tables, whose digests must be those of the files ``main`` writes,
 and on its usage error, and of ``tools/output_moves.py`` on two small
-hand-made output trees."""
+hand-made output trees, in process and on the command line."""
 from __future__ import annotations
 
 import hashlib
@@ -103,3 +103,23 @@ def test_moves_name_each_moved_cell_and_printed_line(moves, tmp_path):
         "out/t.csv row 2 status: 'pass' -> 'fail'",
     ]
     assert moves.compare(old, old) == []
+
+
+def test_moves_prints_nothing_on_identical_trees(tmp_path):
+    # the command line: empty stdout and exit 0 when nothing differs, the
+    # differing lines and exit 1 when something does
+    moves_tool = TOOL.with_name("output_moves.py")
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, cell in ((old, "1.0"), (new, "2.0")):
+        root.mkdir()
+        (root / "t.csv").write_text(f"x\n{cell}\n")
+
+    def run(a, b):
+        return subprocess.run([sys.executable, str(moves_tool), str(a), str(b)],
+                              capture_output=True, text=True, check=False)
+
+    same = run(old, old)
+    assert (same.returncode, same.stdout, same.stderr) == (0, "", "")
+    differ = run(old, new)
+    assert differ.returncode == 1
+    assert differ.stdout.startswith("t.csv x: largest move 1 on row 1 ")

@@ -11,8 +11,9 @@ differs.  For each CSV it prints a line if the header or the row count
 differs, every text cell that differs, and for each numeric column the
 largest absolute and the largest relative move, with the rows they are
 on; a column is numeric when every cell in both files reads as a float.
-Other files are compared byte for byte.  It exits 0 when the two
-directories hold the same outputs and 1 when anything differs.
+Other files are compared byte for byte.  When the two directories hold
+the same outputs it prints nothing and exits 0; when anything differs it
+exits 1.
 """
 from __future__ import annotations
 
@@ -144,5 +145,6 @@ if __name__ == "__main__":
         if not d.is_dir():
             parser.error(f"{d} is not a directory")
     found = compare(args.old, args.new)
-    print(*found, sep="\n")
+    if found:
+        print(*found, sep="\n")
     sys.exit(1 if found else 0)
