@@ -131,7 +131,13 @@ class FamilySpec:
 
 
 def build_family_domain(spec: FamilySpec, eps: float) -> StarDomain2D:
-    """Materialize the family member at one epsilon."""
+    """Materialize the family member at one epsilon.
+
+    Ellipse members keep 32 Fourier modes, not the 64 of
+    :meth:`StarDomain2D.ellipse`'s default: their r is within 7.4e-14 of
+    the ellipse at eps = 0.2 and within 4.4e-16 at eps = 0.02, where 64
+    modes give 4.4e-16 at both.
+    """
     if spec.kind == "ellipse":
         a = 1.0 + eps
         return StarDomain2D.ellipse(a, 1.0 / a, n_modes=32)
