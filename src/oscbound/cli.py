@@ -76,14 +76,7 @@ from .constants import (
 )
 from .cones import check_dimension, run_cone_sweep
 from .errors import ConfigError, OscboundError
-from .identities import (
-    BATTERY_ALPHA,
-    BATTERY_P,
-    BATTERY_Q,
-    build_pipeline_data,
-    check_battery_exponents,
-    run_domain_checks,
-)
+from .identities import build_pipeline_data, run_domain_checks
 from .stability import (
     FLOAT_FIELDS,
     MIN_FIT_POINTS,
@@ -120,9 +113,6 @@ class RunConfig:
     normalize_area: bool = FamilySpec.normalize_area
     grid_h: float = FamilySpec.spacing
     grid_refinements: int = 0
-    p: float = BATTERY_P
-    q: float = BATTERY_Q
-    alpha: float = BATTERY_ALPHA
     N: int = 2
     jobs: int = 0
     out: str = "."
@@ -214,12 +204,6 @@ _KEYS = {
     "grid.h": _Key(_parse_float, "solver grid spacing", "(0, inf)"),
     "grid.refinements": _Key(_parse_int, "grid halvings of the refinement "
                              "ladder", "[0, inf]"),
-    "p": _Key(_parse_float, "lower exponent of the oscillation chain",
-              "[1, inf]"),
-    "q": _Key(_parse_float, "upper exponent of the oscillation chain",
-              "(0, inf]"),
-    "alpha": _Key(_parse_float, "weight exponent of the weighted Poincare "
-                  "ratio", "[0, 1]"),
     "N": _Key(_parse_int, "dimension of the constants and the cone sweep",
               "[2, inf]"),
     "jobs": _Key(_parse_int, "worker processes; 0 = the CPUs this process "
@@ -435,8 +419,7 @@ def _cmd_domain_verify(config: RunConfig) -> int:
     for eps in config.eps:
         domain = build_family_domain(spec, eps)
         data = build_pipeline_data(domain, config.grid_h)
-        reports = run_domain_checks(data, p=config.p, q=config.q,
-                                    alpha=config.alpha)
+        reports = run_domain_checks(data)
         for report in reports:
             rows.append(((config.family, eps), report))
             if report.status == "fail":
@@ -549,11 +532,6 @@ def _cmd_report(config: RunConfig) -> int:
     return EXIT_PASS if all_passed else EXIT_FAIL
 
 
-def _check_battery(config: RunConfig) -> None:
-    _family_spec(config)
-    check_battery_exponents(config.p, config.q, config.alpha)
-
-
 def _check_fit(config: RunConfig) -> None:
     _family_spec(config)
     if len(config.eps) < MIN_FIT_POINTS:
@@ -579,7 +557,7 @@ _COMMANDS = {
     "cone-verify": _Command(_cmd_cone_verify, "",
                             lambda c: check_dimension(c.N),
                             "sweep the analytic cone inequalities"),
-    "domain-verify": _Command(_cmd_domain_verify, "dump_fields", _check_battery,
+    "domain-verify": _Command(_cmd_domain_verify, "dump_fields", _family_spec,
                               "run the integral-identity battery on a family"),
     "sbt-run": _Command(partial(_cmd_stability, profile="sbt"), "jobs",
                         _check_fit, "measure the planar soap-bubble stability "

@@ -5,8 +5,7 @@ functions: measures of spherical caps and cones, sharp cone-average (Morrey)
 constants, Hoelder conjugate exponents, the two-term Hoelder-split minimization
 that all oscillation estimates reduce to, and the explicit structural
 constants used by the torsion stability pipeline (gradient bound, minimum
-depth) and the exponent window of its weighted Poincare ratio.  No
-discretization happens here.
+depth).  No discretization happens here.
 
 Conventions
 -----------
@@ -64,7 +63,6 @@ __all__ = [
     "serrin_profile_exponent",
     "gradient_bound_M",
     "min_depth_bound",
-    "weighted_poincare_window",
     "holder_conjugate",
     "normalized_norm",
     "near_field_coefficient",
@@ -510,20 +508,3 @@ def min_depth_bound(
         raise DomainError("general bound needs positive diameter and exterior radius")
     bracket = 1.0 + ((N * N - 1.0) / (2.0 * N)) * (d / r_e) * (1.0 + d / r_e)
     return base / math.sqrt(bracket)
-
-
-def weighted_poincare_window(N: int, r: float, p: float, alpha: float) -> None:
-    """Reject exponents outside the admissible window of the weighted
-    Poincare inequality, ``1 <= p <= r <= Np/(N - p(1-alpha))`` with
-    ``p(1-alpha) < N`` and ``0 <= alpha <= 1``."""
-    _check_dim(N)
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"weight exponent must lie in [0, 1], got {alpha}")
-    if not 1.0 <= p <= r:
-        raise DomainError(f"need 1 <= p <= r, got p={p}, r={r}")
-    if not p * (1.0 - alpha) < N:
-        raise DomainError(f"need p(1-alpha) < N, got p={p}, alpha={alpha}, N={N}")
-    r_cap = N * p / (N - p * (1.0 - alpha))
-    if r > r_cap * (1.0 + 1e-12):
-        raise DomainError(f"need r <= Np/(N - p(1-alpha)) = {r_cap:.6g}, got r={r}")
-

@@ -12,8 +12,9 @@ of check coexist:
   numerically and must agree up to a discretization tolerance;
 * ``inequality`` — a bound with a fully explicit constant is evaluated and
   the margin must not be negative beyond slack;
-* ``ratio`` — a bound whose constant the source analysis leaves implicit is
-  recorded as a left/right ratio and only monitored.
+* ``ratio`` — a link whose constant is not yet derived is recorded as a
+  left/right ratio and only monitored; these are the three ``sbt_*_link``
+  rows of the soap-bubble chain.
 
 The identities integrate with unnormalized measures (plain ``dx`` and
 ``dS``); norms use the volume- and perimeter-normalized measures used
@@ -35,10 +36,8 @@ from .constants import (
     morrey_cone_constant,
     normalized_norm,
     oscillation_bound,
-    oscillation_regime,
     two_term_minimize,
     unit_ball_volume,
-    weighted_poincare_window,
 )
 from .errors import DomainError, GeometryError
 from .stardomain import (
@@ -69,34 +68,28 @@ from .torsion import (
 Array = np.ndarray
 
 __all__ = [
-    "BATTERY_ALPHA",
-    "BATTERY_P",
-    "BATTERY_Q",
+    "CHAIN_PAIRS",
     "FLOOR",
     "IdentityReport",
     "PipelineData",
     "build_pipeline_data",
-    "check_battery_exponents",
     "check_divergence_identity",
     "check_hopf_bound",
     "check_torsion_depth",
     "check_min_depth",
     "check_fundamental_identity",
     "check_identity_mp",
-    "check_weighted_poincare",
     "check_oscillation_chain",
     "check_grad_infty_bound",
-    "check_grad_infty_weighted",
     "check_sbt_chain",
     "run_domain_checks",
 ]
 
 FLOOR = 1e-12        # scale floor in relative residuals
 _ABS_SLACK = 1e-9    # absolute slack for explicit-constant inequalities
-_POINCARE_R, _POINCARE_P = 4.0, 2.0  # the battery's weighted Poincare ratio
-# the battery's default exponents: (p, q) of the oscillation chain and the
-# weight exponent alpha of the weighted Poincare ratio
-BATTERY_P, BATTERY_Q, BATTERY_ALPHA = 6.0, INF, 0.5
+# the (p, q) pairs of the oscillation chain, one per regime of
+# oscillation_regime: Morrey, log and interpolation
+CHAIN_PAIRS = ((6.0, INF), (2.0, INF), (1.0, INF))
 
 
 # --------------------------------------------------------------------------
@@ -416,11 +409,14 @@ def check_oscillation_chain(data: PipelineData, p: float,
     """Annulus gap against the constructive oscillation bound of ``h``.
 
     The exact geometric step ``rho_e - rho_i <= 2 (|B|/|Omega|)^{1/N}
-    (max_Gamma h - min_Gamma h)`` feeds the oscillation of ``h`` into the
-    kernel-splitting bound evaluated with this package's explicit constants.
-    For ``p > N`` every constant is explicit and the chain is asserted; the
-    other regimes are recorded as monitored ratios because their final
-    assembly routes through implicit constants in the source analysis.
+    (max_Gamma h - min_Gamma h)`` feeds the oscillation of ``h`` into
+    :func:`oscillation_bound`.  The chain is asserted in every regime, since
+    no constant of that bound is implicit: the averaging prefactor ``2 d^N /
+    (N |B_1| rho^N)`` is geometric, the near-field (q > N) and far-field
+    (p < N) Hoelder coefficients are closed forms, the p = N shells number
+    at most ``1 + log2(d / sigma)`` with a closed-form shell constant, and
+    the split radius is minimized exactly.  The report is named after the
+    pair: ``oscillation_chain_p6_qinf``.
     """
     pair = ExponentPair(p=p, q=q, N=2)
     grad_p = lp_norm_domain(data.grad_h, p)
@@ -430,9 +426,8 @@ def check_oscillation_chain(data: PipelineData, p: float,
                                  star_radius(data.domain), omega)
     lhs = data.rho_e - data.rho_i
     rhs = 2.0 * math.sqrt(unit_ball_volume(2) / omega) * estimate
-    if p > 2:
-        return IdentityReport.inequality("oscillation_chain", lhs, rhs)
-    return IdentityReport.monitored("oscillation_chain", lhs, rhs)
+    return IdentityReport.inequality(f"oscillation_chain_p{p:g}_q{q:g}",
+                                     lhs, rhs)
 
 
 def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport:
@@ -464,37 +459,6 @@ def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport
     return IdentityReport.inequality(f"grad_infty_q{q:g}", sup_grad, value)
 
 
-def check_grad_infty_weighted(data: PipelineData) -> IdentityReport:
-    """Sup of ``|grad h|`` against its distance-weighted interpolation.
-
-    ``||grad h||_inf^{2N - p + 2p(1 - N/q)} <= c ||hess h||_q^{2N - p}
-    ||delta^{1/2} hess h||_p^{2p(1 - N/q)}`` at p = 1, q = inf, monitored:
-    its constant routes through an implicit calibration.
-    """
-    N, p, e = 2, 1.0, 1.0  # e = 1 - N/q at q = inf
-    sup_grad = lp_norm_domain(data.grad_h, INF)
-    hess_q = lp_norm_domain(data.hess_h, INF)
-    weighted_p = lp_norm_domain(data.hess_h, p, alpha=0.5)
-    lhs = sup_grad ** (2 * N - p + 2 * p * e)
-    rhs = hess_q ** (2 * N - p) * weighted_p ** (2 * p * e)
-    return IdentityReport.monitored("grad_infty_weighted", lhs, rhs)
-
-
-def check_weighted_poincare(data: PipelineData,
-                            alpha: float) -> IdentityReport:
-    """Distance-weighted Poincare ratio around the critical point of ``h``.
-
-    Records ``||grad h||_{4, Omega}`` against ``||delta^alpha hess h||_{2,
-    Omega}``; ``alpha`` must keep these exponents in the admissible window,
-    but the inequality's absolute constant is not known, so the report is
-    monitored (vanishing sides pass).
-    """
-    weighted_poincare_window(2, _POINCARE_R, _POINCARE_P, alpha)
-    lhs = lp_norm_domain(data.grad_h, _POINCARE_R)
-    rhs = lp_norm_domain(data.hess_h, _POINCARE_P, alpha=alpha)
-    return IdentityReport.monitored("weighted_poincare", lhs, rhs)
-
-
 def check_sbt_chain(data: PipelineData) -> list[IdentityReport]:
     """The three monitored links of the soap-bubble stability chain.
 
@@ -513,27 +477,10 @@ def check_sbt_chain(data: PipelineData) -> list[IdentityReport]:
     ]
 
 
-def check_battery_exponents(p: float, q: float, alpha: float) -> None:
-    """Reject exponents that :func:`run_domain_checks` cannot use.
-
-    (p, q) must select a regime of the oscillation chain and ``alpha`` must
-    keep the weighted Poincare ratio, at its exponents r = 4 and p = 2, in
-    its window.  Needs no solved domain, so a run can call it first.
-    """
-    oscillation_regime(ExponentPair(p=p, q=q, N=2))
-    weighted_poincare_window(2, _POINCARE_R, _POINCARE_P, alpha)
-
-
-def run_domain_checks(data: PipelineData, p: float = BATTERY_P,
-                      q: float = BATTERY_Q,
-                      alpha: float = BATTERY_ALPHA) -> list[IdentityReport]:
-    """Run the full per-domain check battery in a fixed order.
-
-    ``p``/``q`` steer the oscillation chain and ``alpha`` the weighted
-    Poincare ratio; everything else runs at its contract exponents, checked
-    first by :func:`check_battery_exponents`.
-    """
-    check_battery_exponents(p, q, alpha)
+def run_domain_checks(data: PipelineData) -> list[IdentityReport]:
+    """Run the full per-domain check battery in a fixed order: the
+    oscillation chain at each pair of :data:`CHAIN_PAIRS`, every other
+    check at its contract exponents."""
     reports = [
         check_divergence_identity(data),
         check_fundamental_identity(data),
@@ -541,11 +488,9 @@ def run_domain_checks(data: PipelineData, p: float = BATTERY_P,
         check_hopf_bound(data),
         check_torsion_depth(data),
         check_min_depth(data),
-        check_oscillation_chain(data, p=p, q=q),
+        *(check_oscillation_chain(data, p, q) for p, q in CHAIN_PAIRS),
         check_grad_infty_bound(data),
         check_grad_infty_bound(data, q=8.0),
-        check_grad_infty_weighted(data),
-        check_weighted_poincare(data, alpha=alpha),
     ]
     reports.extend(check_sbt_chain(data))
     return reports

@@ -140,7 +140,7 @@ class Grid:
                               f"got {h}")
         r_max = float(np.max(domain.boundary_table.r))
         n_side = int(math.ceil((r_max + 1.5 * h) / h))
-        # node lines x, y = m h / 2 at odd m, cell lines at even m
+        # node lines x, y = m h / 2 at even m, cell lines at odd m
         lines = 0.5 * h * np.arange(-2 * n_side - 1, 2 * n_side + 2)
         rows, cols = (_crossings(domain, lines, hz) for hz in (True, False))
         xs = lines[1::2]

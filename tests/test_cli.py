@@ -78,7 +78,6 @@ class TestParseConfig:
         assert cfg.normalize_area is False
         assert cfg.grid_h == pytest.approx(1.0 / 64.0)
         assert cfg.grid_refinements == 0
-        assert cfg.p == 6.0 and cfg.q == INF and cfg.alpha == 0.5
         assert cfg.N == 2 and cfg.jobs == 0 and cfg.out == "."
         assert cfg.dump_fields is False
 
@@ -91,9 +90,6 @@ class TestParseConfig:
             normalize_area = true
             grid.h = 0.03125
             grid.refinements = 1
-            p = 4
-            q = inf
-            alpha = 0.25
             N = 3
             jobs = 2
             out = somewhere
@@ -106,7 +102,6 @@ class TestParseConfig:
         assert cfg.normalize_area is True
         assert cfg.grid_h == 0.03125
         assert cfg.grid_refinements == 1
-        assert cfg.p == 4.0 and cfg.q == INF and cfg.alpha == 0.25
         assert cfg.N == 3 and cfg.jobs == 2
         assert cfg.out == "somewhere" and cfg.dump_fields is True
 
@@ -148,9 +143,9 @@ class TestParseConfig:
         "normalize_area = maybe",     # not a boolean
         "grid.h = 0",                 # not positive
         "grid.refinements = -1",      # negative
-        "p = 0.5",                    # below 1
-        "q = -3",                     # not positive
-        "alpha = 1.5",                # outside [0, 1]
+        "p = 0.5",                    # removed key
+        "q = -3",                     # removed key
+        "alpha = 1.5",                # removed key
         "N = 1",                      # below 2
         "jobs = -2",                  # negative
         "calibration_k = 1",          # removed key
@@ -211,8 +206,7 @@ class TestParseConfig:
     def test_keyword_values_round_trip(self):
         values = dict(family="cosine", eps=(0.1, 0.2, 0.3, 0.4), k=3,
                       normalize_area=True, grid_h=1 / 3, grid_refinements=1,
-                      p=4.0, q=INF, alpha=0.25, N=3, jobs=2, out="somewhere",
-                      dump_fields=True)
+                      N=3, jobs=2, out="somewhere", dump_fields=True)
         assert parse_config("sbt-run", **values) == RunConfig(
             command="sbt-run", **values)
 
@@ -411,10 +405,11 @@ class TestDomainVerifyCommand:
         assert max(values) < 0.0 and min(values) > -1.0
 
     @pytest.mark.parametrize("text, message", [
-        ("alpha = 0.6\n", "need r <= Np/(N - p(1-alpha))"),
-        ("alpha = 0\n", "need p(1-alpha) < N"),
-        ("p = 2\nq = 2\n", "regimes with p <= N need q > N"),
-        ("p = 1.5\nq = 1.8\n", "regimes with p <= N need q > N"),
+        # the battery takes no exponent: each of these keys is unknown
+        ("alpha = 0.6\n", "unknown config key 'alpha'"),
+        ("alpha = 0\n", "unknown config key 'alpha'"),
+        ("p = 2\nq = 2\n", "unknown config key 'p'"),
+        ("p = 1.5\nq = 1.8\n", "unknown config key 'p'"),
     ], ids=["alpha-0.6", "alpha-0", "p2-q2", "p1.5-q1.8"])
     def test_exponents_the_battery_cannot_use_exit_2_before_solving(
             self, tmp_path, capsys, monkeypatch, text, message):
@@ -695,7 +690,7 @@ class TestArgparseSurface:
         named = [part for line in cli._CONFIG_HELP.splitlines()
                  if line.startswith("  ") and not line.startswith("   ")
                  for part in line.split("  ")[1].split(", ")]
-        assert "family" in named and "alpha" in named
+        assert "family" in named and "dump_fields" in named
         assert set(named) <= set(cli._KEYS)
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
         with open(readme, encoding="utf-8") as handle:
@@ -726,6 +721,21 @@ class TestArgparseSurface:
                      "--out", str(out)]) == 2
         assert "unknown config key 'calibration_k'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_removed_exponent_keys_exit_2(self, tmp_path, capsys):
+        # the battery runs the chain in every regime, so a file that still
+        # sets p, q or alpha, even to its old default, is rejected
+        cfg = write_cfg(tmp_path, "p = 6\nq = inf\nalpha = 0.5\n")
+        out = tmp_path / "o"
+        assert main(["domain-verify", "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {cfg}:1: unknown config key 'p'"]
+        assert not out.exists()
+        for key in ("p", "q", "alpha"):
+            with pytest.raises(ConfigError, match=f"override: unknown config "
+                                                  f"key '{key}'"):
+                parse_config("domain-verify", **{key: 1.0})
 
     @pytest.mark.parametrize("argv, message", [
         (["constants", "--N", "2.5"], "key N: expected an integer, got '2.5'"),
@@ -1020,9 +1030,10 @@ class TestTables:
         ("k = 0", "k must be in [1, inf], got 0"),
         ("grid.refinements = -1", "grid.refinements must be in [0, inf], "
                                   "got -1"),
-        ("p = 0.5", "p must be in [1, inf], got 0.5"),
-        ("q = 0", "q must be in (0, inf], got 0.0"),
-        ("alpha = 1.5", "alpha must be in [0, 1], got 1.5"),
+        # removed keys are unknown to every command, whatever their value
+        ("p = 6", "{cfg}:1: unknown config key 'p'"),
+        ("q = inf", "{cfg}:1: unknown config key 'q'"),
+        ("alpha = 0.5", "{cfg}:1: unknown config key 'alpha'"),
         ("N = 1", "N must be in [2, inf], got 1"),
         ("jobs = -1", "jobs must be in [0, inf], got -1"),
         ("grid.h = 0", "grid.h must be in (0, inf), got 0.0"),
@@ -1033,7 +1044,7 @@ class TestTables:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: {message}"]
+            f"config error: {message.format(cfg=cfg)}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("spelling, value", [
@@ -1067,7 +1078,7 @@ class TestFailurePaths:
                    IdentityReport.monitored("ratio", 1.0, 2.0)]
         monkeypatch.setattr(cli, "build_pipeline_data", lambda domain, h: None)
         monkeypatch.setattr(cli, "run_domain_checks",
-                            lambda data, p, q, alpha: reports)
+                            lambda data: reports)
         cfg = write_cfg(tmp_path, "family = cosine\neps = 0.1, 0.2\n")
         out = tmp_path / "o"
         assert main(["domain-verify", "--config", cfg, "--out", str(out)]) == 1

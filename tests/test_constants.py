@@ -32,7 +32,6 @@ from oscbound.constants import (
     serrin_profile_exponent,
     two_term_minimize,
     unit_ball_volume,
-    weighted_poincare_window,
 )
 from oscbound.constants import far_field_coefficient, near_field_coefficient
 from oscbound.constants import normalized_norm
@@ -538,15 +537,6 @@ def test_min_depth_bound():
         general = min_depth_bound(N, r, d=d, r_e=r_e)
         convex = min_depth_bound(N, r, mean_convex=True)
         assert general <= convex
-
-
-def test_weighted_poincare_range_violations():
-    with pytest.raises(DomainError):
-        weighted_poincare_window(2, 10.0, 2.0, 0.5)  # r above the embedding cap 4
-    with pytest.raises(DomainError):
-        weighted_poincare_window(2, 2.0, 2.0, 0.0)  # p(1-alpha) = N
-    with pytest.raises(DomainError):
-        weighted_poincare_window(2, 1.0, 2.0, 0.5)  # r < p
 
 
 # --------------------------------------------------------------------------

@@ -31,12 +31,10 @@ import numpy as np
 import pytest
 
 from oscbound import cli, cones, identities, stability, stardomain, torsion
-from oscbound.constants import INF
+from oscbound.constants import INF, ExponentPair, oscillation_regime
 from oscbound.errors import DomainError, GeometryError
 from oscbound.identities import (
-    BATTERY_ALPHA,
-    BATTERY_P,
-    BATTERY_Q,
+    CHAIN_PAIRS,
     FLOOR,
     IdentityReport,
     PipelineData,
@@ -44,14 +42,12 @@ from oscbound.identities import (
     check_divergence_identity,
     check_fundamental_identity,
     check_grad_infty_bound,
-    check_grad_infty_weighted,
     check_hopf_bound,
     check_identity_mp,
     check_min_depth,
     check_oscillation_chain,
     check_sbt_chain,
     check_torsion_depth,
-    check_weighted_poincare,
     run_domain_checks,
 )
 from oscbound.stability import (
@@ -84,11 +80,11 @@ CHECK_ORDER = [
     "hopf",
     "torsion_depth",
     "min_depth",
-    "oscillation_chain",
+    "oscillation_chain_p6_qinf",
+    "oscillation_chain_p2_qinf",
+    "oscillation_chain_p1_qinf",
     "grad_infty_qinf",
     "grad_infty_q8",
-    "grad_infty_weighted",
-    "weighted_poincare",
     "sbt_hessian_link",
     "sbt_trace_link",
     "sbt_flatness_link",
@@ -397,14 +393,38 @@ class TestEllipseInequalities:
 
     def test_oscillation_chain_asserted(self, ellipse_data):
         report = check_oscillation_chain(ellipse_data, p=6.0, q=INF)
+        assert report.name == "oscillation_chain_p6_qinf"
         assert report.kind == "inequality"
         assert report.status == "pass"
         assert report.lhs < report.rhs
 
     def test_oscillation_chain_monitored_regime(self, ellipse_data):
-        report = check_oscillation_chain(ellipse_data, p=2.0, q=INF)
-        assert report.kind == "ratio"
-        assert report.status == "monitored"
+        # the log and interpolation regimes are asserted as well: no
+        # constant of the bound is implicit in any regime
+        for p, name in ((2.0, "oscillation_chain_p2_qinf"),
+                        (1.0, "oscillation_chain_p1_qinf")):
+            report = check_oscillation_chain(ellipse_data, p=p, q=INF)
+            assert report.name == name
+            assert report.kind == "inequality"
+            assert report.status == "pass"
+            assert report.lhs < report.rhs
+
+    def test_oscillation_chain_fails_when_the_bound_drops(self, ellipse_data,
+                                                          monkeypatch):
+        # the fixture's rows sit at lhs/rhs 0.008-0.013, so a bound cut to
+        # 1e-3 of its value falls below the annulus gap in every regime
+        def names(status):
+            return [r.name for r in run_domain_checks(ellipse_data)
+                    if r.name.startswith("oscillation_chain")
+                    and r.status == status]
+
+        chain = [name for name in CHECK_ORDER
+                 if name.startswith("oscillation_chain")]
+        assert names("pass") == chain
+        bound = identities.oscillation_bound
+        monkeypatch.setattr(identities, "oscillation_bound",
+                            lambda *args: 1e-3 * bound(*args))
+        assert names("fail") == chain
 
     def test_grad_infty_asserted(self, ellipse_data):
         for q in (INF, 8.0):
@@ -413,26 +433,9 @@ class TestEllipseInequalities:
             assert report.status == "pass"
             assert report.lhs == pytest.approx(SUP_GRAD_H, rel=2e-2)
 
-    def test_grad_infty_weighted_monitored(self, ellipse_data):
-        report = check_grad_infty_weighted(ellipse_data)
-        assert report.kind == "ratio"
-        assert report.status == "monitored"
-
     def test_grad_infty_exponent_ranges(self, ellipse_data):
         with pytest.raises(DomainError):
             check_grad_infty_bound(ellipse_data, q=2.0)
-
-    def test_weighted_poincare_monitored(self, ellipse_data):
-        report = check_weighted_poincare(ellipse_data, alpha=0.5)
-        assert report.kind == "ratio"
-        assert report.status == "monitored"
-        assert report.lhs > 0.0 and report.rhs > 0.0
-
-    def test_weighted_poincare_exponent_window(self, ellipse_data):
-        with pytest.raises(DomainError):
-            check_weighted_poincare(ellipse_data, alpha=1.5)
-        with pytest.raises(DomainError):
-            check_weighted_poincare(ellipse_data, alpha=0.0)
 
     def test_sbt_chain_reports(self, ellipse_data):
         links = check_sbt_chain(ellipse_data)
@@ -443,24 +446,49 @@ class TestEllipseInequalities:
         assert all(math.isfinite(r.ratio) and r.ratio > 0.0 for r in links)
 
     def test_battery_defaults_have_one_owner(self):
-        # run_domain_checks and the command line default to the module's
-        # exponents; the checks they steer take every exponent from them
-        defaults = {name: par.default for name, par in inspect.signature(
-            run_domain_checks).parameters.items() if name != "data"}
-        assert defaults == {"p": BATTERY_P, "q": BATTERY_Q,
-                            "alpha": BATTERY_ALPHA}
+        # the battery is fixed: it takes no exponent, the command line sets
+        # none, and the chain takes its pairs from CHAIN_PAIRS, one per
+        # regime of oscillation_regime
+        assert list(inspect.signature(run_domain_checks).parameters) == [
+            "data"]
         config = cli.parse_config("domain-verify")
-        assert (config.p, config.q, config.alpha) == (
-            BATTERY_P, BATTERY_Q, BATTERY_ALPHA)
-        for check in (check_oscillation_chain, check_weighted_poincare):
-            assert all(par.default is inspect.Parameter.empty for par in
-                       inspect.signature(check).parameters.values())
+        assert not {"p", "q", "alpha"} & {f.name for f in
+                                          dataclasses.fields(config)}
+        assert all(par.default is inspect.Parameter.empty for par in
+                   inspect.signature(check_oscillation_chain)
+                   .parameters.values())
+        assert [oscillation_regime(ExponentPair(p=p, q=q, N=2))
+                for p, q in CHAIN_PAIRS] == ["morrey", "log", "interpolation"]
 
     def test_run_domain_checks_order(self, ellipse_data):
         reports = run_domain_checks(ellipse_data)
         assert [r.name for r in reports] == CHECK_ORDER
         asserted = [r for r in reports if r.kind != "ratio"]
         assert all(r.status == "pass" for r in asserted)
+
+
+# r = 1 + 0.2 (cos 2phi + sin 3phi / 2 + cos 5phi / 3): no mirror symmetry,
+# so the deepest point z is off the origin
+MIXED = StarDomain2D(c0=1.0, cos_coeffs=(0.0, 0.2, 0.0, 0.0, 0.2 / 3.0),
+                     sin_coeffs=(0.0, 0.0, 0.1))
+
+
+@pytest.mark.parametrize("domain, h", [
+    (MIXED, 1.0 / 64.0),
+    (build_family_domain(FamilySpec(kind="ellipse"), 0.2), 1.0 / 128.0),
+    (build_family_domain(FamilySpec(kind="cosine_perturbation"), 0.1),
+     1.0 / 128.0),
+], ids=["mixed-h64", "ladder-ellipse-h128", "ladder-cosine-h128"])
+def test_battery_passes_off_symmetry_and_on_ladder_rungs(domain, h):
+    # where the default families (mirror-symmetric, h = 1/64) cannot reach:
+    # an asymmetric shape and the two ladder members one halving finer
+    data = build_pipeline_data(domain, h)
+    if domain is MIXED:
+        assert np.hypot(*data.z) > 0.02
+    reports = run_domain_checks(data)
+    assert [r.name for r in reports] == CHECK_ORDER
+    assert {r.name: r.status for r in reports if r.kind != "ratio"} == {
+        name: "pass" for name in CHECK_ORDER if not name.startswith("sbt_")}
 
 
 # --------------------------------------------------------------------------
