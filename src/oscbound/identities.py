@@ -2,11 +2,11 @@
 
 Everything here consumes a :class:`PipelineData` bundle (one solved domain:
 torsion solution, deepest point, auxiliary field ``h = |x-z|^2/2 - u``,
-derivative tensors and the normal-derivative trace on the domain's coarse
-boundary table, the parts only the battery reads built on first read) and
-produces :class:`IdentityReport` records.  The geometry scalars (area,
-perimeter, radii) are read from the domain, which owns them.  Three kinds
-of check coexist:
+the magnitudes of its gradient and Hessian and the normal-derivative trace
+on the domain's coarse boundary table, the parts only the battery reads
+built on first read) and produces :class:`IdentityReport` records.  The
+geometry scalars (area, perimeter, radii) are read from the domain, which
+owns them.  Three kinds of check coexist:
 
 * ``identity`` — both sides of an exact integral identity are computed
   numerically and must agree up to a discretization tolerance;
@@ -174,6 +174,7 @@ class IdentityReport:
 class PipelineData:
     """Everything the identity checks need about one solved domain.
 
+    ``hess_h`` is the magnitude of the Hessian of h, ``|I - hess u|``, and
     ``trace`` is u_nu on the domain's coarse boundary table
     (``trace.table``), whose positions, normals, curvatures and weights the
     boundary terms read.  The area and the perimeter are read from the
@@ -208,14 +209,15 @@ class PipelineData:
     # No stability record column depends on these, so they are computed on
     # first read instead of once per family member.
 
-    @cached_property
+    @property
     def h_aux(self) -> DiscreteField:
-        """The auxiliary field ``|x - z|^2 / 2 - u``."""
+        """The auxiliary field ``|x - z|^2 / 2 - u``, built on each read:
+        only :attr:`grad_h` needs it."""
         return h_field(self.u, self.z)
 
     @cached_property
     def grad_h(self) -> TensorField:
-        """Gradient of :attr:`h_aux`."""
+        """Magnitude of the gradient of :attr:`h_aux`."""
         return gradient(self.h_aux)
 
     @cached_property
@@ -284,12 +286,12 @@ class PipelineData:
         """``R || nu - (x-z)/R ||_{2, Gamma}``."""
         return gauss_map_deviation(self.domain, self.z, self.R)
 
-    @cached_property
+    @property
     def hess_norm(self) -> float:
         """``|| hess h ||_{2, Omega}`` (normalized)."""
         return lp_norm_domain(self.hess_h, 2.0)
 
-    @cached_property
+    @property
     def weighted_hess_norm(self) -> float:
         """``|| delta^{1/2} hess h ||_{2, Omega}`` (normalized)."""
         return lp_norm_domain(self.hess_h, 2.0, alpha=0.5)
@@ -299,11 +301,7 @@ def build_pipeline_data(domain: StarDomain2D, h: float) -> PipelineData:
     """Solve the torsion problem and assemble the check bundle."""
     u, report = solve_torsion(domain, h)
     z = locate_min(u)
-    hess_u = hessian_torsion(u)
-    residue = np.stack([1.0 - hess_u.components[..., 0],
-                        -hess_u.components[..., 1],
-                        1.0 - hess_u.components[..., 2]], axis=-1)
-    hess_h = TensorField(grid=u.grid, components=residue, valid=hess_u.valid)
+    hess_h = hessian_torsion(u)
     rho_i, rho_e = rho_bounds(domain, z)
     return PipelineData(domain=domain, u=u, report=report, z=z, hess_h=hess_h,
                         trace=normal_derivative(u), rho_i=rho_i, rho_e=rho_e)

@@ -14,22 +14,26 @@ union-find counts the components.  BiCGSTAB preconditioned by a geometric
 multigrid V-cycle solves the linear system, while a worker thread computes
 the boundary distance delta.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
-gradients and Hessians, interior norms with exact cell areas and optional
-weights by the boundary distance delta, and boundary traces of the normal
-derivative.  delta is exact at every inside node and NaN outside: a walk on
+the magnitudes of gradients and Hessians, interior norms with exact cell
+areas and optional weights by the boundary distance delta, and boundary
+traces of the normal derivative.  delta is exact at every inside node and NaN outside: a walk on
 the Delaunay graph of the coarse boundary vertices, seeded by one kd-tree
 query per block of nodes, finds each node's nearest vertex, and Newton's
 method projects from it onto the curve.
 
 The memory a rung needs.  The solve keeps the grid, A, the multigrid
 hierarchy and BiCGSTAB's vectors, and nothing else of a size set by A's
-entries: no assembly lists, no copy of A or of its blocks.  Its traced
-peak on the ladder ellipse (eps = 0.2) is about 405 bytes per unknown at
-h = 1/128 (403-413 measured).  One rung alone in a fresh process
-(``build_pipeline_data`` and the check battery) peaks at a resident set of
-157 MB at h = 1/256 and 379 MB at 1/512 on that ellipse, and 152 and
-359 MB on the cosine member (k = 2, eps = 0.1); about 71 MB of it is the
-interpreter and the imports.
+entries: no assembly lists, no copy of A or of its blocks.  The grid keeps
+an int32 index and the cut fractions of the cut edges only.  The solve's
+traced peak on the ladder ellipse (eps = 0.2) is about 340 bytes per
+unknown at h = 1/128 (336-345 measured).  The derivatives are kept as
+magnitudes only, so a rung after the check battery holds about 47 bytes
+per grid node: the inside mask, the index, the cell areas, delta, u and
+the magnitudes of grad h and hess h with their masks.  One rung alone in a
+fresh process (``build_pipeline_data`` and the check battery) peaks at a
+resident set of 141 MB at h = 1/256 and 325-329 MB at 1/512 on that
+ellipse, and 141 and 320 MB on the cosine member (k = 2, eps = 0.1);
+about 70 MB of it is the interpreter and the imports.
 The limit is documented, not checked: no spacing is refused for the
 memory its rung would need.
 """
@@ -102,11 +106,13 @@ class Grid:
     The domain's boundary table sizes the box and brackets one table of the
     boundary's crossings with the node lines and the cell lines (see
     :func:`_crossings`), from which everything but ``delta`` derives.
-    ``cuts[d][i, j]`` is, at an inside node, the fraction of the spacing at
-    which the edge from node (i, j) in direction d first meets the
-    boundary, and 1.0 where the edge stays inside (and at every outside
-    node); ``cell_weights`` are the exact areas of the parts of the node
-    cells inside the domain, by Green's theorem, with the area of an
+    ``cuts[d]`` holds the edges in direction d that meet the boundary: the
+    flat indices of their inside nodes, ascending, and the fraction of the
+    spacing at which each first meets it.  Every other edge, and every
+    edge of an outside node, counts as fraction 1.0; :meth:`fractions`
+    scatters one direction over the grid for the formulas that read it at
+    every node.  ``cell_weights`` are the exact areas of the parts of the
+    node cells inside the domain, by Green's theorem, with the area of an
     outside node's cell handed to an inside neighbor; ``delta`` is exact at
     every inside node and NaN outside, as the values of a
     :class:`DiscreteField`.  A kd-tree over the domain's coarse table
@@ -127,8 +133,8 @@ class Grid:
     xs: Array
     ys: Array
     inside: Array                 # (ny, nx) bool
-    index: Array                  # (ny, nx) int, red first, -1 outside
-    cuts: dict[str, Array]        # E, W, N, S fractions in (0, 1]
+    index: Array                  # (ny, nx) int32, red first, -1 outside
+    cuts: dict[str, tuple[Array, Array]]  # E, W, N, S: nodes, fractions < 1
     cell_weights: Array           # (ny, nx), sums to |Omega|
     n_unknowns: int = 0
     n_red: int = 0                # the red unknowns, numbered first
@@ -161,7 +167,7 @@ class Grid:
         red = np.zeros_like(inside)
         red[::2, ::2], red[1::2, 1::2] = inside[::2, ::2], inside[1::2, 1::2]
         n_red, n_unknowns = int(red.sum()), int(inside.sum())
-        index = np.full(inside.shape, -1, dtype=np.int64)
+        index = np.full(inside.shape, -1, dtype=np.int32)
         index[red] = np.arange(n_red)
         index[inside & ~red] = np.arange(n_red, n_unknowns)
         cell_w = _cell_areas(domain, rows, cols, lines)
@@ -182,6 +188,13 @@ class Grid:
         return Grid(domain=domain, h=h, xs=xs, ys=xs.copy(), inside=inside,
                     index=index, cuts=cuts, cell_weights=cell_w,
                     n_unknowns=n_unknowns, n_red=n_red)
+
+    def fractions(self, d: str) -> Array:
+        """The fractions of the edges in direction ``d`` at every node: 1.0
+        but at the cut edges, a new array on each call."""
+        t = np.ones(self.inside.shape)
+        np.put(t, *self.cuts[d])
+        return t
 
     @cached_property
     def delta(self) -> Array:
@@ -268,7 +281,9 @@ def _mask_and_cuts(rows, cols, xs: Array):
 
     A node is inside when the crossings left of it on its row wind once
     around it and none lies on it to rounding (the strict radial test).  An
-    edge's fraction is its nearest crossing's offset over h, else 1.0.
+    edge's fraction is its nearest crossing's offset over h, else 1.0; the
+    cuts, by direction, are the inside nodes whose edge has a fraction
+    below 1.0, as flat indices, and those fractions (see :class:`Grid`).
     """
     n, h = xs.size, xs[1] - xs[0]
     winding = np.zeros((n, n + 1), dtype=np.int64)
@@ -285,8 +300,11 @@ def _mask_and_cuts(rows, cols, xs: Array):
         fractions += [lower, upper] if k == 0 else [lower.T, upper.T]
     inside = ((np.cumsum(winding, axis=1)[:, :-1] == 1)
               & (np.minimum.reduce(fractions) > _ON_BOUNDARY))
-    return inside, {name: np.where(inside, np.maximum(frac, _T_MIN), 1.0)
-                    for name, frac in zip("WESN", fractions)}
+    cuts = {}
+    for name, frac in zip("WESN", fractions):
+        cut = inside & (frac < 1.0)
+        cuts[name] = np.flatnonzero(cut), np.maximum(frac[cut], _T_MIN)
+    return inside, cuts
 
 
 def _components(mask: Array) -> int:
@@ -378,36 +396,33 @@ class DiscreteField:
 
 @dataclass(eq=False)
 class TensorField:
-    """Vector/tensor nodal field with a validity mask.
+    """Pointwise magnitude of a vector or tensor nodal field, with a
+    validity mask.
 
-    ``components`` has shape (ny, nx, k); k = 2 stores a gradient (x, y) and
-    k = 3 a symmetric Hessian (xx, xy, yy).  ``excluded_fraction`` is the
-    volume fraction of inside nodes whose stencil was unavailable.
+    ``magnitude`` is the Euclidean norm of a gradient or the Frobenius norm
+    of a Hessian, NaN where ``valid`` is False, and read-only: every check
+    reads a derivative only through it, and the interior norms of it that
+    :func:`lp_norm_domain` takes are kept, one per (p, alpha).
+    ``excluded_fraction`` is the volume fraction of inside nodes whose
+    stencil was unavailable.
     """
 
     grid: Grid
-    components: Array
+    magnitude: Array
     valid: Array
+
+    def __post_init__(self):
+        if self.magnitude.shape != self.grid.inside.shape:
+            raise DomainError(f"magnitude of shape {self.magnitude.shape} "
+                              f"on a grid of {self.grid.inside.shape} nodes")
+        self.magnitude.flags.writeable = False
+        self._norms: dict[tuple[float, float], float] = {}
 
     @property
     def excluded_fraction(self) -> float:
         w = self.grid.cell_weights
         lost = float(np.sum(w[self.grid.inside & ~self.valid]))
         return lost / float(np.sum(w))
-
-    @cached_property
-    def magnitude(self) -> Array:
-        """Pointwise Euclidean (Frobenius) norm, computed on first read and
-        kept read-only: the check battery takes several norms of one field."""
-        c = self.components
-        if c.shape[-1] == 2:
-            mag = np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2)
-        elif c.shape[-1] == 3:
-            mag = np.sqrt(c[..., 0] ** 2 + 2.0 * c[..., 1] ** 2 + c[..., 2] ** 2)
-        else:
-            raise DomainError(f"unsupported component count {c.shape[-1]}")
-        mag.flags.writeable = False
-        return mag
 
 
 @dataclass(frozen=True)
@@ -444,7 +459,9 @@ def _assemble(grid: Grid) -> sparse.csr_matrix:
     n_red = grid.n_red
     node = np.empty(n, dtype=np.intp)  # the flat node of each unknown
     node[index[inside]] = np.flatnonzero(inside)
-    t = {d: grid.cuts[d].ravel()[node] for d in "EWNS"}
+    t = {d: np.ones(n) for d in "EWNS"}  # each unknown's edge fractions
+    for d, (nodes, frac) in grid.cuts.items():
+        t[d][index[nodes]] = frac
     # the neighbours in the order of their columns: each one's step in the
     # flat grid and the direction opposite to it
     steps = (("S", -nx, "N"), ("W", -1, "E"), ("E", 1, "W"), ("N", nx, "S"))
@@ -941,8 +958,8 @@ def _axis_derivative(values: Array, mask: Array, grid: Grid,
     def ahead(arr: Array, k: int) -> Array:  # arr at the node k steps on
         return np.roll(arr, -k, axis)
 
-    up = ahead(mask, 1) & (grid.cuts[plus] == 1.0)
-    down = ahead(mask, -1) & (grid.cuts[minus] == 1.0)
+    up = ahead(mask, 1) & (grid.fractions(plus) == 1.0)
+    down = ahead(mask, -1) & (grid.fractions(minus) == 1.0)
     central = mask & up & down
     fwd = mask & ~central & up & ahead(up, 1)
     bwd = mask & ~central & ~fwd & down & ahead(down, -1)
@@ -955,19 +972,29 @@ def _axis_derivative(values: Array, mask: Array, grid: Grid,
     return deriv, central | fwd | bwd
 
 
-def gradient(field: DiscreteField) -> TensorField:
-    """Nodal gradient: central differences, one-sided at the boundary ring."""
+def _gradient_parts(field: DiscreteField) -> tuple[Array, Array, Array]:
+    """The x and y components of the nodal gradient, NaN where either
+    stencil is unavailable, and the mask of the nodes where both are."""
     grid = field.grid
     gx, vx = _axis_derivative(field.values, grid.inside, grid, axis=1)
     gy, vy = _axis_derivative(field.values, grid.inside, grid, axis=0)
     valid = vx & vy
-    comps = np.stack([np.where(valid, gx, np.nan),
-                      np.where(valid, gy, np.nan)], axis=-1)
-    return TensorField(grid=grid, components=comps, valid=valid)
+    gx[~valid] = gy[~valid] = np.nan
+    return gx, gy, valid
 
 
-def hessian_torsion(u: DiscreteField) -> TensorField:
-    """Hessian of the torsion solution, cut-aware on the diagonal.
+def gradient(field: DiscreteField) -> TensorField:
+    """Magnitude of the nodal gradient: central differences, one-sided at
+    the boundary ring."""
+    gx, gy, valid = _gradient_parts(field)
+    return TensorField(grid=field.grid, magnitude=np.sqrt(gx ** 2 + gy ** 2),
+                       valid=valid)
+
+
+def _hessian_parts(u: DiscreteField) -> tuple[Array, Array, Array, Array]:
+    """The xx, xy and yy entries of the Hessian of ``u``, cut-aware on the
+    diagonal and NaN where the mixed stencil is unavailable, and the mask
+    of the nodes where it is.
 
     The pure second derivatives use the nonuniform three-point stencil with
     the known zero boundary values at the edge crossings, so they exist at
@@ -979,27 +1006,36 @@ def hessian_torsion(u: DiscreteField) -> TensorField:
     h = grid.h
     vals = np.where(inside, u.values, 0.0)
 
-    def second(axis: int, t_plus: Array, t_minus: Array) -> Array:
+    def second(axis: int, plus: str, minus: str) -> Array:
         # across a cut edge the neighbor is the boundary crossing, value 0;
         # np.roll wraps, but the outer node rings are outside
+        t_plus, t_minus = grid.fractions(plus), grid.fractions(minus)
         vp = np.where(t_plus < 1.0, 0.0, np.roll(vals, -1, axis))
         vm = np.where(t_minus < 1.0, 0.0, np.roll(vals, 1, axis))
         hp, hm = t_plus * h, t_minus * h
         return 2.0 * (vp / (hp * (hp + hm)) + vm / (hm * (hp + hm))
                       - vals / (hp * hm))
 
-    uxx = second(1, grid.cuts["E"], grid.cuts["W"])
-    uyy = second(0, grid.cuts["N"], grid.cuts["S"])
+    uxx = second(1, "E", "W")
+    uyy = second(0, "N", "S")
 
-    g = gradient(u)
-    fxy1, vxy1 = _axis_derivative(g.components[..., 0], g.valid, grid, axis=0)
-    fxy2, vxy2 = _axis_derivative(g.components[..., 1], g.valid, grid, axis=1)
+    gx, gy, gvalid = _gradient_parts(u)
+    fxy1, vxy1 = _axis_derivative(gx, gvalid, grid, axis=0)
+    fxy2, vxy2 = _axis_derivative(gy, gvalid, grid, axis=1)
     valid = vxy1 & vxy2
     uxy = 0.5 * (fxy1 + fxy2)
-    comps = np.stack([np.where(valid, uxx, np.nan),
-                      np.where(valid, uxy, np.nan),
-                      np.where(valid, uyy, np.nan)], axis=-1)
-    return TensorField(grid=grid, components=comps, valid=valid)
+    for entry in (uxx, uxy, uyy):
+        entry[~valid] = np.nan
+    return uxx, uxy, uyy, valid
+
+
+def hessian_torsion(u: DiscreteField) -> TensorField:
+    """Magnitude of the Hessian of ``h = |x - z|^2 / 2 - u`` for the
+    torsion solution ``u``: the Frobenius norm of ``I - hess u``, whose
+    entries :func:`_hessian_parts` gives (its mixed entry counted twice)."""
+    uxx, uxy, uyy, valid = _hessian_parts(u)
+    magnitude = np.sqrt((1.0 - uxx) ** 2 + 2.0 * uxy ** 2 + (1.0 - uyy) ** 2)
+    return TensorField(grid=u.grid, magnitude=magnitude, valid=valid)
 
 
 # --------------------------------------------------------------------------
@@ -1012,14 +1048,19 @@ def lp_norm_domain(field: TensorField, p: float, alpha: float = 0.0) -> float:
 
     The measure is dx / |Omega| via the exact cell areas; masked nodes are
     excluded (their volume fraction is :attr:`TensorField.excluded_fraction`).
+    The field keeps each norm once taken: the check battery takes several
+    of one field at the same exponent.
     """
-    grid = field.grid
-    mask = field.valid & grid.inside
-    vals = field.magnitude[mask]
-    if alpha != 0.0:
-        vals = vals * grid.delta[mask] ** alpha
-    return normalized_norm(vals, grid.cell_weights[mask], p,
-                           float(np.sum(grid.cell_weights)))
+    key = (p, alpha)
+    if key not in field._norms:
+        grid = field.grid
+        mask = field.valid & grid.inside
+        vals = field.magnitude[mask]
+        if alpha != 0.0:
+            vals = vals * grid.delta[mask] ** alpha
+        field._norms[key] = normalized_norm(vals, grid.cell_weights[mask], p,
+                                            float(np.sum(grid.cell_weights)))
+    return field._norms[key]
 
 
 def bilinear(field: DiscreteField, pts: Array) -> tuple[Array, Array]:
@@ -1039,10 +1080,9 @@ def bilinear(field: DiscreteField, pts: Array) -> tuple[Array, Array]:
     ty = fy - i0c
     corners_in = (grid.inside[i0c, j0c] & grid.inside[i0c, j0c + 1]
                   & grid.inside[i0c + 1, j0c] & grid.inside[i0c + 1, j0c + 1])
-    uncut = ((grid.cuts["E"][i0c, j0c] == 1.0)
-             & (grid.cuts["E"][i0c + 1, j0c] == 1.0)
-             & (grid.cuts["N"][i0c, j0c] == 1.0)
-             & (grid.cuts["N"][i0c, j0c + 1] == 1.0))
+    east, north = grid.fractions("E"), grid.fractions("N")
+    uncut = ((east[i0c, j0c] == 1.0) & (east[i0c + 1, j0c] == 1.0)
+             & (north[i0c, j0c] == 1.0) & (north[i0c, j0c + 1] == 1.0))
     ok &= corners_in & uncut
     v = (field.values[i0c, j0c] * (1 - tx) * (1 - ty)
          + field.values[i0c, j0c + 1] * tx * (1 - ty)

@@ -19,13 +19,14 @@ whole pipeline reproduces exactly in floating point.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
-from functools import cached_property
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,9 +255,11 @@ class TestPipelineBundle:
             2.0 * math.pi * ELLIPSE_A * ELLIPSE_B / perim, rel=1e-12)
 
     def test_hessian_residue_is_trace_free(self, ellipse_data):
-        comp = ellipse_data.hess_h.components
-        trace = comp[..., 0] + comp[..., 2]
-        assert np.max(np.abs(trace[ellipse_data.hess_h.valid])) < 1e-9
+        # the entries whose Frobenius norm hess_h holds: I - hess u
+        uxx, _, uyy, valid = torsion._hessian_parts(ellipse_data.u)
+        assert np.array_equal(valid, ellipse_data.hess_h.valid)
+        trace = (1.0 - uxx) + (1.0 - uyy)
+        assert np.max(np.abs(trace[valid])) < 1e-9
 
     def test_auxiliary_field_definition(self, ellipse_data):
         grid = ellipse_data.u.grid
@@ -620,22 +623,86 @@ class TestLazyGeometry:
                           "_ball_table": 1, "diameter": 1}
 
     def test_battery_takes_each_tensor_magnitude_once(self, monkeypatch):
-        computed = []
-        original = vars(torsion.TensorField)["magnitude"].func
+        built = []
+        original = torsion.TensorField.__post_init__
 
         def counting(self):
-            computed.append(self)
-            return original(self)
+            built.append(self)
+            original(self)
 
-        prop = cached_property(counting)
-        prop.__set_name__(torsion.TensorField, "magnitude")
-        monkeypatch.setattr(torsion.TensorField, "magnitude", prop)
+        monkeypatch.setattr(torsion.TensorField, "__post_init__", counting)
         data = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
         record_from_data(0.1, data)
         run_domain_checks(data)
-        assert sorted(map(id, computed)) == sorted(
+        run_domain_checks(data)
+        assert sorted(map(id, built)) == sorted(
             {id(data.hess_h), id(data.grad_h)})
         assert not data.hess_h.magnitude.flags.writeable
+        assert not data.grad_h.magnitude.flags.writeable
+
+    def test_battery_takes_each_norm_once(self, monkeypatch):
+        # ||grad h||_inf feeds all three chain rows and both grad_infty
+        # rows, ||grad h||_1 the (1, inf) row and both grad_infty rows: the
+        # battery takes 7 distinct norms, the 12 calls of a warm bundle
+        # and hess_norm's ||hess h||_2, each once and with the same bits
+        taken = []
+        original = torsion.normalized_norm
+
+        def counting(values, weights, p, total):
+            taken.append(p)
+            return original(values, weights, p, total)
+
+        monkeypatch.setattr(torsion, "normalized_norm", counting)
+        data = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
+        first = run_domain_checks(data)
+        assert sorted(taken) == [1.0, 2.0, 2.0, 6.0, 8.0, INF, INF]
+        record_from_data(0.1, data)  # adds only the weighted Hessian norm
+        assert len(taken) == 8
+        again = run_domain_checks(data)
+        assert len(taken) == 8
+        assert [(r.lhs, r.rhs) for r in again] == [(r.lhs, r.rhs) for r in first]
+        monkeypatch.undo()
+        fresh = build_pipeline_data(StarDomain2D.cosine(0.1, 3), 1.0 / 32.0)
+        grid = fresh.u.grid
+        for field, p in ((fresh.grad_h, INF), (fresh.grad_h, 1.0),
+                         (fresh.hess_h, 8.0)):
+            mask = field.valid & grid.inside
+            want = original(field.magnitude[mask], grid.cell_weights[mask], p,
+                            float(np.sum(grid.cell_weights)))
+            assert lp_norm_domain(field, p) == want
+            assert lp_norm_domain(field, p) == want
+
+    def test_rung_holds_only_what_its_readers_use(self):
+        # after the battery a rung keeps, per grid node, the inside mask,
+        # an int32 index, the cell areas, delta, u and the two magnitudes
+        # with their masks, about 47 bytes; it kept 132 with the gradient
+        # and Hessian component stacks, a cached h and four full-grid cut
+        # fraction arrays
+        domain = build_family_domain(FamilySpec(kind="ellipse"), 0.2)
+        run_domain_checks(build_pipeline_data(domain, 1.0 / 32.0))
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = build_pipeline_data(domain, 1.0 / 128.0)
+            run_domain_checks(data)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        grid = data.u.grid
+        assert held / grid.inside.size <= 60.0
+        # no component stack and no full-grid fraction array: the float
+        # arrays of the grid's shape are u, the cell areas, delta and the
+        # two magnitudes
+        full = [a for a in _held_arrays(data)
+                if a.shape[:2] == grid.inside.shape]
+        assert all(a.ndim == 2 for a in full)
+        assert sum(a.dtype == np.float64 for a in full) == 5
+        for nodes, fractions in grid.cuts.values():
+            assert 0 < nodes.size == fractions.size < grid.n_unknowns // 10
 
     def test_traced_bindings_stay_module_names(self):
         # profilers wrap these module-level names; a local import or a
@@ -665,6 +732,26 @@ class TestLazyGeometry:
         params = list(inspect.signature(build.__func__).parameters)
         assert params[:3] == ["cone", "n_radial", "n_angular"]
         assert callable(vars(StarDomain2D)["contains"])
+
+
+def _held_arrays(root) -> list[np.ndarray]:
+    """Every numpy array that ``root`` reaches through instance attributes,
+    dicts, lists and tuples, each once."""
+    seen, arrays, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return arrays
 
 
 def test_one_uniform_boundary_sampling_per_domain(monkeypatch):

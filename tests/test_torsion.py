@@ -52,7 +52,12 @@ from oscbound.torsion import (
     normal_derivative,
     solve_torsion,
 )
-from oscbound.torsion import _cell_areas, _crossings
+from oscbound.torsion import (
+    _cell_areas,
+    _crossings,
+    _gradient_parts,
+    _hessian_parts,
+)
 
 ELLIPSE_A, ELLIPSE_B = 2.0, 1.0
 # eight deep nonconvex petals, off-axis
@@ -87,9 +92,8 @@ def nodal(grid: Grid, fun) -> DiscreteField:
 
 def unit_vectors(grid: Grid) -> TensorField:
     """A vector field of magnitude 1 at every inside node."""
-    comps = np.zeros(grid.inside.shape + (2,))
-    comps[..., 0] = 1.0
-    return TensorField(grid=grid, components=comps, valid=grid.inside.copy())
+    return TensorField(grid=grid, magnitude=np.ones(grid.inside.shape),
+                       valid=grid.inside.copy())
 
 
 # --------------------------------------------------------------------------
@@ -118,16 +122,21 @@ def test_edge_cut_fractions_match_analytic_circle_crossings(disk_solve):
     grid = u.grid
     h = grid.h
     X, Y = np.meshgrid(grid.xs, grid.ys)
-    cut = grid.cuts["E"] < 1.0
-    x, y, t_num = X[cut], Y[cut], grid.cuts["E"][cut]
+    east = grid.fractions("E")
+    cut = east < 1.0
+    x, y, t_num = X[cut], Y[cut], east[cut]
     # edge from (x, y) heading +x crosses the unit circle at sqrt(1 - y^2)
     t_exact = (np.sqrt(1.0 - y**2) - x) / h
     generic = t_exact > 1e-6  # skip near-tangent edges snapped to the floor
     assert generic.sum() > 50
     assert float(np.max(np.abs(t_num[generic] - t_exact[generic]))) < 1e-10
     for name in ("E", "W", "N", "S"):
-        vals = grid.cuts[name]
+        vals = grid.fractions(name)
         assert np.all((vals > 0.0) & (vals <= 1.0))
+        # the grid keeps only the cut edges, each at an inside node
+        nodes, kept = grid.cuts[name]
+        assert np.array_equal(nodes, np.flatnonzero(vals < 1.0))
+        assert np.all(grid.inside.ravel()[nodes]) and np.all(kept < 1.0)
 
 
 @pytest.mark.parametrize("domain, h", [
@@ -179,10 +188,11 @@ def test_edges_that_leave_the_domain_between_inside_nodes_are_cut(h):
         pts = base[:, None, :] + s[None, :, None] * step
         outside = ~domain.contains(pts.reshape(-1, 2)).reshape(ii.size, -1)
         leaves = outside.any(axis=1)
-        t = grid.cuts[name][ii, jj]
+        t = grid.fractions(name)[ii, jj]
         assert leaves.sum() == 4
         assert np.array_equal(t < 1.0, leaves)
-        assert np.array_equal(grid.cuts[back][ii + di, jj + dj] < 1.0, leaves)
+        assert np.array_equal(grid.fractions(back)[ii + di, jj + dj] < 1.0,
+                              leaves)
         # the cut is the first crossing along the edge
         first_out = s[np.argmax(outside[leaves], axis=1)]
         t, base = t[leaves], base[leaves]
@@ -193,9 +203,9 @@ def test_edges_that_leave_the_domain_between_inside_nodes_are_cut(h):
         ends[ii[leaves], jj[leaves]] = True
         ends[ii[leaves] + di, jj[leaves] + dj] = True
     # solver rows and Hessian diagonal both see the zero at the crossing
-    H = hessian_torsion(u)
-    assert (H.valid & ends).sum() == 16
-    trace = H.components[..., 0] + H.components[..., 2]
+    uxx, _, uyy, valid = _hessian_parts(u)
+    assert (valid & ends).sum() == 16
+    trace = uxx + uyy
     assert float(np.max(np.abs(trace - 2.0)[ends])) < 1e-9
 
 
@@ -205,19 +215,22 @@ def test_stencils_do_not_reach_across_cut_edges(h):
     # inside nodes must not move any derivative at the near end
     grid = Grid.build(StarDomain2D.cosine(0.9, 8), h)
     base = nodal(grid, lambda X, Y: np.sin(1.3 * X) * np.cos(0.7 * Y))
-    g0, H0 = gradient(base).components, hessian_torsion(base).components
+    def at_node(field, i, j):
+        # every gradient and Hessian entry, and both magnitudes, at (i, j)
+        parts = _gradient_parts(field)[:2] + _hessian_parts(field)[:3] + (
+            gradient(field).magnitude, hessian_torsion(field).magnitude)
+        return np.array([part[i, j] for part in parts])
+
     pairs = 0
     for name, di, dj in (("E", 0, 1), ("W", 0, -1), ("N", 1, 0), ("S", -1, 0)):
         far = np.roll(grid.inside, (-di, -dj), (0, 1))
         for i, j in zip(*np.nonzero(grid.inside & far
-                                    & (grid.cuts[name] < 1.0))):
+                                    & (grid.fractions(name) < 1.0))):
             values = base.values.copy()
             values[i + di, j + dj] += 1e3
             field = DiscreteField(grid, values)
-            assert np.array_equal(gradient(field).components[i, j], g0[i, j],
+            assert np.array_equal(at_node(field, i, j), at_node(base, i, j),
                                   equal_nan=True)
-            assert np.array_equal(hessian_torsion(field).components[i, j],
-                                  H0[i, j], equal_nan=True)
             pairs += 1
     assert pairs == 16  # the 8 edges, seen from both ends
 
@@ -634,7 +647,7 @@ def test_red_black_solve_matches_full_factorization(domain, h, snapped,
     off = coo.row != coo.col
     assert off.any()
     assert not np.any(red[coo.row[off]] == red[coo.col[off]])
-    cuts = np.concatenate([c[grid.inside] for c in grid.cuts.values()])
+    cuts = np.concatenate([frac for _, frac in grid.cuts.values()])
     assert np.any(cuts == torsion._T_MIN) == snapped
     reference = splu(A.tocsc()).solve(rhs)
     assert float(np.max(np.abs(sol - reference))) <= 1e-12
@@ -720,7 +733,7 @@ def coordinate_matrix(grid: Grid) -> sparse.csr_matrix:
     inside, index, h2 = grid.inside, grid.index, grid.h * grid.h
     ii, jj = np.nonzero(inside)
     center = index[ii, jj]
-    t = {d: grid.cuts[d][ii, jj] for d in "EWNS"}
+    t = {d: grid.fractions(d)[ii, jj] for d in "EWNS"}
     rows, cols = [center], [center]
     data = [-2.0 / (t["E"] * t["W"] * h2) - 2.0 / (t["N"] * t["S"] * h2)]
     for di, dj, d, opp in ((0, 1, "E", "W"), (0, -1, "W", "E"),
@@ -877,7 +890,7 @@ def test_interpolation_weights_follow_the_operator(domain):
     assert np.all(P.data > 0.0) and np.all(P.data <= 1.0)
     assert np.max(sums) <= 1.0
     uncut = grid.inside & np.logical_and.reduce(
-        [c == 1.0 for c in grid.cuts.values()])
+        [grid.fractions(d) == 1.0 for d in grid.cuts])
     clear = np.zeros_like(uncut)
     clear[1:-1, 1:-1] = np.logical_and.reduce(
         [uncut[1 + di:uncut.shape[0] - 1 + di, 1 + dj:uncut.shape[1] - 1 + dj]
@@ -957,10 +970,11 @@ def test_true_residual_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 # traced peak of solve_torsion on the ladder ellipse at h = 1/128, per
-# unknown: 403-413 bytes measured with the operator-dependent interpolation
-# (398-407 with the bilinear one), 737 while the solve kept its assembly
-# lists and copies of A's blocks
-SOLVE_BYTES_PER_UNKNOWN = 480
+# unknown: 336-345 bytes measured with the cut fractions kept at the cut
+# edges only and an int32 index; 403-413 with four full-grid fraction
+# arrays and an int64 index (398-407 with the bilinear interpolation), 737
+# while the solve kept its assembly lists and copies of A's blocks
+SOLVE_BYTES_PER_UNKNOWN = 400
 
 
 def test_solve_working_memory_stays_within_its_budget():
@@ -1076,15 +1090,18 @@ def test_gradient_matches_analytic_derivatives(disk_solve):
     grid = u.grid
     fld = nodal(grid, lambda X, Y: np.sin(1.3 * X) * np.cos(0.7 * Y))
     g = gradient(fld)
+    fx, fy, m = _gradient_parts(fld)
     X, Y = np.meshgrid(grid.xs, grid.ys)
     gx = 1.3 * np.cos(1.3 * X) * np.cos(0.7 * Y)
     gy = -0.7 * np.sin(1.3 * X) * np.sin(0.7 * Y)
-    m = g.valid
+    assert np.array_equal(g.valid, m)
     assert g.excluded_fraction == 0.0
-    assert float(np.max(np.abs(g.components[..., 0] - gx)[m])) < 2e-3
-    assert float(np.max(np.abs(g.components[..., 1] - gy)[m])) < 2e-3
+    assert float(np.max(np.abs(fx - gx)[m])) < 2e-3
+    assert float(np.max(np.abs(fy - gy)[m])) < 2e-3
     interior = m & (grid.delta > 3.0 * grid.h)
-    assert float(np.max(np.abs(g.components[..., 0] - gx)[interior])) < 1e-3
+    assert float(np.max(np.abs(fx - gx)[interior])) < 1e-3
+    # the magnitude is the components' Euclidean norm, to the bit
+    assert g.magnitude.tobytes() == np.sqrt(fx ** 2 + fy ** 2).tobytes()
 
 
 def test_hessian_torsion_mixed_derivative_matches_analytic_derivatives(
@@ -1094,23 +1111,35 @@ def test_hessian_torsion_mixed_derivative_matches_analytic_derivatives(
     _, u, _ = disk_solve
     grid = u.grid
     fld = nodal(grid, lambda X, Y: np.sin(1.3 * X) * np.cos(0.7 * Y))
-    H = hessian_torsion(fld)
+    _, uxy, _, valid = _hessian_parts(fld)
     X, Y = np.meshgrid(grid.xs, grid.ys)
     want = -0.91 * np.cos(1.3 * X) * np.sin(0.7 * Y)
-    interior = H.valid & (grid.delta > 4.0 * grid.h)
-    assert float(np.max(np.abs(H.components[..., 1] - want)[H.valid])) < 0.08
-    assert float(np.max(np.abs(H.components[..., 1] - want)[interior])) < 3e-3
+    interior = valid & (grid.delta > 4.0 * grid.h)
+    assert float(np.max(np.abs(uxy - want)[valid])) < 0.08
+    assert float(np.max(np.abs(uxy - want)[interior])) < 3e-3
 
 
 def test_hessian_torsion_is_exact_for_the_ellipse(ellipse_solve):
     _, u, _ = ellipse_solve
-    H = hessian_torsion(u)
-    m = H.valid
+    uxx, uxy, uyy, m = _hessian_parts(u)
     # constant Hessian diag(2 b^2, 2 a^2)/(a^2 + b^2) = diag(0.4, 1.6)
-    assert float(np.max(np.abs(H.components[..., 0] - 0.4)[m])) < 1e-9
-    assert float(np.max(np.abs(H.components[..., 1])[m])) < 1e-9
-    assert float(np.max(np.abs(H.components[..., 2] - 1.6)[m])) < 1e-9
+    assert float(np.max(np.abs(uxx - 0.4)[m])) < 1e-9
+    assert float(np.max(np.abs(uxy)[m])) < 1e-9
+    assert float(np.max(np.abs(uyy - 1.6)[m])) < 1e-9
+    H = hessian_torsion(u)
+    assert np.array_equal(H.valid, m)
     assert H.excluded_fraction < 0.05
+
+
+def test_hessian_of_h_has_one_magnitude_on_the_ellipse(ellipse_solve):
+    # hess h = I - hess u = diag(0.6, -0.6) at every node, so |hess h| is
+    # sqrt(0.72) = 3 sqrt(2) / 5 at every valid node and NaN elsewhere
+    _, u, _ = ellipse_solve
+    H = hessian_torsion(u)
+    want = 3.0 * math.sqrt(2.0) / 5.0
+    assert H.valid.sum() > 0.9 * u.grid.inside.sum()
+    assert float(np.max(np.abs(H.magnitude - want)[H.valid])) < 1e-9
+    assert np.isnan(H.magnitude[~H.valid]).all()
 
 
 def test_hessian_torsion_trace_reproduces_the_right_hand_side(cosine_solves):
@@ -1118,18 +1147,18 @@ def test_hessian_torsion_trace_reproduces_the_right_hand_side(cosine_solves):
     # returns the right-hand side at every inside node, not just smooth ones
     _, sols = cosine_solves
     u = sols[32]
-    H = hessian_torsion(u)
-    trace = H.components[..., 0] + H.components[..., 2]
-    assert float(np.max(np.abs(trace - 2.0)[u.grid.inside & H.valid])) < 1e-9
+    uxx, _, uyy, valid = _hessian_parts(u)
+    trace = uxx + uyy
+    assert float(np.max(np.abs(trace - 2.0)[u.grid.inside & valid])) < 1e-9
 
 
 def test_tensor_field_magnitude_rejects_unknown_shape(disk_solve):
     _, u, _ = disk_solve
     grid = u.grid
-    comps = np.zeros(grid.inside.shape + (4,))
-    bad = TensorField(grid=grid, components=comps, valid=grid.inside.copy())
-    with pytest.raises(DomainError):
-        bad.magnitude
+    # one magnitude per node: a stack of components is not one
+    comps = np.zeros(grid.inside.shape + (2,))
+    with pytest.raises(DomainError, match="magnitude of shape"):
+        TensorField(grid=grid, magnitude=comps, valid=grid.inside.copy())
 
 
 # --------------------------------------------------------------------------
@@ -1156,11 +1185,7 @@ def test_lp_norm_frobenius_of_harmonic_residue(ellipse_solve):
     # || I - hess u ||_{2, Omega} for the ellipse: constant sqrt(2)(a^2-b^2)
     # / (a^2+b^2) = 3 sqrt(2) / 5
     _, u, _ = ellipse_solve
-    H = hessian_torsion(u)
-    comps = np.stack([1.0 - H.components[..., 0],
-                      -H.components[..., 1],
-                      1.0 - H.components[..., 2]], axis=-1)
-    res = TensorField(grid=u.grid, components=comps, valid=H.valid)
+    res = hessian_torsion(u)
     want = 3.0 * math.sqrt(2.0) / 5.0
     assert abs(lp_norm_domain(res, 2.0) - want) < 1e-9
     assert abs(lp_norm_domain(res, math.inf) - want) < 1e-9
