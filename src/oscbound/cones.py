@@ -4,14 +4,20 @@ Every estimate of the analytic layer reduces to integrals of
 ``|grad f(y)| |y - x|^{1-N}`` over a finite cone with vertex x.  Working in
 vertex-polar coordinates cancels the kernel singularity against the
 ``s^{N-1}`` Jacobian exactly, so plain product Gauss quadrature converges at
-spectral rate and the inequalities can be checked to tight slack on a fixed
-catalog of closed-form fields.
+spectral rate for fields that are smooth at the vertex, and the inequalities
+can be checked to tight slack on a fixed catalog of closed-form fields.  A
+field that is not smooth at the vertex loses that rate: the extremal field
+of the cone-average bound, radial about the vertex, has a gradient whose
+p-th power is singular there, and the radial Gauss rule then converges
+only algebraically.
 
 One evaluator, :class:`ConeField`, is the only path from a
 :class:`QuadratureRule` and an :class:`AnalyticField` to the quantities the
 checks read: the vertex oscillation, the two kernel integrals and the
 normalized gradient norms, each computed once per instance (cached
-properties, and a dict of norms keyed by exponent).  The check
+properties, and a dict of norms keyed by exponent).  The norms share one
+:class:`~oscbound.constants.PowerTable` of the gradient magnitudes, so a
+further exponent costs about one product over the nodes.  The check
 functions :func:`verify_pointwise_cone`, :func:`verify_morrey_cone` and
 :func:`verify_interpolation_cone` take a ``ConeField``, and the sweep builds
 one per (cone, field) pair.
@@ -39,10 +45,10 @@ from .constants import (
     INF,
     ConeSpec,
     ExponentPair,
+    PowerTable,
     cone_measure,
     holder_conjugate,
     morrey_cone_constant,
-    normalized_norm,
     two_term_minimize,
 )
 from .errors import DomainError
@@ -289,6 +295,10 @@ class ConeField:
         return self.field.gradient_magnitude(self.rule.points)
 
     @cached_property
+    def _powers(self) -> PowerTable:
+        return PowerTable(self._grad_on_rule)
+
+    @cached_property
     def _average(self) -> float:
         vals = np.asarray(self.field.value(self.rule.points), dtype=float)
         return float(np.sum(self.rule.weights * vals)) / self.rule.measure
@@ -305,10 +315,14 @@ class ConeField:
         """Mean f_C of the field over the cone."""
         return self._average
 
-    def pointwise_lhs(self) -> float:
-        """``|f(x) - f_C|`` at the vertex x."""
+    @cached_property
+    def _vertex_oscillation(self) -> float:
         vertex = float(self.field.value(self.cone.vertex[None, :])[0])
         return abs(vertex - self.average())
+
+    def pointwise_lhs(self) -> float:
+        """``|f(x) - f_C|`` at the vertex x."""
+        return self._vertex_oscillation
 
     def riesz(self, weighted: bool) -> float:
         """Kernel integral ``int_C |grad f(y)| |y-x|^{1-N} w(y) dmu_y``.
@@ -322,16 +336,16 @@ class ConeField:
     def norm(self, p: float) -> float:
         """Normalized L^p norm of ``|grad f|`` over the cone, ``p`` in [1, inf].
 
-        ``p = inf`` is an essential sup estimated as the max over the
-        quadrature nodes and the rule's ``sup_points``.
+        ``p = inf`` is an essential sup estimated as the larger of the max
+        over the quadrature nodes and the max over the rule's
+        ``sup_points``.
         """
         if p not in self._norms:
-            mags = self._grad_on_rule
+            norm = self._powers.norm(self.rule.weights, p, self.rule.measure)
             if p == INF:
-                mags = np.concatenate([mags, self.field.gradient_magnitude(
-                    self.rule.sup_points)])
-            self._norms[p] = normalized_norm(mags, self.rule.weights, p,
-                                             self.rule.measure)
+                sup = self.field.gradient_magnitude(self.rule.sup_points)
+                norm = float(np.maximum(norm, np.max(sup)))
+            self._norms[p] = norm
         return self._norms[p]
 
 
@@ -572,16 +586,23 @@ def default_exponent_grid(N: int) -> tuple[list[float], list[ExponentPair]]:
     return morrey_ps, pairs
 
 
+def _field_checks(cf: ConeField, morrey_ps: list[float],
+                  pairs: list[ExponentPair]) -> list[ConeCheck]:
+    """Every check of the sweep on one (cone, field) pair, in row order."""
+    return [*verify_pointwise_cone(cf),
+            *(verify_morrey_cone(cf, p) for p in morrey_ps),
+            *(verify_interpolation_cone(cf, pair) for pair in pairs)]
+
+
 def run_cone_sweep(dim: int = 2) -> list[ConeCheck]:
-    """All cone checks over the catalog, one :class:`ConeField` per (cone, field)."""
+    """All cone checks over the catalog, one :class:`ConeField` per (cone,
+    field); each is dropped once its checks are taken, so the last one of
+    a cone does not hold its power table while the next rule is built."""
     fields = catalog_fields(dim)
     morrey_ps, pairs = default_exponent_grid(dim)
     checks: list[ConeCheck] = []
     for cone in catalog_cones(dim):
         rule = QuadratureRule.build(cone)
         for field in fields:
-            cf = ConeField(rule, field)
-            checks.extend(verify_pointwise_cone(cf))
-            checks.extend(verify_morrey_cone(cf, p) for p in morrey_ps)
-            checks.extend(verify_interpolation_cone(cf, pair) for pair in pairs)
+            checks += _field_checks(ConeField(rule, field), morrey_ps, pairs)
     return checks

@@ -19,7 +19,7 @@ first use, what several of them share: the boundary table at 4096 uniform
 angles and its every-4th-angle view (:attr:`StarDomain2D.boundary_table`,
 :attr:`StarDomain2D.coarse_table`), and by :func:`_kept` the tangent-ball
 quotient table, the Delaunay graph of the coarse table, the diameter, the
-ball radii and the inradius.  Four
+ball radii, the star radius and the inradius.  Four
 searches carry every extremum: the tangent-ball quotient table, reduced to
 row minima as it is built (the ball radii and the inradius), the seeded
 Newton projection onto the curve, the Newton step on a critical pair of
@@ -714,6 +714,7 @@ def ball_radii(domain: StarDomain2D) -> tuple[float, float]:
     return out[0], min(out[1], diameter(domain))
 
 
+@_kept
 def star_radius(domain: StarDomain2D) -> float:
     """Largest rho such that the domain is star-shaped w.r.t. B_rho(0).
 

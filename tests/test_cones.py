@@ -297,12 +297,66 @@ def test_cone_field_matches_inline_expressions(dim):
             assert cf.riesz(weighted=False) == float(np.sum(kernel_w * mags)) / measure
             assert cf.riesz(weighted=True) == float(np.sum(weighted_w * mags)) / measure
             assert cf.average() == float(np.sum(rule.weights * vals)) / measure
+            # the power rule: products of the squares |v|^(2^k) for the set
+            # bits of p, lowest first, times sqrt(|v|) for a half
+            sq = mags * mags
+            sq4 = sq * sq
+            sq8 = sq4 * sq4
+            powers = {1.0: mags, 1.5: mags * np.sqrt(mags), 2.0: sq,
+                      3.0: mags * sq, 4.0: sq4, 6.0: sq * sq4, 8.0: sq8,
+                      12.0: sq4 * sq8}
             for p in exponents:
                 if p == INF:
                     want = max(float(np.max(mags)), float(np.max(sup)))
                 else:
-                    want = float(np.sum(rule.weights * mags**p) / measure) ** (1.0 / p)
+                    want = float(np.sum(rule.weights * powers[p])
+                                 / measure) ** (1.0 / p)
                 assert cf.norm(p) == want, (field.label, p)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cone_field_norms_do_not_depend_on_request_order(dim):
+    # the norms share one power table per field, whose powers are a fixed
+    # function of p: any order of requests gives the same bits
+    morrey_ps, pairs = default_exponent_grid(dim)
+    exponents = sorted(set(morrey_ps) | {x for pair in pairs
+                                         for x in (pair.p, pair.q)})
+    rule = QuadratureRule.build(catalog_cones(dim)[4])
+    for label in ("gauss_shift", "plane_wave", "dist_origin"):
+        field = field_by_label(label, dim)
+        alone = {p: ConeField(rule, field).norm(p) for p in exponents}
+        for order in (exponents, exponents[::-1], exponents[1::2] + exponents[::2]):
+            cf = ConeField(rule, field)
+            assert {p: cf.norm(p) for p in order} == alone, (label, order)
+
+
+def test_cone_field_evaluates_the_field_once_per_point_set():
+    # the sweep's checks read the vertex oscillation 5 times; the field is
+    # evaluated once at the vertex and once on the nodes (the average)
+    base = field_by_label("gauss_shift")
+    sizes = []
+
+    def value(y):
+        sizes.append(len(y))
+        return base.value(y)
+
+    cf = on_cone(make_cone(), AnalyticField(base.label, value, base.gradient))
+    morrey_ps, pairs = default_exponent_grid(2)
+    checks = [*verify_pointwise_cone(cf),
+              *(verify_morrey_cone(cf, p) for p in morrey_ps),
+              *(verify_interpolation_cone(cf, pair) for pair in pairs)]
+    assert len({chk.lhs for chk in checks
+                if chk.check.startswith(("pointwise", "morrey"))}) == 1
+    assert sorted(sizes) == [1, cf.rule.count]
+
+
+@pytest.mark.parametrize("dim, equal", [(2, 27), (3, 12)])
+def test_sweep_log_rows_at_equality(dim, equal):
+    # a constant |grad f| (the affine fields, the distance to the origin)
+    # makes the q = inf log bound an equality, which the norms keep exactly
+    rows = [chk for chk in run_cone_sweep(dim)
+            if chk.check == "interp_log" and chk.q == INF]
+    assert sum(chk.lhs == chk.rhs != 0.0 for chk in rows) == equal
 
 
 def test_self_check_catches_wrong_gradient(gradient_self_check):

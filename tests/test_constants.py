@@ -34,7 +34,7 @@ from oscbound.constants import (
     unit_ball_volume,
 )
 from oscbound.constants import far_field_coefficient, near_field_coefficient
-from oscbound.constants import normalized_norm
+from oscbound.constants import PowerTable, normalized_norm
 from oscbound.errors import DomainError
 
 
@@ -574,3 +574,48 @@ def test_normalized_norm_of_a_constant_is_the_constant():
 def test_normalized_norm_rejects_bad_exponent(p):
     with pytest.raises(DomainError, match=r"exponent must be in \[1, inf\]"):
         normalized_norm(np.ones(2), np.ones(2), p, 2.0)
+
+
+_RULE_EXPONENTS = [k / 2.0 for k in range(2, 33)]   # 1, 1.5, ..., 16
+_OFF_RULE = [1.25, 2.7, 16.5, 20.0]
+
+
+def _power_samples() -> np.ndarray:
+    # zero, one, moderate values and magnitudes from 1e-15 to 1e19, whose
+    # 16th powers reach both ends of the normal range
+    rng = np.random.default_rng(7)
+    return np.concatenate([[0.0, 1.0, 0.5, 2.0], 4.0 * rng.random(2000),
+                           10.0 ** rng.uniform(-15.0, 19.0, 4000)])
+
+
+@pytest.mark.parametrize("p", _RULE_EXPONENTS + _OFF_RULE)
+def test_power_rule_is_within_p_ulps_of_np_power(p):
+    v = _power_samples()
+    with np.errstate(over="ignore", under="ignore"):
+        got = PowerTable(v).weighted(np.ones_like(v), p)
+        want = np.power(v, p)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    normal = (want == 0.0) | ((want >= tiny) & (want <= huge))
+    assert normal.sum() > 5000
+    assert got[v == 0.0] == 0.0
+    err = np.abs(got[normal] - want[normal])
+    assert np.all(err <= p * 2.0**-52 * want[normal]), p
+    if p in (1.0, 2.0, *_OFF_RULE):
+        # |v| and |v| * |v| are np.power's bits; off the rule is np.power
+        assert np.array_equal(got, want)
+
+
+def test_power_table_is_a_fixed_function_of_p():
+    # each power has the same bits whichever exponents the table built
+    # before it, and the kept magnitudes are never written
+    v = _power_samples()
+    ones = np.ones_like(v)
+    with np.errstate(over="ignore", under="ignore"):
+        fresh = {p: PowerTable(v.copy()).weighted(ones, p)
+                 for p in _RULE_EXPONENTS + _OFF_RULE}
+        for order in (_RULE_EXPONENTS, _RULE_EXPONENTS[::-1], [12.0, 3.0, 1.5]):
+            kept = v.copy()
+            table = PowerTable(kept)
+            for p in order:
+                assert np.array_equal(table.weighted(ones, p), fresh[p]), p
+            assert np.array_equal(kept, v)

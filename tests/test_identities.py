@@ -599,15 +599,23 @@ class TestLazyGeometry:
 
     def test_rung_does_each_piece_of_work_once(self, monkeypatch):
         # delta is projected at the inside nodes only, and the battery
-        # builds one tangent-ball table (one window view of r) and one
-        # diameter (one farthest pair), which the domain keeps
-        counts = {"projected": 0, "_ball_table": 0, "diameter": 0}
+        # builds one tangent-ball table (one window view of r), one
+        # diameter (one farthest pair) and one star radius (one bracket
+        # search of the pedal distance, not one per chain pair), which the
+        # domain keeps
+        counts = {"projected": 0, "_ball_table": 0, "diameter": 0,
+                  "star_radius": 0}
 
         def counting(name, fn, size=lambda *args: 1):
             def shim(*args, **kwargs):
                 counts[name] += size(*args)
                 return fn(*args, **kwargs)
             return shim
+
+        pedal_search = inspect.unwrap(star_radius).__code__
+        monkeypatch.setattr(stardomain, "_refine_extremum", counting(
+            "star_radius", stardomain._refine_extremum,
+            lambda *args: sys._getframe(2).f_code is pedal_search))
 
         monkeypatch.setattr(torsion, "boundary_distance", counting(
             "projected", torsion.boundary_distance,
@@ -620,7 +628,11 @@ class TestLazyGeometry:
         assert counts["projected"] == data.u.grid.n_unknowns
         run_domain_checks(data)
         assert counts == {"projected": data.u.grid.n_unknowns,
-                          "_ball_table": 1, "diameter": 1}
+                          "_ball_table": 1, "diameter": 1, "star_radius": 1}
+        kept = star_radius(data.domain)
+        assert counts["star_radius"] == 1
+        monkeypatch.undo()
+        assert kept == inspect.unwrap(star_radius)(data.domain)
 
     def test_battery_takes_each_tensor_magnitude_once(self, monkeypatch):
         built = []

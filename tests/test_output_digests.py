@@ -83,7 +83,7 @@ def test_moves_name_each_moved_cell_and_printed_line(moves, tmp_path):
             (old, "0", "ok\nsame\n", ["1.0,0.5,pass", "2.0,nan,pass",
                                       "0.0,1.0,pass"]),
             (new, "1", "ok\nsame\nmore\n", ["1.0,0.25,pass", "2.0,nan,fail",
-                                             "1e-3,1.0,pass"])):
+                                             "1e-3,1.5,pass"])):
         (root / "out").mkdir(parents=True)
         (root / "run.exit").write_text(f"{code}\n")
         (root / "run.stdout").write_text(printed)
@@ -97,9 +97,9 @@ def test_moves_name_each_moved_cell_and_printed_line(moves, tmp_path):
         "run stdout: +more",
         f"out/extra.txt: only in {new}",
         "out/t.csv x: largest move 0.001 on row 3 (0.0 -> 1e-3), "
-        "largest relative move inf on row 3",
-        "out/t.csv y: largest move 0.25 on row 1 (0.5 -> 0.25), "
-        "largest relative move 0.5 on row 1",
+        "largest relative move inf on row 3; 1 of 3 cells moved",
+        "out/t.csv y: largest move 0.5 on row 3 (1.0 -> 1.5), "
+        "largest relative move 0.5 on row 1; 2 of 3 cells moved",
         "out/t.csv row 2 status: 'pass' -> 'fail'",
     ]
     assert moves.compare(old, old) == []

@@ -8,9 +8,10 @@
 ``output_digests.RUNS`` wrote with ``--keep``.  For each run the script
 prints a line if the exit code differs and every stdout or stderr line that
 differs.  For each CSV it prints a line if the header or the row count
-differs, every text cell that differs, and for each numeric column the
-largest absolute and the largest relative move, with the rows they are
-on; a column is numeric when every cell in both files reads as a float.
+differs, every text cell that differs, and for each numeric column that
+moved one line with the largest absolute and the largest relative move,
+the rows they are on, and how many of the column's cells moved; a column
+is numeric when every cell in both files reads as a float.
 Other files are compared byte for byte.  When the two directories hold
 the same outputs it prints nothing and exits 0; when anything differs it
 exits 1.
@@ -55,22 +56,24 @@ def _runs(old: Path, new: Path) -> list[str]:
 
 
 def _moves(rows_a: list[list[str]], rows_b: list[list[str]],
-           column: int) -> tuple[float, int, float, int]:
-    """Largest absolute and relative move of a numeric column, and the
-    (data) rows they are on; a value that appears or vanishes (NaN or inf
-    on one side only) and a move from zero count as infinite."""
-    worst_abs, at_abs, worst_rel, at_rel = 0.0, -1, 0.0, -1
+           column: int) -> tuple[float, int, float, int, int]:
+    """Largest absolute and relative move of a numeric column, the (data)
+    rows they are on, and the number of cells that moved; a value that
+    appears or vanishes (NaN or inf on one side only) and a move from zero
+    count as infinite."""
+    worst_abs, at_abs, worst_rel, at_rel, moved = 0.0, -1, 0.0, -1, 0
     for row, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         a, b = float(ra[column]), float(rb[column])
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
+        moved += 1
         move = abs(b - a) if math.isfinite(a - b) else math.inf
         rel = move / abs(a) if a != 0.0 else math.inf
         if not move <= worst_abs:
             worst_abs, at_abs = move, row
         if not rel <= worst_rel:
             worst_rel, at_rel = rel, row
-    return worst_abs, at_abs, worst_rel, at_rel
+    return worst_abs, at_abs, worst_rel, at_rel, moved
 
 
 def _csv(name: str, old: Path, new: Path) -> list[str]:
@@ -93,14 +96,15 @@ def _csv(name: str, old: Path, new: Path) -> list[str]:
     for column, title in enumerate(head_a):
         cells = [r[column] for r in rows_a + rows_b]
         if all(_number(c) is not None for c in cells):
-            move, row, rel, row_rel = _moves(rows_a, rows_b, column)
+            move, row, rel, row_rel, moved = _moves(rows_a, rows_b, column)
             if move == 0.0:
                 still.append(title)
                 continue
             lines.append(
                 f"{name} {title}: largest move {move:.3g} on row {row + 1} "
                 f"({rows_a[row][column]} -> {rows_b[row][column]}), "
-                f"largest relative move {rel:.3g} on row {row_rel + 1}")
+                f"largest relative move {rel:.3g} on row {row_rel + 1}; "
+                f"{moved} of {len(rows_a)} cells moved")
         else:
             lines += [f"{name} row {row + 1} {title}: "
                       f"{ra[column]!r} -> {rb[column]!r}"
