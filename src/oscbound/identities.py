@@ -227,10 +227,11 @@ class PipelineData:
 
     # ---------------- integration helpers (unnormalized) ----------------
 
-    def domain_integral(self, values: Array, valid: Array | None = None) -> float:
-        """``int_Omega values dx`` by cell weights, rescaled over exclusions."""
+    def domain_integral(self, values: Array, valid: Array) -> float:
+        """``int_Omega values dx`` by cell weights over the inside nodes where
+        ``valid`` holds, rescaled over the excluded ones."""
         grid = self.u.grid
-        mask = grid.inside if valid is None else (grid.inside & valid)
+        mask = grid.inside & valid
         w = grid.cell_weights
         covered = float(np.sum(w[mask]))
         if covered <= 0.0:

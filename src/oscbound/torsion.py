@@ -10,8 +10,9 @@ the exact cut-cell areas.  A spacing is refused when no node lies inside,
 or when the inside nodes fall into more than one component joined by the
 five-point stencil's edges (4-connectivity): each row's runs of inside
 nodes are joined with the runs of the next row that share a column, and
-union-find counts the components.  BiCGSTAB preconditioned by a geometric
-multigrid V-cycle solves the linear system, while a worker thread computes
+scipy.sparse.csgraph counts the components of that graph of runs.
+BiCGSTAB preconditioned by a geometric multigrid V-cycle solves the linear
+system, while a worker thread computes
 the boundary distance delta.  The module also produces everything the identity
 checks consume: the deepest point z, the auxiliary field h = |x-z|^2/2 - u,
 the magnitudes of gradients and Hessians, interior norms with exact cell
@@ -46,6 +47,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
@@ -311,9 +313,8 @@ def _components(mask: Array) -> int:
     """Number of 4-connected components of a 2-D boolean mask.
 
     Each row's runs of True are the nodes of a graph, joined to the runs of
-    the next row that share a column with them.  Union-find counts the
-    graph's components: every round hooks the larger root of each join
-    under the smaller, and pointer jumping then flattens the trees.
+    the next row that share a column with them; scipy's
+    ``connected_components`` counts the graph's components.
     """
     step = np.diff(mask, prepend=False, append=False, axis=1)
     row, col = np.nonzero(step)  # each run's start, then its end (exclusive)
@@ -327,18 +328,9 @@ def _components(mask: Array) -> int:
     count = np.maximum(hi - lo, 0)
     a = np.repeat(np.arange(first.size), count)
     b = np.arange(a.size) + np.repeat(lo - np.cumsum(count) + count, count)
-    root = np.arange(first.size)
-    while True:
-        ra, rb = root[a], root[b]
-        join = ra != rb
-        if not join.any():
-            return int(np.count_nonzero(root == np.arange(first.size)))
-        np.minimum.at(root, np.maximum(ra, rb)[join], np.minimum(ra, rb)[join])
-        while True:
-            hop = root[root]
-            if np.array_equal(hop, root):
-                break
-            root = hop
+    joins = sparse.coo_array((np.ones(a.size, dtype=bool), (a, b)),
+                             shape=(first.size, first.size))
+    return connected_components(joins, directed=False)[0]
 
 
 def _cell_areas(domain: StarDomain2D, rows, cols, lines: Array) -> Array:

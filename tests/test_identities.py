@@ -180,7 +180,7 @@ class TestIdentityReport:
 class TestPipelineBundle:
     def test_constant_domain_integral(self, disk_data):
         total = disk_data.domain_integral(
-            np.ones_like(disk_data.u.values))
+            np.ones_like(disk_data.u.values), disk_data.u.grid.inside)
         assert total == pytest.approx(area(disk_data.domain), rel=1e-8)
 
     def test_domain_integral_rescales_exclusions(self, disk_data):

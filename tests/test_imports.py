@@ -198,7 +198,8 @@ def test_no_module_reads_a_private_sibling_attribute():
 
 
 def test_cli_import_leaves_out_scipy_ndimage(fresh_env):
-    # the grid's connectivity check joins row runs itself
+    # the grid's connectivity check counts its row-run graph's components
+    # with scipy.sparse.csgraph, not with scipy.ndimage.label
     code = "import sys, oscbound.cli; print('scipy.ndimage' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=fresh_env, check=True)

@@ -814,8 +814,8 @@ def test_golden_refinements_keep_their_values(dom, want):
 @pytest.mark.parametrize("dom", [d for d, _ in _GEOMETRY_REFERENCE],
                          ids=[d.label for d, _ in _GEOMETRY_REFERENCE])
 def test_farthest_pair_matches_the_broadcast_distances(dom):
-    # d^2 built in place from outer differences is, bit for bit, the sum of
-    # the broadcast squares, so diameter seeds from the same pair
+    # scipy's squared-distance table is, bit for bit, the sum of the
+    # broadcast squares, so diameter seeds from the same pair
     pts = dom.coarse_table.gamma
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)

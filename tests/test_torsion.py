@@ -522,6 +522,20 @@ def test_component_count_matches_ndimage_on_random_masks():
     assert {ref for _, ref in counts} >= {0, 1, 2, 6}
 
 
+@pytest.mark.parametrize("spine, components", [(True, 1), (False, 311)])
+def test_component_count_matches_ndimage_on_grid_sized_combs(spine,
+                                                            components):
+    # 621 x 621, about the ladder ellipse's 619 x 619 grid at h = 1/256: 311
+    # one-column teeth of random lengths, two columns apart, hang from row
+    # 0, so the upper rows hold hundreds of runs each and the teeth join
+    # only through that spine row
+    lengths = np.random.default_rng(39).integers(1, 621, size=311)
+    mask = np.zeros((621, 621), dtype=bool)
+    mask[1:, ::2] = np.arange(1, 621)[:, None] <= lengths
+    mask[0] = spine
+    assert torsion._components(mask) == _label_count(mask) == components
+
+
 @pytest.mark.parametrize("kind", ["ellipse", "cosine_perturbation"])
 def test_component_count_matches_ndimage_on_the_default_families(kind):
     spec = FamilySpec(kind=kind)
