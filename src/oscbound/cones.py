@@ -23,11 +23,12 @@ functions :func:`verify_pointwise_cone`, :func:`verify_morrey_cone` and
 one per (cone, field) pair.
 
 Work that does not depend on the field is done once per rule: the rule
-carries the cone measure and both kernel weight vectors, and the Halton fill
-and the Gauss-Legendre nodes are computed once per size.  The rule's nodes
-and its quasi-random sup-norm fill take their directions from one map of cap
-angles to unit vectors, ``_cap_directions``.  All of these
-arrays are read-only because rules, their fields and the caches share them.
+carries the cone measure and both kernel weight vectors, and the
+Gauss-Legendre nodes are computed once per size.  Sup norms read the rule's
+own nodes, its outer shell at the angular nodes and the vertex; the nodes
+take their directions from one map of cap angles to unit vectors,
+``_cap_directions``.  All of these arrays are read-only because rules,
+their fields and the cache share them.
 Row norms and row sums of squares go through :func:`_row_sum_sq`, which adds
 columns in order; that gives numpy's short-axis reduction bit for bit at a
 fifth of its cost.
@@ -60,7 +61,6 @@ __all__ = [
     "QuadratureRule",
     "ConeField",
     "ConeCheck",
-    "cone_samples",
     "check_dimension",
     "verify_pointwise_cone",
     "verify_morrey_cone",
@@ -170,8 +170,8 @@ class QuadratureRule:
     cap factor polynomially exact, and the azimuth uses uniform points
     (trapezoidal rule, exact for trigonometric degree < n_angular).
     ``sup_points`` are where sup norms look besides the nodes: the
-    quasi-random fill of :func:`cone_samples`, and the closed-cone extremes
-    the open rule misses, the outer shell at the angular nodes and the vertex.
+    closed-cone extremes the open rule misses, the outer shell at the
+    angular nodes and the vertex.
 
     The field-independent factors of every :class:`ConeField` on this rule
     are computed once here: ``measure`` is ``cone_measure(cone)``,
@@ -185,7 +185,7 @@ class QuadratureRule:
     points: Array              # (n_radial * K, dim)
     radii: Array               # (n_radial * K,)
     weights: Array             # Lebesgue weights, sum = |C|
-    sup_points: Array          # (_SUP_SAMPLES + K + 1, dim)
+    sup_points: Array          # (K + 1, dim): shell, then vertex
     measure: float             # |C|
     kernel_weights: Array      # weights / radii**(N-1)
     weighted_kernel_weights: Array   # kernel_weights * (a^N - radii^N) / N
@@ -222,7 +222,7 @@ class QuadratureRule:
             points=pts.reshape(-1, dim),
             radii=radii,
             weights=w,
-            sup_points=np.vstack([cone_samples(cone), shell, cone.vertex[None, :]]),
+            sup_points=np.vstack([shell, cone.vertex[None, :]]),
             measure=cone_measure(cone),
             kernel_weights=kernel_w,
             weighted_kernel_weights=kernel_w * (cone.height**dim - radii**dim) / dim,
@@ -230,44 +230,6 @@ class QuadratureRule:
         _read_only(rule.points, rule.radii, rule.weights, rule.sup_points,
                    rule.kernel_weights, rule.weighted_kernel_weights)
         return rule
-
-
-_HALTON_BASES = (2, 3, 5)  # cones live in dimension 2 or 3
-_SUP_SAMPLES = 10_000  # quasi-random points of a rule's sup_points
-
-
-@lru_cache(maxsize=16)
-def _halton(count: int, dim: int) -> Array:
-    """First ``count`` points of the unscrambled Halton sequence in [0, 1)^dim.
-
-    Column d is the radical inverse of 0, 1, 2, ... in the d-th prime base.
-    Computed once per ``(count, dim)``; the shared result is read-only.
-    """
-    out = np.zeros((count, dim))
-    for col, base in enumerate(_HALTON_BASES[:dim]):
-        n = np.arange(count)
-        scale = 1.0 / base
-        while n.any():
-            n, digit = np.divmod(n, base)
-            out[:, col] += digit * scale
-            scale /= base
-    _read_only(out)
-    return out
-
-
-def cone_samples(cone: ConeSpec) -> Array:
-    """``_SUP_SAMPLES`` deterministic quasi-random points filling the cone
-    (for sup norms)."""
-    dim = cone.dim
-    u = _halton(_SUP_SAMPLES, dim)
-    s = cone.height * u[:, 0] ** (1.0 / dim)
-    if dim == 2:
-        psi0 = math.atan2(cone.axis[1], cone.axis[0])
-        dirs = _cap_directions(cone, psi0 + cone.theta * (2.0 * u[:, 1] - 1.0))
-    else:
-        dirs = _cap_directions(cone, 1.0 - u[:, 1] * (1.0 - math.cos(cone.theta)),
-                               2.0 * math.pi * u[:, 2])
-    return cone.vertex[None, :] + s[:, None] * dirs
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +300,8 @@ class ConeField:
 
         ``p = inf`` is an essential sup estimated as the larger of the max
         over the quadrature nodes and the max over the rule's
-        ``sup_points``.
+        ``sup_points``, the outer shell at the angular nodes and the vertex.
+        The cap rim is not sampled.
         """
         if p not in self._norms:
             norm = self._powers.norm(self.rule.weights, p, self.rule.measure)

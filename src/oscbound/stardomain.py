@@ -185,10 +185,12 @@ class StarDomain2D:
         z^k, z = e^{i phi}.  Each S_j splits into its even and odd modes,
         E_j(z^2) + z O_j(z^2), and the sums up to S_order run together by
         Horner's rule in z^2 within blocks of 8 modes and in w = z^8 across
-        blocks.  The rows never mix, so a lower ``order`` gives the same
-        bits for what it returns.  z, z^2 and w come from exponentials of
-        the exact arguments phi, 2 phi and 8 phi: powers formed as products
-        carry the rounding of z into the higher modes.  Memory is
+        blocks.  The rows never mix, so at two or more angles a lower
+        ``order`` gives the same bits for what it returns; at a single
+        angle numpy takes another inner loop for the (rows, 1) arrays, and
+        a value may differ by one ulp.  z, z^2 and w come from exponentials
+        of the exact arguments phi, 2 phi and 8 phi: powers formed as
+        products carry the rounding of z into the higher modes.  Memory is
         O(angles).
         """
         phi = np.asarray(phi, dtype=float)

@@ -19,19 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import qmc
 
 import oscbound
 from oscbound.cones import (
     AnalyticField,
     ConeField,
     QuadratureRule,
-    _halton,
+    _cap_directions,
+    _gauss_on,
     _leggauss,
     _row_sum_sq,
     catalog_cones,
     catalog_fields,
-    cone_samples,
     default_exponent_grid,
     run_cone_sweep,
     verify_interpolation_cone,
@@ -155,24 +154,33 @@ def test_rule_angular_moment_exactness_3d():
     assert rel_err(got, want) < 1e-13
 
 
-def test_halton_samples_fill_cone():
+def rule_directions(cone: ConeSpec) -> np.ndarray:
+    """The unit vectors of the default rule's angular nodes, in its order."""
+    n_angular = 48  # QuadratureRule.build's default
+    if cone.dim == 2:
+        psi0 = math.atan2(cone.axis[1], cone.axis[0])
+        phi, _ = _gauss_on(psi0 - cone.theta, psi0 + cone.theta, n_angular)
+        return _cap_directions(cone, phi)
+    c, _ = _gauss_on(math.cos(cone.theta), 1.0, n_angular // 4)
+    gamma = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    return _cap_directions(cone, np.repeat(c, n_angular), np.tile(gamma, c.size))
+
+
+def test_sup_norm_is_the_max_over_nodes_shell_and_vertex():
     for dim in (2, 3):
-        cone = make_cone(dim, theta=0.6, a=1.2)
-        pts = cone_samples(cone)
-        rel = pts - cone.vertex
-        dist = np.linalg.norm(rel, axis=1)
-        assert np.all(dist <= cone.height + 1e-12)
-        inner = np.divide(rel @ cone.axis, dist,
-                          out=np.ones_like(dist), where=dist > 0)
-        assert np.all(inner >= math.cos(cone.theta) - 1e-9)
-        # deterministic
-        assert np.array_equal(pts, cone_samples(cone))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_halton_matches_scipy_unscrambled(dim):
-    want = qmc.Halton(d=dim, scramble=False).random(10_000)
-    assert np.array_equal(_halton(10_000, dim), want)
+        fields = catalog_fields(dim)
+        for cone in catalog_cones(dim):
+            rule = QuadratureRule.build(cone)
+            dirs = rule_directions(cone)
+            # the directions are the rule's own: its outer layer of nodes
+            assert np.array_equal(rule.points[-len(dirs):],
+                                  cone.vertex + rule.radii[-1] * dirs)
+            shell = cone.vertex + cone.height * dirs
+            assert rule.sup_points.shape == (len(dirs) + 1, dim)
+            for field in fields:
+                want = max(float(np.max(field.gradient_magnitude(pts)))
+                           for pts in (rule.points, shell, cone.vertex[None, :]))
+                assert ConeField(rule, field).norm(INF) == want, (field.label, cone)
 
 
 RULE_ARRAYS = ("points", "radii", "weights", "sup_points", "kernel_weights",
@@ -190,21 +198,9 @@ def test_rule_arrays_are_read_only(dim):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert rule.measure == cone_measure(rule.cone)
-    for arr in (*_leggauss(48), _halton(10_000, dim)):
+    for arr in _leggauss(48):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-
-def test_cached_halton_keeps_cone_samples_deterministic():
-    for dim in (2, 3):
-        cone = make_cone(dim, theta=0.6, a=1.2)
-        first = cone_samples(cone)                # warms the cache
-        assert np.array_equal(_halton(10_000, dim),
-                              _halton.__wrapped__(10_000, dim))
-        first[:] = 0.0                            # the caller owns its copy
-        again = cone_samples(cone)
-        assert np.array_equal(again, cone_samples(cone))
-        assert not np.array_equal(again, first)
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
