@@ -375,8 +375,8 @@ def verify_interpolation_cone(cf: ConeField, pair: ExponentPair) -> ConeCheck:
 
     The left side is ``a^{N-1}`` times the plain kernel integral.  For
     ``p < N`` the right side replays the two-term split: the q-norm controls
-    the cone up to radius sigma, the p-norm the rest, and the split radius is
-    the closed-form minimizer of :func:`two_term_minimize`.  For ``p = N``
+    the cone up to radius sigma, the p-norm the rest, and the bound is the
+    closed-form minimum over sigma of :func:`two_term_minimize`.  For ``p = N``
     the right side is the explicit log-interpolation bound ``N (q/(q-N))
     ||grad f||_N log(e ||grad f||_q / (q' ||grad f||_N))`` (its q -> inf
     limit when q = inf).
@@ -396,8 +396,8 @@ def verify_interpolation_cone(cf: ConeField, pair: ExponentPair) -> ConeCheck:
         norm_p = cf.norm(p)
         coef_a = N if q == INF else (N * (q - 1.0) / (q - N)) ** (1.0 - 1.0 / q)
         coef_b = (N * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
-        _, rhs = two_term_minimize(coef_a * norm_q, coef_b * norm_p,
-                                   1.0 - N / q, 1.0 - N / p, a)
+        rhs = two_term_minimize(coef_a * norm_q, coef_b * norm_p,
+                                1.0 - N / q, 1.0 - N / p, a)
         return ConeCheck(field=cf.field.label, theta=cone.theta, a=a,
                          check="interp_power", lhs=lhs, rhs=rhs, p=p, q=q)
 

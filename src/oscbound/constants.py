@@ -3,7 +3,7 @@
 Everything in this module is exact arithmetic on top of gamma/beta special
 functions: measures of spherical caps and cones, sharp cone-average (Morrey)
 constants, Hoelder conjugate exponents, the two-term Hoelder-split minimization
-that all oscillation estimates reduce to, and the explicit structural
+that the power-law oscillation estimates reduce to, and the explicit structural
 constants used by the torsion stability pipeline (gradient bound, minimum
 depth).  No discretization happens here.
 
@@ -38,8 +38,8 @@ Conventions
   :func:`near_field_coefficient` and, in ``cones``, the interpolation
   coefficient and the log factor, whose ``(q - 1) / (q - N)`` is
   ``inf / inf``; :func:`morrey_cone_constant` and
-  :func:`morrey_domain_constant` at p = inf, where the beta function path
-  rounds 3/4 at N = 3 to ``0x1.7fffffffffffep-1``; and the max of
+  :func:`morrey_domain_constant` at p = inf, whose beta argument
+  ``(p - N) / (N (p - 1))`` is ``inf / inf``; and the max of
   :meth:`PowerTable.norm` (and ``ConeField.norm``) at p = inf, which no
   power sum reaches.
 * :func:`oscillation_bound` returns the bound alone; its regime is
@@ -309,6 +309,15 @@ def holder_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _morrey_beta_factor(p: float, N: int) -> float:
+    """``B(1 - p'/N', p' + 1)^{1/p'}`` for finite p > N, the beta factor of
+    both Morrey constants.  The first argument is written as
+    ``(p - N) / (N (p - 1))``, so it keeps its relative precision for p near
+    N, where ``1 - p'/N'`` cancels."""
+    pp = holder_conjugate(p)
+    return euler_beta((p - N) / (N * (p - 1.0)), pp + 1.0) ** (1.0 / pp)
+
+
 def morrey_cone_constant(p: float, N: int, a: float) -> float:
     """Sharp constant of the cone-average gradient bound for p > N.
 
@@ -325,9 +334,7 @@ def morrey_cone_constant(p: float, N: int, a: float) -> float:
         raise DomainError(f"cone-average constant needs p > N, got p={p}, N={N}")
     if p == INF:
         return a * N / (N + 1.0)
-    pp = holder_conjugate(p)
-    nn = holder_conjugate(N)
-    return (a / N) * euler_beta(1.0 - pp / nn, pp + 1.0) ** (1.0 / pp)
+    return (a / N) * _morrey_beta_factor(p, N)
 
 
 def morrey_domain_constant(p: float, N: int, theta: float) -> float:
@@ -337,75 +344,48 @@ def morrey_domain_constant(p: float, N: int, theta: float) -> float:
     |S_theta|^{1/p})``; for a cone of height a sitting inside a domain of
     volume V this packages the norm inflation so that
     ``|f(x) - f_{C_x}| <= k a^{1 - N/p} V^{1/p} ||grad f||_{p}`` with the
-    norm normalized over the whole domain.
+    norm normalized over the whole domain.  At p = inf (p' = 1, cap exponent
+    0) it is ``N / (N + 1)``, the cone constant at a = 1.
     """
     _check_dim(N)
     if not p > N:
         raise DomainError(f"domain constant needs p > N, got p={p}, N={N}")
     cap = cap_measure(theta, N)
     if p == INF:
-        # p' -> 1 and the cap exponent 1/p -> 0.
-        return euler_beta(1.0 / N, 2.0) / N
+        return N / (N + 1.0)
     pp = holder_conjugate(p)
-    nn = holder_conjugate(N)
-    beta_val = euler_beta(1.0 - pp / nn, pp + 1.0)
-    return beta_val ** (1.0 / pp) / (N ** (1.0 / pp) * cap ** (1.0 / p))
+    return _morrey_beta_factor(p, N) / (N ** (1.0 / pp) * cap ** (1.0 / p))
 
 
 # --------------------------------------------------------------------------
 # two-term minimization
 # --------------------------------------------------------------------------
 
-def two_term_minimize(
-    A: float,
-    B: float,
-    expA: float,
-    expB: float,
-    a: float,
-    log_variant: bool = False,
-) -> tuple[float, float]:
-    """Minimize a two-term upper bound over the split radius sigma.
+def two_term_minimize(A: float, B: float, expA: float, expB: float,
+                      a: float) -> float:
+    """Minimum of ``A (sigma/a)^{expA} + B (sigma/a)^{expB}`` over sigma in (0, a].
 
-    Power mode minimizes ``A (sigma/a)^{expA} + B (sigma/a)^{expB}`` over
-    ``sigma in (0, a]`` and needs ``expA > 0 > expB``.  Log mode minimizes
-    ``A (sigma/a)^{expA} + B log(a/sigma)`` over ``sigma in (0, a/e]``
-    (``expB`` is ignored).  In ``t = log(sigma/a)`` both objectives are
+    Needs ``expA > 0 > expB``.  In ``t = log(sigma/a)`` the objective is
     convex with a single critical point ``t_crit``, so the minimizer is
-    ``min(t_crit, t_hi)`` for the right end ``t_hi`` of the range, and
-    boundary exponents such as p = 1 need no special-casing.
-
-    Returns ``(sigma_star, bound)``.  Degenerate coefficients follow the
-    fixed conventions: both zero -> ``(a, 0)``; ``B = 0`` -> the infimum 0
-    approached as sigma -> 0, reported as ``(0, 0)``.
+    ``min(t_crit, 0)``, and boundary exponents such as p = 1 need no
+    special-casing.  Degenerate coefficients follow fixed conventions:
+    ``B = 0`` gives the infimum 0, approached as sigma -> 0, and ``A = 0``
+    gives ``B``, at sigma = a.
     """
     if A < 0.0 or B < 0.0:
         raise DomainError(f"coefficients must be >= 0, got A={A}, B={B}")
     if not a > 0.0:
         raise DomainError(f"range bound must be positive, got {a}")
-    if A == 0.0 and B == 0.0:
-        return a, 0.0
     if B == 0.0:
-        if not expA > 0.0:
+        if A > 0.0 and not expA > 0.0:
             raise DomainError(f"need expA > 0, got {expA}")
-        return 0.0, 0.0
-
-    if log_variant:
-        if not expA > 0.0:
-            raise DomainError(f"log mode needs expA > 0, got {expA}")
-        if A == 0.0:
-            return a / math.e, B  # B log(a/sigma) is decreasing in sigma
-        # critical point exp(expA t) = B/(A expA); sigma <= a/e is t <= -1
-        t = min(math.log(B / (A * expA)) / expA, -1.0)
-        return a * math.exp(t), A * math.exp(expA * t) - B * t
-
+        return 0.0
     if not (expA > 0.0 and expB < 0.0):
-        raise DomainError(
-            f"power mode needs expA > 0 and expB < 0, got expA={expA}, expB={expB}"
-        )
+        raise DomainError(f"need expA > 0 > expB, got expA={expA}, expB={expB}")
     if A == 0.0:
-        return a, B  # decreasing objective, boundary minimum at sigma = a
+        return B  # decreasing objective, boundary minimum at sigma = a
     t = min(math.log(B * (-expB) / (A * expA)) / (expA - expB), 0.0)
-    return a * math.exp(t), A * math.exp(expA * t) + B * math.exp(expB * t)
+    return A * math.exp(expA * t) + B * math.exp(expB * t)
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +400,7 @@ def near_field_coefficient(q: float, N: int) -> float:
     """
     if not q > N:
         raise DomainError(f"near-field coefficient needs q > N, got q={q}, N={N}")
-    nb = N * unit_ball_volume(N)
+    nb = unit_sphere_area(N)
     if q == INF:
         return nb
     return (nb * (q - 1.0) / (q - N)) ** (1.0 - 1.0 / q)
@@ -435,7 +415,7 @@ def far_field_coefficient(p: float, N: int) -> float:
     """
     if not (1.0 <= p < N):
         raise DomainError(f"far-field coefficient needs 1 <= p < N, got p={p}, N={N}")
-    nb = N * unit_ball_volume(N)
+    nb = unit_sphere_area(N)
     return (nb * (p - 1.0) / (N - p)) ** (1.0 - 1.0 / p)
 
 
@@ -464,13 +444,14 @@ def oscillation_bound(
     segments gives ``|f(x) - f_B| <= (d^N / (N |B_rho|)) int_Omega
     |grad f| |x-y|^{1-N} dy`` for every interior point, hence an oscillation
     bound after the kernel integral is split at radius sigma and each part is
-    estimated by Hoelder's inequality.  The split is optimized by
-    :func:`two_term_minimize`.  Norms are normalized by the domain volume.
+    estimated by Hoelder's inequality.  The split radius is minimized in
+    closed form.  Norms are normalized by the domain volume.
 
     Regimes: ``p > N`` uses the single near-field estimate at sigma = d
     (``grad_q`` is ignored); ``p = N`` pairs the q-norm near field with a
-    dyadic-shell N-norm far field, linear in log(d/sigma); ``p < N < q``
-    interpolates between the q-norm near field and the p-norm far field,
+    dyadic-shell N-norm far field, linear in log(d/sigma), and minimizes
+    over sigma <= d/e here; ``p < N < q`` interpolates between the q-norm
+    near field and the p-norm far field through :func:`two_term_minimize`,
     reproducing the ``||grad f||_p^alpha ||grad f||_q^{1-alpha}`` shape when
     the optimal sigma is interior.  The regime is
     :func:`oscillation_regime` of ``pair``.
@@ -502,16 +483,20 @@ def oscillation_bound(
         # dyadic shells: each shell of ratio 2 contributes at most
         # ||grad f||_N (N |B_1| log 2)^{1 - 1/N}, and there are at most
         # 1 + log2(d/sigma) shells outside B_sigma.
+        # The split then minimizes A (sigma/d)^eA + B log(d/sigma) over
+        # sigma <= d/e, convex in t = log(sigma/d) <= -1, so the minimizer
+        # is min(t_crit, -1).  A = 0 gives B (at sigma = d/e) and B = 0 the
+        # infimum 0 (as sigma -> 0).
         shell = raw(grad_p, N) * (N * ball * math.log(2.0)) ** (1.0 - 1.0 / N)
-        _, inner = two_term_minimize(
-            A, shell / math.log(2.0), eA, 0.0, d, log_variant=True
-        )
-        return prefactor * (shell + inner)
+        B = shell / math.log(2.0)
+        if A == 0.0 or B == 0.0:
+            return prefactor * (shell + B)
+        t = min(math.log(B / (A * eA)) / eA, -1.0)
+        return prefactor * (shell + (A * math.exp(eA * t) - B * t))
 
     eB = 1.0 - N / p
     B = far_field_coefficient(p, N) * raw(grad_p, p) * d**eB
-    _, inner = two_term_minimize(A, B, eA, eB, d)
-    return prefactor * inner
+    return prefactor * two_term_minimize(A, B, eA, eB, d)
 
 
 # --------------------------------------------------------------------------

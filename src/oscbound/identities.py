@@ -414,8 +414,8 @@ def check_oscillation_chain(data: PipelineData, p: float,
     (N |B_1| rho^N)`` is geometric, the near-field (q > N) and far-field
     (p < N) Hoelder coefficients are closed forms, the p = N shells number
     at most ``1 + log2(d / sigma)`` with a closed-form shell constant, and
-    the split radius is minimized exactly.  The report is named after the
-    pair: ``oscillation_chain_p6_qinf``.
+    the split radius is minimized exactly, in closed form in each regime.
+    The report is named after the pair: ``oscillation_chain_p6_qinf``.
     """
     pair = ExponentPair(p=p, q=q, N=2)
     grad_p = lp_norm_domain(data.grad_h, p)
@@ -453,8 +453,8 @@ def check_grad_infty_bound(data: PipelineData, q: float = INF) -> IdentityReport
     vol_ratio = N * area(data.domain) / cap
     B = vol_ratio ** (1.0 / p) * grad_p
     A = morrey_cone_constant(q, N, 1.0) * vol_ratio ** (1.0 / q) * hess_q
-    _, value = two_term_minimize(A, B, 1.0 - N / q, -N / p,
-                                 ball_radii(data.domain)[0])
+    value = two_term_minimize(A, B, 1.0 - N / q, -N / p,
+                              ball_radii(data.domain)[0])
     return IdentityReport.inequality(f"grad_infty_q{q:g}", sup_grad, value)
 
 

@@ -235,31 +235,18 @@ def test_morrey_domain_constant_norm_inflation_identity(N, p, theta):
 # two-term minimization vs grid oracle
 # --------------------------------------------------------------------------
 
-def grid_minimum(A, B, expA, expB, a, log_variant=False, n=1_000_000):
+def grid_minimum(A, B, expA, expB, n=1_000_000):
     x = np.logspace(-6, 0, n)
-    if log_variant:
-        x = x / math.e  # grid over (0, a/e]
-        vals = A * x**expA + B * np.log(1.0 / x)
-    else:
-        vals = A * x**expA + B * x**expB
-    i = int(np.argmin(vals))
-    return a * x[i], float(vals[i])
+    vals = A * x**expA + B * x**expB
+    return float(vals.min())
 
 
 def test_two_term_fixed_examples():
-    sigma, bound = two_term_minimize(1.0, 1.0, 0.5, -0.5, 1.0)
-    assert sigma == pytest.approx(1.0, abs=1e-9)
-    assert bound == pytest.approx(2.0, rel=1e-12)
+    assert two_term_minimize(1.0, 1.0, 0.5, -0.5, 1.0) == pytest.approx(2.0, rel=1e-12)
 
-    assert two_term_minimize(3.0, 0.0, 0.5, -0.5, 2.0) == (0.0, 0.0)
-    assert two_term_minimize(0.0, 0.0, 0.5, -0.5, 2.0) == (2.0, 0.0)
-    assert two_term_minimize(0.0, 1.5, 0.5, -0.5, 2.0) == (2.0, 1.5)
-
-    # log mode with A = e B and unit exponent: minimizer at the right
-    # endpoint sigma = a/e, objective value 2B there.
-    sigma, bound = two_term_minimize(math.e, 1.0, 1.0, 0.0, 1.0, log_variant=True)
-    assert sigma == pytest.approx(1.0 / math.e, rel=1e-9)
-    assert bound == pytest.approx(2.0, rel=1e-12)
+    assert two_term_minimize(3.0, 0.0, 0.5, -0.5, 2.0) == 0.0
+    assert two_term_minimize(0.0, 0.0, 0.5, -0.5, 2.0) == 0.0
+    assert two_term_minimize(0.0, 1.5, 0.5, -0.5, 2.0) == 1.5
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,39 +258,22 @@ def test_two_term_fixed_examples():
     a=st.floats(min_value=0.1, max_value=10.0),
 )
 def test_two_term_power_never_exceeds_grid(A, B, expA, expB, a):
-    _, bound = two_term_minimize(A, B, expA, expB, a)
+    bound = two_term_minimize(A, B, expA, expB, a)
     x = np.logspace(-6, 0, 10_000)
     vals = A * x**expA + B * x**expB
     assert bound <= vals.min() * (1.0 + 1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    A=st.floats(min_value=1e-3, max_value=1e3),
-    B=st.floats(min_value=1e-3, max_value=1e3),
-    expA=st.floats(min_value=0.05, max_value=1.0),
-    a=st.floats(min_value=0.1, max_value=10.0),
-)
-def test_two_term_log_never_exceeds_grid(A, B, expA, a):
-    _, bound = two_term_minimize(A, B, expA, 0.0, a, log_variant=True)
-    x = np.logspace(-6, 0, 10_000) / math.e
-    vals = A * x**expA + B * np.log(1.0 / x)
-    assert bound <= vals.min() * (1.0 + 1e-12)
-
-
 def test_two_term_million_point_grid_oracle():
     cases = [
-        (2.0, 5.0, 0.75, -1.0, 1.0, False),
-        (10.0, 0.01, 0.5, -2.0, 3.0, False),
-        (1.0, 1.0, 1.0, 0.0, 1.0, True),
-        (5.0, 0.2, 0.25, 0.0, 2.0, True),
+        (2.0, 5.0, 0.75, -1.0, 1.0),
+        (10.0, 0.01, 0.5, -2.0, 3.0),
     ]
-    for A, B, expA, expB, a, log_variant in cases:
-        sigma, bound = two_term_minimize(A, B, expA, expB, a, log_variant=log_variant)
-        g_sigma, g_bound = grid_minimum(A, B, expA, expB, a, log_variant=log_variant)
+    for A, B, expA, expB, a in cases:
+        bound = two_term_minimize(A, B, expA, expB, a)
+        g_bound = grid_minimum(A, B, expA, expB)
         assert bound <= g_bound * (1.0 + 1e-12)
         assert rel_err(bound, g_bound) < 1e-6  # grid resolves the same minimum
-        assert 0.0 < sigma <= a
 
 
 def test_two_term_rejects_bad_exponents():
@@ -404,6 +374,82 @@ def test_oscillation_bound_log_regime_explicit_value():
     assert rel_err(est, want) < 1e-10
 
 
+def log_regime_parts(gp, gq, N, q, diameter, star_radius, volume):
+    """Prefactor, shell, A, B and eA of the p = N regime, whose split
+    objective is ``A (sigma/d)^eA + B log(d/sigma)`` over ``sigma <= d/e``."""
+    nb = N * unit_ball_volume(N)
+    pre = 2.0 * diameter**N / (nb * star_radius**N)
+    eA = 1.0 - N / q
+    A = near_field_coefficient(q, N) * gq * volume ** (1.0 / q) * diameter**eA
+    shell = gp * volume ** (1.0 / N) * (nb * math.log(2.0)) ** (1.0 - 1.0 / N)
+    return pre, shell, A, shell / math.log(2.0), eA
+
+
+def log_grid_minimum(A, B, eA, n):
+    x = np.logspace(-6, 0, n) / math.e  # grid over sigma/d in (0, 1/e]
+    return float((A * x**eA + B * np.log(1.0 / x)).min())
+
+
+def log_regime_norms(A, B, N, q, d):
+    """Norms ``(gp, gq)`` whose p = N split has coefficients A and B on a
+    shape of diameter d and volume 1."""
+    nb = N * unit_ball_volume(N)
+    gq = A / (near_field_coefficient(q, N) * d ** (1.0 - N / q))
+    gp = B * math.log(2.0) / (nb * math.log(2.0)) ** (1.0 - 1.0 / N)
+    return gp, gq
+
+
+def test_oscillation_bound_log_split_at_right_end():
+    # A = e B with eA = 1 (q = inf): the minimizer is the right end
+    # sigma = d/e, where the split objective is 2B.
+    shape = dict(diameter=1.0, star_radius=0.5, volume=1.0)
+    gp, gq = log_regime_norms(math.e, 1.0, 2, INF, 1.0)
+    est = oscillation_bound(gp, gq, ExponentPair(2.0, INF, 2), **shape)
+    pre, shell, _, B, _ = log_regime_parts(gp, gq, 2, INF, **shape)
+    assert rel_err(est, pre * (shell + 2.0 * B)) < 1e-12
+
+
+NORMS = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gp=NORMS,
+    gq=NORMS,
+    N=st.sampled_from([2, 3]),
+    eA=st.floats(min_value=0.05, max_value=1.0),
+    d=st.floats(min_value=0.1, max_value=10.0),
+    volume=st.floats(min_value=0.1, max_value=10.0),
+)
+def test_oscillation_bound_log_never_exceeds_grid(gp, gq, N, eA, d, volume):
+    q = INF if eA == 1.0 else N / (1.0 - eA)
+    shape = dict(diameter=d, star_radius=d / 2.0, volume=volume)
+    est = oscillation_bound(gp, gq, ExponentPair(float(N), q, N), **shape)
+    pre, shell, *split = log_regime_parts(gp, gq, N, q, **shape)
+    assert est <= pre * (shell + log_grid_minimum(*split, 10_000)) * (1.0 + 1e-12)
+    if gp == 0.0:  # B = 0: the infimum 0
+        assert est == 0.0
+
+
+def test_oscillation_bound_log_million_point_grid_oracle():
+    # (A, B) of the p = N split at eA = 1 with its minimum at the right end,
+    # at eA = 1/4 with an interior minimum, and the degenerate A = 0
+    for A, B, N, q, d in [(1.0, 1.0, 2, INF, 1.0), (5.0, 0.2, 3, 4.0, 2.0),
+                          (0.0, 0.2, 3, 4.0, 2.0)]:
+        shape = dict(diameter=d, star_radius=d / 2.0, volume=1.0)
+        gp, gq = log_regime_norms(A, B, N, q, d)
+        est = oscillation_bound(gp, gq, ExponentPair(float(N), q, N), **shape)
+        pre, shell, *split = log_regime_parts(gp, gq, N, q, **shape)
+        want = pre * (shell + log_grid_minimum(*split, 1_000_000))
+        assert est <= want * (1.0 + 1e-12)
+        assert rel_err(est, want) < 1e-6  # grid resolves the same minimum
+    # B = 0: the infimum 0, which no grid point reaches
+    gp, gq = log_regime_norms(5.0, 0.0, 3, 4.0, 2.0)
+    assert gp == 0.0
+    assert oscillation_bound(gp, gq, ExponentPair(3.0, 4.0, 3), diameter=2.0,
+                             star_radius=1.0, volume=1.0) == 0.0
+
+
 # The limits q = inf and p = inf are the finite formulas evaluated there: a
 # norm with exponent inf is its own raw norm, and an exponent N/inf is 0.0.
 # Each closed form below repeats the bound's arithmetic with exponent 1 and
@@ -432,10 +478,15 @@ def test_oscillation_bound_at_q_inf_is_exact(N, gp, gq):
     d, vol = LIMIT_SHAPE["diameter"], LIMIT_SHAPE["volume"]
     nb = N * unit_ball_volume(N)
     A = nb * gq * d
-    # log regime, p = N
+    # log regime, p = N: A (sigma/d) + B log(d/sigma) at t = log(sigma/d) =
+    # min(log(B/A), -1); A = 0 gives B and B = 0 gives 0
     shell = gp * vol ** (1.0 / N) * (nb * math.log(2.0)) ** (1.0 - 1.0 / N)
-    _, inner = two_term_minimize(A, shell / math.log(2.0), 1.0, 0.0, d,
-                                 log_variant=True)
+    B = shell / math.log(2.0)
+    if A == 0.0 or B == 0.0:
+        inner = B
+    else:
+        t = min(math.log(B / A), -1.0)
+        inner = A * math.exp(t) - B * t
     est = oscillation_bound(gp, gq, ExponentPair(float(N), INF, N),
                             **LIMIT_SHAPE)
     assert est == _limit_prefactor(N) * (shell + inner)
@@ -443,7 +494,7 @@ def test_oscillation_bound_at_q_inf_is_exact(N, gp, gq):
     for p in (1.0, (1.0 + N) / 2.0):
         B = (far_field_coefficient(p, N) * (gp * vol ** (1.0 / p))
              * d ** (1.0 - N / p))
-        _, inner = two_term_minimize(A, B, 1.0, 1.0 - N / p, d)
+        inner = two_term_minimize(A, B, 1.0, 1.0 - N / p, d)
         est = oscillation_bound(gp, gq, ExponentPair(p, INF, N),
                                 **LIMIT_SHAPE)
         assert est == _limit_prefactor(N) * inner
